@@ -22,6 +22,6 @@ from .solver import (Grid1D, Grid2D, Scenario, Trajectory, run, rusanov_flux,
 from .verify import (AuditReport, SamplingPlan, check_concavity,
                      check_dissipation_matrix, check_entropy_flux_exists,
                      check_hyperbolicity, check_source_consistency,
-                     check_symmetrizability, run_full_audit)
+                     check_symmetrizability, run_full_audit, sample_states)
 
 __version__ = "0.1.0"

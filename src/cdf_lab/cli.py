@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -422,27 +420,12 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if report.passed else EXIT_SCIENTIFIC
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CDF_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_converge(cfg: dict, out_dir: Path) -> int:
     cv = cfg["converge"]
     base = HeatParams(**cfg["params"])
-    grid = Grid1D(cv["n_cells"])
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            study = diagnostics.relaxation_convergence(
-                base, cv["alpha0_values"], grid, cv["t_end"],
-                cv["amplitude"], map_fn=pool.map)
-    else:
-        study = diagnostics.relaxation_convergence(
-            base, cv["alpha0_values"], grid, cv["t_end"], cv["amplitude"])
+    study = diagnostics.relaxation_convergence(
+        base, cv["alpha0_values"], Grid1D(cv["n_cells"]), cv["t_end"],
+        cv["amplitude"])
 
     h = config_hash(cfg)
     rows = np.column_stack([study.parameter_values, study.errors_l1,

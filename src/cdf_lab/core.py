@@ -10,7 +10,7 @@ strictly concave entropy and M positive definite.  Everything downstream
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -163,19 +163,22 @@ def entropy_gradient(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray
     return fd_gradient(model.entropy, x, fd_step)
 
 
-def entropy_hessian(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
+def entropy_hessian(model: CdfModel, U, fd_step: float = FD_STEP,
+                    scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Symmetrized entropy Hessian.
 
     Differentiates the analytic gradient when the model has one; otherwise
     falls back to nested central differences (with a larger step to balance
-    truncation against roundoff).
+    truncation against roundoff).  `scale` fixes per-component step
+    magnitudes at both difference levels (see `fd_gradient`).
     """
     x = require_admissible(model, U)
     if model.entropy_grad is not None:
-        H = fd_jacobian(model.entropy_grad, x, fd_step)
+        H = fd_jacobian(model.entropy_grad, x, fd_step, scale)
     else:
-        H = fd_jacobian(lambda y: fd_gradient(model.entropy, y, fd_step),
-                        x, float(np.finfo(float).eps) ** 0.25)
+        H = fd_jacobian(
+            lambda y: fd_gradient(model.entropy, y, fd_step, scale),
+            x, float(np.finfo(float).eps) ** 0.25, scale)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 

@@ -10,7 +10,7 @@ any model, 2D (dimension-by-dimension, periodic) for the heat model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -164,11 +164,6 @@ def rusanov_flux(model: CdfModel, U_left, U_right, direction: int = 0,
     return 0.5 * (FL + FR) - 0.5 * np.asarray(a)[..., None] * (UR - UL)
 
 
-def _cell_speeds(model: CdfModel, cells: np.ndarray, direction: int = 0
-                 ) -> np.ndarray:
-    return core.spectral_radius(model, cells, direction)
-
-
 def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
                     grid: Grid1D, boundary: str = "periodic",
                     left_state=None, right_state=None, cfl: float = 1.0,
@@ -179,10 +174,11 @@ def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
     g = GHOST
     work = field_arr.copy()
     fill_ghost(work, boundary, left_state, right_state)
-    speeds = _cell_speeds(model, work)
-    smax = float(np.max(speeds[g:-g]))
+    # ghost speeds count too: the Rusanov faces at the domain ends use them
+    speeds = core.spectral_radius(model, work)
+    smax = float(np.max(speeds))
     if smax > 0 and dt > cfl * grid.dx / smax * (1.0 + 1e-9):
-        bad = g + int(np.argmax(speeds[g:-g]))
+        bad = int(np.argmax(speeds))
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed "
             f"{speeds[bad]:.3e} at cell {bad - g}"
@@ -280,9 +276,10 @@ def strang_step(model: CdfModel, field_arr: np.ndarray, dt: float,
 
 def _audit_or_raise(model: CdfModel, samples: int = 200) -> None:
     from . import verify
-    plan = verify.SamplingPlan(seed=0, count=samples)
-    rep_c = verify.check_concavity(model, plan)
-    rep_m = verify.check_dissipation_matrix(model, plan)
+    states = verify.sample_states(
+        model, verify.SamplingPlan(seed=0, count=samples))
+    rep_c = verify.check_concavity(model, states)
+    rep_m = verify.check_dissipation_matrix(model, states)
     if not (rep_c.passed and rep_m.passed):
         failed = [r.name for r in (rep_c, rep_m) if not r.passed]
         raise ModelAuditError(
@@ -333,6 +330,13 @@ def run(scenario: Scenario, override_audit: bool = False,
         traj.times.append(t)
         traj.snapshots.append(field_arr[g:-g].copy())
 
+    # Fixed boundary states enter the end faces, so their (constant) speed
+    # bounds dt; periodic and zero-gradient ghosts copy interior cells.
+    s_boundary = 0.0
+    if scenario.boundary == "fixed-state":
+        s_boundary = float(np.max(core.spectral_radius(model, np.array(
+            [scenario.left_state, scenario.right_state], dtype=float))))
+
     t = 0.0
     record_diag(t)
     record_snapshot(t)
@@ -340,8 +344,8 @@ def run(scenario: Scenario, override_audit: bool = False,
     for _ in range(max_steps):
         if t >= scenario.t_end - 1e-14 * scenario.t_end:
             break
-        speeds = _cell_speeds(model, field_arr[g:-g])
-        smax = float(np.max(speeds))
+        speeds = core.spectral_radius(model, field_arr[g:-g])
+        smax = max(float(np.max(speeds)), s_boundary)
         if smax <= 0:
             dt = scenario.t_end - t
         else:

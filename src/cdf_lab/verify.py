@@ -5,14 +5,15 @@ concavity of the entropy, symmetry of eta_UU . F_jU (symmetrizability),
 positive definiteness of the dissipation matrix, existence of an entropy
 flux (integrability of eta_U . F_jU), consistency of the assembled source
 with M . eta_v, and hyperbolicity of the flux Jacobians.  Failures carry a
-witness state.  Sampling is seeded and deterministic.
+witness state.  An audit draws its states once (seeded, deterministic) and
+every `check_*` takes that states array.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -147,36 +148,21 @@ def _result(name, worst, tol, states, idx) -> CheckResult:
     return CheckResult(name, passed, float(max(worst, 0.0)), witness, tol)
 
 
-def check_concavity(model: CdfModel, plan: SamplingPlan,
+def check_concavity(model: CdfModel, states: np.ndarray,
                     tol: float = DEFAULT_TOLERANCES["concavity"]) -> CheckResult:
     """Entropy must be strictly concave: max Hessian eigenvalue <= -tol."""
-    states = sample_states(model, plan)
-    scale = _fd_scale(states)
-    if model.entropy_grad is not None:
-        H = core.fd_jacobian(model.entropy_grad, states, scale=scale)
-    else:
-        H = core.fd_jacobian(
-            lambda y: core.fd_gradient(model.entropy, y, scale=scale),
-            states, float(np.finfo(float).eps) ** 0.25, scale=scale)
-    H = 0.5 * (H + np.swapaxes(H, -1, -2))
+    H = core.entropy_hessian(model, states, scale=_fd_scale(states))
     lam_max = np.max(np.linalg.eigvalsh(H), axis=-1)
     worst = np.max(lam_max + tol)
     return _result("concavity", worst, tol, states, int(np.argmax(lam_max)))
 
 
-def check_symmetrizability(model: CdfModel, plan: SamplingPlan,
+def check_symmetrizability(model: CdfModel, states: np.ndarray,
                            tol: float = DEFAULT_TOLERANCES["symmetrizability"],
                            ) -> CheckResult:
     """eta_UU . F_jU must be symmetric for every direction j."""
-    states = sample_states(model, plan)
     scale = _fd_scale(states)
-    if model.entropy_grad is not None:
-        H = core.fd_jacobian(model.entropy_grad, states, scale=scale)
-    else:
-        H = core.fd_jacobian(
-            lambda y: core.fd_gradient(model.entropy, y, scale=scale),
-            states, float(np.finfo(float).eps) ** 0.25, scale=scale)
-    H = 0.5 * (H + np.swapaxes(H, -1, -2))
+    H = core.entropy_hessian(model, states, scale=scale)
     worst = -np.inf
     idx = 0
     for j in range(model.space_dim):
@@ -190,11 +176,10 @@ def check_symmetrizability(model: CdfModel, plan: SamplingPlan,
     return _result("symmetrizability", worst, tol, states, idx)
 
 
-def check_dissipation_matrix(model: CdfModel, plan: SamplingPlan,
+def check_dissipation_matrix(model: CdfModel, states: np.ndarray,
                              tol: float = DEFAULT_TOLERANCES["dissipation_matrix"],
                              ) -> CheckResult:
     """Symmetric part of M must have eigenvalues >= tol everywhere."""
-    states = sample_states(model, plan)
     M = np.asarray(model.dissipation_matrix(states), dtype=float)
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
     lam_min = np.min(np.linalg.eigvalsh(Ms), axis=-1)
@@ -203,11 +188,10 @@ def check_dissipation_matrix(model: CdfModel, plan: SamplingPlan,
                    int(np.argmin(lam_min)))
 
 
-def check_entropy_flux_exists(model: CdfModel, plan: SamplingPlan,
+def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
                               tol: float = DEFAULT_TOLERANCES["entropy_flux"],
                               ) -> CheckResult:
     """eta_U . F_jU must be a gradient: its Jacobian must be symmetric."""
-    states = sample_states(model, plan)
     scale = _fd_scale(states)
 
     def grad(y):
@@ -231,11 +215,10 @@ def check_entropy_flux_exists(model: CdfModel, plan: SamplingPlan,
     return _result("entropy_flux", worst, tol, states, idx)
 
 
-def check_source_consistency(model: CdfModel, plan: SamplingPlan,
+def check_source_consistency(model: CdfModel, states: np.ndarray,
                              tol: float = DEFAULT_TOLERANCES["source_consistency"],
                              ) -> CheckResult:
     """The model's source must equal (0, M . eta_v)."""
-    states = sample_states(model, plan)
     n = model.n_conserved
     g = core.entropy_gradient(model, states)
     M = np.asarray(model.dissipation_matrix(states), dtype=float)
@@ -249,11 +232,10 @@ def check_source_consistency(model: CdfModel, plan: SamplingPlan,
                    int(np.argmax(gap)))
 
 
-def check_hyperbolicity(model: CdfModel, plan: SamplingPlan,
+def check_hyperbolicity(model: CdfModel, states: np.ndarray,
                         tol: float = DEFAULT_TOLERANCES["hyperbolicity"],
                         ) -> CheckResult:
     """Flux Jacobian eigenvalues must be real (to FD noise)."""
-    states = sample_states(model, plan)
     scale = _fd_scale(states)
     worst = -np.inf
     idx = 0
@@ -281,7 +263,8 @@ _CHECKS = {
 
 def run_full_audit(model: CdfModel, plan: SamplingPlan,
                    tolerances: Optional[dict] = None) -> AuditReport:
-    """Run every structural check and aggregate; deterministic in plan.seed."""
+    """Run every structural check on one draw of the plan's states and
+    aggregate; deterministic in plan.seed."""
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -291,6 +274,7 @@ def run_full_audit(model: CdfModel, plan: SamplingPlan,
     box = plan.box if plan.box is not None else model.sample_box
     report = AuditReport(model_name=model.name, samples_used=plan.count,
                          seed=plan.seed, box=box)
+    states = sample_states(model, plan)
     for name, fn in _CHECKS.items():
-        report.condition_results.append(fn(model, plan, tols[name]))
+        report.condition_results.append(fn(model, states, tols[name]))
     return report

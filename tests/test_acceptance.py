@@ -50,8 +50,9 @@ def test_criterion_1_structural_audit(verdict):
     plan = verify.SamplingPlan(seed=0, count=2000)
     heat_report = verify.run_full_audit(heat_model(HeatParams()), plan)
     fluid_report = verify.run_full_audit(fluid_model(FluidParams()), plan)
-    broken = verify.check_concavity(sign_flipped_heat_model(HeatParams()),
-                                    plan)
+    flipped = sign_flipped_heat_model(HeatParams())
+    broken = verify.check_concavity(flipped,
+                                    verify.sample_states(flipped, plan))
     ok = (heat_report.passed and fluid_report.passed
           and not broken.passed and broken.witness_state is not None)
     verdict(1, "structural audit", ok)

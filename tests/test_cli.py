@@ -238,17 +238,6 @@ class TestConvergeCommand:
         assert summary["slope_ok"] is True
         assert len(summary["errors_l2"]) == 3
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        cfg = _cfg(tmp_path, self._payload())
-        out_s, out_t = tmp_path / "serial", tmp_path / "threaded"
-        assert cli.main(["converge", "--config", cfg, "--out",
-                         str(out_s)]) == 0
-        monkeypatch.setenv("CDF_LAB_THREADS", "3")
-        assert cli.main(["converge", "--config", cfg, "--out",
-                         str(out_t)]) == 0
-        assert (out_s / "convergence.csv").read_bytes() == \
-            (out_t / "convergence.csv").read_bytes()
-
 
 class TestPowerlawCommand:
     def test_sweep(self, tmp_path, capsys):

@@ -88,17 +88,19 @@ class TestEntropyGradient:
 
 class TestEntropyHessian:
     def test_heat_hand_values(self, heat):
-        H = entropy_hessian(heat, [1.0, 0.0])
-        assert np.allclose(H, np.diag([-1.0, -1.0]), atol=1e-8)
-        H2 = entropy_hessian(heat, [2.0, 0.7])
-        assert np.allclose(H2, np.diag([-0.25, -1.0]), atol=1e-8)
+        for scale in (None, np.array([2.0, 1.0])):
+            H = entropy_hessian(heat, [1.0, 0.0], scale=scale)
+            assert np.allclose(H, np.diag([-1.0, -1.0]), atol=1e-8)
+            H2 = entropy_hessian(heat, [2.0, 0.7], scale=scale)
+            assert np.allclose(H2, np.diag([-0.25, -1.0]), atol=1e-8)
 
     def test_symmetric_and_negative_definite_fluid(self, fluid):
         states = random_fluid_states(fluid, 100, seed=3)
-        for U in states:
-            H = entropy_hessian(fluid, U)
-            assert np.allclose(H, H.T)
-            assert np.max(np.linalg.eigvalsh(H)) < -1e-8
+        for scale in (None, np.full(5, 3.0)):
+            for U in states:
+                H = entropy_hessian(fluid, U, scale=scale)
+                assert np.allclose(H, H.T)
+                assert np.max(np.linalg.eigvalsh(H)) < -1e-8
 
     def test_fluid_equilibrium_negative_definite(self, fluid):
         # rho=1, v=0, u=1, w=C=0
@@ -109,8 +111,9 @@ class TestEntropyHessian:
     def test_nested_fd_fallback_close(self, heat):
         import dataclasses
         plain = dataclasses.replace(heat, entropy_grad=None)
-        H = entropy_hessian(plain, [1.0, 0.3])
-        assert np.allclose(H, np.diag([-1.0, -1.0]), atol=1e-5)
+        for scale in (None, np.array([2.0, 1.0])):
+            H = entropy_hessian(plain, [1.0, 0.3], scale=scale)
+            assert np.allclose(H, np.diag([-1.0, -1.0]), atol=1e-5)
 
 
 class TestSource:

@@ -168,19 +168,6 @@ class TestRelaxationConvergence:
             relaxation_convergence(heat_params, [1e-1, 1e-2], Grid1D(64),
                                    0.01)
 
-    def test_map_fn_is_used_in_order(self, heat_params):
-        calls = []
-
-        def spy_map(fn, items):
-            items = list(items)
-            calls.append(len(items))
-            return map(fn, items)
-
-        study = relaxation_convergence(heat_params, [1e-1, 3e-2, 1e-2],
-                                       Grid1D(64), 0.01, map_fn=spy_map)
-        assert calls == [3]
-        assert study.errors_l2.shape == (3,)
-
 
 class TestFnsFluxComparison:
     def test_zero_gap_on_manufactured_closure(self, fluid_params):

@@ -124,6 +124,11 @@ class TestStepHyperbolic:
         f = _heat_sine_field(32)
         with pytest.raises(CflError):
             step_hyperbolic(heat, f, 1.0, Grid1D(32), cfl=0.45)
+        # a fixed boundary state faster than every interior cell counts too
+        dt = 0.4 * Grid1D(32).dx / np.max(heat.max_wave_speed(f[G:-G]))
+        with pytest.raises(CflError):
+            step_hyperbolic(heat, f, dt, Grid1D(32), "fixed-state",
+                            [0.1, 0.0], [1.0, 0.0], cfl=0.45)
 
     def test_boundary_flux_return(self, heat):
         f = _heat_sine_field(16)
@@ -311,6 +316,21 @@ class TestRunDriver:
         traj = solver.run(sc)
         rep = diagnostics.conservation_audit(traj)
         assert np.max(rep.flux_accounting_error) < 1e-10
+
+    def test_fixed_state_boundary_speed_bounds_dt(self):
+        """A boundary state ten times faster than every interior cell must
+        bound dt: the Rusanov faces at the domain ends use its speed."""
+        model = heat_model(HeatParams(alpha0=0.1))
+        left = np.array([0.1, 0.0])
+        right = np.array([1.0, 0.0])
+        sc = Scenario(model=model, grid=Grid1D(64),
+                      initial_condition=lambda x: right,
+                      boundary="fixed-state", left_state=left,
+                      right_state=right, t_end=0.05, output_every=0.05)
+        traj = solver.run(sc)
+        assert traj.step_times[-1] == pytest.approx(0.05)
+        rep = diagnostics.conservation_audit(traj)
+        assert np.max(rep.flux_accounting_error) <= 1e-10
 
     def test_zero_gradient_flux_accounting(self, heat):
         def bump(x):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cdf_lab import verify
+from cdf_lab import solver, verify
 from cdf_lab.heat import HeatParams, heat_model
 
 
@@ -87,6 +87,21 @@ class TestFullAudit:
         assert report.tolerances["concavity"] == 1e-8
         assert report.tolerances["entropy_flux"] == 1e-6
 
+    def test_one_sampling_pass_per_audit(self, heat, monkeypatch):
+        """run_full_audit and the solver's audit gate each draw once."""
+        calls = []
+        real = verify.sample_states
+
+        def counting(model, plan):
+            calls.append(plan)
+            return real(model, plan)
+
+        monkeypatch.setattr(verify, "sample_states", counting)
+        verify.run_full_audit(heat, verify.SamplingPlan(count=50))
+        assert len(calls) == 1
+        solver._audit_or_raise(heat)
+        assert len(calls) == 2
+
     def test_result_lookup(self, heat):
         report = verify.run_full_audit(heat, verify.SamplingPlan(count=50))
         assert report.result("hyperbolicity").passed
@@ -103,8 +118,8 @@ class TestEngineeredFailures:
 
         flat = dataclasses.replace(heat, dissipation_matrix=zero_M,
                                    name="heat-flatM")
-        res = verify.check_dissipation_matrix(flat,
-                                              verify.SamplingPlan(count=100))
+        res = verify.check_dissipation_matrix(
+            flat, verify.sample_states(flat, verify.SamplingPlan(count=100)))
         assert not res.passed
         assert res.worst_violation == pytest.approx(res.tolerance)
 
@@ -114,9 +129,9 @@ class TestEngineeredFailures:
             M[..., 0, 0] = -2.0
             return M
 
+        neg = dataclasses.replace(heat, dissipation_matrix=neg_M)
         res = verify.check_dissipation_matrix(
-            dataclasses.replace(heat, dissipation_matrix=neg_M),
-            verify.SamplingPlan(count=100))
+            neg, verify.sample_states(neg, verify.SamplingPlan(count=100)))
         assert not res.passed
         assert res.worst_violation == pytest.approx(2.0, rel=1e-9)
 
@@ -124,7 +139,7 @@ class TestEngineeredFailures:
         wrong = dataclasses.replace(
             heat, source_fn=lambda U: np.ones_like(U), name="heat-badsource")
         res = verify.check_source_consistency(
-            wrong, verify.SamplingPlan(count=100))
+            wrong, verify.sample_states(wrong, verify.SamplingPlan(count=100)))
         assert not res.passed
         assert res.witness_state is not None
 
@@ -138,8 +153,8 @@ class TestEngineeredFailures:
             return out
 
         ok = dataclasses.replace(heat, source_fn=explicit)
-        res = verify.check_source_consistency(ok,
-                                              verify.SamplingPlan(count=100))
+        res = verify.check_source_consistency(
+            ok, verify.sample_states(ok, verify.SamplingPlan(count=100)))
         assert res.passed
         states = verify.sample_states(ok, verify.SamplingPlan(count=5))
         assert np.allclose(core.source(ok, states), explicit(states))
@@ -155,7 +170,8 @@ class TestEngineeredFailures:
         tampered = dataclasses.replace(heat, flux=bad_flux,
                                        max_wave_speed=None)
         res = verify.check_entropy_flux_exists(
-            tampered, verify.SamplingPlan(count=200))
+            tampered,
+            verify.sample_states(tampered, verify.SamplingPlan(count=200)))
         assert not res.passed
 
     def test_hyperbolicity_fails_for_elliptic_flux(self, heat):
@@ -168,5 +184,6 @@ class TestEngineeredFailures:
 
         m = dataclasses.replace(heat, flux=elliptic_flux,
                                 max_wave_speed=None, name="heat-elliptic")
-        res = verify.check_hyperbolicity(m, verify.SamplingPlan(count=100))
+        res = verify.check_hyperbolicity(
+            m, verify.sample_states(m, verify.SamplingPlan(count=100)))
         assert not res.passed
