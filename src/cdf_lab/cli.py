@@ -20,7 +20,8 @@ import numpy as np
 from . import diagnostics, solver, verify
 from .core import CdfModel
 from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
-                    fluid_model, powerlaw_stress, powerlaw_stress_fixed_point)
+                    fluid_model, fns_sine_initial_condition, powerlaw_stress,
+                    powerlaw_stress_fixed_point)
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
 from .solver import Grid1D, ModelAuditError, Scenario
 
@@ -300,16 +301,9 @@ def _initial_condition(cfg: dict, model: CdfModel, grid: Grid1D):
         return ic
     if preset == "fns-sine":
         _require(is_fluid, "'fns-sine' preset needs the fluid model")
-        params = FluidParams(**cfg["params"])
-        k = 2.0 * np.pi / length
-        amp = init["amplitude"]
-
-        def ic(x):
-            u = 1.0 + amp * np.sin(k * (x - grid.x_min))
-            grad_theta = amp * k * np.cos(k * (x - grid.x_min)) / params.c_v
-            rw = params.alpha0 * params.lambda_ * grad_theta
-            return np.array([1.0, 0.0, u, rw, 0.0])
-        return ic
+        return fns_sine_initial_condition(
+            FluidParams(**cfg["params"]), grid.x_min, grid.x_max,
+            init["amplitude"])
     raise ConfigError(f"unhandled preset '{preset}'")
 
 
@@ -340,10 +334,8 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         boundary=sc_cfg["boundary"], cfl=float(sc_cfg["cfl"]),
         t_end=float(sc_cfg["t_end"]),
         output_every=float(sc_cfg["output_every"]),
-        left_state=None if sc_cfg.get("left_state") is None
-        else np.asarray(sc_cfg["left_state"], dtype=float),
-        right_state=None if sc_cfg.get("right_state") is None
-        else np.asarray(sc_cfg["right_state"], dtype=float))
+        left_state=sc_cfg.get("left_state"),
+        right_state=sc_cfg.get("right_state"))
     try:
         traj = solver.run(scenario, override_audit=override_audit)
     except ModelAuditError as exc:

@@ -112,30 +112,17 @@ def require_admissible(model: CdfModel, U) -> np.ndarray:
 def fd_gradient(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 step: float = FD_STEP,
                 scale: Optional[np.ndarray] = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the last axis.
-
-    `scale` fixes per-component step magnitudes; by default the step is
-    relative, step * max(|x_i|, 1).
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.shape[-1]):
-        if scale is None:
-            h = step * np.maximum(np.abs(x[..., i]), 1.0)
-        else:
-            h = step * scale[i] * np.ones_like(x[..., i])
-        xp = x.copy()
-        xp[..., i] += h
-        xm = x.copy()
-        xm[..., i] -= h
-        g[..., i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
+    """Central-difference gradient of a scalar function of the last axis
+    (the one-row Jacobian of `fd_jacobian`, with the same steps)."""
+    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x, step,
+                       scale)[..., 0, :]
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 step: float = FD_STEP,
                 scale: Optional[np.ndarray] = None) -> np.ndarray:
-    """Central-difference Jacobian d f_k / d x_i, shape (..., k, i)."""
+    """Central-difference Jacobian d f_k / d x_i, shape (..., k, i); the
+    step is `step * scale[i]`, by default relative, step * max(|x_i|, 1)."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.shape[-1]):

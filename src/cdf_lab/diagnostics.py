@@ -14,7 +14,8 @@ import numpy as np
 
 from . import core, solver
 from .core import CdfModel
-from .fluid import FluidParams, primitive_from_conserved
+from .fluid import (FluidParams, fluid_model, fns_sine_initial_condition,
+                    primitive_from_conserved)
 from .heat import HeatParams, heat_model
 from .solver import Grid1D, Scenario, Trajectory
 
@@ -187,18 +188,10 @@ def fluid_pulse_scenario(params: FluidParams, n_cells: int = 512,
     relaxation-limit flux comparison is not polluted by the initial layer;
     the stress conjugate starts at zero (so does the velocity).
     """
-    from .fluid import fluid_model
-
-    model = fluid_model(params)
-    k = np.pi / 1.0  # one sine period over the length-2 domain
-
-    def ic(x):
-        u = 1.0 + amplitude * np.sin(k * x)
-        q0 = -params.lambda_ * amplitude * k * np.cos(k * x) / params.c_v
-        return np.array([1.0, 0.0, u, -params.alpha0 * q0, 0.0])
-
-    return Scenario(model=model, grid=Grid1D(n_cells, 0.0, 2.0),
-                    initial_condition=ic, boundary="periodic", cfl=cfl,
+    return Scenario(model=fluid_model(params), grid=Grid1D(n_cells, 0.0, 2.0),
+                    initial_condition=fns_sine_initial_condition(
+                        params, 0.0, 2.0, amplitude),
+                    boundary="periodic", cfl=cfl,
                     t_end=t_end, output_every=output_every or t_end,
                     name="fluid-pulse")
 

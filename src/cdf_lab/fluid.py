@@ -233,6 +233,20 @@ def fns_limit_fluxes(params: FluidParams, grad_theta, grad_v):
     return q, tau
 
 
+def fns_sine_initial_condition(params: FluidParams, x_min: float,
+                               x_max: float, amplitude: float):
+    """f(x): unit density at rest, u = 1 + amplitude sin(k (x - x_min)) over
+    one period, heat-flux conjugate on its Fourier closure, no stress."""
+    k = 2.0 * np.pi / (x_max - x_min)
+
+    def ic(x):
+        u = 1.0 + amplitude * np.sin(k * (x - x_min))
+        grad_theta = amplitude * k * np.cos(k * (x - x_min)) / params.c_v
+        rw = params.alpha0 * params.lambda_ * grad_theta
+        return np.array([1.0, 0.0, u, rw, 0.0])
+    return ic
+
+
 @dataclass(frozen=True)
 class MaxwellGradients:
     """Time/space derivative estimates for the relaxation-law residuals."""

@@ -3,12 +3,17 @@
 Hyperbolic transport uses a first-order Rusanov (local Lax-Friedrichs)
 flux; the stiff relaxation source is integrated exactly per cell (the
 built-in models have linear dissipative sources whose rates depend only on
-the conserved block); the two are composed with Strang splitting.  1D for
-any model, 2D (dimension-by-dimension, periodic) for the heat model.
+the conserved block); the two are composed with Strang splitting.
+
+One time loop serves 1D grids (any model, any boundary kind) and periodic
+2D grids (models with space_dim == 2): the field has `GHOST` layers on every
+spatial axis, transport sums the face-flux differences axis by axis, and
+dt * sum_d s_d / dx_d <= cfl is rechecked on the ghost-filled field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -88,8 +93,8 @@ class Grid2D:
 @dataclass
 class Scenario:
     model: CdfModel
-    grid: Grid1D
-    initial_condition: Callable
+    grid: Grid1D | Grid2D
+    initial_condition: Callable   # f(x) on Grid1D, f(x, y) on Grid2D
     boundary: str = "periodic"
     cfl: float = 0.45
     t_end: float = 1.0
@@ -108,6 +113,11 @@ class Scenario:
             raise ValueError("fixed-state boundary needs left/right states")
         if not self.t_end > 0:
             raise ValueError("t_end must be > 0")
+        if not self.output_every > 0:
+            raise ValueError("output_every must be > 0")
+        for state in (self.left_state, self.right_state):
+            if state is not None and np.shape(state) != (self.model.n_comp,):
+                raise ValueError("left/right states need n_comp components")
 
 
 @dataclass
@@ -127,19 +137,23 @@ class Trajectory:
 
 def fill_ghost(field_arr: np.ndarray, boundary: str,
                left_state=None, right_state=None) -> None:
-    """Fill the two ghost cells on each side in place (1D layout)."""
-    g = GHOST
-    if boundary == "periodic":
-        field_arr[:g] = field_arr[-2 * g:-g]
-        field_arr[-g:] = field_arr[g:2 * g]
-    elif boundary == "zero-gradient":
-        field_arr[:g] = field_arr[g]
-        field_arr[-g:] = field_arr[-g - 1]
-    elif boundary == "fixed-state":
-        field_arr[:g] = np.asarray(left_state, dtype=float)
-        field_arr[-g:] = np.asarray(right_state, dtype=float)
-    else:
+    """Fill the `GHOST` layers at both ends of every spatial axis in place
+    (all axes but the last, which holds the state components)."""
+    if boundary not in BOUNDARY_KINDS:
         raise ValueError(f"unknown boundary '{boundary}'")
+    g = GHOST
+    for axis in range(field_arr.ndim - 1):
+        a = (slice(None),) * axis   # the axes before this one, whole
+        low, high = a + (slice(None, g),), a + (slice(-g, None),)
+        if boundary == "periodic":
+            field_arr[low] = field_arr[a + (slice(-2 * g, -g),)]
+            field_arr[high] = field_arr[a + (slice(g, 2 * g),)]
+        elif boundary == "zero-gradient":
+            field_arr[low] = field_arr[a + (slice(g, g + 1),)]
+            field_arr[high] = field_arr[a + (slice(-g - 1, -g),)]
+        else:
+            field_arr[low] = np.asarray(left_state, dtype=float)
+            field_arr[high] = np.asarray(right_state, dtype=float)
 
 
 def rusanov_flux(model: CdfModel, U_left, U_right, direction: int = 0,
@@ -164,46 +178,75 @@ def rusanov_flux(model: CdfModel, U_left, U_right, direction: int = 0,
     return 0.5 * (FL + FR) - 0.5 * np.asarray(a)[..., None] * (UR - UL)
 
 
+def _spacing(grid) -> tuple:
+    """Cell width along each spatial axis."""
+    return (grid.dx, grid.dy) if isinstance(grid, Grid2D) else (grid.dx,)
+
+
+def _axis_speeds(model: CdfModel, U: np.ndarray, spacing):
+    """Spectral radius along each axis, and per cell the CFL speed
+    s_0 + s_1 dx/dy + ... in units of the axis-0 width (1D: exactly s_0)."""
+    speeds = [core.spectral_radius(model, U, d) for d in range(len(spacing))]
+    rate = speeds[0]
+    for s, h in zip(speeds[1:], spacing[1:]):
+        rate = rate + s * (spacing[0] / h)
+    return speeds, rate
+
+
+def _cell(flat_index, shape, offset: int = 0):
+    """Grid index (int in 1D, tuple in 2D) of a flat cell number."""
+    idx = tuple(int(i) - offset for i in np.unravel_index(flat_index, shape))
+    return idx[0] if len(idx) == 1 else idx
+
+
+def _raise_inadmissible(model: CdfModel, interior: np.ndarray, what: str):
+    """Raise InadmissibleStateError at the first bad cell of `interior`."""
+    finite = np.isfinite(interior)
+    ok = finite.all(axis=-1) & model.admissible(np.where(finite, interior, 1))
+    bad = _cell(np.argmin(ok), ok.shape)
+    raise InadmissibleStateError(f"{what} at cell {bad}: {interior[bad]}")
+
+
 def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
-                    grid: Grid1D, boundary: str = "periodic",
+                    grid: Grid1D | Grid2D, boundary: str = "periodic",
                     left_state=None, right_state=None, cfl: float = 1.0,
                     return_boundary_flux: bool = False):
-    """First-order FV update of the interior cells; ghost cells are filled
-    per the boundary rule.  Returns the new field (and, on request, the
-    conserved-block fluxes through the domain boundaries)."""
+    """First-order FV update of the interior cells, ghosts filled per the
+    boundary rule.  Returns the new field and, on request, the conserved-
+    block fluxes through the low and high ends integrated over their faces."""
     g = GHOST
+    spacing = _spacing(grid)
     work = field_arr.copy()
     fill_ghost(work, boundary, left_state, right_state)
     # ghost speeds count too: the Rusanov faces at the domain ends use them
-    speeds = core.spectral_radius(model, work)
-    smax = float(np.max(speeds))
-    if smax > 0 and dt > cfl * grid.dx / smax * (1.0 + 1e-9):
-        bad = int(np.argmax(speeds))
+    speeds, rate = _axis_speeds(model, work, spacing)
+    smax = float(np.max(rate))
+    if smax > 0 and dt > cfl * spacing[0] / smax * (1.0 + 1e-9):
         raise CflError(
-            f"dt={dt:.3e} exceeds cfl*dx/speed with speed "
-            f"{speeds[bad]:.3e} at cell {bad - g}"
-        )
-    L = work[g - 1:-g]
-    R = work[g:field_arr.shape[0] - g + 1]
-    F = rusanov_flux(model, L, R, 0,
-                     speeds=(speeds[g - 1:-g],
-                             speeds[g:field_arr.shape[0] - g + 1]))
+            f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
+            f"cell {_cell(np.argmax(rate), rate.shape, g)}")
+    n = model.n_conserved
+    f_ends = np.zeros((2, n))
     new = field_arr.copy()
-    new[g:-g] = work[g:-g] - (dt / grid.dx) * (F[1:] - F[:-1])
-    interior = new[g:-g]
+    inner = (slice(g, -g),) * len(spacing)
+    interior = new[inner]   # a view into `new`
+    for d, h in enumerate(spacing):
+        # the two sides of every face along axis d that bounds an interior cell
+        lo = inner[:d] + (slice(g - 1, -g),) + inner[d + 1:]
+        hi = inner[:d] + (slice(g, work.shape[d] - g + 1),) + inner[d + 1:]
+        F = rusanov_flux(model, work[lo], work[hi], d,
+                         speeds=(speeds[d][lo], speeds[d][hi]))
+        a = (slice(None),) * d
+        interior -= (dt / h) * (F[a + (slice(1, None),)] - F[a + (slice(-1),)])
+        other = tuple(i for i in range(len(spacing)) if i != d)
+        ends = a + (slice(None, None, F.shape[d] - 1),)     # first, last face
+        f_ends += F[ends][..., :n].sum(axis=other) * (math.prod(spacing) / h)
     if not np.all(np.isfinite(interior)) or \
             not np.all(model.admissible(interior)):
-        ok = np.isfinite(interior).all(axis=-1) & \
-            np.asarray(model.admissible(np.where(
-                np.isfinite(interior), interior, 1.0)))
-        bad = int(np.argmin(ok))
-        raise InadmissibleStateError(
-            f"inadmissible state after transport at cell {bad}: "
-            f"{interior[bad]}"
-        )
+        _raise_inadmissible(model, interior,
+                            "inadmissible state after transport")
     if return_boundary_flux:
-        n = model.n_conserved
-        return new, F[0, :n].copy(), F[-1, :n].copy()
+        return new, f_ends[0], f_ends[1]
     return new
 
 
@@ -263,7 +306,7 @@ def _implicit_midpoint_cell(model: CdfModel, U: np.ndarray, dt: float,
 
 
 def strang_step(model: CdfModel, field_arr: np.ndarray, dt: float,
-                grid: Grid1D, boundary: str = "periodic",
+                grid: Grid1D | Grid2D, boundary: str = "periodic",
                 left_state=None, right_state=None, cfl: float = 1.0):
     """S(dt/2) o H(dt) o S(dt/2); conserves the conserved block exactly."""
     half = step_source_exact(model, field_arr, 0.5 * dt)
@@ -290,45 +333,51 @@ def _audit_or_raise(model: CdfModel, samples: int = 200) -> None:
 
 def run(scenario: Scenario, override_audit: bool = False,
         max_steps: int = 2_000_000) -> Trajectory:
-    """Integrate to t_end with adaptive dt = cfl dx / max speed."""
+    """Integrate to t_end with adaptive dt = cfl dx / max speed (the speed
+    summed over the axes in units of dx, see `_axis_speeds`)."""
     model, grid = scenario.model, scenario.grid
     if not override_audit:
         _audit_or_raise(model)
     if isinstance(grid, Grid2D):
-        return _run_2d(scenario, max_steps)
+        if scenario.boundary != "periodic":
+            raise ValueError("2D runs support periodic boundaries only")
+        if model.space_dim != 2:
+            raise ValueError("2D runs need a model with space_dim == 2")
 
     g = GHOST
-    ncomp = model.n_comp
-    x = grid.centers()
-    field_arr = np.empty((grid.n_cells + 2 * g, ncomp))
-    for i, xi in enumerate(x):
-        field_arr[g + i] = np.asarray(scenario.initial_condition(xi),
-                                      dtype=float)
-    interior = field_arr[g:-g]
+    spacing = _spacing(grid)
+    centers = grid.centers() if len(spacing) > 1 else (grid.centers(),)
+    inner = (slice(g, -g),) * len(spacing)
+    sum_axes = tuple(range(len(spacing)))
+    vol = math.prod(spacing)
+    field_arr = np.empty(tuple(c.size + 2 * g for c in centers)
+                         + (model.n_comp,))
+    interior = field_arr[inner]
+    for idx in np.ndindex(interior.shape[:-1]):
+        interior[idx] = scenario.initial_condition(
+            *(c[i] for c, i in zip(centers, idx)))
     if not np.all(model.admissible(interior)):
-        bad = int(np.argmin(np.asarray(model.admissible(interior))))
-        raise InadmissibleStateError(
-            f"initial condition inadmissible at cell {bad}: {interior[bad]}"
-        )
+        _raise_inadmissible(model, interior, "initial condition inadmissible")
     fill_ghost(field_arr, scenario.boundary, scenario.left_state,
                scenario.right_state)
 
     traj = Trajectory(model_name=model.name, boundary=scenario.boundary,
-                      cell_volume=grid.dx)
+                      cell_volume=vol)
     traj.boundary_inflow = np.zeros(model.n_conserved)
 
     def record_diag(t):
-        inner = field_arr[g:-g]
+        inner_f = field_arr[inner]
         traj.step_times.append(t)
-        traj.totals.append(inner[:, :model.n_conserved].sum(axis=0) * grid.dx)
-        traj.total_entropy.append(float(model.entropy(inner).sum() * grid.dx))
-        sig = core.entropy_production(model, inner)
+        traj.totals.append(
+            inner_f[..., :model.n_conserved].sum(axis=sum_axes) * vol)
+        traj.total_entropy.append(float(model.entropy(inner_f).sum() * vol))
+        sig = core.entropy_production(model, inner_f)
         traj.min_sigma.append(float(np.min(sig)))
         traj.max_sigma.append(float(np.max(sig)))
 
     def record_snapshot(t):
         traj.times.append(t)
-        traj.snapshots.append(field_arr[g:-g].copy())
+        traj.snapshots.append(field_arr[inner].copy())
 
     # Fixed boundary states enter the end faces, so their (constant) speed
     # bounds dt; periodic and zero-gradient ghosts copy interior cells.
@@ -344,14 +393,14 @@ def run(scenario: Scenario, override_audit: bool = False,
     for _ in range(max_steps):
         if t >= scenario.t_end - 1e-14 * scenario.t_end:
             break
-        speeds = core.spectral_radius(model, field_arr[g:-g])
-        smax = max(float(np.max(speeds)), s_boundary)
+        _, speed = _axis_speeds(model, field_arr[inner], spacing)
+        smax = max(float(np.max(speed)), s_boundary)
         if smax <= 0:
             dt = scenario.t_end - t
         else:
             # 1% margin absorbs the small speed drift across the leading
             # half source step, which runs before the CFL recheck
-            dt = 0.99 * scenario.cfl * grid.dx / smax
+            dt = 0.99 * scenario.cfl * spacing[0] / smax
         dt = min(dt, scenario.t_end - t)
         field_arr, f_left, f_right = strang_step(
             model, field_arr, dt, grid, scenario.boundary,
@@ -361,81 +410,6 @@ def run(scenario: Scenario, override_audit: bool = False,
         record_diag(t)
         if t >= next_out - 1e-12 or t >= scenario.t_end - 1e-14:
             record_snapshot(t)
-            while next_out <= t + 1e-12:
-                next_out += scenario.output_every
-    else:
-        raise RuntimeError("max_steps exceeded")
-    return traj
-
-
-def _run_2d(scenario: Scenario, max_steps: int) -> Trajectory:
-    """Dimension-by-dimension first-order update, periodic boundaries."""
-    model, grid = scenario.model, scenario.grid
-    if scenario.boundary != "periodic":
-        raise ValueError("2D runs support periodic boundaries only")
-    if model.space_dim != 2:
-        raise ValueError("2D runs need a model with space_dim == 2")
-    g = GHOST
-    ncomp = model.n_comp
-    xs, ys = grid.centers()
-    U = np.empty((grid.nx, grid.ny, ncomp))
-    for i, xi in enumerate(xs):
-        for j, yj in enumerate(ys):
-            U[i, j] = np.asarray(scenario.initial_condition(xi, yj),
-                                 dtype=float)
-    if not np.all(model.admissible(U)):
-        raise InadmissibleStateError("initial condition inadmissible")
-
-    vol = grid.dx * grid.dy
-    traj = Trajectory(model_name=model.name, boundary="periodic",
-                      cell_volume=vol)
-    traj.boundary_inflow = np.zeros(model.n_conserved)
-
-    def record_diag(t):
-        traj.step_times.append(t)
-        traj.totals.append(U[..., :model.n_conserved].sum(axis=(0, 1)) * vol)
-        traj.total_entropy.append(float(model.entropy(U).sum() * vol))
-        sig = core.entropy_production(model, U)
-        traj.min_sigma.append(float(np.min(sig)))
-        traj.max_sigma.append(float(np.max(sig)))
-
-    def diff_flux(direction):
-        axis = direction
-        Um = np.roll(U, 1, axis=axis)    # left neighbour
-        Up = np.roll(U, -1, axis=axis)   # right neighbour
-        a_c = core.spectral_radius(model, U, direction)
-        a_m = np.roll(a_c, 1, axis=axis)
-        a_p = np.roll(a_c, -1, axis=axis)
-        F_minus = rusanov_flux(model, Um, U, direction, speeds=(a_m, a_c))
-        F_plus = rusanov_flux(model, U, Up, direction, speeds=(a_c, a_p))
-        return F_plus - F_minus, float(np.max(a_c))
-
-    t = 0.0
-    record_diag(t)
-    traj.times.append(t)
-    traj.snapshots.append(U.copy())
-    next_out = scenario.output_every
-    for _ in range(max_steps):
-        if t >= scenario.t_end - 1e-14 * scenario.t_end:
-            break
-        sx = float(np.max(core.spectral_radius(model, U, 0)))
-        sy = float(np.max(core.spectral_radius(model, U, 1)))
-        rate = sx / grid.dx + sy / grid.dy
-        dt = scenario.cfl / rate if rate > 0 else scenario.t_end - t
-        dt = min(dt, scenario.t_end - t)
-
-        U = step_source_exact(model, U, 0.5 * dt)
-        dFx, _ = diff_flux(0)
-        dFy, _ = diff_flux(1)
-        U = U - dt / grid.dx * dFx - dt / grid.dy * dFy
-        if not np.all(model.admissible(U)):
-            raise InadmissibleStateError(f"inadmissible state at t={t:.4g}")
-        U = step_source_exact(model, U, 0.5 * dt)
-        t += dt
-        record_diag(t)
-        if t >= next_out - 1e-12 or t >= scenario.t_end - 1e-14:
-            traj.times.append(t)
-            traj.snapshots.append(U.copy())
             while next_out <= t + 1e-12:
                 next_out += scenario.output_every
     else:

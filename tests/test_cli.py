@@ -169,6 +169,20 @@ class TestRunCommand:
         cfg = _cfg(tmp_path, payload)
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("model", ["heat", "fluid"])
+    def test_fixed_state_wrong_length_is_config_error(self, tmp_path, model):
+        params = HEAT_PARAMS if model == "heat" else FLUID_PARAMS
+        payload = _run_config(tmp_path, model=model, params=dict(params))
+        # one component where the model has 2 (heat) or 5 (fluid)
+        payload["scenario"].update({"boundary": "fixed-state",
+                                    "left_state": [1.0],
+                                    "right_state": [1.0]})
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, payload),
+                       "--out", str(out)])
+        assert rc == 2
+        assert not (out / "run_summary.json").exists()
+
 
 class TestVerifyCommand:
     def _payload(self, model, params, **verify_kw):

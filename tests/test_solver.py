@@ -63,6 +63,27 @@ class TestScenarioValidation:
             Scenario(model=heat, grid=Grid1D(8), initial_condition=lambda x: 0,
                      boundary="reflecting", t_end=1.0)
 
+    @pytest.mark.parametrize("output_every", [0.0, -1.0])
+    def test_output_every_positive(self, heat, output_every):
+        # a non-positive cadence never advances the next output time
+        with pytest.raises(ValueError):
+            Scenario(model=heat, grid=Grid1D(8), initial_condition=lambda x: 0,
+                     t_end=1.0, output_every=output_every)
+
+    def test_boundary_state_length(self, heat, fluid):
+        for model, good in ((heat, [1.0, 0.0]), (fluid, [1.0, 0, 1.0, 0, 0])):
+            for left, right in (([1.0], [1.0]), ([1.0], good),
+                                (good, good + [0.0])):
+                with pytest.raises(ValueError):
+                    Scenario(model=model, grid=Grid1D(8),
+                             initial_condition=lambda x: 0,
+                             boundary="fixed-state", left_state=left,
+                             right_state=right, t_end=1.0)
+            Scenario(model=model, grid=Grid1D(8),
+                     initial_condition=lambda x: 0, boundary="fixed-state",
+                     left_state=good, right_state=np.asarray(good),
+                     t_end=1.0)
+
 
 class TestGhostFilling:
     def test_periodic(self):
@@ -129,6 +150,33 @@ class TestStepHyperbolic:
         with pytest.raises(CflError):
             step_hyperbolic(heat, f, dt, Grid1D(32), "fixed-state",
                             [0.1, 0.0], [1.0, 0.0], cfl=0.45)
+        # in 2D a dt valid for the x-width fails once the narrower y-width
+        # is counted too: 0.3 (1 + dx/dy) > 0.45 for dy = dx/4, not dx*4
+        model = heat_model(HeatParams(space_dim=2))
+        f = np.zeros((8 + 2 * G, 32 + 2 * G, 3))
+        f[..., 0] = 1.0
+        dt = 0.3 * Grid2D(8, 32).dx / float(model.max_wave_speed(f[0, 0]))
+        with pytest.raises(CflError):
+            step_hyperbolic(model, f, dt, Grid2D(8, 32), cfl=0.45)
+        step_hyperbolic(model, f, dt, Grid2D(8, 32, y_max=32.0), cfl=0.45)
+
+    def test_one_flux_evaluation_per_axis_2d(self, monkeypatch):
+        """Each face flux is evaluated once: one Rusanov call per axis."""
+        calls = []
+        real = solver.rusanov_flux
+
+        def counting(model, U_left, U_right, direction=0, speeds=None):
+            calls.append(direction)
+            return real(model, U_left, U_right, direction, speeds)
+
+        monkeypatch.setattr(solver, "rusanov_flux", counting)
+        model = heat_model(HeatParams(space_dim=2))
+        x, y = Grid2D(8, 8).centers()
+        f = np.zeros((8 + 2 * G, 8 + 2 * G, 3))
+        f[G:-G, G:-G, 0] = 1.0 + 0.1 * np.sin(2 * np.pi * x)[:, None] \
+            * np.cos(2 * np.pi * y)[None, :]
+        step_hyperbolic(model, f, 1e-3, Grid2D(8, 8))
+        assert sorted(calls) == [0, 1]
 
     def test_boundary_flux_return(self, heat):
         f = _heat_sine_field(16)
