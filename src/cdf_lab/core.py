@@ -64,7 +64,9 @@ class CdfModel:
     The callables are vectorized: they accept arrays of shape (..., n+m)
     and return matching batched results.  Optional fields supply analytic
     shortcuts (gradient, wave speed, linear source rates); when absent the
-    generic finite-difference / numerical paths are used.
+    generic finite-difference / numerical paths are used.  `max_wave_speed`
+    must be the exact spectral radius of the flux Jacobian, the same in
+    every direction (it takes no direction argument).
     """
 
     name: str
@@ -243,7 +245,11 @@ def flux_jacobian(model: CdfModel, U, direction: int = 0,
 
 
 def spectral_radius(model: CdfModel, U, direction: int = 0) -> np.ndarray:
-    """Max |eigenvalue| of the flux Jacobian (analytic bound if provided)."""
+    """Max |eigenvalue| of the flux Jacobian along `direction`.
+
+    Uses the model's exact `max_wave_speed` when it has one; otherwise the
+    central-difference Jacobian and `eigvals`, which is also the oracle the
+    closed forms are tested against."""
     x = as_state_array(U)
     if model.max_wave_speed is not None:
         return np.asarray(model.max_wave_speed(x), dtype=float)

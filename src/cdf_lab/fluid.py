@@ -10,6 +10,18 @@ with nu = 1/rho and u = e - v^2/2.  Closures: theta^{-1} = s_u,
 pi = theta s_nu, q = s_w = -rho w / alpha0, tau = theta s_C.  The sources
 relax (q, tau) so that the stationary limit is Fourier-Newton-Stokes and,
 for stress-dependent viscosity kappa = mu0 |tau|^alpha, a power-law fluid.
+
+Characteristic speeds: with xi = lambda - v, the flux Jacobian has the
+characteristic polynomial xi (xi^4 + p xi^2 + q xi + r), where
+
+    K = R + rho (w^2/(2 alpha0) + C^2/(2 alpha1)) - C/alpha1
+    p = -(u/c_v) (K^2/c_v + 2 K - R + 1/(alpha1 rho)) - c_v/(alpha0 rho u^2)
+    q = 2 w K / (alpha0 c_v)
+    r = ((1 - rho C)^2 + R alpha1 rho) / (alpha0 alpha1 rho^2 u)
+
+and the quartic has four real roots wherever the entropy is strictly
+concave (the system is symmetrizable).  `max_wave_speed` solves it in
+closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CdfModel
+
+# Cosine-formula phase offsets of the three resolvent roots, largest first.
+_THIRDS = 2.0 * np.pi / 3.0 * np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -108,6 +123,41 @@ def fluid_model(params: FluidParams) -> CdfModel:
         out[..., 4] = v * U[..., 4] - v
         return out
 
+    def max_wave_speed(U):
+        """Spectral radius max |v + xi| over the roots xi of the quartic in
+        the module docstring (and xi = 0), by Euler's resolvent."""
+        rho, v, u, w, C = primitive_from_conserved(U)
+        K = R + rho * (w ** 2 / (2.0 * a0) + C ** 2 / (2.0 * a1)) - C / a1
+        p = (-(u / c_v) * (K ** 2 / c_v + 2.0 * K - R + 1.0 / (a1 * rho))
+             - c_v / (a0 * rho * u ** 2))
+        q = 2.0 * w * K / (a0 * c_v)
+        r = ((1.0 - rho * C) ** 2 + R * a1 * rho) / (a0 * a1 * rho ** 2 * u)
+        # The resolvent z^3 + 2p z^2 + (p^2 - 4r) z - q^2 has the roots
+        # z_k = (xi_1 + xi_{k+1})^2 >= 0.  With z = t - 2p/3 it is the
+        # depressed cubic t^3 - 3 m^2 t + Q, solved by the cosine formula
+        # (m > 0 since r > 0); clipping absorbs roundoff.
+        m2 = p ** 2 / 9.0 + 4.0 * r / 3.0
+        m = np.sqrt(m2)
+        Q = p * (8.0 * r / 3.0 - 2.0 * p ** 2 / 27.0) - q ** 2
+        phi = np.arccos(np.clip(-Q / (2.0 * m2 * m), -1.0, 1.0)) / 3.0
+        z = 2.0 * m * np.cos(np.subtract.outer(_THIRDS, phi)) - 2.0 * p / 3.0
+        a, b, c = np.sqrt(np.maximum(z, 0.0))
+        # The roots are (sigma/2)(+-a +-b +-c) with an even number of minus
+        # signs and sigma = -sign(q), since the three pair sums multiply to
+        # -q.  The cosine formula makes c the smallest, so the largest and
+        # the smallest root are
+        half = 0.5 * (a + b + c)
+        xi = np.stack([half - c * (q > 0), c * (q <= 0) - half])
+        # One Newton step on the quartic: a root with a small z (q ~ 0)
+        # otherwise carries the sqrt(eps) error of that z.
+        f = ((xi ** 2 + p) * xi + q) * xi + r
+        df = (4.0 * xi ** 2 + 2.0 * p) * xi + q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        xi = np.where(np.isfinite(step), xi - step, xi)
+        # the roots sum to 0, so v lies between v + xi[1] and v + xi[0]
+        return np.maximum(v + xi[0], -(v + xi[1]))
+
     def dissipation_matrix(U):
         theta, _, _, _ = _closures(params, U)
         M = np.zeros(U.shape[:-1] + (2, 2))
@@ -154,6 +204,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
         dissipation_matrix=dissipation_matrix,
         admissible=admissible,
         entropy_grad=entropy_grad,
+        max_wave_speed=max_wave_speed,
         source_decay_rates=source_decay_rates,
         sample_box=box,
         from_sample=from_sample,

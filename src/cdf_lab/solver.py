@@ -44,7 +44,6 @@ class Grid1D:
     n_cells: int
     x_min: float = 0.0
     x_max: float = 1.0
-    ghost: int = GHOST
 
     def __post_init__(self):
         if self.n_cells < 4:
@@ -68,7 +67,6 @@ class Grid2D:
     x_max: float = 1.0
     y_min: float = 0.0
     y_max: float = 1.0
-    ghost: int = GHOST
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:

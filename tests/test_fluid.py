@@ -114,6 +114,101 @@ class TestSourcesAndDissipation:
                            rtol=1e-10, atol=1e-14)
 
 
+def _quartic(params, U):
+    """v and (p, q, r) of the moving-frame quartic xi^4 + p xi^2 + q xi + r
+    (the characteristic polynomial of the fluid module docstring)."""
+    R, c_v, a0, a1 = params.R, params.c_v, params.alpha0, params.alpha1
+    rho, v, u, w, C = primitive_from_conserved(U)
+    K = R + rho * (w ** 2 / (2 * a0) + C ** 2 / (2 * a1)) - C / a1
+    p = (-(u / c_v) * (K ** 2 / c_v + 2 * K - R + 1 / (a1 * rho))
+         - c_v / (a0 * rho * u ** 2))
+    q = 2 * w * K / (a0 * c_v)
+    r = ((1 - rho * C) ** 2 + R * a1 * rho) / (a0 * a1 * rho ** 2 * u)
+    return v, p, q, r
+
+
+def _companion_roots(p, q, r):
+    """Roots of xi^4 + p xi^2 + q xi + r by eigvals of the companion matrix."""
+    A = np.zeros(p.shape + (4, 4))
+    A[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    A[..., 0, 3] = -r
+    A[..., 1, 3] = -q
+    A[..., 2, 3] = -p
+    return np.linalg.eigvals(A)
+
+
+def _wide_states(params, n, seed):
+    """rho, u in [e^-3, e^3], |v| <= 2, |w| <= 10 sqrt(alpha0) and
+    |C| <= 10 sqrt(alpha1): far outside the sample box."""
+    rng = np.random.default_rng(seed)
+    rho, u = np.exp(rng.uniform(-3.0, 3.0, (2, n)))
+    v = rng.uniform(-2.0, 2.0, n)
+    w = 10.0 * np.sqrt(params.alpha0) * rng.uniform(-1.0, 1.0, n)
+    C = 10.0 * np.sqrt(params.alpha1) * rng.uniform(-1.0, 1.0, n)
+    return conserved_from_primitive(rho, v, u, w, C)
+
+
+WAVE_SPEED_PARAMS = [
+    FluidParams(),
+    FluidParams(alpha0=1e-3, alpha1=1e-3),
+    FluidParams(alpha0=1.0, alpha1=1e-2),
+    FluidParams(alpha0=1e-2, alpha1=3.0),
+    FluidParams(R=0.4, c_v=2.5, alpha0=0.5, alpha1=2.0),
+]
+
+
+class TestMaxWaveSpeed:
+    @pytest.mark.parametrize("params", WAVE_SPEED_PARAMS)
+    @pytest.mark.parametrize("equilibrium", [False, True],
+                             ids=["w,C", "w=C=0"])
+    def test_matches_fd_eigvals_oracle(self, params, equilibrium):
+        """w = C = 0 makes q = 0: the quartic is biquadratic and one
+        resolvent root is zero."""
+        model = fluid_model(params)
+        states = verify.sample_states(
+            model, verify.SamplingPlan(seed=41, count=2000))
+        if equilibrium:
+            states[:, 3:] = 0.0
+        fast = model.max_wave_speed(states)
+        ev = np.linalg.eigvals(core.flux_jacobian(model, states))
+        oracle = np.max(np.abs(ev), axis=-1)
+        assert np.max(np.abs(fast - oracle) / oracle) <= 1e-8
+        assert np.array_equal(core.spectral_radius(model, states), fast)
+
+    def test_quartic_is_the_characteristic_polynomial(self, fluid_params):
+        """The companion oracle below solves the right polynomial: v and its
+        roots plus v are the eigenvalues of the FD flux Jacobian (to FD
+        accuracy), on wide-range states."""
+        model = fluid_model(fluid_params)
+        states = _wide_states(fluid_params, 500, seed=42)
+        v, p, q, r = _quartic(fluid_params, states)
+        roots = np.sort_complex(np.concatenate(
+            [v[:, None] + _companion_roots(p, q, r), v[:, None]], axis=1))
+        ev = np.sort_complex(np.linalg.eigvals(
+            core.flux_jacobian(model, states)))
+        scale = np.max(np.abs(roots), axis=1, keepdims=True)
+        assert np.max(np.abs(roots - ev) / scale) <= 1e-4
+
+    @pytest.mark.parametrize("params", WAVE_SPEED_PARAMS[:3])
+    def test_wide_range_matches_companion_roots(self, params):
+        states = _wide_states(params, 20000, seed=43)
+        v, p, q, r = _quartic(params, states)
+        roots = _companion_roots(p, q, r)
+        oracle = np.maximum(np.abs(v),
+                            np.max(np.abs(v[:, None] + roots), axis=-1))
+        # hyperbolic: every speed is real
+        assert np.max(np.abs(roots.imag).max(axis=-1) / oracle) <= 1e-12
+        fast = fluid_model(params).max_wave_speed(states)
+        assert np.max(np.abs(fast - oracle) / oracle) <= 1e-11
+
+    def test_scalar_state(self, fluid):
+        states = random_fluid_states(fluid, 5, seed=44)
+        batch = fluid.max_wave_speed(states)
+        for U, s in zip(states, batch):
+            assert np.ndim(fluid.max_wave_speed(U)) == 0
+            assert fluid.max_wave_speed(U) == pytest.approx(s, rel=1e-12)
+
+
 def test_full_audit_passes(fluid):
     report = verify.run_full_audit(fluid, verify.SamplingPlan(count=500))
     assert report.passed, report.to_json()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cdf_lab import core, diagnostics, solver
+from cdf_lab import core, diagnostics, solver, verify
 from cdf_lab.fluid import FluidParams, conserved_from_primitive, fluid_model
 from cdf_lab.heat import HeatParams, heat_model
 from cdf_lab.solver import (CflError, Grid1D, Grid2D, InadmissibleStateError,
@@ -413,6 +413,44 @@ class TestRunDriver:
         far = np.abs(x - 0.5) > support + a_max * t_end + margin
         assert np.any(far)
         assert np.max(np.abs(U1[far] - U0[far])) < 1e-6
+
+
+def _counting_flux(model):
+    """`model` with a flux that records each call in the returned list."""
+    calls = []
+
+    def flux(U, j):
+        calls.append(j)
+        return model.flux(U, j)
+
+    return dataclasses.replace(model, flux=flux), calls
+
+
+class TestFluidWaveSpeed:
+    def test_spectral_radius_makes_no_flux_calls(self, fluid):
+        counted, calls = _counting_flux(fluid)
+        states = verify.sample_states(counted, verify.SamplingPlan(count=64))
+        core.spectral_radius(counted, states)
+        assert calls == []
+        # the finite-difference fallback: two flux calls per component
+        core.spectral_radius(
+            dataclasses.replace(counted, max_wave_speed=None), states)
+        assert len(calls) == 2 * fluid.n_comp
+
+    def test_run_matches_fd_speed_oracle(self):
+        """A stiff fns-sine run takes the same steps with the closed-form
+        speed as with the FD Jacobian + eigvals, to the same states."""
+        sc = diagnostics.fluid_pulse_scenario(
+            FluidParams(alpha0=1e-3, alpha1=1e-3), n_cells=64, t_end=0.02)
+        fast, calls = _counting_flux(sc.model)
+        oracle = dataclasses.replace(sc.model, max_wave_speed=None)
+        a = solver.run(dataclasses.replace(sc, model=fast))
+        b = solver.run(dataclasses.replace(sc, model=oracle))
+        steps = len(a.step_times) - 1
+        assert len(b.step_times) - 1 == steps
+        assert len(calls) == 2 * steps   # the Rusanov flux only
+        Ua, Ub = a.snapshots[-1], b.snapshots[-1]
+        assert np.all(np.abs(Ua - Ub) <= 1e-8 * np.max(np.abs(Ub), axis=0))
 
 
 class TestRun2D:
