@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, solver, verify
-from .core import CdfModel
+from .core import CdfModel, ConvergenceError
 from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
                     fluid_model, fns_sine_initial_condition, powerlaw_stress,
                     powerlaw_stress_fixed_point)
@@ -344,6 +344,9 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     except solver.InadmissibleStateError as exc:
         print(f"scenario rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ConvergenceError as exc:
+        print(f"source step failed: {exc}", file=sys.stderr)
+        return EXIT_SCIENTIFIC
 
     h = config_hash(cfg)
     x = grid.centers()

@@ -39,8 +39,10 @@ def heat_model(params: HeatParams,
 
     `dissipation` optionally replaces the default M = I/(lambda theta^2)
     with a user-supplied state-dependent matrix (the generalized,
-    anisotropic variant); the exact exponential source step is then
-    unavailable and the solver falls back to an implicit update.
+    anisotropic variant).  The model then has no closed-form decay rates;
+    the solver relaxes w exactly through the matrix exponential of
+    -M/alpha0 when M is symmetric and depends on u only, and by an
+    implicit-midpoint update otherwise.
     """
     c_v, lam, a0 = params.c_v, params.lambda_, params.alpha0
     m = params.space_dim

@@ -1,9 +1,10 @@
 """Finite-volume method-of-lines integrator.
 
 Hyperbolic transport uses a first-order Rusanov (local Lax-Friedrichs)
-flux; the stiff relaxation source is integrated exactly per cell (the
-built-in models have linear dissipative sources whose rates depend only on
-the conserved block); the two are composed with Strang splitting.
+flux; the stiff relaxation source is integrated exactly, for all interior
+cells at once (the built-in models have sources -M(u) A(u) v that are
+linear in the dissipative block v, so one batched matrix exponential
+solves them); the two are composed with Strang splitting.
 
 One time loop serves 1D grids (any model, any boundary kind) and periodic
 2D grids (models with space_dim == 2): the field has `GHOST` layers on every
@@ -13,6 +14,7 @@ dt * sum_d s_d / dx_d <= cfl is rechecked on the ghost-filled field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -252,8 +254,12 @@ def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float
                       ) -> np.ndarray:
     """Relax the dissipative block over dt; conserved block untouched.
 
-    Uses the model's exact per-component exponential rates when declared,
-    otherwise an implicit-midpoint update with a damped Newton solve.
+    Uses the model's closed-form per-component rates when declared.
+    Otherwise, when eta_v = -A(u) v with A symmetric positive definite and
+    M(u) symmetric (both independent of v), the source is the linear ODE
+    v' = -M A v, solved exactly for all cells at once: with A = L L^T and
+    L^T M L = Q diag(lam) Q^T,  v <- L^-T Q exp(-dt lam) Q^T L^T v.
+    Any other source falls back to a batched implicit-midpoint Newton solve.
     """
     n = model.n_conserved
     new = field_arr.copy()
@@ -261,57 +267,134 @@ def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float
         rates = np.asarray(model.source_decay_rates(field_arr), dtype=float)
         new[..., n:] = field_arr[..., n:] * np.exp(-rates * dt)
         return new
-    flat = new.reshape(-1, new.shape[-1])
-    for i in range(flat.shape[0]):
-        flat[i, n:] = _implicit_midpoint_cell(model, flat[i], dt)
+    v = _relax_linear(model, new, dt)
+    new[..., n:] = _relax_midpoint(model, new, dt) if v is None else v
     return new
 
 
-def _implicit_midpoint_cell(model: CdfModel, U: np.ndarray, dt: float,
-                            tol: float = 1e-12, max_iter: int = 50
-                            ) -> np.ndarray:
-    n = U.shape[-1] - model.n_dissipative
-    v0 = U[n:].copy()
+# Relative tolerance of the checks that the source is linear in v.
+_LINEAR_TOL = 1e-8
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (axis 0);
+    false wherever either is not finite."""
+    def size(x):
+        return np.abs(x).reshape(len(x), -1).max(axis=1)
+    return bool(np.all(size(a - b) <= _LINEAR_TOL * size(b)))
+
+
+def _eta_v_and_A(grad, U: np.ndarray, n: int):
+    """eta_v at the cells U (rows) and A = -d eta_v / d v, by one-sided
+    differences over v in one `grad` call (exact up to rounding when
+    eta_v is affine in v)."""
+    m = U.shape[-1] - n
+    h = np.maximum(np.abs(U[:, n:]), 1.0)
+    X = np.repeat(U[None], m + 1, axis=0)
+    for j in range(m):
+        X[j + 1, :, n + j] += h[:, j]
+    G = np.asarray(grad(X), dtype=float)[..., n:]
+    A = (G[0] - G[1:]) / h.T[..., None]      # A[j, cell, i]
+    return G[0], A.transpose(1, 2, 0)
+
+
+def _relax_linear(model: CdfModel, U: np.ndarray, dt: float):
+    """Exact relaxed v-block of every cell of U, or None unless the source
+    is M eta_v (no `source_fn`) with eta_v = -A v, A symmetric positive
+    definite, M symmetric, and both unchanged along the step (checked on
+    the call's own states)."""
+    if model.source_fn is not None:
+        return None
+    n = model.n_conserved
+    # not core.entropy_gradient: its admissibility check would raise on a
+    # shifted-v state instead of letting the call fall back
+    grad = model.entropy_grad or functools.partial(core.fd_gradient,
+                                                   model.entropy)
+    flat = U.reshape(-1, U.shape[-1])
+    v0 = flat[:, n:]
+    g0, A = _eta_v_and_A(grad, flat, n)
+    M = np.asarray(model.dissipation_matrix(flat), dtype=float)
+    try:
+        L = np.linalg.cholesky(A)
+        Lt = L.transpose(0, 2, 1)
+        lam, Q = np.linalg.eigh(Lt @ M @ L)
+        y = Q.transpose(0, 2, 1) @ (Lt @ v0[..., None])
+        v1 = np.linalg.solve(Lt, Q @ (np.exp(-dt * lam)[..., None] * y))
+    except np.linalg.LinAlgError:   # A is not positive definite
+        return None
+    U1 = flat.copy()
+    U1[:, n:] = v1[..., 0]
+    g1, A1 = _eta_v_and_A(grad, U1, n)
+    M1 = np.asarray(model.dissipation_matrix(U1), dtype=float)
+    V = np.stack([v0, U1[:, n:]], axis=1)
+    if not (_close(np.stack([A.transpose(0, 2, 1), A1], axis=1), A[:, None])
+            and _close(np.stack([M.transpose(0, 2, 1), M1], axis=1),
+                       M[:, None])
+            and _close(np.stack([g0, g1], axis=1),
+                       -np.einsum("cij,ckj->cki", A, V))):
+        return None
+    return U1[:, n:].reshape(U.shape[:-1] + (-1,))
+
+
+def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float,
+                    tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+    """Implicit-midpoint relaxed v-block of every cell of U at once:
+    v1 = v0 + dt Q_v(u, (v0 + v1)/2) by Newton with an FD Jacobian, step
+    halving per cell until each cell's residual drops."""
+    n = model.n_conserved
+    v0 = U[..., n:]
 
     def resid(v1):
         mid = U.copy()
-        mid[n:] = 0.5 * (v0 + v1)
-        return v1 - v0 - dt * core.source(model, mid)[n:]
+        mid[..., n:] = 0.5 * (v0 + v1)
+        return v1 - v0 - dt * core.source(model, mid)[..., n:]
 
+    def size(r):
+        return np.max(np.abs(r), axis=-1)
+
+    bound = tol * (1.0 + size(v0))
     v1 = v0.copy()
     r = resid(v1)
     for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol * (1.0 + np.max(np.abs(v0))):
+        pending = size(r) > bound
+        if not pending.any():
             return v1
         J = core.fd_jacobian(resid, v1)
-        dv = np.linalg.solve(J, -r)
+        dv = np.linalg.solve(J, -r[..., None])[..., 0]
         lam = 1.0
-        while lam >= 2.0 ** -20:
-            cand = v1 + lam * dv
+        while pending.any() and lam >= 2.0 ** -20:
+            cand = np.where(pending[..., None], v1 + lam * dv, v1)
             rc = resid(cand)
-            if np.max(np.abs(rc)) < np.max(np.abs(r)):
-                v1, r = cand, rc
-                break
+            take = pending & (size(rc) < size(r))
+            v1[take], r[take] = cand[take], rc[take]
+            pending &= ~take
             lam *= 0.5
-        else:
-            break
-    if np.max(np.abs(r)) <= tol * (1.0 + np.max(np.abs(v0))):
+        if pending.any():
+            break   # no step lowers the residual of some cell
+    excess = size(r) / bound
+    if np.all(excess <= 1.0):
         return v1
+    worst = int(np.argmax(excess))
+    idx = np.unravel_index(worst, excess.shape)
     raise core.ConvergenceError(
-        f"implicit source solve stalled at state {U}, residual "
-        f"{np.max(np.abs(r)):.3e}"
-    )
+        f"implicit source solve stalled at cell {_cell(worst, excess.shape)}"
+        f": state {U[idx]}, residual {size(r)[idx]:.3e}")
 
 
 def strang_step(model: CdfModel, field_arr: np.ndarray, dt: float,
                 grid: Grid1D | Grid2D, boundary: str = "periodic",
                 left_state=None, right_state=None, cfl: float = 1.0):
-    """S(dt/2) o H(dt) o S(dt/2); conserves the conserved block exactly."""
-    half = step_source_exact(model, field_arr, 0.5 * dt)
-    moved, f_left, f_right = step_hyperbolic(
+    """S(dt/2) o H(dt) o S(dt/2); conserves the conserved block exactly.
+
+    Only interior cells are relaxed: `step_hyperbolic` refills the ghost
+    layers before it reads them."""
+    inner = (slice(GHOST, -GHOST),) * (field_arr.ndim - 1)
+    half = field_arr.copy()
+    half[inner] = step_source_exact(model, field_arr[inner], 0.5 * dt)
+    out, f_left, f_right = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl,
         return_boundary_flux=True)
-    out = step_source_exact(model, moved, 0.5 * dt)
+    out[inner] = step_source_exact(model, out[inner], 0.5 * dt)
     return out, f_left, f_right
 
 

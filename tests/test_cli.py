@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cdf_lab import cli
+from cdf_lab import cli, core
 
 HEAT_PARAMS = {"c_v": 1.0, "lambda_": 1.0, "alpha0": 1.0}
 FLUID_PARAMS = {"R": 1.0, "c_v": 1.0, "alpha0": 1.0, "alpha1": 1.0,
@@ -154,6 +154,22 @@ class TestRunCommand:
                        str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out" / "run_summary.json").exists()
+
+    def test_source_step_failure_is_scientific(self, tmp_path, monkeypatch,
+                                               capsys):
+        def stalled(scenario, override_audit=False):
+            raise core.ConvergenceError("implicit source solve stalled at "
+                                        "cell 3")
+
+        monkeypatch.setattr(cli.solver, "run", stalled)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, _run_config(
+            tmp_path)), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "source step failed: implicit source solve stalled at cell 3"]
+        assert not (out / "run_summary.json").exists()
 
     def test_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])

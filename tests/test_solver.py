@@ -11,6 +11,8 @@ from cdf_lab.solver import (CflError, Grid1D, Grid2D, InadmissibleStateError,
                             rusanov_flux, step_hyperbolic, step_source_exact,
                             strang_step)
 
+from conftest import random_fluid_states, random_heat_states
+
 G = solver.GHOST
 
 
@@ -205,26 +207,263 @@ class TestStepSourceExact:
         """With a constant custom M = 1 the source is dw/dt = -w; the
         implicit midpoint update of a linear decay has the exact trapezoidal
         form."""
-        def unit_M(U):
-            M = np.zeros(U.shape[:-1] + (1, 1))
-            M[..., 0, 0] = 1.0
-            return M
-
-        m = heat_model(heat_params, dissipation=unit_M)
+        m = heat_model(heat_params, dissipation=_unit_M)
         assert m.source_decay_rates is None
         u0, w0, dt = 2.0, 0.4, 0.3
-        out = step_source_exact(m, np.array([[u0, w0]]), dt)
+        out = solver._relax_midpoint(m, np.array([[u0, w0]]), dt)
         expected = w0 * (1.0 - 0.5 * dt) / (1.0 + 0.5 * dt)
-        assert out[0, 1] == pytest.approx(expected, rel=1e-10)
+        assert out[0, 0] == pytest.approx(expected, rel=1e-10)
+
+    def test_constant_M_takes_exact_path(self, heat_params):
+        # the same model without rates: dw/dt = -w solved exactly
+        m = heat_model(heat_params, dissipation=_unit_M)
+        u0, w0, dt = 2.0, 0.4, 0.3
+        out = step_source_exact(m, np.array([[u0, w0]]), dt)
+        assert out[0, 1] == pytest.approx(w0 * np.exp(-dt), rel=1e-14)
+        assert out[0, 0] == u0
 
     def test_implicit_fallback_close_to_exact(self, heat, heat_params):
-        # same physics via rates and via the generic implicit path
-        implicit = dataclasses.replace(heat, source_decay_rates=None)
+        # same physics via rates and via the implicit-midpoint fallback
         f = np.array([[1.5, 0.25], [0.8, -0.4]])
         dt = 1e-2
         a = step_source_exact(heat, f, dt)
-        b = step_source_exact(implicit, f, dt)
-        assert np.allclose(a, b, rtol=1e-5, atol=1e-8)
+        b = solver._relax_midpoint(heat, f, dt)
+        assert np.allclose(a[:, 1:], b, rtol=1e-5, atol=1e-8)
+
+
+def _unit_M(U):
+    M = np.zeros(U.shape[:-1] + (1, 1))
+    M[..., 0, 0] = 1.0
+    return M
+
+
+def _aniso_M(U):
+    """The benchmark's state-dependent scalar M = (1 + u)/u^2."""
+    u = U[..., 0]
+    return ((1.0 + u) / u ** 2)[..., None, None]
+
+
+def _coupled_M(U):
+    """Symmetric positive definite 2x2 M with off-diagonal coupling."""
+    u = U[..., 0]
+    M = np.empty(U.shape[:-1] + (2, 2))
+    M[..., 0, 0] = 1.0 + u
+    M[..., 1, 1] = 2.0 / u
+    M[..., 0, 1] = M[..., 1, 0] = 0.5 * np.sin(3.0 * u)
+    return M
+
+
+def _quadratic_entropy_model(m):
+    """eta = ln u - w^T A(u) w / 2 with m components in w, a non-diagonal
+    A(u) and a coupled M(u): neither L (A = L L^T) nor the eigenvectors
+    of L^T M L are diagonal or symmetric."""
+    def A_of(u):
+        k = np.arange(m)
+        return ((1.0 + u)[..., None, None] * np.eye(m)
+                + 0.3 * u[..., None, None] * np.cos(k[:, None] - k))
+
+    def dissipation(U):
+        u = U[..., 0]
+        k = np.arange(m)
+        return ((1.0 + k * u[..., None])[..., None] * np.eye(m)
+                + 0.2 * np.sin(3.0 * u)[..., None, None]
+                * np.sin(k[:, None] + k + 1.0))
+
+    def entropy(U):
+        w = U[..., 1:]
+        return np.log(U[..., 0]) - 0.5 * np.einsum(
+            "...i,...ij,...j->...", w, A_of(U[..., 0]), w)
+
+    def entropy_grad(U):
+        g = np.empty_like(U)
+        g[..., 0] = np.nan   # never read by the relaxation step
+        g[..., 1:] = -np.einsum("...ij,...j->...i", A_of(U[..., 0]),
+                                U[..., 1:])
+        return g
+
+    model = core.CdfModel(
+        name="quadratic", n_conserved=1, n_dissipative=m, space_dim=1,
+        flux=None, entropy=entropy, dissipation_matrix=dissipation,
+        admissible=lambda U: U[..., 0] > 0, entropy_grad=entropy_grad)
+    return model, A_of
+
+
+def _expm_oracle(model, U, A, dt):
+    """Per-cell scipy expm(-dt M A) v."""
+    from scipy.linalg import expm
+    n = model.n_conserved
+    flat = U.reshape(-1, U.shape[-1])
+    M = model.dissipation_matrix(flat)
+    A = A.reshape(M.shape)
+    out = [expm(-dt * M[i] @ A[i]) @ flat[i, n:] for i in range(len(flat))]
+    return np.array(out).reshape(U.shape[:-1] + (-1,))
+
+
+class TestExactRelaxation:
+    """The rates-free exact step against its oracles: per-cell expm, the
+    closed-form rates and the batched implicit-midpoint fallback."""
+
+    def _aniso(self):
+        return heat_model(HeatParams(alpha0=0.1), dissipation=_aniso_M)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0])
+    def test_matches_expm_1d_aniso(self, dt):
+        m = self._aniso()
+        U = random_heat_states(64, seed=3)
+        out = step_source_exact(m, U, dt)
+        A = np.broadcast_to(np.eye(1) / 0.1, (64, 1, 1))
+        ref = _expm_oracle(m, U, A, dt)
+        assert np.max(np.abs(out[:, 1:] - ref)) <= 1e-10 * np.max(np.abs(U))
+        assert np.array_equal(out[:, 0], U[:, 0])
+        # without entropy_grad, eta_v comes from differences of the entropy
+        fd = step_source_exact(dataclasses.replace(m, entropy_grad=None),
+                               U, dt)
+        assert np.max(np.abs(fd[:, 1:] - ref)) <= 1e-9 * np.max(np.abs(U))
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0])
+    def test_matches_expm_coupled(self, dt):
+        # 2D heat with a non-diagonal symmetric M, then a three-component
+        # quadratic entropy with non-diagonal A, on a 2D array of cells
+        rng = np.random.default_rng(4)
+        u = rng.uniform(0.5, 2.0, (6, 5, 1))
+        heat2 = heat_model(HeatParams(alpha0=0.3, space_dim=2),
+                           dissipation=_coupled_M)
+        quad, A_of = _quadratic_entropy_model(3)
+        for m, A in ((heat2, lambda u: np.eye(2) / 0.3), (quad, A_of)):
+            U = np.concatenate(
+                [u, rng.uniform(-1.0, 1.0, (6, 5, m.n_dissipative))], -1)
+            A = np.broadcast_to(A(U[..., 0]), U.shape[:-1] + (
+                m.n_dissipative,) * 2)
+            out = step_source_exact(m, U, dt)
+            ref = _expm_oracle(m, U, A, dt)
+            assert np.max(np.abs(out[..., 1:] - ref)) <= 1e-10, m.name
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0])
+    def test_matches_rates_path(self, dt):
+        heat = heat_model(HeatParams(alpha0=0.1))
+        fluid = fluid_model(FluidParams(alpha0=1e-3, alpha1=1e-3))
+        for m, U in ((heat, random_heat_states(50, seed=5)),
+                     (fluid, random_fluid_states(fluid, 50, seed=5))):
+            a = step_source_exact(m, U, dt)
+            b = step_source_exact(
+                dataclasses.replace(m, source_decay_rates=None), U, dt)
+            n = m.n_conserved
+            assert np.array_equal(a[:, :n], b[:, :n])
+            scale = np.max(np.abs(U[:, n:]), axis=0)
+            assert np.all(np.abs(a[:, n:] - b[:, n:]) <= 1e-12 * scale)
+
+    def test_third_order_agreement_with_midpoint(self):
+        m = self._aniso()
+        U = random_heat_states(32, seed=6)
+        errs = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            exact = step_source_exact(m, U, dt)[:, 1:]
+            errs.append(np.max(np.abs(exact - solver._relax_midpoint(
+                m, U, dt))))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 7.0 < coarse / fine < 9.0
+
+    def test_stiff_step_relaxes_without_sign_flip(self, heat_params):
+        # dt * rate = 10: exact decay, where the midpoint overshoots to
+        # w0 (1 - 5)/(1 + 5) < 0
+        m = heat_model(heat_params, dissipation=_unit_M)
+        U = np.array([[1.0, 0.4]])
+        w = step_source_exact(m, U, 10.0)[0, 1]
+        assert w > 0
+        assert w == pytest.approx(0.4 * np.exp(-10.0), rel=1e-12)
+        mid = solver._relax_midpoint(m, U, 10.0)[0, 0]
+        assert mid == pytest.approx(-0.4 * 2.0 / 3.0, rel=1e-10)
+
+    def test_model_calls_independent_of_cell_count(self):
+        def counted(model, calls):
+            fields = ("flux", "entropy", "entropy_grad", "dissipation_matrix",
+                      "admissible", "max_wave_speed")
+
+            def wrap(name, fn):
+                def inner(*args):
+                    calls[name] = calls.get(name, 0) + 1
+                    return fn(*args)
+                return inner
+            return dataclasses.replace(model, **{
+                f: wrap(f, getattr(model, f)) for f in fields})
+
+        counts = []
+        for n_cells in (8, 64, 512):
+            calls = {}
+            step_source_exact(counted(self._aniso(), calls),
+                              random_heat_states(n_cells, seed=7), 0.01)
+            counts.append(calls)
+        assert counts[0] == counts[1] == counts[2]
+        assert sum(counts[0].values()) == 4
+
+    @pytest.mark.parametrize("case", ["signflip", "asymmetric-M",
+                                      "M-depends-on-w", "cubic-eta_w",
+                                      "offset-eta_w"])
+    def test_midpoint_fallback_where_exact_step_does_not_apply(
+            self, heat_params, broken_heat, case):
+        heat2 = heat_model(dataclasses.replace(heat_params, space_dim=2))
+        if case == "signflip":      # A is negative definite
+            m = broken_heat
+        elif case == "asymmetric-M":
+            def upper(U):
+                M = _coupled_M(U)
+                M[..., 1, 0] = 0.0
+                return M
+            m = heat_model(dataclasses.replace(heat_params, space_dim=2),
+                           dissipation=upper)
+        elif case == "M-depends-on-w":
+            m = heat_model(heat_params, dissipation=lambda U: (
+                1.0 + U[..., 1:] ** 2)[..., None])
+        else:
+            def grad(U, cubic=case == "cubic-eta_w"):
+                g = heat2.entropy_grad(U)
+                g[..., 1:] = -U[..., 1:] ** 3 if cubic else 0.3 - U[..., 1:]
+                return g
+            m = dataclasses.replace(heat2, entropy_grad=grad,
+                                    source_decay_rates=None)
+        U = random_heat_states(16, seed=8)
+        if m.n_dissipative == 2:
+            U = np.column_stack([U, U[::-1, 1]])
+        dt = 1e-2
+        assert solver._relax_linear(m, U, dt) is None
+        out = step_source_exact(m, U, dt)
+        assert np.array_equal(out[:, 1:], solver._relax_midpoint(m, U, dt))
+
+    def test_explicit_source_fn_takes_midpoint_fallback(self, heat):
+        # a stiff nonlinear source: full Newton steps overshoot, so cells
+        # need different numbers of iterations and damped steps
+        def stiff(U):
+            out = np.zeros_like(U)
+            out[..., 1] = -50.0 * np.arctan(U[..., 1])
+            return out
+
+        m = dataclasses.replace(heat, source_decay_rates=None,
+                                source_fn=stiff)
+        U = random_heat_states(16, seed=9, w_range=(-3.0, 3.0))
+        dt = 0.5
+        out = step_source_exact(m, U, dt)
+        assert solver._relax_linear(m, U, dt) is None
+        w0, w1 = U[:, 1], out[:, 1]
+        assert np.allclose(w1 - w0, -dt * 50.0 * np.arctan(0.5 * (w0 + w1)),
+                           rtol=0, atol=1e-10)
+        # solving all cells at once equals solving them one by one
+        one_by_one = [solver._relax_midpoint(m, U[i:i + 1], dt)[0]
+                      for i in range(len(U))]
+        assert np.allclose(out[:, 1:], one_by_one, rtol=1e-14, atol=0)
+
+    def test_fallback_failure_names_the_worst_cell(self, heat):
+        # a source with no real midpoint solution in cell 2: w1 = w0 + w_m^2
+        def no_root(U):
+            out = np.zeros_like(U)
+            out[..., 1] = np.where(U[..., 0] > 1.5, 10.0 + U[..., 1] ** 2,
+                                   -U[..., 1])
+            return out
+
+        m = dataclasses.replace(heat, source_decay_rates=None,
+                                source_fn=no_root)
+        U = np.array([[1.0, 0.1], [1.2, 0.2], [1.8, 0.3], [1.1, 0.0]])
+        with pytest.raises(core.ConvergenceError, match="at cell 2"):
+            step_source_exact(m, U, 1.0)
 
 
 class TestStrangStep:
@@ -239,6 +478,18 @@ class TestStrangStep:
         after = out[G:-G, :3].sum(axis=0)
         # momentum total is zero; scale by the largest conserved total
         assert np.max(np.abs(after - before)) / np.max(np.abs(before)) < 1e-13
+
+    def test_relaxes_interior_cells_only(self, heat, monkeypatch):
+        rows = []
+        exact = solver.step_source_exact
+
+        def recording(model, field_arr, dt):
+            rows.append(field_arr.shape)
+            return exact(model, field_arr, dt)
+
+        monkeypatch.setattr(solver, "step_source_exact", recording)
+        strang_step(heat, _heat_sine_field(32), 1e-3, Grid1D(32))
+        assert rows == [(32, 2), (32, 2)]
 
     def test_zero_rate_source_reduces_to_transport(self, heat):
         frozen = dataclasses.replace(
