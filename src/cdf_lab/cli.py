@@ -277,7 +277,7 @@ def _initial_condition(cfg: dict, model: CdfModel, grid: Grid1D):
     length = grid.x_max - grid.x_min
     is_fluid = cfg["model"] == "fluid"
 
-    def lift(u_val, x):
+    def lift(u_val):
         # embed a scalar profile into the model state
         if is_fluid:
             return conserved_from_primitive(u_val, 0.0, 1.0, 0.0, 0.0)
@@ -286,18 +286,18 @@ def _initial_condition(cfg: dict, model: CdfModel, grid: Grid1D):
     if preset == "sine":
         def ic(x):
             phase = 2.0 * np.pi * (x - grid.x_min) / length
-            return lift(1.0 + init["amplitude"] * np.sin(phase), x)
+            return lift(1.0 + init["amplitude"] * np.sin(phase))
         return ic
     if preset == "gaussian-pulse":
         def ic(x):
             bump = init["amplitude"] * np.exp(
                 -((x - init["center"]) / init["width"]) ** 2)
-            return lift(1.0 + bump, x)
+            return lift(1.0 + bump)
         return ic
     if preset == "riemann":
         def ic(x):
             return lift(init["left"] if x < init["center"]
-                        else init["right"], x)
+                        else init["right"])
         return ic
     if preset == "fns-sine":
         _require(is_fluid, "'fns-sine' preset needs the fluid model")
@@ -347,13 +347,15 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     except ConvergenceError as exc:
         print(f"source step failed: {exc}", file=sys.stderr)
         return EXIT_SCIENTIFIC
+    except (solver.CflError, solver.StepLimitError) as exc:
+        print(f"time stepping failed: {exc}", file=sys.stderr)
+        return EXIT_SCIENTIFIC
 
     h = config_hash(cfg)
     x = grid.centers()
-    names = _COMPONENT_NAMES[cfg["model"]][:]
-    if model.n_dissipative > 1 and cfg["model"].startswith("heat"):
-        names = ["u"] + [f"w{i}" for i in range(model.n_dissipative)]
-    for k, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+    header = ",".join(["x"] + _COMPONENT_NAMES[cfg["model"]]
+                      + ["theta", "q", "tau", "sigma"])
+    for k, snap in enumerate(traj.snapshots):
         if model.derived is not None:
             d = model.derived(snap)
             extra = np.column_stack([d["theta"], d["q"],
@@ -362,7 +364,6 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         else:
             extra = np.zeros((len(x), 4))
         rows = np.column_stack([x, snap, extra])
-        header = ",".join(["x"] + names + ["theta", "q", "tau", "sigma"])
         _write_csv(out_dir / f"snapshot_{k:04d}.csv", header, rows, h)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -491,7 +492,7 @@ def main(argv=None) -> int:
         if cfg["command"] == "converge":
             return cmd_converge(cfg, out_dir)
         return cmd_powerlaw(cfg, out_dir)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

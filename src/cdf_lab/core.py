@@ -11,7 +11,7 @@ strictly concave entropy and M positive definite.  Everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,10 +88,6 @@ class CdfModel:
     @property
     def n_comp(self) -> int:
         return self.n_conserved + self.n_dissipative
-
-    def state(self, values: Sequence[float]) -> StateVector:
-        return StateVector(np.asarray(values, dtype=float),
-                           self.n_conserved, self.n_dissipative)
 
 
 def as_state_array(U) -> np.ndarray:

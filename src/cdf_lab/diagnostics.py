@@ -1,8 +1,8 @@
 """Conservation and second-law audits, limit studies, error norms.
 
-Includes a small explicit reference solver for the limiting heat equation
-so the relaxation-limit claims can be tested against an independent
-discretization.
+The limit studies compare against the exact stationary limits: the
+Fourier-limit heat equation solved in closed form for the one-mode sine
+data, and the Fourier-Newton-Stokes fluxes of `fluid.fns_limit_fluxes`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from . import core, solver
 from .core import CdfModel
-from .fluid import (FluidParams, fluid_model, fns_sine_initial_condition,
-                    primitive_from_conserved)
+from .fluid import (FluidParams, _closures, fluid_model, fns_limit_fluxes,
+                    fns_sine_initial_condition, primitive_from_conserved)
 from .heat import HeatParams, heat_model
 from .solver import Grid1D, Scenario, Trajectory
 
@@ -103,35 +103,6 @@ def error_norms(field_a, field_b, grid: Grid1D):
     return l1, l2, linf
 
 
-def reference_diffusion_solve(params: HeatParams, u0, grid: Grid1D,
-                              t_end: float, boundary: str = "periodic",
-                              safety: float = 0.4) -> np.ndarray:
-    """Explicit central-difference solve of the Fourier-limit heat equation
-    du/dt = (lambda/c_v) u_xx with dt <= safety dx^2 c_v / lambda."""
-    D = params.lambda_ / params.c_v
-    u = np.asarray(u0, dtype=float).copy()
-    if t_end <= 0:
-        return u
-    dx = grid.dx
-    dt_max = safety * dx ** 2 / D
-    n_steps = max(1, int(np.ceil(t_end / dt_max)))
-    dt = t_end / n_steps
-    coeff = D * dt / dx ** 2
-    for _ in range(n_steps):
-        if boundary == "periodic":
-            lap = np.roll(u, 1) - 2.0 * u + np.roll(u, -1)
-        elif boundary == "zero-gradient":
-            up = np.empty(u.size + 2)
-            up[1:-1] = u
-            up[0] = u[0]
-            up[-1] = u[-1]
-            lap = up[:-2] - 2.0 * u + up[2:]
-        else:
-            raise ValueError(f"unsupported boundary '{boundary}'")
-        u = u + coeff * lap
-    return u
-
-
 @dataclass
 class ConvergenceStudy:
     parameter_values: np.ndarray
@@ -164,15 +135,21 @@ def fit_loglog_slope(values, errors) -> float:
     return float(np.polyfit(np.log(values), np.log(errors), 1)[0])
 
 
+def fourier_sine_solution(params: HeatParams, x, t: float, amplitude: float):
+    """Exact Fourier-limit temperature profile for the sine data on the
+    unit period: u = 1 + A exp(-(lambda/c_v) (2 pi)^2 t) sin(2 pi x)."""
+    decay = np.exp(-(params.lambda_ / params.c_v) * (2.0 * np.pi) ** 2 * t)
+    return 1.0 + amplitude * decay * np.sin(2.0 * np.pi * x)
+
+
 def heat_sine_scenario(params: HeatParams, grid: Grid1D, t_end: float,
                        amplitude: float = 0.1, cfl: float = 0.45,
                        output_every: Optional[float] = None) -> Scenario:
-    model = heat_model(params)
-
     def ic(x):
-        return np.array([1.0 + amplitude * np.sin(2.0 * np.pi * x), 0.0])
+        return np.array([fourier_sine_solution(params, x, 0.0, amplitude),
+                         0.0])
 
-    return Scenario(model=model, grid=grid, initial_condition=ic,
+    return Scenario(model=heat_model(params), grid=grid, initial_condition=ic,
                     boundary="periodic", cfl=cfl, t_end=t_end,
                     output_every=output_every or t_end,
                     name="heat-sine")
@@ -199,17 +176,16 @@ def fluid_pulse_scenario(params: FluidParams, n_cells: int = 512,
 def relaxation_convergence(base: HeatParams, alpha0_values: Sequence[float],
                            grid: Grid1D, t_end: float,
                            amplitude: float = 0.1) -> ConvergenceStudy:
-    """L2 distance between the relaxation solution and the diffusion limit
-    as the relaxation parameter shrinks; fits the log-log rate.  The
-    values are run one after another, largest first.
+    """L2 distance between the relaxation solution of the sine data and
+    the exact Fourier-limit solution at t_end (`fourier_sine_solution` at
+    the cell centres) as the relaxation parameter shrinks; fits the
+    log-log rate.  The values are run one after another, largest first.
     """
     alpha0_values = np.asarray(sorted(alpha0_values, reverse=True),
                                dtype=float)
     if alpha0_values.size < 3:
         raise ValueError("need at least 3 relaxation values")
-    x = grid.centers()
-    u0 = 1.0 + amplitude * np.sin(2.0 * np.pi * x)
-    u_ref = reference_diffusion_solve(base, u0, grid, t_end)
+    u_ref = fourier_sine_solution(base, grid.centers(), t_end, amplitude)
     ref_l2 = float(np.sqrt(np.sum(u_ref ** 2) * grid.dx))
 
     e1, e2, einf = [], [], []
@@ -244,18 +220,16 @@ class FnsComparison:
 def fns_flux_comparison(params: FluidParams, snapshot: np.ndarray,
                         grid: Grid1D, threshold: float = 0.25
                         ) -> FnsComparison:
-    """Compare the evolved (q, tau) against -lambda d(theta)/dx and
-    -kappa dv/dx using periodic central gradients of the snapshot."""
-    rho, v, u, w, C = primitive_from_conserved(snapshot)
-    theta = u / params.c_v
-    q = -rho * w / params.alpha0
-    tau = -theta * rho * C / params.alpha1
+    """Compare the model's evolved (q, tau) against the FNS fluxes
+    -lambda d(theta)/dx and -kappa dv/dx (`fns_limit_fluxes`), using
+    periodic central gradients of the snapshot."""
+    theta, _, q, tau = _closures(params, snapshot)
+    v = primitive_from_conserved(snapshot)[1]
 
     def grad(f):
         return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * grid.dx)
 
-    q_ref = -params.lambda_ * grad(theta)
-    tau_ref = -params.kappa_ * grad(v)
+    q_ref, tau_ref = fns_limit_fluxes(params, grad(theta), grad(v))
 
     def masked_gap(val, ref):
         peak = np.max(np.abs(ref))

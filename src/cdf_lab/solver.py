@@ -41,6 +41,10 @@ class ModelAuditError(RuntimeError):
     """The model failed its structural audit and no override was given."""
 
 
+class StepLimitError(RuntimeError):
+    """The run reached max_steps before t_end."""
+
+
 @dataclass(frozen=True)
 class Grid1D:
     n_cells: int
@@ -494,5 +498,5 @@ def run(scenario: Scenario, override_audit: bool = False,
             while next_out <= t + 1e-12:
                 next_out += scenario.output_every
     else:
-        raise RuntimeError("max_steps exceeded")
+        raise StepLimitError(f"max_steps={max_steps} exceeded at t={t:.6g}")
     return traj

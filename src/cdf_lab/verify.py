@@ -148,6 +148,14 @@ def _result(name, worst, tol, states, idx) -> CheckResult:
     return CheckResult(name, passed, float(max(worst, 0.0)), witness, tol)
 
 
+def _worst_direction(rels) -> tuple:
+    """Largest entry over the per-direction violation arrays and its sample
+    index; on a tie the first direction wins, and a NaN counts as largest."""
+    jworst = [np.max(rel) for rel in rels]
+    j = int(np.argmax(jworst))
+    return jworst[j], int(np.argmax(rels[j]))
+
+
 def check_concavity(model: CdfModel, states: np.ndarray,
                     tol: float = DEFAULT_TOLERANCES["concavity"]) -> CheckResult:
     """Entropy must be strictly concave: max Hessian eigenvalue <= -tol."""
@@ -163,16 +171,13 @@ def check_symmetrizability(model: CdfModel, states: np.ndarray,
     """eta_UU . F_jU must be symmetric for every direction j."""
     scale = _fd_scale(states)
     H = core.entropy_hessian(model, states, scale=scale)
-    worst = -np.inf
-    idx = 0
+    rels = []
     for j in range(model.space_dim):
         JF = core.flux_jacobian(model, states, j, scale=scale)
         A = np.einsum("...ij,...jk->...ik", H, JF)
         asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-1, -2))
-        rel = asym - tol * (1.0 + np.max(np.abs(A), axis=(-1, -2)))
-        jworst = np.max(rel)
-        if jworst > worst:
-            worst, idx = jworst, int(np.argmax(rel))
+        rels.append(asym - tol * (1.0 + np.max(np.abs(A), axis=(-1, -2))))
+    worst, idx = _worst_direction(rels)
     return _result("symmetrizability", worst, tol, states, idx)
 
 
@@ -199,8 +204,7 @@ def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
             return np.asarray(model.entropy_grad(y), dtype=float)
         return core.fd_gradient(model.entropy, y, scale=scale)
 
-    worst = -np.inf
-    idx = 0
+    rels = []
     for j in range(model.space_dim):
         def G(y, j=j):
             JF = core.flux_jacobian(model, y, j, scale=scale)
@@ -208,10 +212,8 @@ def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
 
         JG = core.fd_jacobian(G, states, scale=scale)
         asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-1, -2))
-        rel = asym - tol * (1.0 + np.max(np.abs(JG), axis=(-1, -2)))
-        jworst = np.max(rel)
-        if jworst > worst:
-            worst, idx = jworst, int(np.argmax(rel))
+        rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-1, -2))))
+    worst, idx = _worst_direction(rels)
     return _result("entropy_flux", worst, tol, states, idx)
 
 
@@ -237,17 +239,14 @@ def check_hyperbolicity(model: CdfModel, states: np.ndarray,
                         ) -> CheckResult:
     """Flux Jacobian eigenvalues must be real (to FD noise)."""
     scale = _fd_scale(states)
-    worst = -np.inf
-    idx = 0
+    rels = []
     for j in range(model.space_dim):
         JF = core.flux_jacobian(model, states, j, scale=scale)
         ev = np.linalg.eigvals(JF)
         rad = np.max(np.abs(ev), axis=-1)
         imag = np.max(np.abs(ev.imag), axis=-1)
-        rel = imag - tol * (1.0 + rad)
-        jworst = np.max(rel)
-        if jworst > worst:
-            worst, idx = jworst, int(np.argmax(rel))
+        rels.append(imag - tol * (1.0 + rad))
+    worst, idx = _worst_direction(rels)
     return _result("hyperbolicity", worst, tol, states, idx)
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cdf_lab import cli, core
+from cdf_lab import cli, core, solver
 
 HEAT_PARAMS = {"c_v": 1.0, "lambda_": 1.0, "alpha0": 1.0}
 FLUID_PARAMS = {"R": 1.0, "c_v": 1.0, "alpha0": 1.0, "alpha1": 1.0,
@@ -170,6 +170,30 @@ class TestRunCommand:
         assert err.strip().splitlines() == [
             "source step failed: implicit source solve stalled at cell 3"]
         assert not (out / "run_summary.json").exists()
+
+    def _run_failing(self, tmp_path, monkeypatch, capsys, exc):
+        def failing(scenario, override_audit=False):
+            raise exc
+
+        monkeypatch.setattr(cli.solver, "run", failing)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, _run_config(
+            tmp_path)), "--out", str(out)])
+        assert not (out / "run_summary.json").exists()
+        return rc, capsys.readouterr().err.strip().splitlines()
+
+    def test_cfl_violation_is_scientific(self, tmp_path, monkeypatch,
+                                         capsys):
+        rc, err = self._run_failing(tmp_path, monkeypatch, capsys,
+                                    solver.CflError("dt too large"))
+        assert rc == 1
+        assert err == ["time stepping failed: dt too large"]
+
+    def test_step_limit_is_scientific(self, tmp_path, monkeypatch, capsys):
+        rc, err = self._run_failing(tmp_path, monkeypatch, capsys,
+                                    solver.StepLimitError("max_steps=3"))
+        assert rc == 1
+        assert err == ["time stepping failed: max_steps=3"]
 
     def test_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])

@@ -5,10 +5,9 @@ from cdf_lab import diagnostics, solver
 from cdf_lab.diagnostics import (conservation_audit, entropy_audit,
                                  error_norms, fit_loglog_slope,
                                  fluid_pulse_scenario, fns_flux_comparison,
-                                 heat_sine_scenario,
-                                 reference_diffusion_solve,
-                                 relaxation_convergence)
-from cdf_lab.fluid import FluidParams, conserved_from_primitive
+                                 heat_sine_scenario, relaxation_convergence)
+from cdf_lab.fluid import (FluidParams, conserved_from_primitive,
+                          primitive_from_conserved)
 from cdf_lab.heat import HeatParams
 from cdf_lab.solver import Grid1D, Scenario
 
@@ -37,41 +36,6 @@ class TestErrorNorms:
         assert l1 == pytest.approx(np.sum(d) * grid.dx)
         assert l2 == pytest.approx(np.sqrt(np.sum(d ** 2) * grid.dx))
         assert linf == pytest.approx(np.max(d))
-
-
-class TestReferenceDiffusion:
-    def test_sine_mode_decay_rate(self):
-        # u = 1 + A sin(kx) decays as exp(-D k^2 t), D = lambda/c_v
-        p = HeatParams(c_v=2.0, lambda_=1.0)
-        grid = Grid1D(256)
-        x = grid.centers()
-        u0 = 1.0 + 0.1 * np.sin(2 * np.pi * x)
-        t = 0.2
-        u = reference_diffusion_solve(p, u0, grid, t)
-        decay = np.exp(-(p.lambda_ / p.c_v) * (2 * np.pi) ** 2 * t)
-        exact = 1.0 + 0.1 * decay * np.sin(2 * np.pi * x)
-        assert np.max(np.abs(u - exact)) < 2e-4
-
-    def test_constant_preserved_both_boundaries(self):
-        p = HeatParams()
-        grid = Grid1D(32)
-        u0 = np.full(32, 1.7)
-        for bc in ("periodic", "zero-gradient"):
-            u = reference_diffusion_solve(p, u0, grid, 0.1, boundary=bc)
-            assert np.allclose(u, 1.7, atol=1e-14)
-
-    def test_mass_conserved_periodic(self):
-        p = HeatParams()
-        grid = Grid1D(64)
-        rng = np.random.default_rng(31)
-        u0 = 1.0 + 0.2 * rng.random(64)
-        u = reference_diffusion_solve(p, u0, grid, 0.05)
-        assert np.sum(u) == pytest.approx(np.sum(u0), rel=1e-13)
-
-    def test_unknown_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            reference_diffusion_solve(HeatParams(), np.ones(32), Grid1D(32),
-                                      0.01, boundary="fixed-state")
 
 
 class TestConservationAudit:
@@ -163,16 +127,61 @@ class TestRelaxationConvergence:
         assert study.slope > 0.3
         assert study.parameter_values.tolist() == [1e-1, 3e-2, 1e-2]
 
+    def test_exact_reference_matches_explicit_solve(self, heat_params):
+        # L1, L2 (relative) and Linf errors of this study measured against
+        # an explicit central-difference solve of u_t = (lambda/c_v) u_xx
+        # (dt = 0.4 dx^2 c_v/lambda, 128 cells, periodic).  The exact
+        # Fourier-limit reference must reproduce them to the explicit
+        # solve's own truncation error.
+        explicit = {
+            "l1": [0.029573500377141463, 0.0040313004352984195,
+                   0.004255357554770093],
+            "l2": [0.03285888211582547, 0.004506659286182335,
+                   0.004726567805032925],
+            "linf": [0.05029074355196106, 0.007129872502961154,
+                     0.007187140949979742],
+        }
+        study = relaxation_convergence(heat_params, [1e-1, 3e-2, 1e-2],
+                                       Grid1D(128), 0.05)
+        got = {"l1": study.errors_l1, "l2": study.errors_l2,
+               "linf": study.errors_linf}
+        for norm, values in explicit.items():
+            np.testing.assert_allclose(got[norm], values, rtol=2e-3,
+                                       err_msg=norm)
+
     def test_requires_three_values(self, heat_params):
         with pytest.raises(ValueError):
             relaxation_convergence(heat_params, [1e-1, 1e-2], Grid1D(64),
                                    0.01)
 
 
+def _inline_fns_gaps(params, snapshot, grid, threshold=0.25):
+    """Oracle: (q, tau) and their FNS references written out by hand,
+    gaps as in `fns_flux_comparison`."""
+    rho, v, u, w, C = primitive_from_conserved(snapshot)
+    theta = u / params.c_v
+    q = -rho * w / params.alpha0
+    tau = -theta * rho * C / params.alpha1
+
+    def grad(f):
+        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * grid.dx)
+
+    q_ref = -params.lambda_ * grad(theta)
+    tau_ref = -params.kappa_ * grad(v)
+
+    def gap(val, ref):
+        mask = np.abs(ref) >= threshold * np.max(np.abs(ref))
+        return float(np.max(np.abs(val[mask] - ref[mask])
+                            / np.abs(ref[mask])))
+
+    return gap(q, q_ref), gap(tau, tau_ref)
+
+
 class TestFnsFluxComparison:
     def test_zero_gap_on_manufactured_closure(self, fluid_params):
         """A snapshot built so (q, tau) equal the central-difference
-        closure fluxes exactly must report a vanishing gap."""
+        closure fluxes exactly must report a vanishing gap, bit for bit
+        the gap of the hand-written closures, also off the closure."""
         p = fluid_params
         grid = Grid1D(128, 0.0, 2.0)
         x = grid.centers()
@@ -191,6 +200,21 @@ class TestFnsFluxComparison:
         assert cmp.q_max_rel_gap < 1e-12
         assert cmp.tau_max_rel_gap < 1e-12
         assert 0 < cmp.q_cells_checked < 128
+
+        rng = np.random.default_rng(32)
+        off = conserved_from_primitive(
+            rho * (1.0 + 0.1 * rng.random(128)), v, u,
+            w * (1.0 + 0.2 * rng.random(128)),
+            C * (1.0 - 0.2 * rng.random(128)))
+        stiff = FluidParams(alpha0=1e-3, alpha1=1e-3)
+        run = solver.run(fluid_pulse_scenario(stiff, n_cells=64, t_end=0.02))
+        for params, state in ((p, snap), (p, off),
+                              (stiff, run.snapshots[-1])):
+            g = Grid1D(state.shape[0], 0.0, 2.0)
+            cmp = fns_flux_comparison(params, state, g)
+            q_gap, tau_gap = _inline_fns_gaps(params, state, g)
+            assert cmp.q_max_rel_gap == q_gap
+            assert cmp.tau_max_rel_gap == tau_gap
 
     def test_detects_off_closure_fluxes(self, fluid_params):
         grid = Grid1D(64, 0.0, 2.0)

@@ -561,7 +561,7 @@ class TestRunDriver:
 
     def test_max_steps_guard(self, heat_params):
         sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(64), 1.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(solver.StepLimitError, match="max_steps=3"):
             solver.run(sc, max_steps=3)
 
     def test_equilibrium_stays_put(self, heat):

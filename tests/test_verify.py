@@ -187,3 +187,20 @@ class TestEngineeredFailures:
         res = verify.check_hyperbolicity(
             m, verify.sample_states(m, verify.SamplingPlan(count=100)))
         assert not res.passed
+
+    def test_nan_flux_fails_directional_checks(self, heat):
+        """A flux that is NaN on part of the box is a violation with a
+        witness in that part, not a pass."""
+        def nan_flux(U, j):
+            out = heat.flux(U, j)
+            out[U[..., 0] > 1.9] = np.nan
+            return out
+
+        m = dataclasses.replace(heat, flux=nan_flux)
+        states = verify.sample_states(m, verify.SamplingPlan(seed=1,
+                                                             count=200))
+        for check in (verify.check_symmetrizability,
+                      verify.check_entropy_flux_exists):
+            res = check(m, states)
+            assert not res.passed
+            assert res.witness_state[0] > 1.9
