@@ -63,10 +63,14 @@ class CdfModel:
 
     The callables are vectorized: they accept arrays of shape (..., n+m)
     and return matching batched results.  Optional fields supply analytic
-    shortcuts (gradient, wave speed, linear source rates); when absent the
-    generic finite-difference / numerical paths are used.  `max_wave_speed`
-    must be the exact spectral radius of the flux Jacobian, the same in
-    every direction (it takes no direction argument).
+    shortcuts (gradient, entropy flux, wave speed, linear source rates);
+    when absent the generic finite-difference / numerical paths are used.
+    `max_wave_speed` must be the exact spectral radius of the flux Jacobian,
+    the same in every direction (it takes no direction argument).
+    `entropy_flux(U, j)` is the entropy flux psi_j paired with `entropy`
+    (same sign convention): psi_jU = eta_U . F_jU, so that smooth solutions
+    satisfy d eta/dt + d psi_j/dx_j = eta_U . Q.  A model for which no such
+    psi exists must leave it None.
     """
 
     name: str
@@ -78,6 +82,7 @@ class CdfModel:
     dissipation_matrix: Callable[[np.ndarray], np.ndarray]
     admissible: Callable[[np.ndarray], np.ndarray]
     entropy_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    entropy_flux: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     max_wave_speed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     source_decay_rates: Optional[Callable[[np.ndarray], np.ndarray]] = None
     source_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None

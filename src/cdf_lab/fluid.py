@@ -123,6 +123,11 @@ def fluid_model(params: FluidParams) -> CdfModel:
         out[..., 4] = v * U[..., 4] - v
         return out
 
+    def entropy_flux(U, j):
+        # psi = v eta + q / theta
+        rho, v, u, w, C = primitive_from_conserved(U)
+        return v * entropy(U) - c_v * rho * w / (a0 * u)
+
     def max_wave_speed(U):
         """Spectral radius max |v + xi| over the roots xi of the quartic in
         the module docstring (and xi = 0), by Euler's resolvent."""
@@ -204,6 +209,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
         dissipation_matrix=dissipation_matrix,
         admissible=admissible,
         entropy_grad=entropy_grad,
+        entropy_flux=entropy_flux,
         max_wave_speed=max_wave_speed,
         source_decay_rates=source_decay_rates,
         sample_box=box,

@@ -64,6 +64,9 @@ def heat_model(params: HeatParams,
         out[..., 1 + j] = c_v / U[..., 0]          # theta^{-1}
         return out
 
+    def entropy_flux(U, j):
+        return -c_v * U[..., 1 + j] / (a0 * U[..., 0])   # q_j / theta
+
     def default_dissipation(U):
         theta = U[..., 0] / c_v
         coeff = 1.0 / (lam * theta ** 2)
@@ -104,6 +107,7 @@ def heat_model(params: HeatParams,
         dissipation_matrix=dissipation or default_dissipation,
         admissible=admissible,
         entropy_grad=entropy_grad,
+        entropy_flux=entropy_flux,
         max_wave_speed=max_wave_speed,
         source_decay_rates=None if dissipation else source_decay_rates,
         sample_box=box,
@@ -113,7 +117,8 @@ def heat_model(params: HeatParams,
 
 def sign_flipped_heat_model(params: HeatParams) -> CdfModel:
     """Deliberately broken fixture: the w-part of the entropy has the wrong
-    sign, so concavity (and with it symmetrizable hyperbolicity) fails."""
+    sign, so concavity (and with it symmetrizable hyperbolicity) fails, and
+    eta_U . F_U is not a gradient, so it has no entropy flux."""
     good = heat_model(params)
     c_v, a0 = params.c_v, params.alpha0
 

@@ -3,10 +3,17 @@
 Over a user-supplied box of admissible states the auditor checks: strict
 concavity of the entropy, symmetry of eta_UU . F_jU (symmetrizability),
 positive definiteness of the dissipation matrix, existence of an entropy
-flux (integrability of eta_U . F_jU), consistency of the assembled source
-with M . eta_v, and hyperbolicity of the flux Jacobians.  Failures carry a
-witness state.  An audit draws its states once (seeded, deterministic) and
-every `check_*` takes that states array.
+flux (psi_jU = eta_U . F_jU: against the model's closed-form psi when it
+has one, otherwise as integrability of eta_U . F_jU), consistency of the
+assembled source and of the solver's decay rates with M . eta_v, and
+hyperbolicity of the flux Jacobians.  Failures carry a witness state; so
+does a sample whose derivatives are not finite.
+
+An audit draws its states once (seeded, deterministic) and every `check_*`
+takes that states array.  `run_full_audit` also passes every check one
+`_SharedDerivatives` holder (`shared=`), so the entropy Hessian and the
+flux Jacobian of each direction are computed once per audit; a check
+called on its own builds its own holder.
 """
 
 from __future__ import annotations
@@ -142,6 +149,31 @@ def _fd_scale(states: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.max(np.abs(states), axis=0))
 
 
+class _SharedDerivatives:
+    """Finite-difference derivatives that the checks of one audit share,
+    each computed on first use on the audit's states with the plan-wide
+    step scale."""
+
+    def __init__(self, model: CdfModel, states: np.ndarray):
+        self.model = model
+        self.states = states
+        self.scale = _fd_scale(states)
+        self._hessian = None
+        self._flux_jacobians = {}
+
+    def hessian(self) -> np.ndarray:
+        if self._hessian is None:
+            self._hessian = core.entropy_hessian(self.model, self.states,
+                                                 scale=self.scale)
+        return self._hessian
+
+    def flux_jacobian(self, j: int) -> np.ndarray:
+        if j not in self._flux_jacobians:
+            self._flux_jacobians[j] = core.flux_jacobian(
+                self.model, self.states, j, scale=self.scale)
+        return self._flux_jacobians[j]
+
+
 def _result(name, worst, tol, states, idx) -> CheckResult:
     passed = bool(worst <= 0.0)
     witness = None if passed else np.array(states[idx], dtype=float)
@@ -157,24 +189,26 @@ def _worst_direction(rels) -> tuple:
 
 
 def check_concavity(model: CdfModel, states: np.ndarray,
-                    tol: float = DEFAULT_TOLERANCES["concavity"]) -> CheckResult:
+                    tol: float = DEFAULT_TOLERANCES["concavity"], *,
+                    shared: Optional[_SharedDerivatives] = None,
+                    ) -> CheckResult:
     """Entropy must be strictly concave: max Hessian eigenvalue <= -tol."""
-    H = core.entropy_hessian(model, states, scale=_fd_scale(states))
-    lam_max = np.max(np.linalg.eigvalsh(H), axis=-1)
+    d = shared or _SharedDerivatives(model, states)
+    lam_max = np.max(np.linalg.eigvalsh(d.hessian()), axis=-1)
     worst = np.max(lam_max + tol)
     return _result("concavity", worst, tol, states, int(np.argmax(lam_max)))
 
 
 def check_symmetrizability(model: CdfModel, states: np.ndarray,
                            tol: float = DEFAULT_TOLERANCES["symmetrizability"],
+                           *, shared: Optional[_SharedDerivatives] = None,
                            ) -> CheckResult:
     """eta_UU . F_jU must be symmetric for every direction j."""
-    scale = _fd_scale(states)
-    H = core.entropy_hessian(model, states, scale=scale)
+    d = shared or _SharedDerivatives(model, states)
+    H = d.hessian()
     rels = []
     for j in range(model.space_dim):
-        JF = core.flux_jacobian(model, states, j, scale=scale)
-        A = np.einsum("...ij,...jk->...ik", H, JF)
+        A = np.einsum("...ij,...jk->...ik", H, d.flux_jacobian(j))
         asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-1, -2))
         rels.append(asym - tol * (1.0 + np.max(np.abs(A), axis=(-1, -2))))
     worst, idx = _worst_direction(rels)
@@ -183,6 +217,7 @@ def check_symmetrizability(model: CdfModel, states: np.ndarray,
 
 def check_dissipation_matrix(model: CdfModel, states: np.ndarray,
                              tol: float = DEFAULT_TOLERANCES["dissipation_matrix"],
+                             *, shared: Optional[_SharedDerivatives] = None,
                              ) -> CheckResult:
     """Symmetric part of M must have eigenvalues >= tol everywhere."""
     M = np.asarray(model.dissipation_matrix(states), dtype=float)
@@ -195,9 +230,15 @@ def check_dissipation_matrix(model: CdfModel, states: np.ndarray,
 
 def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
                               tol: float = DEFAULT_TOLERANCES["entropy_flux"],
+                              *, shared: Optional[_SharedDerivatives] = None,
                               ) -> CheckResult:
-    """eta_U . F_jU must be a gradient: its Jacobian must be symmetric."""
-    scale = _fd_scale(states)
+    """eta_U . F_jU must be the gradient of an entropy flux psi_j.
+
+    With the model's closed-form `entropy_flux`, the central-difference
+    psi_jU must equal eta_U . F_jU.  Without one, eta_U . F_jU must have a
+    symmetric Jacobian (nested finite differences)."""
+    d = shared or _SharedDerivatives(model, states)
+    scale = d.scale
 
     def grad(y):
         if model.entropy_grad is not None:
@@ -205,30 +246,45 @@ def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
         return core.fd_gradient(model.entropy, y, scale=scale)
 
     rels = []
-    for j in range(model.space_dim):
-        def G(y, j=j):
-            JF = core.flux_jacobian(model, y, j, scale=scale)
-            return np.einsum("...i,...ik->...k", grad(y), JF)
+    if model.entropy_flux is not None:
+        g = grad(states)
+        for j in range(model.space_dim):
+            G = np.einsum("...i,...ik->...k", g, d.flux_jacobian(j))
+            dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
+                                    states, scale=scale)
+            gap = np.max(np.abs(dpsi - G), axis=-1)
+            rels.append(gap - tol * (1.0 + np.max(np.abs(G), axis=-1)))
+    else:
+        for j in range(model.space_dim):
+            def G(y, j=j):
+                JF = core.flux_jacobian(model, y, j, scale=scale)
+                return np.einsum("...i,...ik->...k", grad(y), JF)
 
-        JG = core.fd_jacobian(G, states, scale=scale)
-        asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-1, -2))
-        rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-1, -2))))
+            JG = core.fd_jacobian(G, states, scale=scale)
+            asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-1, -2))
+            rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-1, -2))))
     worst, idx = _worst_direction(rels)
     return _result("entropy_flux", worst, tol, states, idx)
 
 
 def check_source_consistency(model: CdfModel, states: np.ndarray,
                              tol: float = DEFAULT_TOLERANCES["source_consistency"],
+                             *, shared: Optional[_SharedDerivatives] = None,
                              ) -> CheckResult:
-    """The model's source must equal (0, M . eta_v)."""
+    """The model's source must equal (0, M . eta_v), and so must the
+    relaxation the solver integrates from `source_decay_rates`, -rates * v."""
     n = model.n_conserved
     g = core.entropy_gradient(model, states)
     M = np.asarray(model.dissipation_matrix(states), dtype=float)
     expected = np.zeros_like(states)
     expected[..., n:] = np.einsum("...ij,...j->...i", M, g[..., n:])
+    norm = 1.0 + np.max(np.abs(expected), axis=-1)
     actual = core.source(model, states)
-    gap = np.max(np.abs(actual - expected), axis=-1) \
-        / (1.0 + np.max(np.abs(expected), axis=-1))
+    gap = np.max(np.abs(actual - expected), axis=-1) / norm
+    if model.source_decay_rates is not None:
+        decay = -np.asarray(model.source_decay_rates(states)) * states[..., n:]
+        gap = np.maximum(gap, np.max(np.abs(decay - expected[..., n:]),
+                                     axis=-1) / norm)
     worst = np.max(gap - tol)
     return _result("source_consistency", worst, tol, states,
                    int(np.argmax(gap)))
@@ -236,16 +292,19 @@ def check_source_consistency(model: CdfModel, states: np.ndarray,
 
 def check_hyperbolicity(model: CdfModel, states: np.ndarray,
                         tol: float = DEFAULT_TOLERANCES["hyperbolicity"],
+                        *, shared: Optional[_SharedDerivatives] = None,
                         ) -> CheckResult:
-    """Flux Jacobian eigenvalues must be real (to FD noise)."""
-    scale = _fd_scale(states)
+    """Flux Jacobian eigenvalues must be real (to FD noise); a sample with a
+    non-finite Jacobian fails."""
+    d = shared or _SharedDerivatives(model, states)
     rels = []
     for j in range(model.space_dim):
-        JF = core.flux_jacobian(model, states, j, scale=scale)
-        ev = np.linalg.eigvals(JF)
+        JF = d.flux_jacobian(j)
+        finite = np.all(np.isfinite(JF), axis=(-1, -2))
+        ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
         rad = np.max(np.abs(ev), axis=-1)
         imag = np.max(np.abs(ev.imag), axis=-1)
-        rels.append(imag - tol * (1.0 + rad))
+        rels.append(np.where(finite, imag - tol * (1.0 + rad), np.nan))
     worst, idx = _worst_direction(rels)
     return _result("hyperbolicity", worst, tol, states, idx)
 
@@ -274,6 +333,8 @@ def run_full_audit(model: CdfModel, plan: SamplingPlan,
     report = AuditReport(model_name=model.name, samples_used=plan.count,
                          seed=plan.seed, box=box)
     states = sample_states(model, plan)
+    shared = _SharedDerivatives(model, states)
     for name, fn in _CHECKS.items():
-        report.condition_results.append(fn(model, states, tols[name]))
+        report.condition_results.append(
+            fn(model, states, tols[name], shared=shared))
     return report

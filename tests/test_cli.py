@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: config validation, artifacts, exit
 codes, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -253,6 +254,35 @@ class TestVerifyCommand:
                     if c["condition"] == "concavity")
         assert conc["passed"] is False
         assert conc["witness_state"] is not None
+
+    def test_nan_flux_fails_with_witness(self, tmp_path, monkeypatch,
+                                         capsys):
+        """A flux that is NaN on part of the box ends in exit 1 with
+        witnesses, not in a traceback from eigvals."""
+        real = cli.build_model
+
+        def nan_flux_model(cfg):
+            model = real(cfg)
+
+            def flux(U, j):
+                out = model.flux(U, j)
+                out[U[..., 0] > 1.9] = np.nan
+                return out
+            return dataclasses.replace(model, flux=flux)
+
+        monkeypatch.setattr(cli, "build_model", nan_flux_model)
+        payload = self._payload("heat", HEAT_PARAMS, count=200)
+        payload["seed"] = 1
+        out = tmp_path / "out"
+        rc = cli.main(["verify", "--config", _cfg(tmp_path, payload),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "hyperbolicity: FAIL" in capsys.readouterr().out
+        audit = json.loads((out / "audit.json").read_text())
+        hyp = next(c for c in audit["conditions"]
+                   if c["condition"] == "hyperbolicity")
+        assert hyp["passed"] is False
+        assert hyp["witness_state"][0] > 1.9
 
     def test_bad_box_is_config_error(self, tmp_path):
         cfg = _cfg(tmp_path, self._payload(

@@ -209,6 +209,26 @@ class TestMaxWaveSpeed:
             assert fluid.max_wave_speed(U) == pytest.approx(s, rel=1e-12)
 
 
+@pytest.mark.parametrize("params", [
+    FluidParams(),
+    FluidParams(alpha0=1e-3, alpha1=1e-3),
+    FluidParams(R=0.4, c_v=2.5),
+])
+def test_entropy_flux_gradient_matches_eta_u_f_u(params):
+    """psi = v eta + q/theta, and its FD gradient equals eta_U . F_U."""
+    m = fluid_model(params)
+    states = verify.sample_states(m, verify.SamplingPlan(seed=6, count=2000))
+    dpsi = core.fd_gradient(lambda y: m.entropy_flux(y, 0), states)
+    G = np.einsum("...i,...ik->...k", m.entropy_grad(states),
+                  core.flux_jacobian(m, states, 0))
+    assert np.max(np.abs(dpsi - G)) <= 1e-8 * np.max(np.abs(G))
+    _, v, _, _, _ = primitive_from_conserved(states)
+    d = m.derived(states)
+    assert np.allclose(m.entropy_flux(states, 0),
+                       v * m.entropy(states) + d["q"] / d["theta"],
+                       rtol=1e-13, atol=1e-13)
+
+
 def test_full_audit_passes(fluid):
     report = verify.run_full_audit(fluid, verify.SamplingPlan(count=500))
     assert report.passed, report.to_json()

@@ -57,6 +57,27 @@ def test_wave_speed_bounds_numeric_radius(heat):
     assert np.max(np.abs(analytic - numeric)) < 1e-8
 
 
+@pytest.mark.parametrize("params", [HeatParams(alpha0=0.1),
+                                    HeatParams(space_dim=2)])
+def test_entropy_flux_gradient_matches_eta_u_f_u(params):
+    """psi_j = q_j/theta, and its FD gradient equals eta_U . F_jU."""
+    m = heat_model(params)
+    states = verify.sample_states(m, verify.SamplingPlan(seed=5, count=2000))
+    for j in range(m.space_dim):
+        dpsi = core.fd_gradient(lambda y: m.entropy_flux(y, j), states)
+        G = np.einsum("...i,...ik->...k", m.entropy_grad(states),
+                      core.flux_jacobian(m, states, j))
+        assert np.max(np.abs(dpsi - G)) <= 1e-8 * np.max(np.abs(G))
+        q_over_theta = (m.derived(states)["q"].reshape(len(states), -1)[:, j]
+                        / m.derived(states)["theta"])
+        assert np.allclose(m.entropy_flux(states, j), q_over_theta,
+                           rtol=1e-14, atol=0.0)
+
+
+def test_signflip_has_no_entropy_flux(broken_heat):
+    assert broken_heat.entropy_flux is None
+
+
 def test_source_decay_rates():
     m = heat_model(HeatParams(lambda_=2.0, c_v=1.0, alpha0=1.0))
     # rate = 1/(alpha0 lambda theta^2); theta = u

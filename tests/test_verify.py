@@ -6,8 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from cdf_lab import solver, verify
+from cdf_lab import core, solver, verify
+from cdf_lab.fluid import FluidParams, fluid_model, primitive_from_conserved
 from cdf_lab.heat import HeatParams, heat_model
+
+
+def _nan_flux(model, u_max=1.9):
+    """`model` with a flux that is NaN wherever U[0] > u_max."""
+    def flux(U, j):
+        out = model.flux(U, j)
+        out[U[..., 0] > u_max] = np.nan
+        return out
+
+    return dataclasses.replace(model, flux=flux)
 
 
 def test_default_tolerances_complete():
@@ -102,6 +113,53 @@ class TestFullAudit:
         solver._audit_or_raise(heat)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("model", [
+        heat_model(HeatParams()),
+        heat_model(HeatParams(space_dim=2)),
+        fluid_model(FluidParams()),
+    ], ids=["heat-1d", "heat-2d", "fluid"])
+    def test_one_derivative_pass_per_audit(self, model, monkeypatch):
+        """One entropy Hessian and one flux Jacobian per direction per
+        audit, shared by the checks that need them."""
+        hessians, jacobians = [], []
+        real_hessian, real_jacobian = core.entropy_hessian, core.flux_jacobian
+
+        def hessian(*args, **kwargs):
+            hessians.append(1)
+            return real_hessian(*args, **kwargs)
+
+        def jacobian(model, U, direction=0, *args, **kwargs):
+            jacobians.append(direction)
+            return real_jacobian(model, U, direction, *args, **kwargs)
+
+        monkeypatch.setattr(core, "entropy_hessian", hessian)
+        monkeypatch.setattr(core, "flux_jacobian", jacobian)
+        verify.run_full_audit(model, verify.SamplingPlan(count=50))
+        assert len(hessians) == 1
+        assert sorted(jacobians) == list(range(model.space_dim))
+
+    def test_fluid_audit_flux_calls(self, fluid):
+        """The one flux Jacobian costs two flux calls per component; no
+        other check evaluates the flux."""
+        calls = []
+
+        def flux(U, j):
+            calls.append(j)
+            return fluid.flux(U, j)
+
+        counted = dataclasses.replace(fluid, flux=flux)
+        verify.run_full_audit(counted, verify.SamplingPlan(count=50))
+        assert len(calls) == 2 * fluid.n_comp == 10
+
+    def test_direct_check_calls_match_audit(self, fluid):
+        """A check called on its own computes what the audit shares."""
+        plan = verify.SamplingPlan(seed=3, count=300)
+        states = verify.sample_states(fluid, plan)
+        report = verify.run_full_audit(fluid, plan)
+        for name, fn in verify._CHECKS.items():
+            assert fn(fluid, states).to_dict() == \
+                report.result(name).to_dict()
+
     def test_result_lookup(self, heat):
         report = verify.run_full_audit(heat, verify.SamplingPlan(count=50))
         assert report.result("hyperbolicity").passed
@@ -191,16 +249,91 @@ class TestEngineeredFailures:
     def test_nan_flux_fails_directional_checks(self, heat):
         """A flux that is NaN on part of the box is a violation with a
         witness in that part, not a pass."""
-        def nan_flux(U, j):
-            out = heat.flux(U, j)
-            out[U[..., 0] > 1.9] = np.nan
-            return out
-
-        m = dataclasses.replace(heat, flux=nan_flux)
+        m = _nan_flux(heat)
         states = verify.sample_states(m, verify.SamplingPlan(seed=1,
                                                              count=200))
         for check in (verify.check_symmetrizability,
-                      verify.check_entropy_flux_exists):
+                      verify.check_entropy_flux_exists,
+                      verify.check_hyperbolicity):
             res = check(m, states)
             assert not res.passed
             assert res.witness_state[0] > 1.9
+
+    def test_nan_flux_fails_full_audit(self, heat):
+        """The shared NaN Jacobian fails all three directional conditions
+        instead of raising from eigvals."""
+        report = verify.run_full_audit(
+            _nan_flux(heat), verify.SamplingPlan(seed=1, count=200))
+        for name in ("symmetrizability", "entropy_flux", "hyperbolicity"):
+            res = report.result(name)
+            assert not res.passed
+            assert res.witness_state[0] > 1.9
+        assert report.result("concavity").passed
+
+    @pytest.mark.parametrize("model", [heat_model(HeatParams()),
+                                       fluid_model(FluidParams())],
+                             ids=["heat", "fluid"])
+    def test_decay_rates_must_match_source(self, model):
+        """The solver integrates -rates * v; rates that disagree with
+        M . eta_v fail condition 5."""
+        wrong = dataclasses.replace(
+            model, source_decay_rates=lambda U: 2.0 * model.source_decay_rates(U))
+        states = verify.sample_states(wrong, verify.SamplingPlan(count=200))
+        assert verify.check_source_consistency(model, states).passed
+        res = verify.check_source_consistency(wrong, states)
+        assert not res.passed
+        assert res.witness_state is not None
+
+
+def _fluid_psi_without_heat_term():
+    """Wrong fluid psi = v eta: the q/theta term is missing."""
+    fluid = fluid_model(FluidParams())
+
+    def psi(U, j):
+        _, v, _, _, _ = primitive_from_conserved(U)
+        return v * fluid.entropy(U)
+
+    return dataclasses.replace(fluid, entropy_flux=psi)
+
+
+def _heat_psi_without_theta():
+    """Wrong heat psi_j = q_j: not divided by theta."""
+    heat = heat_model(HeatParams())
+    return dataclasses.replace(
+        heat, entropy_flux=lambda U, j: heat.flux(U, j)[..., 0])
+
+
+class TestEntropyFluxPaths:
+    """The closed-form psi path against the nested-FD oracle."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat_model(HeatParams(alpha0=0.1)),
+        lambda: heat_model(HeatParams(space_dim=2)),
+        lambda: fluid_model(FluidParams()),
+        lambda: fluid_model(FluidParams(alpha0=1e-3, alpha1=1e-3)),
+        lambda: fluid_model(FluidParams(R=0.4, c_v=2.5)),
+        lambda: _nan_flux(heat_model(HeatParams())),
+    ], ids=["heat", "heat-2d", "fluid", "fluid-stiff", "fluid-R0.4",
+            "heat-nan-flux"])
+    def test_same_verdict_as_nested_fd(self, make):
+        model = make()
+        states = verify.sample_states(model,
+                                      verify.SamplingPlan(seed=2, count=500))
+        fast = verify.check_entropy_flux_exists(model, states)
+        oracle = verify.check_entropy_flux_exists(
+            dataclasses.replace(model, entropy_flux=None), states)
+        assert fast.passed == oracle.passed
+        assert (fast.witness_state is None) == (oracle.witness_state is None)
+
+    @pytest.mark.parametrize("make", [_fluid_psi_without_heat_term,
+                                      _heat_psi_without_theta],
+                             ids=["fluid", "heat"])
+    def test_wrong_closed_form_fails_with_witness(self, make):
+        model = make()
+        states = verify.sample_states(model,
+                                      verify.SamplingPlan(seed=2, count=500))
+        res = verify.check_entropy_flux_exists(model, states)
+        assert not res.passed
+        assert res.witness_state is not None
+        assert verify.check_entropy_flux_exists(
+            dataclasses.replace(model, entropy_flux=None), states).passed
