@@ -174,11 +174,12 @@ def entropy_hessian(model: CdfModel, U, fd_step: float = FD_STEP,
 
 def source(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
     """Source Q(U) = (0, M(U) . eta_v): zeros on the conserved block."""
-    x = require_admissible(model, U)
+    x = as_state_array(U)
     if model.source_fn is not None:
-        return np.asarray(model.source_fn(x), dtype=float)
+        return np.asarray(model.source_fn(require_admissible(model, x)),
+                          dtype=float)
     n = model.n_conserved
-    g = entropy_gradient(model, x, fd_step)
+    g = entropy_gradient(model, x, fd_step)   # checks x
     M = np.asarray(model.dissipation_matrix(x), dtype=float)
     q = np.einsum("...ij,...j->...i", M, g[..., n:])
     out = np.zeros_like(x)
@@ -188,9 +189,9 @@ def source(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
 
 def entropy_production(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
     """sigma = eta_v . M(U) . eta_v, nonnegative for positive-definite M."""
-    x = require_admissible(model, U)
+    x = as_state_array(U)
     n = model.n_conserved
-    gv = entropy_gradient(model, x, fd_step)[..., n:]
+    gv = entropy_gradient(model, x, fd_step)[..., n:]   # checks x
     M = np.asarray(model.dissipation_matrix(x), dtype=float)
     return np.einsum("...i,...ij,...j->...", gv, M, gv)
 

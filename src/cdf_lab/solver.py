@@ -120,13 +120,17 @@ class Scenario:
         if not self.output_every > 0:
             raise ValueError("output_every must be > 0")
         for state in (self.left_state, self.right_state):
-            if state is not None and np.shape(state) != (self.model.n_comp,):
+            if state is None:
+                continue
+            if np.shape(state) != (self.model.n_comp,):
                 raise ValueError("left/right states need n_comp components")
+            # the solver does not check fixed-state ghosts again
+            if not np.all(self.model.admissible(np.asarray(state, float))):
+                raise ValueError(f"boundary state {state} is inadmissible")
 
 
 @dataclass
 class Trajectory:
-    model_name: str
     boundary: str
     times: list = field(default_factory=list)          # snapshot times
     snapshots: list = field(default_factory=list)      # interior states
@@ -136,7 +140,6 @@ class Trajectory:
     min_sigma: list = field(default_factory=list)
     max_sigma: list = field(default_factory=list)
     boundary_inflow: Optional[np.ndarray] = None       # accumulated, per var
-    cell_volume: float = 1.0
 
 
 def fill_ghost(field_arr: np.ndarray, boundary: str,
@@ -160,26 +163,15 @@ def fill_ghost(field_arr: np.ndarray, boundary: str,
             field_arr[high] = np.asarray(right_state, dtype=float)
 
 
-def rusanov_flux(model: CdfModel, U_left, U_right, direction: int = 0,
-                 speeds=None) -> np.ndarray:
-    """Local-speed flux 0.5 (F_L + F_R) - 0.5 a (U_R - U_L).
-
-    `speeds` optionally supplies precomputed per-side spectral radii as a
-    pair (a_left, a_right); otherwise they are evaluated here.
-    """
-    UL = core.as_state_array(U_left)
-    UR = core.as_state_array(U_right)
-    if not (np.all(model.admissible(UL)) and np.all(model.admissible(UR))):
-        raise InadmissibleStateError("inadmissible input state in flux")
-    FL = model.flux(UL, direction)
-    FR = model.flux(UR, direction)
-    if speeds is None:
-        aL = core.spectral_radius(model, UL, direction)
-        aR = core.spectral_radius(model, UR, direction)
-    else:
-        aL, aR = speeds
-    a = np.maximum(aL, aR)
-    return 0.5 * (FL + FR) - 0.5 * np.asarray(a)[..., None] * (UR - UL)
+def rusanov_flux(model: CdfModel, U_left: np.ndarray, U_right: np.ndarray,
+                 direction: int, speeds) -> np.ndarray:
+    """Local-speed flux 0.5 (F_L + F_R) - 0.5 a (U_R - U_L), a = max(a_L, a_R),
+    from the per-side spectral radii `speeds` = (a_L, a_R) along `direction`.
+    The states are not checked here: callers pass admissible ones."""
+    a = np.maximum(*speeds)
+    FL = model.flux(U_left, direction)
+    FR = model.flux(U_right, direction)
+    return 0.5 * (FL + FR) - 0.5 * a[..., None] * (U_right - U_left)
 
 
 def _spacing(grid) -> tuple:
@@ -213,11 +205,12 @@ def _raise_inadmissible(model: CdfModel, interior: np.ndarray, what: str):
 
 def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
                     grid: Grid1D | Grid2D, boundary: str = "periodic",
-                    left_state=None, right_state=None, cfl: float = 1.0,
-                    return_boundary_flux: bool = False):
+                    left_state=None, right_state=None, cfl: float = 1.0):
     """First-order FV update of the interior cells, ghosts filled per the
-    boundary rule.  Returns the new field and, on request, the conserved-
-    block fluxes through the low and high ends integrated over their faces."""
+    boundary rule.  Returns the new field and the conserved-block fluxes
+    through the low and high ends integrated over their faces.  Raises
+    InadmissibleStateError at the first non-finite or inadmissible new cell:
+    the one check of the transport output."""
     g = GHOST
     spacing = _spacing(grid)
     work = field_arr.copy()
@@ -249,9 +242,7 @@ def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
             not np.all(model.admissible(interior)):
         _raise_inadmissible(model, interior,
                             "inadmissible state after transport")
-    if return_boundary_flux:
-        return new, f_ends[0], f_ends[1]
-    return new
+    return new, f_ends[0], f_ends[1]
 
 
 def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float
@@ -360,11 +351,13 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float,
     v1 = v0.copy()
     r = resid(v1)
     for _ in range(max_iter):
-        pending = size(r) > bound
+        pending = ~(size(r) <= bound)   # a non-finite residual is pending
         if not pending.any():
             return v1
         J = core.fd_jacobian(resid, v1)
         dv = np.linalg.solve(J, -r[..., None])[..., 0]
+        # a non-finite step leaves its cell where it is, still pending
+        dv = np.where(np.isfinite(dv), dv, 0.0)
         lam = 1.0
         while pending.any() and lam >= 2.0 ** -20:
             cand = np.where(pending[..., None], v1 + lam * dv, v1)
@@ -396,8 +389,7 @@ def strang_step(model: CdfModel, field_arr: np.ndarray, dt: float,
     half = field_arr.copy()
     half[inner] = step_source_exact(model, field_arr[inner], 0.5 * dt)
     out, f_left, f_right = step_hyperbolic(
-        model, half, dt, grid, boundary, left_state, right_state, cfl,
-        return_boundary_flux=True)
+        model, half, dt, grid, boundary, left_state, right_state, cfl)
     out[inner] = step_source_exact(model, out[inner], 0.5 * dt)
     return out, f_left, f_right
 
@@ -446,8 +438,7 @@ def run(scenario: Scenario, override_audit: bool = False,
     fill_ghost(field_arr, scenario.boundary, scenario.left_state,
                scenario.right_state)
 
-    traj = Trajectory(model_name=model.name, boundary=scenario.boundary,
-                      cell_volume=vol)
+    traj = Trajectory(boundary=scenario.boundary)
     traj.boundary_inflow = np.zeros(model.n_conserved)
 
     def record_diag(t):

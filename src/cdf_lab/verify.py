@@ -99,7 +99,9 @@ class CheckResult:
         return {
             "condition": self.name,
             "passed": bool(self.passed),
-            "worst_violation": float(self.worst_violation),
+            # strict JSON has no NaN; a non-finite violation is null
+            "worst_violation": float(self.worst_violation)
+            if np.isfinite(self.worst_violation) else None,
             "witness_state": None if self.witness_state is None
             else [float(x) for x in self.witness_state],
             "tolerance": float(self.tolerance),

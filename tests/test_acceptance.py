@@ -66,7 +66,7 @@ def test_criterion_2_second_law(verdict, heat_sine_run, fluid_pulse_run):
         audit = diagnostics.entropy_audit(traj, sc.model,
                                           sigma_tol=1e-14, step_tol=1e-10)
         ok &= audit.passed
-        ok &= bool(np.min(audit.snapshot_min_sigma) >= -1e-14)
+        ok &= bool(np.min(audit.min_sigma) >= -1e-14)
     verdict(2, "second law", ok)
 
 

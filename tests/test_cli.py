@@ -210,6 +210,20 @@ class TestRunCommand:
         cfg = _cfg(tmp_path, payload)
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_inadmissible_fixed_state_is_config_error(self, tmp_path,
+                                                      capsys):
+        payload = _run_config(tmp_path)
+        payload["scenario"].update({"boundary": "fixed-state",
+                                    "left_state": [-0.1, 0.0],
+                                    "right_state": [1.0, 0.0]})
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, payload),
+                       "--out", str(out)])
+        assert rc == 2
+        assert not (out / "run_summary.json").exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: boundary state [-0.1, 0.0] is inadmissible")
+
     @pytest.mark.parametrize("model", ["heat", "fluid"])
     def test_fixed_state_wrong_length_is_config_error(self, tmp_path, model):
         params = HEAT_PARAMS if model == "heat" else FLUID_PARAMS
@@ -278,10 +292,17 @@ class TestVerifyCommand:
                        "--out", str(out)])
         assert rc == 1
         assert "hyperbolicity: FAIL" in capsys.readouterr().out
-        audit = json.loads((out / "audit.json").read_text())
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        # strict JSON: a NaN violation is written as null
+        audit = json.loads((out / "audit.json").read_text(),
+                           parse_constant=reject)
         hyp = next(c for c in audit["conditions"]
                    if c["condition"] == "hyperbolicity")
         assert hyp["passed"] is False
+        assert hyp["worst_violation"] is None
         assert hyp["witness_state"][0] > 1.9
 
     def test_bad_box_is_config_error(self, tmp_path):

@@ -62,7 +62,7 @@ class TestEntropyAudit:
         audit = entropy_audit(traj, model)
         assert audit.passed
         assert audit.total_entropy[-1] > audit.total_entropy[0]
-        assert np.min(audit.snapshot_min_sigma) >= 0.0
+        assert np.min(audit.min_sigma) >= 0.0
 
     def test_equilibrium_entropy_constant(self, heat):
         sc = Scenario(model=heat, grid=Grid1D(16),
@@ -82,6 +82,17 @@ class TestEntropyAudit:
         audit = entropy_audit(traj, sc.model)
         assert not audit.passed
         assert audit.monotonicity_violations
+
+
+    def test_negative_sigma_between_snapshots_detected(self, heat_params):
+        sc = heat_sine_scenario(heat_params, Grid1D(32), 0.02)
+        traj = solver.run(sc)
+        k = len(traj.step_times) // 2
+        assert traj.step_times[k] not in traj.times
+        traj.min_sigma[k] = -1e-3
+        audit = entropy_audit(traj, sc.model)
+        assert not audit.passed
+        assert audit.pointwise_violations == [(k, -1e-3)]
 
 
 class TestSlopeFit:

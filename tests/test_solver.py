@@ -86,6 +86,16 @@ class TestScenarioValidation:
                      left_state=good, right_state=np.asarray(good),
                      t_end=1.0)
 
+    def test_inadmissible_boundary_state(self, heat):
+        # fixed-state ghosts are these states and are not checked again
+        for left, right in (([-0.1, 0.0], [1.0, 0.0]),
+                            ([1.0, 0.0], [1.0, np.nan])):
+            with pytest.raises(ValueError, match="inadmissible"):
+                Scenario(model=heat, grid=Grid1D(8),
+                         initial_condition=lambda x: 0,
+                         boundary="fixed-state", left_state=left,
+                         right_state=right, t_end=1.0)
+
 
 class TestGhostFilling:
     def test_periodic(self):
@@ -107,38 +117,40 @@ class TestGhostFilling:
         assert f[-G:, 0].tolist() == [9.0, 9.0]
 
 
+def _rusanov(model, UL, UR):
+    """Rusanov flux along x with the side speeds from the spectral radius."""
+    speeds = (core.spectral_radius(model, UL), core.spectral_radius(model, UR))
+    return rusanov_flux(model, UL, UR, 0, speeds)
+
+
 class TestRusanovFlux:
     def test_consistency(self, heat, fluid):
         U = np.array([1.3, 0.2])
-        assert np.allclose(rusanov_flux(heat, U, U), heat.flux(U, 0))
+        assert np.allclose(_rusanov(heat, U, U), heat.flux(U, 0))
         V = conserved_from_primitive(1.0, 0.5, 1.5, 0.1, -0.1)
-        assert np.allclose(rusanov_flux(fluid, V, V), fluid.flux(V, 0))
+        assert np.allclose(_rusanov(fluid, V, V), fluid.flux(V, 0))
 
     def test_hand_value(self, heat):
         # F_L=(0,1), F_R=(-0.2,1), speeds both 1 -> (-0.1, 0.9)
-        F = rusanov_flux(heat, np.array([1.0, 0.0]), np.array([1.0, 0.2]))
+        F = _rusanov(heat, np.array([1.0, 0.0]), np.array([1.0, 0.2]))
         assert np.allclose(F, [-0.1, 0.9])
 
     def test_upwind_dissipation_sign(self, heat):
         # jump in u: the dissipation term pushes mass from high to low
-        F = rusanov_flux(heat, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+        F = _rusanov(heat, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
         assert F[0] > 0.0
-
-    def test_inadmissible_input_rejected(self, heat):
-        with pytest.raises(InadmissibleStateError):
-            rusanov_flux(heat, np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
 
 
 class TestStepHyperbolic:
     def test_uniform_state_invariant(self, heat):
         f = _padded(np.tile([1.4, 0.2], (16, 1)))
-        out = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
+        out, _, _ = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
         assert np.allclose(out[G:-G], f[G:-G], atol=1e-15)
 
     def test_conserves_totals_periodic(self, heat):
         f = _heat_sine_field(32)
         f[G:-G, 1] = 0.05  # nonzero dissipative content too
-        out = step_hyperbolic(heat, f, 5e-3, Grid1D(32))
+        out, _, _ = step_hyperbolic(heat, f, 5e-3, Grid1D(32))
         before = f[G:-G].sum(axis=0)
         after = out[G:-G].sum(axis=0)
         assert np.max(np.abs(after - before) / np.abs(before)) < 1e-13
@@ -180,10 +192,24 @@ class TestStepHyperbolic:
         step_hyperbolic(model, f, 1e-3, Grid2D(8, 8))
         assert sorted(calls) == [0, 1]
 
+    def test_nonfinite_transport_output_raises(self, heat):
+        def flux(U, j):
+            out = heat.flux(U, j)
+            out[U[..., 0] > 1.9] = np.nan
+            return out
+
+        f = _heat_sine_field(16)
+        f[G + 5, 0] = 2.0
+        # the NaN flux of cell 5 spoils both of its faces, so cells 4-6;
+        # the error names the first of them
+        with pytest.raises(InadmissibleStateError,
+                           match=r"after transport at cell 4: \[nan nan\]"):
+            step_hyperbolic(dataclasses.replace(heat, flux=flux), f, 1e-3,
+                            Grid1D(16))
+
     def test_boundary_flux_return(self, heat):
         f = _heat_sine_field(16)
-        out, f_left, f_right = step_hyperbolic(
-            heat, f, 1e-3, Grid1D(16), return_boundary_flux=True)
+        out, f_left, f_right = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
         # periodic: identical boundary faces
         assert np.allclose(f_left, f_right)
         assert f_left.shape == (1,)
@@ -465,6 +491,19 @@ class TestExactRelaxation:
         with pytest.raises(core.ConvergenceError, match="at cell 2"):
             step_source_exact(m, U, 1.0)
 
+    def test_fallback_nan_residual_is_not_converged(self, heat):
+        def nan_above(U):
+            out = np.zeros_like(U)
+            out[..., 1] = np.where(U[..., 0] > 1.5, np.nan, -U[..., 1])
+            return out
+
+        m = dataclasses.replace(heat, source_decay_rates=None,
+                                source_fn=nan_above)
+        U = np.array([[1.0, 0.3], [2.0, 0.3]])
+        with pytest.raises(core.ConvergenceError,
+                           match="at cell 1: .* residual nan"):
+            step_source_exact(m, U, 0.1)
+
 
 class TestStrangStep:
     def test_conserved_block_exact(self, fluid):
@@ -498,7 +537,7 @@ class TestStrangStep:
         f = _heat_sine_field(32)
         f[G:-G, 1] = 0.03
         a, _, _ = strang_step(frozen, f, 2e-3, Grid1D(32))
-        b = step_hyperbolic(heat, f, 2e-3, Grid1D(32))
+        b, _, _ = step_hyperbolic(heat, f, 2e-3, Grid1D(32))
         assert np.array_equal(a[G:-G], b[G:-G])
 
 
@@ -558,6 +597,35 @@ class TestRunDriver:
                       t_end=0.01)
         with pytest.raises(InadmissibleStateError):
             solver.run(sc)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "fixed-state"])
+    def test_admissibility_checked_at_most_twice_per_step(
+            self, heat, monkeypatch, boundary):
+        """Once after transport and once before sigma is recorded."""
+        calls = []
+
+        def admissible(U):
+            calls.append(U.shape)
+            return heat.admissible(U)
+
+        starts = []
+        real = solver.strang_step
+
+        def marking(*args, **kwargs):
+            starts.append(len(calls))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "strang_step", marking)
+        state = np.array([1.0, 0.0])
+        sc = Scenario(model=dataclasses.replace(heat, admissible=admissible),
+                      grid=Grid1D(32), initial_condition=lambda x: np.array(
+                          [1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0]),
+                      boundary=boundary, left_state=state, right_state=state,
+                      t_end=0.05)
+        traj = solver.run(sc)
+        per_step = np.diff(starts + [len(calls)])
+        assert len(per_step) == len(traj.step_times) - 1 > 1
+        assert per_step.max() <= 2
 
     def test_max_steps_guard(self, heat_params):
         sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(64), 1.0)
