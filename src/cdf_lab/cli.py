@@ -341,13 +341,14 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     except ModelAuditError as exc:
         print(f"audit gate: {exc}", file=sys.stderr)
         return EXIT_SCIENTIFIC
-    except solver.InadmissibleStateError as exc:
+    except solver.InitialConditionError as exc:
         print(f"scenario rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"source step failed: {exc}", file=sys.stderr)
         return EXIT_SCIENTIFIC
-    except (solver.CflError, solver.StepLimitError) as exc:
+    except (solver.InadmissibleStateError, solver.CflError,
+            solver.StepLimitError) as exc:
         print(f"time stepping failed: {exc}", file=sys.stderr)
         return EXIT_SCIENTIFIC
 

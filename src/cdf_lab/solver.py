@@ -37,6 +37,10 @@ class InadmissibleStateError(RuntimeError):
     """The update produced a state outside the admissible domain."""
 
 
+class InitialConditionError(InadmissibleStateError):
+    """The initial condition has a state outside the admissible domain."""
+
+
 class ModelAuditError(RuntimeError):
     """The model failed its structural audit and no override was given."""
 
@@ -195,12 +199,13 @@ def _cell(flat_index, shape, offset: int = 0):
     return idx[0] if len(idx) == 1 else idx
 
 
-def _raise_inadmissible(model: CdfModel, interior: np.ndarray, what: str):
-    """Raise InadmissibleStateError at the first bad cell of `interior`."""
+def _raise_inadmissible(model: CdfModel, interior: np.ndarray, what: str,
+                        error=InadmissibleStateError):
+    """Raise `error` at the first bad cell of `interior`."""
     finite = np.isfinite(interior)
     ok = finite.all(axis=-1) & model.admissible(np.where(finite, interior, 1))
     bad = _cell(np.argmin(ok), ok.shape)
-    raise InadmissibleStateError(f"{what} at cell {bad}: {interior[bad]}")
+    raise error(f"{what} at cell {bad}: {interior[bad]}")
 
 
 def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
@@ -434,7 +439,8 @@ def run(scenario: Scenario, override_audit: bool = False,
         interior[idx] = scenario.initial_condition(
             *(c[i] for c, i in zip(centers, idx)))
     if not np.all(model.admissible(interior)):
-        _raise_inadmissible(model, interior, "initial condition inadmissible")
+        _raise_inadmissible(model, interior, "initial condition inadmissible",
+                            InitialConditionError)
     fill_ghost(field_arr, scenario.boundary, scenario.left_state,
                scenario.right_state)
 

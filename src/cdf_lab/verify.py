@@ -9,11 +9,21 @@ assembled source and of the solver's decay rates with M . eta_v, and
 hyperbolicity of the flux Jacobians.  Failures carry a witness state; so
 does a sample whose derivatives are not finite.
 
+Hyperbolicity is certified from the first two conditions where it can be.
+With -H = L L^T (H = eta_UU) and P = H . F_jU, the Jacobian F_jU is similar
+to L^-1 (-P) L^-T, whose antisymmetric part is L^-1 K_a L^-T with
+K_a = (P - P^T)/2; by Bauer-Fike every eigenvalue then has
+|Im lambda| <= ||K_a||_F / (-lambda_max(H)).  A sample whose bound, with
+allowance for rounding, is at most tol/2 passes without an eigensolve;
+`np.linalg.eigvals` decides every other sample and is the oracle the bound
+is tested against.
+
 An audit draws its states once (seeded, deterministic) and every `check_*`
 takes that states array.  `run_full_audit` also passes every check one
-`_SharedDerivatives` holder (`shared=`), so the entropy Hessian and the
-flux Jacobian of each direction are computed once per audit; a check
-called on its own builds its own holder.
+`_SharedDerivatives` holder (`shared=`), so the entropy Hessian, its
+largest eigenvalue, the flux Jacobian of each direction and the symmetry
+defect of eta_UU . F_jU are computed once per audit; a check called on its
+own builds its own holder.
 """
 
 from __future__ import annotations
@@ -153,15 +163,17 @@ def _fd_scale(states: np.ndarray) -> np.ndarray:
 
 class _SharedDerivatives:
     """Finite-difference derivatives that the checks of one audit share,
-    each computed on first use on the audit's states with the plan-wide
-    step scale."""
+    and per-sample results derived from them, each computed on first use
+    on the audit's states with the plan-wide step scale."""
 
     def __init__(self, model: CdfModel, states: np.ndarray):
         self.model = model
         self.states = states
         self.scale = _fd_scale(states)
         self._hessian = None
+        self._lam_max = None
         self._flux_jacobians = {}
+        self._defects = {}
 
     def hessian(self) -> np.ndarray:
         if self._hessian is None:
@@ -169,11 +181,31 @@ class _SharedDerivatives:
                                                  scale=self.scale)
         return self._hessian
 
+    def hessian_lam_max(self) -> np.ndarray:
+        """Largest eigenvalue of the entropy Hessian, per sample."""
+        if self._lam_max is None:
+            self._lam_max = np.max(np.linalg.eigvalsh(self.hessian()),
+                                   axis=-1)
+        return self._lam_max
+
     def flux_jacobian(self, j: int) -> np.ndarray:
         if j not in self._flux_jacobians:
             self._flux_jacobians[j] = core.flux_jacobian(
                 self.model, self.states, j, scale=self.scale)
         return self._flux_jacobians[j]
+
+    def symmetry_defect(self, j: int) -> tuple:
+        """Per sample, for P = eta_UU . F_jU: max |P - P^T|, max |P| and
+        ||K_a||_F with K_a = (P - P^T)/2.  P itself is not kept."""
+        if j not in self._defects:
+            P = np.einsum("...ij,...jk->...ik", self.hessian(),
+                          self.flux_jacobian(j))
+            D = P - np.swapaxes(P, -1, -2)
+            with np.errstate(over="ignore"):   # an inf norm certifies nothing
+                k_fro = 0.5 * np.sqrt(np.sum(D * D, axis=(-1, -2)))
+            self._defects[j] = (np.max(np.abs(D), axis=(-1, -2)),
+                                np.max(np.abs(P), axis=(-1, -2)), k_fro)
+        return self._defects[j]
 
 
 def _result(name, worst, tol, states, idx) -> CheckResult:
@@ -196,7 +228,7 @@ def check_concavity(model: CdfModel, states: np.ndarray,
                     ) -> CheckResult:
     """Entropy must be strictly concave: max Hessian eigenvalue <= -tol."""
     d = shared or _SharedDerivatives(model, states)
-    lam_max = np.max(np.linalg.eigvalsh(d.hessian()), axis=-1)
+    lam_max = d.hessian_lam_max()
     worst = np.max(lam_max + tol)
     return _result("concavity", worst, tol, states, int(np.argmax(lam_max)))
 
@@ -207,12 +239,10 @@ def check_symmetrizability(model: CdfModel, states: np.ndarray,
                            ) -> CheckResult:
     """eta_UU . F_jU must be symmetric for every direction j."""
     d = shared or _SharedDerivatives(model, states)
-    H = d.hessian()
     rels = []
     for j in range(model.space_dim):
-        A = np.einsum("...ij,...jk->...ik", H, d.flux_jacobian(j))
-        asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-1, -2))
-        rels.append(asym - tol * (1.0 + np.max(np.abs(A), axis=(-1, -2))))
+        asym, size, _ = d.symmetry_defect(j)
+        rels.append(asym - tol * (1.0 + size))
     worst, idx = _worst_direction(rels)
     return _result("symmetrizability", worst, tol, states, idx)
 
@@ -292,21 +322,49 @@ def check_source_consistency(model: CdfModel, states: np.ndarray,
                    int(np.argmax(gap)))
 
 
+def _certified(d: _SharedDerivatives, j: int, tol: float) -> np.ndarray:
+    """Samples whose direction-j flux Jacobian provably has every
+    |Im lambda| <= tol/2: the Bauer-Fike bound ||K_a||_F / (-lambda_max(H))
+    of the module docstring, with the rounding of P = H . F_jU (n^3 eps
+    max|H| max|F_jU|) and of eigvalsh (n^2 eps max|H|) on the unsafe
+    side.  Non-concave, non-finite and undecided samples are not
+    certified."""
+    n = d.model.n_comp
+    eps = np.finfo(float).eps
+    h_max = np.max(np.abs(d.hessian()), axis=(-1, -2))
+    j_max = np.max(np.abs(d.flux_jacobian(j)), axis=(-1, -2))
+    k_fro = d.symmetry_defect(j)[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = -d.hessian_lam_max() - n ** 2 * eps * h_max
+        bound = k_fro + n ** 3 * eps * h_max * j_max
+        return (gap > 0) & (bound <= 0.5 * tol * gap)
+
+
 def check_hyperbolicity(model: CdfModel, states: np.ndarray,
                         tol: float = DEFAULT_TOLERANCES["hyperbolicity"],
                         *, shared: Optional[_SharedDerivatives] = None,
                         ) -> CheckResult:
-    """Flux Jacobian eigenvalues must be real (to FD noise); a sample with a
-    non-finite Jacobian fails."""
+    """Flux Jacobian eigenvalues must be real to FD noise:
+    max |Im lambda| <= tol * (1 + spectral radius).  A sample passes
+    without an eigensolve when the symmetrizer bound of the module
+    docstring certifies |Im lambda| <= tol/2; `np.linalg.eigvals` decides
+    the rest (non-concave entropy, non-symmetrizable or non-finite
+    Jacobians), and a sample with a non-finite Jacobian fails.  Certified
+    samples never hold a violation, so verdict and witness are those of
+    `eigvals` on every sample."""
     d = shared or _SharedDerivatives(model, states)
     rels = []
     for j in range(model.space_dim):
-        JF = d.flux_jacobian(j)
-        finite = np.all(np.isfinite(JF), axis=(-1, -2))
-        ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
-        rad = np.max(np.abs(ev), axis=-1)
-        imag = np.max(np.abs(ev.imag), axis=-1)
-        rels.append(np.where(finite, imag - tol * (1.0 + rad), np.nan))
+        rest = ~_certified(d, j, tol)
+        rel = np.full(rest.shape, -np.inf)
+        if np.any(rest):
+            JF = d.flux_jacobian(j)[rest]
+            finite = np.all(np.isfinite(JF), axis=(-1, -2))
+            ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
+            rad = np.max(np.abs(ev), axis=-1)
+            imag = np.max(np.abs(ev.imag), axis=-1)
+            rel[rest] = np.where(finite, imag - tol * (1.0 + rad), np.nan)
+        rels.append(rel)
     worst, idx = _worst_direction(rels)
     return _result("hyperbolicity", worst, tol, states, idx)
 

@@ -156,6 +156,36 @@ class TestRunCommand:
         assert rc == 2
         assert not (tmp_path / "out" / "run_summary.json").exists()
 
+    def test_inadmissible_state_mid_run_is_scientific(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """A state spoiled by transport is a solver or model failure
+        (exit 1), not a rejected scenario."""
+        real = cli.build_model
+
+        def nan_flux_model(cfg):
+            model = real(cfg)
+
+            def flux(U, j):
+                out = model.flux(U, j)
+                out[U[..., 0] > 1.05] = np.nan
+                return out
+
+            return dataclasses.replace(model, flux=flux)
+
+        monkeypatch.setattr(cli, "build_model", nan_flux_model)
+        payload = _run_config(tmp_path, params={**HEAT_PARAMS, "alpha0": 0.1})
+        payload["scenario"]["n_cells"] = 32
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, payload),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "time stepping failed: inadmissible state after transport at "
+            "cell ")
+        assert not (out / "run_summary.json").exists()
+
     def test_source_step_failure_is_scientific(self, tmp_path, monkeypatch,
                                                capsys):
         def stalled(scenario, override_audit=False):

@@ -8,7 +8,7 @@ import pytest
 
 from cdf_lab import core, solver, verify
 from cdf_lab.fluid import FluidParams, fluid_model, primitive_from_conserved
-from cdf_lab.heat import HeatParams, heat_model
+from cdf_lab.heat import HeatParams, heat_model, sign_flipped_heat_model
 
 
 def _nan_flux(model, u_max=1.9):
@@ -19,6 +19,19 @@ def _nan_flux(model, u_max=1.9):
         return out
 
     return dataclasses.replace(model, flux=flux)
+
+
+def _elliptic_heat():
+    """Heat with a flux whose Jacobian [[0, 1], [-1/u^2, 0]] has an
+    imaginary spectrum."""
+    def flux(U, j):
+        out = np.zeros_like(U)
+        out[..., 0] = U[..., 1]
+        out[..., 1] = 1.0 / U[..., 0]
+        return out
+
+    return dataclasses.replace(heat_model(HeatParams()), flux=flux,
+                               max_wave_speed=None, name="heat-elliptic")
 
 
 def test_default_tolerances_complete():
@@ -151,14 +164,16 @@ class TestFullAudit:
         verify.run_full_audit(counted, verify.SamplingPlan(count=50))
         assert len(calls) == 2 * fluid.n_comp == 10
 
-    def test_direct_check_calls_match_audit(self, fluid):
+    def test_direct_check_calls_match_audit(self, fluid, broken_heat):
         """A check called on its own computes what the audit shares."""
         plan = verify.SamplingPlan(seed=3, count=300)
-        states = verify.sample_states(fluid, plan)
-        report = verify.run_full_audit(fluid, plan)
-        for name, fn in verify._CHECKS.items():
-            assert fn(fluid, states).to_dict() == \
-                report.result(name).to_dict()
+        for model in (fluid, heat_model(HeatParams()),
+                      heat_model(HeatParams(space_dim=2)), broken_heat):
+            states = verify.sample_states(model, plan)
+            report = verify.run_full_audit(model, plan)
+            for name, fn in verify._CHECKS.items():
+                assert fn(model, states).to_dict() == \
+                    report.result(name).to_dict()
 
     def test_result_lookup(self, heat):
         report = verify.run_full_audit(heat, verify.SamplingPlan(count=50))
@@ -232,16 +247,8 @@ class TestEngineeredFailures:
             verify.sample_states(tampered, verify.SamplingPlan(count=200)))
         assert not res.passed
 
-    def test_hyperbolicity_fails_for_elliptic_flux(self, heat):
-        """Flux with Jacobian [[0, 1], [-1/u^2, 0]] has imaginary spectrum."""
-        def elliptic_flux(U, j):
-            out = np.zeros_like(U)
-            out[..., 0] = U[..., 1]
-            out[..., 1] = 1.0 / U[..., 0]
-            return out
-
-        m = dataclasses.replace(heat, flux=elliptic_flux,
-                                max_wave_speed=None, name="heat-elliptic")
+    def test_hyperbolicity_fails_for_elliptic_flux(self):
+        m = _elliptic_heat()
         res = verify.check_hyperbolicity(
             m, verify.sample_states(m, verify.SamplingPlan(count=100)))
         assert not res.passed
@@ -337,3 +344,183 @@ class TestEntropyFluxPaths:
         assert res.witness_state is not None
         assert verify.check_entropy_flux_exists(
             dataclasses.replace(model, entropy_flux=None), states).passed
+
+
+TOL_HYP = verify.DEFAULT_TOLERANCES["hyperbolicity"]
+
+
+def _skew_model(kappa):
+    """eta = -|U|^2/2 (eta_UU = -I) and F = kappa (U0 U1, -U0^2/2), so
+    F_U = kappa [[U1, U0], [-U0, 0]]: |Im lambda| = kappa sqrt(U0^2 - U1^2/4)
+    against a certificate bound of sqrt(2) kappa U0."""
+    def flux(U, j):
+        return kappa * np.stack([U[..., 0] * U[..., 1],
+                                 -0.5 * U[..., 0] ** 2], axis=-1)
+
+    return dataclasses.replace(
+        heat_model(HeatParams()), name="skew", flux=flux,
+        entropy=lambda U: -0.5 * np.sum(U ** 2, axis=-1),
+        entropy_grad=lambda U: -U, entropy_flux=None, max_wave_speed=None)
+
+
+def _skew_threshold(states):
+    """kappa at which the skew model's largest violation
+    |Im lambda| - tol (1 + |lambda|) reaches zero on `states`."""
+    u, w = states[:, 0], states[:, 1]
+    return TOL_HYP / np.max(np.sqrt(u ** 2 - w ** 2 / 4) - TOL_HYP * u)
+
+
+def _eigvals_oracle(d, tol=TOL_HYP):
+    """The hyperbolicity check as `eigvals` over every row of the holder's
+    flux Jacobians: the CheckResult and the per-direction |Im lambda|."""
+    rels, imags = [], []
+    for j in range(d.model.space_dim):
+        JF = d.flux_jacobian(j)
+        finite = np.all(np.isfinite(JF), axis=(-1, -2))
+        ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
+        imag = np.max(np.abs(ev.imag), axis=-1)
+        rad = np.max(np.abs(ev), axis=-1)
+        rels.append(np.where(finite, imag - tol * (1.0 + rad), np.nan))
+        imags.append(np.where(finite, imag, np.nan))
+    jworst = [np.max(rel) for rel in rels]      # a NaN is the largest
+    j = int(np.argmax(jworst))
+    worst, idx = jworst[j], int(np.argmax(rels[j]))
+    passed = bool(worst <= 0.0)
+    witness = None if passed else d.states[idx].copy()
+    return verify.CheckResult("hyperbolicity", passed, float(max(worst, 0.0)),
+                              witness, tol), imags
+
+
+@pytest.fixture
+def eigvals_rows(monkeypatch):
+    """Rows passed to np.linalg.eigvals while the fixture is active."""
+    rows = []
+    real = np.linalg.eigvals
+
+    def counting(a):
+        rows.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return rows
+
+
+class TestHyperbolicityCertificate:
+    """The symmetrizer bound against the eigvals oracle it replaces."""
+
+    def _assert_matches_oracle(self, model, states):
+        d = verify._SharedDerivatives(model, states)
+        oracle, imags = _eigvals_oracle(d)
+        fast = verify.check_hyperbolicity(model, states)
+        assert fast.to_dict() == oracle.to_dict()
+        certified = [verify._certified(d, j, TOL_HYP)
+                     for j in range(model.space_dim)]
+        for cert, imag in zip(certified, imags):
+            # the bound proves |Im lambda| <= tol/2 on a certified row
+            assert np.all(imag[cert] <= TOL_HYP / 2)
+        return fast, certified
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat_model(HeatParams()),
+        lambda: heat_model(HeatParams(space_dim=2)),
+        lambda: fluid_model(FluidParams()),
+        lambda: fluid_model(FluidParams(alpha0=1e-3, alpha1=1e-3)),
+        lambda: sign_flipped_heat_model(HeatParams()),
+        lambda: _nan_flux(heat_model(HeatParams())),
+        _elliptic_heat,
+    ], ids=["heat", "heat-2d", "fluid", "fluid-stiff", "heat-signflip",
+            "heat-nan-flux", "heat-elliptic"])
+    def test_same_result_as_oracle(self, make):
+        model = make()
+        states = verify.sample_states(model,
+                                      verify.SamplingPlan(seed=4, count=2000))
+        self._assert_matches_oracle(model, states)
+
+    @pytest.mark.parametrize("factor", [0.25, 0.5, 1 - 1e-3, 1 + 1e-3, 2.0])
+    def test_near_threshold_family(self, factor):
+        """The skew family's largest |Im lambda| crosses tol (1 + rho) at
+        factor 1; below 1/(2 sqrt 2) of that every row is certified."""
+        states = verify.sample_states(_skew_model(1.0),
+                                      verify.SamplingPlan(seed=5, count=2000))
+        model = _skew_model(factor * _skew_threshold(states))
+        fast, (cert,) = self._assert_matches_oracle(model, states)
+        assert fast.passed == (factor < 1)
+        if factor == 0.25:
+            assert np.all(cert)
+        elif factor < 1:
+            assert np.any(cert) and not np.all(cert)
+        else:
+            assert np.all(fast.witness_state == states[np.argmax(
+                np.sqrt(states[:, 0] ** 2 - states[:, 1] ** 2 / 4)
+                - TOL_HYP * states[:, 0])])
+
+    @staticmethod
+    def _random_holder(fluid, H, J):
+        """A holder of the fluid's shape carrying given H and F_0U."""
+        states = verify.sample_states(fluid,
+                                      verify.SamplingPlan(count=len(H)))
+        d = verify._SharedDerivatives(fluid, states)
+        d._hessian, d._flux_jacobians[0] = H, J
+        return d
+
+    @staticmethod
+    def _negative_definite(rng, size, n):
+        A = rng.normal(size=(size, n, n))
+        return -(A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(n))
+
+    def test_random_nonsymmetrizable_jacobians_not_certified(
+            self, fluid, eigvals_rows):
+        rng = np.random.default_rng(0)
+        H = self._negative_definite(rng, 500, fluid.n_comp)
+        J = rng.normal(size=H.shape)
+        d = self._random_holder(fluid, H, J)
+        assert not np.any(verify._certified(d, 0, TOL_HYP))
+        res = verify.check_hyperbolicity(fluid, d.states, shared=d)
+        assert eigvals_rows == [500]
+        assert res.to_dict() == _eigvals_oracle(d)[0].to_dict()
+        assert not res.passed
+
+    def test_indefinite_symmetrizer_not_certified(self, fluid):
+        """P = H . J symmetric proves nothing when H is not negative
+        definite: J = H^-1 P may have complex eigenvalues."""
+        rng = np.random.default_rng(2)
+        Q, _ = np.linalg.qr(rng.normal(size=(500, fluid.n_comp,
+                                             fluid.n_comp)))
+        H = (Q * [-1.0, -2.0, -3.0, -4.0, 1.0]) @ np.swapaxes(Q, -1, -2)
+        S = rng.normal(size=H.shape)
+        d = self._random_holder(fluid, H, np.linalg.solve(
+            H, S + np.swapaxes(S, -1, -2)))
+        assert not np.any(verify._certified(d, 0, TOL_HYP))
+        res = verify.check_hyperbolicity(fluid, d.states, shared=d)
+        assert res.to_dict() == _eigvals_oracle(d)[0].to_dict()
+        assert not res.passed
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-9, 1e-7, 1e-5])
+    def test_perturbed_symmetrizable_jacobians(self, fluid, skew):
+        """J = H^-1 (S + skew K), S symmetric and K antisymmetric: exactly
+        symmetrizable ones are all certified; a certified row never has
+        |Im lambda| > tol/2 and the verdict is the oracle's."""
+        rng = np.random.default_rng(1)
+        H = self._negative_definite(rng, 500, fluid.n_comp)
+        S, K = rng.normal(size=(2,) + H.shape)
+        P = S + np.swapaxes(S, -1, -2) + skew * (K - np.swapaxes(K, -1, -2))
+        d = self._random_holder(fluid, H, np.linalg.solve(H, P))
+        cert = verify._certified(d, 0, TOL_HYP)
+        oracle, (imag,) = _eigvals_oracle(d)
+        assert np.all(imag[cert] <= TOL_HYP / 2)
+        if skew == 0.0:
+            assert np.all(cert)
+        assert verify.check_hyperbolicity(
+            fluid, d.states, shared=d).to_dict() == oracle.to_dict()
+
+    @pytest.mark.parametrize("make, rows", [
+        (lambda: heat_model(HeatParams()), 0),
+        (lambda: heat_model(HeatParams(space_dim=2)), 0),
+        (lambda: fluid_model(FluidParams()), 0),
+        (lambda: sign_flipped_heat_model(HeatParams()), 1000),
+    ], ids=["heat", "heat-2d", "fluid", "heat-signflip"])
+    def test_eigvals_rows_in_default_audit(self, make, rows, eigvals_rows):
+        """The default audits of the built-in models certify every sample;
+        the non-concave fixture leaves every sample to eigvals."""
+        verify.run_full_audit(make(), verify.SamplingPlan())
+        assert sum(eigvals_rows) == rows
