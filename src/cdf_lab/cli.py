@@ -10,6 +10,7 @@ criterion failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import sys
@@ -25,10 +26,6 @@ from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
 from .solver import Grid1D, ModelAuditError, Scenario
 
-COMMANDS = ("run", "verify", "converge", "powerlaw")
-MODELS = ("heat", "fluid", "heat-signflip")
-PRESETS = ("sine", "gaussian-pulse", "riemann", "fns-sine")
-
 EXIT_OK = 0
 EXIT_SCIENTIFIC = 1
 EXIT_CONFIG = 2
@@ -43,57 +40,143 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-def _check_keys(section: dict, allowed, where: str):
-    unknown = set(section) - set(allowed)
+# model -> its parameter keys (each a required positive number), its state
+# components as named in the snapshot CSVs, its builder from the params,
+# and the lift of a scalar profile value into a state for the presets
+_HEAT = dict(params=("c_v", "lambda_", "alpha0"), columns=("u", "w"),
+             build=lambda p: heat_model(HeatParams(**p)),
+             lift=lambda u: np.array([u, 0.0]))
+_MODELS = {
+    "heat": _HEAT,
+    "heat-signflip": {
+        **_HEAT, "build": lambda p: sign_flipped_heat_model(HeatParams(**p))},
+    "fluid": dict(params=("R", "c_v", "alpha0", "alpha1", "lambda_", "kappa_"),
+                  columns=("rho", "mom", "erg", "rw", "rC"),
+                  build=lambda p: fluid_model(FluidParams(**p)),
+                  lift=lambda u: conserved_from_primitive(u, 0, 1, 0, 0)),
+}
+MODELS = tuple(_MODELS)
+
+# A section table maps each key to (default, check, description); the
+# default may instead be _REQUIRED, or _OPTIONAL (left out when absent).
+_REQUIRED = object()
+_OPTIONAL = object()
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number; booleans are not numbers."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _integer(low):
+    return (lambda v: type(v) is int and v >= low, f"an integer >= {low}")
+
+
+_NUMBER = (_is_number, "a number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+            "a list of numbers")
+_INTERVAL = (lambda v: _NUMBERS[0](v) and len(v) == 2 and v[0] < v[1],
+             "a [low, high] pair of numbers with low < high")
+
+_SCENARIO = {
+    "n_cells": (_REQUIRED, *_integer(4)),
+    "t_end": (_REQUIRED, *_POSITIVE),
+    "x_min": (0.0, *_NUMBER),
+    "x_max": (1.0, *_NUMBER),
+    "boundary": ("periodic", lambda v: v in solver.BOUNDARY_KINDS,
+                 f"one of {solver.BOUNDARY_KINDS}"),
+    "cfl": (0.45, lambda v: _is_number(v) and 0.0 < v < 1.0,
+            "a number in (0, 1)"),
+    "initial": ({"preset": "sine"}, *_OBJECT),
+    "output_every": (_OPTIONAL, *_POSITIVE),
+    "left_state": (_OPTIONAL, *_NUMBERS),
+    "right_state": (_OPTIONAL, *_NUMBERS),
+}
+
+# preset -> (keys of scenario.initial besides 'preset', the scalar profile
+# u(initial, grid, x) that the model's lift makes a state; fns-sine has none)
+_PRESETS = {
+    "sine": ({"amplitude": (0.1, *_NUMBER)},
+             lambda i, g, x: 1.0 + i["amplitude"] * np.sin(
+                 2.0 * np.pi * (x - g.x_min) / (g.x_max - g.x_min))),
+    "gaussian-pulse": ({"amplitude": (0.1, *_NUMBER),
+                        "center": (0.5, *_NUMBER),
+                        "width": (0.1, *_POSITIVE)},
+                       lambda i, g, x: 1.0 + i["amplitude"] * np.exp(
+                           -((x - i["center"]) / i["width"]) ** 2)),
+    "riemann": ({"left": (1.5, *_NUMBER), "right": (1.0, *_NUMBER),
+                 "center": (0.5, *_NUMBER)},
+                lambda i, g, x: i["left"] if x < i["center"] else i["right"]),
+    "fns-sine": ({"amplitude": (0.05, *_NUMBER)}, None),
+}
+PRESETS = tuple(_PRESETS)
+
+_VERIFY = {
+    "count": (2000, *_integer(1)),
+    "box": (None, lambda v: v is None or isinstance(v, list) and all(
+        map(_INTERVAL[0], v)), "null or a list of [low, high] pairs"),
+    "tolerances": ({}, *_OBJECT),
+}
+
+_TOLERANCES = {name: (tol, *_POSITIVE)
+               for name, tol in verify.DEFAULT_TOLERANCES.items()}
+
+_CONVERGE = {
+    "alpha0_values": ([1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
+                      lambda v: _NUMBERS[0](v) and len(v) >= 3 and min(v) > 0,
+                      "a list of >= 3 positive numbers"),
+    "n_cells": (512, *_integer(4)),
+    "t_end": (0.1, *_POSITIVE),
+    "amplitude": (0.1, *_POSITIVE),
+    "slope_band": ([0.8, 1.5], *_INTERVAL),
+}
+
+_POWERLAW = {
+    "mu0": (_REQUIRED, *_POSITIVE),
+    "alpha": (_REQUIRED, lambda v: _is_number(v) and v < 1.0,
+              "a number < 1"),
+    "gamma_dot_min": (1e-3, *_POSITIVE),
+    "gamma_dot_max": (1e3, *_POSITIVE),
+    "n_points": (25, *_integer(3)),
+    "max_gap": (1e-8, *_POSITIVE),
+}
+
+# command -> the config section it reads and that section's table
+_SECTIONS = {"run": ("scenario", _SCENARIO), "verify": ("verify", _VERIFY),
+             "converge": ("converge", _CONVERGE),
+             "powerlaw": ("powerlaw", _POWERLAW)}
+COMMANDS = tuple(_SECTIONS)
+
+_CONFIG = {
+    "command": (_OPTIONAL, lambda v: v in COMMANDS, f"one of {COMMANDS}"),
+    "model": (_REQUIRED, lambda v: v in MODELS, f"one of {MODELS}"),
+    "params": ({}, *_OBJECT),
+    "seed": (0, *_integer(0)),
+    "output_dir": ("out", lambda v: isinstance(v, str), "a string"),
+    **{name: ({}, *_OBJECT) for name, _ in _SECTIONS.values()},
+}
+
+
+def _section(raw: dict, table: dict, where: str) -> dict:
+    """Check the object `raw` against `table`: reject unknown keys and
+    missing required ones, check every present value, fill defaults.
+    Present values are kept as given."""
+    unknown = set(raw) - set(table)
     _require(not unknown,
-             f"unknown key(s) {sorted(unknown)} in '{where}'")
-
-
-def _positive(section, key, where):
-    v = section[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-             and v > 0, f"'{where}.{key}' must be a positive number")
-    return float(v)
-
-
-_MODEL_PARAM_KEYS = {
-    "heat": ("c_v", "lambda_", "alpha0"),
-    "heat-signflip": ("c_v", "lambda_", "alpha0"),
-    "fluid": ("R", "c_v", "alpha0", "alpha1", "lambda_", "kappa_"),
-}
-
-_SCENARIO_DEFAULTS = {
-    "x_min": 0.0,
-    "x_max": 1.0,
-    "boundary": "periodic",
-    "cfl": 0.45,
-    "initial": {"preset": "sine", "amplitude": 0.1},
-}
-
-_INITIAL_DEFAULTS = {
-    "sine": {"amplitude": 0.1},
-    "gaussian-pulse": {"amplitude": 0.1, "center": 0.5, "width": 0.1},
-    "riemann": {"left": 1.5, "right": 1.0, "center": 0.5},
-    "fns-sine": {"amplitude": 0.05},
-}
-
-_VERIFY_DEFAULTS = {"count": 2000, "box": None,
-                    "tolerances": dict(verify.DEFAULT_TOLERANCES)}
-
-_CONVERGE_DEFAULTS = {
-    "alpha0_values": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
-    "n_cells": 512,
-    "t_end": 0.1,
-    "amplitude": 0.1,
-    "slope_band": [0.8, 1.5],
-}
-
-_POWERLAW_DEFAULTS = {
-    "gamma_dot_min": 1e-3,
-    "gamma_dot_max": 1e3,
-    "n_points": 25,
-    "max_gap": 1e-8,
-}
+             f"unknown key(s) {sorted(unknown)} in '{where or 'config'}'")
+    out = {}
+    for key, (default, check, what) in table.items():
+        name = f"{where}.{key}" if where else key
+        if key in raw:
+            _require(check(raw[key]), f"'{name}' must be {what}")
+            out[key] = raw[key]
+        else:
+            _require(default is not _REQUIRED, f"missing required '{name}'")
+            if default is not _OPTIONAL:
+                out[key] = copy.deepcopy(default)
+    return out
 
 
 def parse_config(text: str, command: str | None = None) -> dict:
@@ -103,158 +186,47 @@ def parse_config(text: str, command: str | None = None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
-    _check_keys(raw, ("command", "model", "params", "scenario", "verify",
-                      "converge", "powerlaw", "output_dir", "seed"),
-                "config")
-
-    cfg: dict = {}
-    cmd = raw.get("command", command)
+    top = _section(raw, _CONFIG, "")
+    cmd = top.get("command", command)
     _require(cmd in COMMANDS, f"'command' must be one of {COMMANDS}")
-    if command is not None and "command" in raw:
-        _require(raw["command"] == command,
-                 f"config command '{raw['command']}' does not match "
-                 f"invoked command '{command}'")
-    cfg["command"] = cmd
-
-    model = raw.get("model")
-    _require(model in MODELS, f"'model' must be one of {MODELS}")
-    cfg["model"] = model
-
-    params = raw.get("params", {})
-    _require(isinstance(params, dict), "'params' must be an object")
-    keys = _MODEL_PARAM_KEYS[model]
-    _check_keys(params, keys, "params")
-    for key in keys:
-        _require(key in params, f"missing required parameter 'params.{key}'")
-        _positive(params, key, "params")
-    cfg["params"] = {k: float(params[k]) for k in keys}
-
-    cfg["seed"] = raw.get("seed", 0)
-    _require(isinstance(cfg["seed"], int) and not isinstance(cfg["seed"], bool),
-             "'seed' must be an integer")
-    cfg["output_dir"] = raw.get("output_dir", "out")
-    _require(isinstance(cfg["output_dir"], str),
-             "'output_dir' must be a string")
-
+    _require(command in (None, cmd), f"config command '{cmd}' does not "
+             f"match invoked command '{command}'")
+    model = top["model"]
+    params = _section(top["params"], dict.fromkeys(
+        _MODELS[model]["params"], (_REQUIRED, *_POSITIVE)), "params")
+    cfg = {"command": cmd, "model": model,
+           "params": {k: float(v) for k, v in params.items()},
+           "seed": top["seed"], "output_dir": top["output_dir"]}
+    name, table = _SECTIONS[cmd]
+    sec = cfg[name] = _section(top[name], table, name)
     if cmd == "run":
-        cfg["scenario"] = _parse_scenario(raw.get("scenario"))
+        _require(sec["x_max"] > sec["x_min"],
+                 "'scenario.x_max' must exceed 'scenario.x_min'")
+        sec.setdefault("output_every", float(sec["t_end"]))
+        _require(sec["boundary"] != "fixed-state"
+                 or ("left_state" in sec and "right_state" in sec),
+                 "fixed-state boundary needs scenario.left_state and "
+                 "scenario.right_state")
+        init = dict(sec["initial"])
+        preset = init.pop("preset", None)
+        _require(preset in PRESETS,
+                 f"'scenario.initial.preset' must be one of {PRESETS}")
+        _require(preset != "fns-sine" or model == "fluid",
+                 "'fns-sine' preset needs the fluid model")
+        sec["initial"] = {**_section(init, _PRESETS[preset][0],
+                                     "scenario.initial"), "preset": preset}
     elif cmd == "verify":
-        cfg["verify"] = _parse_verify(raw.get("verify", {}), cfg["seed"])
+        tols = _section(sec["tolerances"], _TOLERANCES, "verify.tolerances")
+        sec["tolerances"] = {k: float(t) for k, t in tols.items()}
+        sec["seed"] = cfg["seed"]
     elif cmd == "converge":
         _require(model == "heat", "'converge' supports the heat model only")
-        cfg["converge"] = _parse_converge(raw.get("converge", {}))
-    elif cmd == "powerlaw":
+    else:
         _require(model == "fluid", "'powerlaw' needs the fluid model")
-        cfg["powerlaw"] = _parse_powerlaw(raw.get("powerlaw", {}))
+        _require(sec["gamma_dot_max"] > sec["gamma_dot_min"],
+                 "'powerlaw.gamma_dot_max' must exceed "
+                 "'powerlaw.gamma_dot_min'")
     return cfg
-
-
-def _parse_scenario(section) -> dict:
-    _require(isinstance(section, dict), "'scenario' section is required")
-    allowed = ("n_cells", "x_min", "x_max", "initial", "boundary", "cfl",
-               "t_end", "output_every", "left_state", "right_state")
-    _check_keys(section, allowed, "scenario")
-    out = dict(_SCENARIO_DEFAULTS)
-    out.update(section)
-    _require("n_cells" in section, "missing required 'scenario.n_cells'")
-    _require(isinstance(out["n_cells"], int) and out["n_cells"] >= 4,
-             "'scenario.n_cells' must be an integer >= 4")
-    _require("t_end" in section, "missing required 'scenario.t_end'")
-    _positive(out, "t_end", "scenario")
-    _require(float(out["x_max"]) > float(out["x_min"]),
-             "'scenario.x_max' must exceed 'scenario.x_min'")
-    _require(isinstance(out["cfl"], (int, float))
-             and 0.0 < out["cfl"] < 1.0, "cfl must lie in (0,1)")
-    _require(out["boundary"] in solver.BOUNDARY_KINDS,
-             f"'scenario.boundary' must be one of {solver.BOUNDARY_KINDS}")
-    out.setdefault("output_every", float(out["t_end"]))
-    _positive(out, "output_every", "scenario")
-    for key in ("left_state", "right_state"):
-        if key in section:
-            v = section[key]
-            _require(isinstance(v, list) and all(
-                isinstance(c, (int, float)) and not isinstance(c, bool)
-                for c in v), f"'scenario.{key}' must be a list of numbers")
-    _require(out["boundary"] != "fixed-state"
-             or ("left_state" in section and "right_state" in section),
-             "fixed-state boundary needs scenario.left_state and "
-             "scenario.right_state")
-
-    init = out["initial"]
-    _require(isinstance(init, dict) and "preset" in init,
-             "'scenario.initial' must be an object with a 'preset'")
-    preset = init["preset"]
-    _require(preset in PRESETS,
-             f"'scenario.initial.preset' must be one of {PRESETS}")
-    merged = dict(_INITIAL_DEFAULTS[preset])
-    _check_keys(init, set(merged) | {"preset"}, "scenario.initial")
-    merged.update({k: v for k, v in init.items() if k != "preset"})
-    merged["preset"] = preset
-    out["initial"] = merged
-    return out
-
-
-def _parse_verify(section, seed) -> dict:
-    _require(isinstance(section, dict), "'verify' must be an object")
-    _check_keys(section, ("count", "box", "tolerances"), "verify")
-    out = {"count": section.get("count", _VERIFY_DEFAULTS["count"]),
-           "box": section.get("box"),
-           "tolerances": dict(_VERIFY_DEFAULTS["tolerances"]),
-           "seed": seed}
-    _require(isinstance(out["count"], int) and out["count"] >= 1,
-             "'verify.count' must be a positive integer")
-    tols = section.get("tolerances", {})
-    _require(isinstance(tols, dict), "'verify.tolerances' must be an object")
-    _check_keys(tols, verify.CHECK_NAMES, "verify.tolerances")
-    for k, v in tols.items():
-        _require(isinstance(v, (int, float)) and v > 0,
-                 f"'verify.tolerances.{k}' must be positive")
-        out["tolerances"][k] = float(v)
-    if out["box"] is not None:
-        box = out["box"]
-        _require(isinstance(box, list)
-                 and all(isinstance(r, list) and len(r) == 2 for r in box),
-                 "'verify.box' must be a list of [low, high] pairs")
-    return out
-
-
-def _parse_converge(section) -> dict:
-    _require(isinstance(section, dict), "'converge' must be an object")
-    _check_keys(section, tuple(_CONVERGE_DEFAULTS), "converge")
-    out = dict(_CONVERGE_DEFAULTS)
-    out.update(section)
-    vals = out["alpha0_values"]
-    _require(isinstance(vals, list) and len(vals) >= 3
-             and all(isinstance(v, (int, float)) and v > 0 for v in vals),
-             "'converge.alpha0_values' needs >= 3 positive numbers")
-    _require(isinstance(out["n_cells"], int) and out["n_cells"] >= 4,
-             "'converge.n_cells' must be an integer >= 4")
-    _positive(out, "t_end", "converge")
-    _positive(out, "amplitude", "converge")
-    band = out["slope_band"]
-    _require(isinstance(band, list) and len(band) == 2
-             and band[0] < band[1], "'converge.slope_band' must be [lo, hi]")
-    return out
-
-
-def _parse_powerlaw(section) -> dict:
-    _require(isinstance(section, dict), "'powerlaw' must be an object")
-    allowed = ("mu0", "alpha") + tuple(_POWERLAW_DEFAULTS)
-    _check_keys(section, allowed, "powerlaw")
-    _require("mu0" in section, "missing required 'powerlaw.mu0'")
-    _require("alpha" in section, "missing required 'powerlaw.alpha'")
-    out = dict(_POWERLAW_DEFAULTS)
-    out.update(section)
-    _positive(out, "mu0", "powerlaw")
-    _require(isinstance(out["alpha"], (int, float)) and out["alpha"] < 1.0,
-             "'powerlaw.alpha' must be a number < 1")
-    _require(isinstance(out["n_points"], int) and out["n_points"] >= 3,
-             "'powerlaw.n_points' must be an integer >= 3")
-    _positive(out, "gamma_dot_min", "powerlaw")
-    _positive(out, "gamma_dot_max", "powerlaw")
-    _require(out["gamma_dot_max"] > out["gamma_dot_min"],
-             "'powerlaw.gamma_dot_max' must exceed gamma_dot_min")
-    return out
 
 
 def config_hash(cfg: dict) -> str:
@@ -263,48 +235,18 @@ def config_hash(cfg: dict) -> str:
 
 
 def build_model(cfg: dict) -> CdfModel:
-    p = cfg["params"]
-    if cfg["model"] == "heat":
-        return heat_model(HeatParams(**p))
-    if cfg["model"] == "heat-signflip":
-        return sign_flipped_heat_model(HeatParams(**p))
-    return fluid_model(FluidParams(**p))
+    return _MODELS[cfg["model"]]["build"](cfg["params"])
 
 
-def _initial_condition(cfg: dict, model: CdfModel, grid: Grid1D):
+def _initial_condition(cfg: dict, grid: Grid1D):
     init = cfg["scenario"]["initial"]
-    preset = init["preset"]
-    length = grid.x_max - grid.x_min
-    is_fluid = cfg["model"] == "fluid"
-
-    def lift(u_val):
-        # embed a scalar profile into the model state
-        if is_fluid:
-            return conserved_from_primitive(u_val, 0.0, 1.0, 0.0, 0.0)
-        return np.concatenate([[u_val], np.zeros(model.n_dissipative)])
-
-    if preset == "sine":
-        def ic(x):
-            phase = 2.0 * np.pi * (x - grid.x_min) / length
-            return lift(1.0 + init["amplitude"] * np.sin(phase))
-        return ic
-    if preset == "gaussian-pulse":
-        def ic(x):
-            bump = init["amplitude"] * np.exp(
-                -((x - init["center"]) / init["width"]) ** 2)
-            return lift(1.0 + bump)
-        return ic
-    if preset == "riemann":
-        def ic(x):
-            return lift(init["left"] if x < init["center"]
-                        else init["right"])
-        return ic
-    if preset == "fns-sine":
-        _require(is_fluid, "'fns-sine' preset needs the fluid model")
+    if init["preset"] == "fns-sine":
         return fns_sine_initial_condition(
             FluidParams(**cfg["params"]), grid.x_min, grid.x_max,
             init["amplitude"])
-    raise ConfigError(f"unhandled preset '{preset}'")
+    profile = _PRESETS[init["preset"]][1]
+    lift = _MODELS[cfg["model"]]["lift"]
+    return lambda x: lift(profile(init, grid, x))
 
 
 def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
@@ -316,13 +258,6 @@ def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-_COMPONENT_NAMES = {
-    "heat": ["u", "w"],
-    "heat-signflip": ["u", "w"],
-    "fluid": ["rho", "mom", "erg", "rw", "rC"],
-}
-
-
 def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     model = build_model(cfg)
     sc_cfg = cfg["scenario"]
@@ -330,7 +265,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
                   float(sc_cfg["x_max"]))
     scenario = Scenario(
         model=model, grid=grid,
-        initial_condition=_initial_condition(cfg, model, grid),
+        initial_condition=_initial_condition(cfg, grid),
         boundary=sc_cfg["boundary"], cfl=float(sc_cfg["cfl"]),
         t_end=float(sc_cfg["t_end"]),
         output_every=float(sc_cfg["output_every"]),
@@ -354,8 +289,8 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
 
     h = config_hash(cfg)
     x = grid.centers()
-    header = ",".join(["x"] + _COMPONENT_NAMES[cfg["model"]]
-                      + ["theta", "q", "tau", "sigma"])
+    header = ",".join(["x", *_MODELS[cfg["model"]]["columns"],
+                       "theta", "q", "tau", "sigma"])
     for k, snap in enumerate(traj.snapshots):
         if model.derived is not None:
             d = model.derived(snap)
@@ -399,8 +334,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
     model = build_model(cfg)
     v = cfg["verify"]
-    box = None if v["box"] is None else np.asarray(v["box"], dtype=float)
-    plan = verify.SamplingPlan(seed=v["seed"], count=v["count"], box=box)
+    plan = verify.SamplingPlan(seed=v["seed"], count=v["count"], box=v["box"])
     try:
         report = verify.run_full_audit(model, plan, v["tolerances"])
     except verify.SamplingError as exc:
@@ -446,16 +380,15 @@ def cmd_powerlaw(cfg: dict, out_dir: Path) -> int:
     gdots = np.geomspace(pl["gamma_dot_min"], pl["gamma_dot_max"],
                          pl["n_points"])
     rows = []
-    worst = 0.0
     for g in gdots:
         t_cf = powerlaw_stress(p, g)
         t_fp = powerlaw_stress_fixed_point(p, g)
-        gap = abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)
-        worst = max(worst, gap)
-        rows.append((g, t_cf, t_fp, gap))
+        rows.append((g, t_cf, t_fp, abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)))
+    rows = np.asarray(rows)
     _write_csv(out_dir / "powerlaw.csv",
                "gamma_dot,tau_closed_form,tau_fixed_point,relative_gap",
-               np.asarray(rows), config_hash(cfg))
+               rows, config_hash(cfg))
+    worst = np.max(rows[:, 3])
     ok = worst <= pl["max_gap"]
     print(f"max closed-form vs fixed-point gap {worst:.3e} "
           f"({'<=' if ok else '>'} {pl['max_gap']:.1e})")
@@ -480,12 +413,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(text, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = Path(args.out or cfg["output_dir"])
-    try:
+        out_dir = Path(args.out or cfg["output_dir"])
         if cfg["command"] == "run":
             return cmd_run(cfg, out_dir, args.override_audit)
         if cfg["command"] == "verify":

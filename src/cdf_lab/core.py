@@ -141,19 +141,19 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.stack(cols, axis=-1)
 
 
-def entropy_gradient(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
+def entropy_gradient(model: CdfModel, U) -> np.ndarray:
     """Gradient of the entropy, ordered (eta_u, eta_v).
 
     Uses the model's closed form when available, otherwise central
-    differences with relative step `fd_step`.
+    differences with relative step `FD_STEP`.
     """
     x = require_admissible(model, U)
     if model.entropy_grad is not None:
         return np.asarray(model.entropy_grad(x), dtype=float)
-    return fd_gradient(model.entropy, x, fd_step)
+    return fd_gradient(model.entropy, x)
 
 
-def entropy_hessian(model: CdfModel, U, fd_step: float = FD_STEP,
+def entropy_hessian(model: CdfModel, U,
                     scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Symmetrized entropy Hessian.
 
@@ -164,22 +164,22 @@ def entropy_hessian(model: CdfModel, U, fd_step: float = FD_STEP,
     """
     x = require_admissible(model, U)
     if model.entropy_grad is not None:
-        H = fd_jacobian(model.entropy_grad, x, fd_step, scale)
+        H = fd_jacobian(model.entropy_grad, x, scale=scale)
     else:
         H = fd_jacobian(
-            lambda y: fd_gradient(model.entropy, y, fd_step, scale),
+            lambda y: fd_gradient(model.entropy, y, scale=scale),
             x, float(np.finfo(float).eps) ** 0.25, scale)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def source(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
+def source(model: CdfModel, U) -> np.ndarray:
     """Source Q(U) = (0, M(U) . eta_v): zeros on the conserved block."""
     x = as_state_array(U)
     if model.source_fn is not None:
         return np.asarray(model.source_fn(require_admissible(model, x)),
                           dtype=float)
     n = model.n_conserved
-    g = entropy_gradient(model, x, fd_step)   # checks x
+    g = entropy_gradient(model, x)   # checks x
     M = np.asarray(model.dissipation_matrix(x), dtype=float)
     q = np.einsum("...ij,...j->...i", M, g[..., n:])
     out = np.zeros_like(x)
@@ -187,11 +187,11 @@ def source(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
     return out
 
 
-def entropy_production(model: CdfModel, U, fd_step: float = FD_STEP) -> np.ndarray:
+def entropy_production(model: CdfModel, U) -> np.ndarray:
     """sigma = eta_v . M(U) . eta_v, nonnegative for positive-definite M."""
     x = as_state_array(U)
     n = model.n_conserved
-    gv = entropy_gradient(model, x, fd_step)[..., n:]   # checks x
+    gv = entropy_gradient(model, x)[..., n:]   # checks x
     M = np.asarray(model.dissipation_matrix(x), dtype=float)
     return np.einsum("...i,...ij,...j->...", gv, M, gv)
 

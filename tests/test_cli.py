@@ -389,3 +389,186 @@ class TestPowerlawCommand:
         assert len(rows) == 2 + 11
         gaps = np.array([float(r.split(",")[-1]) for r in rows[2:]])
         assert np.max(gaps) <= 1e-8
+
+    def test_nan_gap_fails(self, tmp_path, monkeypatch, capsys):
+        """A NaN relative gap is a failed cross-check, not a skipped one."""
+        real = cli.powerlaw_stress_fixed_point
+
+        def nan_at_one(p, g):
+            return np.nan if g == 1.0 else real(p, g)
+
+        monkeypatch.setattr(cli, "powerlaw_stress_fixed_point", nan_at_one)
+        payload = {"command": "powerlaw", "model": "fluid",
+                   "params": dict(FLUID_PARAMS),
+                   "powerlaw": {"mu0": 2.0, "alpha": 0.5, "n_points": 3,
+                                "gamma_dot_min": 0.1, "gamma_dot_max": 10}}
+        rc = cli.main(["powerlaw", "--config", _cfg(tmp_path, payload),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "gap nan" in capsys.readouterr().out
+
+
+def _small_run(**scenario):
+    return {"command": "run", "model": "heat", "params": dict(HEAT_PARAMS),
+            "scenario": {"n_cells": 16, "t_end": 0.01, **scenario}}
+
+
+def _small_converge(**section):
+    return {"command": "converge", "model": "heat",
+            "params": dict(HEAT_PARAMS),
+            "converge": {"alpha0_values": [1e-1, 3e-2, 1e-2], "n_cells": 16,
+                         "t_end": 0.01, **section}}
+
+
+def _small_powerlaw(**section):
+    return {"command": "powerlaw", "model": "fluid",
+            "params": dict(FLUID_PARAMS),
+            "powerlaw": {"mu0": 1.0, "alpha": 0.5, "n_points": 3, **section}}
+
+
+def _verify_box(model, params):
+    return {"command": "verify", "model": model, "params": dict(params),
+            "verify": {"count": 50, "box": [[0.5, 2.0], [-0.5, 0.5],
+                                            [0.5, 2.0]]}}
+
+
+MALFORMED = {
+    "x_max-string": (_small_run(x_max="abc"),
+                     "config error: 'scenario.x_max' must be a number"),
+    "x_max-numeric-string": (_small_run(x_max="2.0"),
+                             "config error: 'scenario.x_max' must be a "
+                             "number"),
+    "x_min-null": (_small_run(x_min=None),
+                   "config error: 'scenario.x_min' must be a number"),
+    "amplitude-string": (
+        _small_run(initial={"preset": "sine", "amplitude": "x"}),
+        "config error: 'scenario.initial.amplitude' must be a number"),
+    "amplitude-null": (
+        _small_run(initial={"preset": "sine", "amplitude": None}),
+        "config error: 'scenario.initial.amplitude' must be a number"),
+    "width-zero": (
+        _small_run(initial={"preset": "gaussian-pulse", "width": 0}),
+        "config error: 'scenario.initial.width' must be a positive number"),
+    "width-negative": (
+        _small_run(initial={"preset": "gaussian-pulse", "width": -0.1}),
+        "config error: 'scenario.initial.width' must be a positive number"),
+    "max_gap-string": (_small_powerlaw(max_gap="big"),
+                       "config error: 'powerlaw.max_gap' must be a positive "
+                       "number"),
+    "max_gap-negative": (_small_powerlaw(max_gap=-1),
+                         "config error: 'powerlaw.max_gap' must be a "
+                         "positive number"),
+    "slope_band-strings": (_small_converge(slope_band=["a", "b"]),
+                           "config error: 'converge.slope_band' must be a "
+                           "[low, high] pair of numbers with low < high"),
+    "alpha0_values-bool": (
+        _small_converge(alpha0_values=[1e-1, True, 1e-2]),
+        "config error: 'converge.alpha0_values' must be a list of >= 3 "
+        "positive numbers"),
+    "verify-heat-3-rows": (_verify_box("heat", HEAT_PARAMS),
+                           "sampling: the box has 3 rows; model 'heat' has "
+                           "2 components"),
+    "verify-fluid-3-rows": (_verify_box("fluid", FLUID_PARAMS),
+                            "sampling: the box has 3 rows; model 'fluid' "
+                            "has 5 components"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_is_one_line_exit_2(tmp_path, capsys, name):
+    """A malformed config ends in exit 2 with one classified stderr line,
+    before any work starts and without writing any file."""
+    payload, message = MALFORMED[name]
+    out = tmp_path / "out"
+    rc = cli.main([payload["command"], "--config", _cfg(tmp_path, payload),
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# config_hash(parse_config(...)) of valid configs: every command, preset and
+# boundary kind, integer values where floats are usual, and sections that a
+# command ignores.  Each hash stamps that config's outputs as config_sha256,
+# so a change to how configs are read must leave these values unchanged.
+HASH_CORPUS = [
+    ("run", {"command": "run", "model": "heat", "params": HEAT_PARAMS,
+             "scenario": {"n_cells": 64, "t_end": 0.05}},
+     "f12bff254ef4134ab557273886a0c82a1170da8c8f9792591a2b8f0797a80f58"),
+    ("run", {"command": "run", "model": "heat",
+             "params": {"c_v": 2, "lambda_": 1, "alpha0": 0.1},
+             "seed": 3, "output_dir": "o", "verify": {"count": 5},
+             "scenario": {"n_cells": 32, "t_end": 1, "x_min": 0, "x_max": 2,
+                          "cfl": 0.3, "output_every": 0.5,
+                          "boundary": "periodic",
+                          "initial": {"preset": "sine", "amplitude": 0.2}}},
+     "d978f2f61c7ac812cb4605a6104974063bc597485332e01ba7fbe08ce0e15f3e"),
+    ("run", {"model": "heat", "params": HEAT_PARAMS,
+             "scenario": {"n_cells": 96, "t_end": 0.1,
+                          "boundary": "zero-gradient",
+                          "initial": {"preset": "gaussian-pulse"}}},
+     "e214033bbce5c1f5724418c0466f51fbfbc0cf0136a95c729a02f33bdbd665fe"),
+    ("run", {"command": "run", "model": "heat", "params": HEAT_PARAMS,
+             "scenario": {"n_cells": 128, "t_end": 0.3,
+                          "boundary": "fixed-state",
+                          "initial": {"preset": "riemann", "left": 2.0,
+                                      "right": 1, "center": 0.4},
+                          "left_state": [2.0, 0],
+                          "right_state": [1.0, 0.0]}},
+     "d18d5025c8845c127522989826aa1fdf17906355a8799e5842633403b6a76f83"),
+    ("run", {"command": "run", "model": "fluid", "params": FLUID_PARAMS,
+             "scenario": {"n_cells": 64, "t_end": 0.01, "x_max": 2.0,
+                          "initial": {"preset": "fns-sine",
+                                      "amplitude": 0.05}}},
+     "dbc6e227bb7754e96481069d7fc96e45b19ab290353e5af3764e288a3e5a1306"),
+    ("run", {"command": "run", "model": "fluid", "params": FLUID_PARAMS,
+             "scenario": {"n_cells": 16, "t_end": 0.01,
+                          "boundary": "zero-gradient",
+                          "initial": {"preset": "riemann", "right": 1.2}}},
+     "2cba51b971e3acada2c33bb49cd029f48118967ad396922a0e6bc5c6594c35ab"),
+    ("run", {"model": "heat-signflip", "params": HEAT_PARAMS,
+             "scenario": {"n_cells": 8, "t_end": 1,
+                          "initial": {"preset": "gaussian-pulse",
+                                      "amplitude": -0.05, "center": 0.25,
+                                      "width": 0.2}}},
+     "99c489bb43b91b03b4bb80566e6e296db78a2ef48d5fe79a5f06004606e0e225"),
+    ("verify", {"command": "verify", "model": "heat", "params": HEAT_PARAMS},
+     "d36845073e414d7637e6c0f71e75e72336f65caa81e9c27d128cd1a65970409a"),
+    ("verify", {"command": "verify", "model": "fluid", "params": FLUID_PARAMS,
+                "seed": 7,
+                "verify": {"count": 300,
+                           "box": [[0.5, 2], [-1, 1], [0.5, 2], [-0.5, 0.5],
+                                   [-0.5, 0.5]],
+                           "tolerances": {"concavity": 1e-9,
+                                          "hyperbolicity": 1}}},
+     "49a1be05ab7d27cabe32b6322be188152610a10b4862b1d9715cca90267b8834"),
+    ("verify", {"model": "heat-signflip", "params": HEAT_PARAMS, "seed": 12,
+                "verify": {"count": 20000, "box": None}},
+     "a32125b516f9dc02bd12fef958463f3e8be0bde9afd21becb499511d6b831a00"),
+    ("converge", {"command": "converge", "model": "heat",
+                  "params": HEAT_PARAMS},
+     "9d3365692378c831174fc9af115201ff7aeb0af8fdbdb8c57d865c9b3c240f86"),
+    ("converge", {"command": "converge", "model": "heat",
+                  "params": HEAT_PARAMS,
+                  "converge": {"alpha0_values": [1e-1, 3e-2, 1e-2],
+                               "n_cells": 128, "t_end": 0.05,
+                               "amplitude": 0.2, "slope_band": [0.2, 2]}},
+     "d586cce25fa7adf26a14acb2ea6f7577c2028fe0fcfe0a073c51a968e710cd4a"),
+    ("powerlaw", {"command": "powerlaw", "model": "fluid",
+                  "params": FLUID_PARAMS,
+                  "powerlaw": {"mu0": 2.0, "alpha": 0.5}},
+     "9b3a6767a60ee48de75ebbee0c580a17c98b869ba314dcf9a07c1e96a4c4e105"),
+    ("powerlaw", {"model": "fluid", "params": FLUID_PARAMS,
+                  "powerlaw": {"mu0": 1, "alpha": -1, "gamma_dot_min": 0.01,
+                               "gamma_dot_max": 100, "n_points": 11,
+                               "max_gap": 1e-6}},
+     "7c8006c51b156e2406255135666a2e1e1eee620966a03b38cffd060a5d61f326"),
+]
+
+
+@pytest.mark.parametrize("command,payload,expected", HASH_CORPUS)
+def test_config_hash_pinned(command, payload, expected):
+    cfg = cli.parse_config(json.dumps(payload), command)
+    assert cli.config_hash(cfg) == expected

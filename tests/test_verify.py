@@ -74,6 +74,15 @@ class TestSamplingPlan:
         with pytest.raises(verify.SamplingError):
             verify.sample_states(naked, verify.SamplingPlan(count=10))
 
+    @pytest.mark.parametrize("make", [heat_model, fluid_model])
+    def test_box_row_count_must_match_components(self, make):
+        """A box needs one row per state component (2 heat, 5 fluid)."""
+        model = make(HeatParams() if make is heat_model else FluidParams())
+        box = [[0.5, 2.0], [-0.5, 0.5], [0.5, 2.0]]
+        with pytest.raises(verify.SamplingError, match="3 rows"):
+            verify.sample_states(model,
+                                 verify.SamplingPlan(count=10, box=box))
+
 
 class TestFullAudit:
     def test_heat_passes(self, heat):
@@ -215,6 +224,36 @@ class TestEngineeredFailures:
             wrong, verify.sample_states(wrong, verify.SamplingPlan(count=100)))
         assert not res.passed
         assert res.witness_state is not None
+
+    def test_source_without_source_fn_is_not_reassembled(self, heat,
+                                                         monkeypatch):
+        """Without `source_fn`, core.source is (0, M . eta_v) by
+        construction, so the check compares only the decay rates."""
+        def fail(*args, **kwargs):
+            raise AssertionError("core.source called")
+
+        monkeypatch.setattr(verify.core, "source", fail)
+        states = verify.sample_states(heat, verify.SamplingPlan(count=100))
+        assert verify.check_source_consistency(heat, states).passed
+        rates = heat.source_decay_rates
+        bad_rates = dataclasses.replace(
+            heat, source_decay_rates=lambda U: 2.0 * rates(U))
+        assert not verify.check_source_consistency(bad_rates, states).passed
+
+    def test_non_finite_expected_source_fails(self, heat):
+        """A NaN M . eta_v fails the check even when nothing is compared
+        with it (no `source_fn`, no decay rates)."""
+        def nan_M(U):
+            M = heat.dissipation_matrix(U).copy()
+            M[U[..., 0] > 1.9] = np.nan
+            return M
+
+        model = dataclasses.replace(heat, dissipation_matrix=nan_M,
+                                    source_decay_rates=None)
+        states = verify.sample_states(model, verify.SamplingPlan(count=200))
+        res = verify.check_source_consistency(model, states)
+        assert not res.passed
+        assert res.witness_state[0] > 1.9
 
     def test_consistent_source_override_passes(self, heat):
         import cdf_lab.core as core
