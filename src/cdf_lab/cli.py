@@ -3,8 +3,9 @@
 Commands: `run` a scenario, `verify` a model's structural conditions,
 `converge` the relaxation-limit study, `powerlaw` the stress-closure sweep.
 All inputs come from a JSON config; all outputs are CSV/JSON files stamped
-with the config hash.  Exit status: 0 all criteria pass, 1 a scientific
-criterion failed, 2 configuration error.
+with the config hash.  Each command checks its inputs, then creates the
+output directory, then works.  Exit status: 0 all criteria pass, 1 a
+scientific criterion failed, 2 configuration or output error.
 """
 
 from __future__ import annotations
@@ -250,12 +251,11 @@ def _initial_condition(cfg: dict, grid: Grid1D):
 
 
 def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config_sha256={cfg_hash}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
@@ -271,6 +271,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         output_every=float(sc_cfg["output_every"]),
         left_state=sc_cfg.get("left_state"),
         right_state=sc_cfg.get("right_state"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         traj = solver.run(scenario, override_audit=override_audit)
     except ModelAuditError as exc:
@@ -302,7 +303,6 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         rows = np.column_stack([x, snap, extra])
         _write_csv(out_dir / f"snapshot_{k:04d}.csv", header, rows, h)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "diagnostics.jsonl", "w") as fh:
         for i, t in enumerate(traj.step_times):
             fh.write(json.dumps({
@@ -336,11 +336,12 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     v = cfg["verify"]
     plan = verify.SamplingPlan(seed=v["seed"], count=v["count"], box=v["box"])
     try:
+        verify.sampling_box(model, plan)   # a wrong box leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         report = verify.run_full_audit(model, plan, v["tolerances"])
     except verify.SamplingError as exc:
         print(f"sampling: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["config_sha256"] = config_hash(cfg)
     with open(out_dir / "audit.json", "w") as fh:
@@ -354,6 +355,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 def cmd_converge(cfg: dict, out_dir: Path) -> int:
     cv = cfg["converge"]
     base = HeatParams(**cfg["params"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     study = diagnostics.relaxation_convergence(
         base, cv["alpha0_values"], Grid1D(cv["n_cells"]), cv["t_end"],
         cv["amplitude"])
@@ -379,6 +381,7 @@ def cmd_powerlaw(cfg: dict, out_dir: Path) -> int:
     p = PowerLawParams(mu0=pl["mu0"], alpha=float(pl["alpha"]))
     gdots = np.geomspace(pl["gamma_dot_min"], pl["gamma_dot_max"],
                          pl["n_points"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for g in gdots:
         t_cf = powerlaw_stress(p, g)
@@ -423,6 +426,9 @@ def main(argv=None) -> int:
         return cmd_powerlaw(cfg, out_dir)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

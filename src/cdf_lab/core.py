@@ -95,6 +95,16 @@ class CdfModel:
         return self.n_conserved + self.n_dissipative
 
 
+def all_finite(U) -> np.ndarray:
+    """Per cell, whether every state component is finite.  The few
+    components are visited one by one: an `.all(axis=-1)` over the short
+    last axis costs more than the whole-array ufuncs it combines."""
+    ok = np.isfinite(U[..., 0])
+    for k in range(1, U.shape[-1]):
+        ok &= np.isfinite(U[..., k])
+    return ok
+
+
 def as_state_array(U) -> np.ndarray:
     """Accept a StateVector or a plain array-like, return a float ndarray."""
     if isinstance(U, StateVector):
@@ -104,8 +114,7 @@ def as_state_array(U) -> np.ndarray:
 
 def require_admissible(model: CdfModel, U) -> np.ndarray:
     x = as_state_array(U)
-    ok = np.asarray(model.admissible(x))
-    if not np.all(ok):
+    if not np.asarray(model.admissible(x)).all():
         raise AdmissibilityError(
             f"state outside the admissible domain of model '{model.name}'"
         )

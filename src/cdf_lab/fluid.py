@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CdfModel
+from .core import CdfModel, all_finite
 
 # Cosine-formula phase offsets of the three resolvent roots, largest first.
 _THIRDS = 2.0 * np.pi / 3.0 * np.arange(3)
@@ -174,7 +174,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
         rho = U[..., 0]
         with np.errstate(all="ignore"):
             u = U[..., 2] / rho - 0.5 * (U[..., 1] / rho) ** 2
-        return np.isfinite(U).all(axis=-1) & (rho > 0) & (u > 0)
+        return all_finite(U) & (rho > 0) & (u > 0)
 
     def source_decay_rates(U):
         # d(rho w)/dt = q/(theta^2 lam) = -(rho w)/(a0 lam theta^2)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CdfModel
+from .core import CdfModel, all_finite
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,14 @@ class HeatParams:
                 raise ValueError(f"{name} must be > 0")
         if self.space_dim not in (1, 2):
             raise ValueError("space_dim must be 1 or 2")
+
+
+def _sum_squares(X):
+    """sum_k X[..., k]**2, added one component at a time in index order."""
+    total = X[..., 0] ** 2
+    for k in range(1, X.shape[-1]):
+        total = total + X[..., k] ** 2
+    return total
 
 
 def heat_model(params: HeatParams,
@@ -48,9 +56,8 @@ def heat_model(params: HeatParams,
     m = params.space_dim
 
     def entropy(U):
-        u = U[..., 0]
-        w2 = np.sum(U[..., 1:] ** 2, axis=-1)
-        return c_v * np.log(u) - w2 / (2.0 * a0)
+        w2 = _sum_squares(U[..., 1:])
+        return c_v * np.log(U[..., 0]) - w2 / (2.0 * a0)
 
     def entropy_grad(U):
         g = np.empty_like(U)
@@ -71,12 +78,12 @@ def heat_model(params: HeatParams,
         theta = U[..., 0] / c_v
         coeff = 1.0 / (lam * theta ** 2)
         M = np.zeros(U.shape[:-1] + (m, m))
-        idx = np.arange(m)
-        M[..., idx, idx] = coeff[..., None]
+        for k in range(m):
+            M[..., k, k] = coeff
         return M
 
     def admissible(U):
-        return np.isfinite(U).all(axis=-1) & (U[..., 0] > 0)
+        return all_finite(U) & (U[..., 0] > 0)
 
     def max_wave_speed(U):
         return np.sqrt(c_v / a0) / U[..., 0]
@@ -84,13 +91,16 @@ def heat_model(params: HeatParams,
     def source_decay_rates(U):
         theta = U[..., 0] / c_v
         rate = 1.0 / (a0 * lam * theta ** 2)
-        return np.broadcast_to(rate[..., None], U.shape[:-1] + (m,)).copy()
+        rates = np.empty(U.shape[:-1] + (m,))
+        for k in range(m):
+            rates[..., k] = rate
+        return rates
 
     def derived(U):
         u = U[..., 0]
         q = -U[..., 1:] / a0
         theta = u / c_v
-        sigma = np.sum(q ** 2, axis=-1) / (lam * theta ** 2)
+        sigma = _sum_squares(q) / (lam * theta ** 2)
         return {"theta": theta,
                 "q": q[..., 0] if m == 1 else q,
                 "tau": np.zeros_like(u),
@@ -123,9 +133,8 @@ def sign_flipped_heat_model(params: HeatParams) -> CdfModel:
     c_v, a0 = params.c_v, params.alpha0
 
     def entropy(U):
-        u = U[..., 0]
-        w2 = np.sum(U[..., 1:] ** 2, axis=-1)
-        return c_v * np.log(u) + w2 / (2.0 * a0)
+        w2 = _sum_squares(U[..., 1:])
+        return c_v * np.log(U[..., 0]) + w2 / (2.0 * a0)
 
     def entropy_grad(U):
         g = np.empty_like(U)

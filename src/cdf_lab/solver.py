@@ -167,15 +167,15 @@ def fill_ghost(field_arr: np.ndarray, boundary: str,
             field_arr[high] = np.asarray(right_state, dtype=float)
 
 
-def rusanov_flux(model: CdfModel, U_left: np.ndarray, U_right: np.ndarray,
-                 direction: int, speeds) -> np.ndarray:
+def rusanov_flux(F_left: np.ndarray, F_right: np.ndarray,
+                 U_left: np.ndarray, U_right: np.ndarray,
+                 speeds) -> np.ndarray:
     """Local-speed flux 0.5 (F_L + F_R) - 0.5 a (U_R - U_L), a = max(a_L, a_R),
-    from the per-side spectral radii `speeds` = (a_L, a_R) along `direction`.
-    The states are not checked here: callers pass admissible ones."""
+    from the per-side physical fluxes, states and spectral radii `speeds` =
+    (a_L, a_R).  Pure arithmetic: the caller evaluates the fluxes and
+    speeds, and passes admissible states."""
     a = np.maximum(*speeds)
-    FL = model.flux(U_left, direction)
-    FR = model.flux(U_right, direction)
-    return 0.5 * (FL + FR) - 0.5 * a[..., None] * (U_right - U_left)
+    return 0.5 * (F_left + F_right) - 0.5 * a[..., None] * (U_right - U_left)
 
 
 def _spacing(grid) -> tuple:
@@ -222,7 +222,7 @@ def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
     fill_ghost(work, boundary, left_state, right_state)
     # ghost speeds count too: the Rusanov faces at the domain ends use them
     speeds, rate = _axis_speeds(model, work, spacing)
-    smax = float(np.max(rate))
+    smax = float(rate.max())
     if smax > 0 and dt > cfl * spacing[0] / smax * (1.0 + 1e-9):
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
@@ -233,18 +233,22 @@ def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
     inner = (slice(g, -g),) * len(spacing)
     interior = new[inner]   # a view into `new`
     for d, h in enumerate(spacing):
-        # the two sides of every face along axis d that bounds an interior cell
-        lo = inner[:d] + (slice(g - 1, -g),) + inner[d + 1:]
-        hi = inner[:d] + (slice(g, work.shape[d] - g + 1),) + inner[d + 1:]
-        F = rusanov_flux(model, work[lo], work[hi], d,
-                         speeds=(speeds[d][lo], speeds[d][hi]))
+        # the cells beside the faces along axis d that bound an interior
+        # cell (one ghost layer past each end of d): their flux is evaluated
+        # once and sliced into the low and high side of every face
+        cells = inner[:d] + (slice(g - 1, work.shape[d] - g + 1),) \
+            + inner[d + 1:]
         a = (slice(None),) * d
-        interior -= (dt / h) * (F[a + (slice(1, None),)] - F[a + (slice(-1),)])
+        lo, hi = a + (slice(None, -1),), a + (slice(1, None),)
+        U, s = work[cells], speeds[d][cells]
+        Fc = model.flux(U, d)
+        F = rusanov_flux(Fc[lo], Fc[hi], U[lo], U[hi], (s[lo], s[hi]))
+        interior -= (dt / h) * (F[hi] - F[lo])
         other = tuple(i for i in range(len(spacing)) if i != d)
         ends = a + (slice(None, None, F.shape[d] - 1),)     # first, last face
         f_ends += F[ends][..., :n].sum(axis=other) * (math.prod(spacing) / h)
-    if not np.all(np.isfinite(interior)) or \
-            not np.all(model.admissible(interior)):
+    if not np.isfinite(interior).all() or \
+            not model.admissible(interior).all():
         _raise_inadmissible(model, interior,
                             "inadmissible state after transport")
     return new, f_ends[0], f_ends[1]
@@ -454,8 +458,8 @@ def run(scenario: Scenario, override_audit: bool = False,
             inner_f[..., :model.n_conserved].sum(axis=sum_axes) * vol)
         traj.total_entropy.append(float(model.entropy(inner_f).sum() * vol))
         sig = core.entropy_production(model, inner_f)
-        traj.min_sigma.append(float(np.min(sig)))
-        traj.max_sigma.append(float(np.max(sig)))
+        traj.min_sigma.append(float(sig.min()))
+        traj.max_sigma.append(float(sig.max()))
 
     def record_snapshot(t):
         traj.times.append(t)
@@ -476,7 +480,7 @@ def run(scenario: Scenario, override_audit: bool = False,
         if t >= scenario.t_end - 1e-14 * scenario.t_end:
             break
         _, speed = _axis_speeds(model, field_arr[inner], spacing)
-        smax = max(float(np.max(speed)), s_boundary)
+        smax = max(float(speed.max()), s_boundary)
         if smax <= 0:
             dt = scenario.t_end - t
         else:

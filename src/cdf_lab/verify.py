@@ -77,8 +77,9 @@ class SamplingPlan:
             object.__setattr__(self, "box", box)
 
 
-def sample_states(model: CdfModel, plan: SamplingPlan) -> np.ndarray:
-    """Draw the plan's states; every draw must be admissible."""
+def sampling_box(model: CdfModel, plan: SamplingPlan) -> np.ndarray:
+    """The plan's box, else the model's; it must have one row per state
+    component."""
     box = plan.box if plan.box is not None else model.sample_box
     if box is None:
         raise SamplingError(f"model '{model.name}' has no sampling box")
@@ -86,6 +87,12 @@ def sample_states(model: CdfModel, plan: SamplingPlan) -> np.ndarray:
     if box.shape[0] != model.n_comp:
         raise SamplingError(f"the box has {box.shape[0]} rows; model "
                             f"'{model.name}' has {model.n_comp} components")
+    return box
+
+
+def sample_states(model: CdfModel, plan: SamplingPlan) -> np.ndarray:
+    """Draw the plan's states; every draw must be admissible."""
+    box = sampling_box(model, plan)
     rng = np.random.default_rng(plan.seed)
     draws = rng.uniform(box[:, 0], box[:, 1], size=(plan.count, box.shape[0]))
     states = model.from_sample(draws) if model.from_sample else draws
@@ -395,9 +402,8 @@ def run_full_audit(model: CdfModel, plan: SamplingPlan,
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
         tols.update(tolerances)
-    box = plan.box if plan.box is not None else model.sample_box
     report = AuditReport(model_name=model.name, samples_used=plan.count,
-                         seed=plan.seed, box=box)
+                         seed=plan.seed, box=sampling_box(model, plan))
     states = sample_states(model, plan)
     shared = _SharedDerivatives(model, states)
     for name, fn in _CHECKS.items():

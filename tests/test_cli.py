@@ -374,6 +374,52 @@ class TestConvergeCommand:
         assert len(summary["errors_l2"]) == 3
 
 
+class TestOutputErrors:
+    """An output directory that cannot be made, or a file in it that cannot
+    be written, ends in exit 2 with one `output error:` line.  The
+    directory is made before any work starts."""
+
+    PAYLOADS = {
+        "run": {"command": "run", "model": "heat", "params": HEAT_PARAMS,
+                "scenario": {"n_cells": 16, "t_end": 0.01}},
+        "verify": {"command": "verify", "model": "heat",
+                   "params": HEAT_PARAMS, "verify": {"count": 50}},
+    }
+
+    def _main(self, tmp_path, capsys, command, out):
+        rc = cli.main([command, "--config",
+                       _cfg(tmp_path, self.PAYLOADS[command]),
+                       "--out", str(out)])
+        return rc, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_out_under_a_regular_file(self, tmp_path, monkeypatch, capsys,
+                                      command):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the output check")
+
+        monkeypatch.setattr(cli.solver, "run", work)
+        monkeypatch.setattr(cli.verify, "run_full_audit", work)
+        (tmp_path / "afile").write_text("")
+        rc, err = self._main(tmp_path, capsys, command,
+                             tmp_path / "afile" / "x")
+        assert rc == 2
+        assert len(err) == 1
+        assert err[0].startswith("output error: ") and "afile" in err[0]
+
+    @pytest.mark.parametrize("command, name",
+                             [("run", "snapshot_0000.csv"),
+                              ("run", "run_summary.json"),
+                              ("verify", "audit.json")])
+    def test_unwritable_output_file(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)   # a directory where the file goes
+        rc, err = self._main(tmp_path, capsys, command, out)
+        assert rc == 2
+        assert len(err) == 1
+        assert err[0].startswith("output error: ") and name in err[0]
+
+
 class TestPowerlawCommand:
     def test_sweep(self, tmp_path, capsys):
         payload = {"command": "powerlaw", "model": "fluid",
