@@ -7,16 +7,13 @@ simulate at desk scale, and verify the classical stationary limits
 """
 
 from .core import (AdmissibilityError, CdfModel, ConvergenceError,
-                   StateVector, entropy_gradient, entropy_hessian,
-                   entropy_production, equilibrium_project, flux_jacobian,
-                   source, spectral_radius)
-from .fluid import (FluidParams, MaxwellGradients, PowerLawParams,
-                    conserved_from_primitive, fluid_model, fns_limit_fluxes,
-                    maxwell_relaxation_residual, orthogonal_decompose,
+                   entropy_gradient, entropy_hessian, entropy_production,
+                   flux_jacobian, source, spectral_radius)
+from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
+                    fluid_model, fns_limit_fluxes, orthogonal_decompose,
                     powerlaw_stress, powerlaw_stress_fixed_point,
                     primitive_from_conserved)
-from .heat import (HeatParams, fourier_flux, generalized_fourier, heat_model,
-                   sign_flipped_heat_model)
+from .heat import HeatParams, heat_model, sign_flipped_heat_model
 from .solver import (Grid1D, Grid2D, Scenario, Trajectory, run, rusanov_flux,
                      step_hyperbolic, step_source_exact, strang_step)
 from .verify import (AuditReport, SamplingPlan, check_concavity,

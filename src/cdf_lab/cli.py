@@ -4,13 +4,15 @@ Commands: `run` a scenario, `verify` a model's structural conditions,
 `converge` the relaxation-limit study, `powerlaw` the stress-closure sweep.
 All inputs come from a JSON config; all outputs are CSV/JSON files stamped
 with the config hash.  Each command checks its inputs, then creates the
-output directory, then works.  Exit status: 0 all criteria pass, 1 a
-scientific criterion failed, 2 configuration or output error.
+output directory, then works; a configuration error found during the work
+removes the directories the command created.  Exit status: 0 all criteria
+pass, 1 a scientific criterion failed, 2 configuration or output error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -258,6 +260,21 @@ def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def _mkdir(out_dir: Path):
+    """Create `out_dir` and its missing parents.  Return the function that
+    removes those again, deepest first, after a configuration error found
+    mid-work; `rmdir` removes only empty directories and this stops at the
+    first that is not, so nothing else is ever deleted."""
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def undo():
+        with contextlib.suppress(OSError):
+            for d in created:
+                d.rmdir()
+    return undo
+
+
 def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     model = build_model(cfg)
     sc_cfg = cfg["scenario"]
@@ -271,13 +288,14 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         output_every=float(sc_cfg["output_every"]),
         left_state=sc_cfg.get("left_state"),
         right_state=sc_cfg.get("right_state"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    undo_mkdir = _mkdir(out_dir)
     try:
         traj = solver.run(scenario, override_audit=override_audit)
     except ModelAuditError as exc:
         print(f"audit gate: {exc}", file=sys.stderr)
         return EXIT_SCIENTIFIC
     except solver.InitialConditionError as exc:
+        undo_mkdir()
         print(f"scenario rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
@@ -335,11 +353,11 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     model = build_model(cfg)
     v = cfg["verify"]
     plan = verify.SamplingPlan(seed=v["seed"], count=v["count"], box=v["box"])
+    undo_mkdir = _mkdir(out_dir)
     try:
-        verify.sampling_box(model, plan)   # a wrong box leaves no directory
-        out_dir.mkdir(parents=True, exist_ok=True)
         report = verify.run_full_audit(model, plan, v["tolerances"])
     except verify.SamplingError as exc:
+        undo_mkdir()
         print(f"sampling: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     payload = report.to_dict()

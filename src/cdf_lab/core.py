@@ -28,36 +28,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Flat state U = (u, v): conserved block first, dissipative block second."""
-
-    data: np.ndarray
-    n_conserved: int
-    n_dissipative: int
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        object.__setattr__(self, "data", data)
-        if self.n_conserved < 1 or self.n_dissipative < 1:
-            raise ValueError("need n_conserved >= 1 and n_dissipative >= 1")
-        if data.shape != (self.n_conserved + self.n_dissipative,):
-            raise ValueError(
-                f"state length {data.shape} != n+m = "
-                f"{self.n_conserved + self.n_dissipative}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("state contains non-finite entries")
-
-    @property
-    def conserved(self) -> np.ndarray:
-        return self.data[: self.n_conserved]
-
-    @property
-    def dissipative(self) -> np.ndarray:
-        return self.data[self.n_conserved:]
-
-
-@dataclass(frozen=True)
 class CdfModel:
     """Model contract shared by the auditor, the solver and the diagnostics.
 
@@ -105,15 +75,8 @@ def all_finite(U) -> np.ndarray:
     return ok
 
 
-def as_state_array(U) -> np.ndarray:
-    """Accept a StateVector or a plain array-like, return a float ndarray."""
-    if isinstance(U, StateVector):
-        return U.data
-    return np.asarray(U, dtype=float)
-
-
 def require_admissible(model: CdfModel, U) -> np.ndarray:
-    x = as_state_array(U)
+    x = np.asarray(U, dtype=float)
     if not np.asarray(model.admissible(x)).all():
         raise AdmissibilityError(
             f"state outside the admissible domain of model '{model.name}'"
@@ -183,7 +146,7 @@ def entropy_hessian(model: CdfModel, U,
 
 def source(model: CdfModel, U) -> np.ndarray:
     """Source Q(U) = (0, M(U) . eta_v): zeros on the conserved block."""
-    x = as_state_array(U)
+    x = np.asarray(U, dtype=float)
     if model.source_fn is not None:
         return np.asarray(model.source_fn(require_admissible(model, x)),
                           dtype=float)
@@ -198,60 +161,18 @@ def source(model: CdfModel, U) -> np.ndarray:
 
 def entropy_production(model: CdfModel, U) -> np.ndarray:
     """sigma = eta_v . M(U) . eta_v, nonnegative for positive-definite M."""
-    x = as_state_array(U)
+    x = np.asarray(U, dtype=float)
     n = model.n_conserved
     gv = entropy_gradient(model, x)[..., n:]   # checks x
     M = np.asarray(model.dissipation_matrix(x), dtype=float)
     return np.einsum("...i,...ij,...j->...", gv, M, gv)
 
 
-def equilibrium_project(model: CdfModel, u_cons, tol: float = 1e-12,
-                        max_iter: int = 50) -> StateVector:
-    """Solve eta_v(u, v) = 0 for v at fixed conserved block u.
-
-    Damped Newton (step halving) on eta_v using the v-block of the entropy
-    Hessian; for quadratic-in-v entropies this converges in one step.
-    """
-    u_cons = np.asarray(u_cons, dtype=float)
-    n, m = model.n_conserved, model.n_dissipative
-    x = np.concatenate([u_cons, np.zeros(m)])
-    require_admissible(model, x)
-
-    def eta_v(v):
-        return entropy_gradient(model, np.concatenate([u_cons, v]))[n:]
-
-    v = x[n:].copy()
-    r = eta_v(v)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) <= tol:
-            return StateVector(np.concatenate([u_cons, v]), n, m)
-        H = entropy_hessian(model, np.concatenate([u_cons, v]))[n:, n:]
-        dv = np.linalg.solve(H, -r)
-        lam = 1.0
-        while lam >= 2.0 ** -30:
-            v_new = v + lam * dv
-            cand = np.concatenate([u_cons, v_new])
-            if np.all(model.admissible(cand)):
-                r_new = eta_v(v_new)
-                if np.max(np.abs(r_new)) < np.max(np.abs(r)) or \
-                        np.max(np.abs(r_new)) <= tol:
-                    v, r = v_new, r_new
-                    break
-            lam *= 0.5
-        else:
-            break
-    if np.max(np.abs(r)) <= tol:
-        return StateVector(np.concatenate([u_cons, v]), n, m)
-    raise ConvergenceError(
-        f"equilibrium projection stalled, |eta_v| = {np.max(np.abs(r)):.3e}"
-    )
-
-
 def flux_jacobian(model: CdfModel, U, direction: int = 0,
                   fd_step: float = FD_STEP,
                   scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Central-difference Jacobian of F_direction, shape (..., n+m, n+m)."""
-    x = as_state_array(U)
+    x = np.asarray(U, dtype=float)
     return fd_jacobian(lambda y: model.flux(y, direction), x, fd_step, scale)
 
 
@@ -261,7 +182,7 @@ def spectral_radius(model: CdfModel, U, direction: int = 0) -> np.ndarray:
     Uses the model's exact `max_wave_speed` when it has one; otherwise the
     central-difference Jacobian and `eigvals`, which is also the oracle the
     closed forms are tested against."""
-    x = as_state_array(U)
+    x = np.asarray(U, dtype=float)
     if model.max_wave_speed is not None:
         return np.asarray(model.max_wave_speed(x), dtype=float)
     J = flux_jacobian(model, x, direction)

@@ -45,7 +45,7 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
     # largest conserved total so "relative" stays meaningful
     scale = np.maximum(np.abs(t0), max(np.max(np.abs(t0)), 1e-30))
     drift = np.max(np.abs(totals - t0), axis=0) / scale
-    if traj.boundary == "periodic" or traj.boundary_inflow is None:
+    if traj.boundary == "periodic":
         accounting = drift.copy()
     else:
         accounting = np.abs((totals[-1] - t0) - traj.boundary_inflow) / scale

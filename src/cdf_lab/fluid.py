@@ -8,8 +8,9 @@ stress.  Specific entropy
 
 with nu = 1/rho and u = e - v^2/2.  Closures: theta^{-1} = s_u,
 pi = theta s_nu, q = s_w = -rho w / alpha0, tau = theta s_C.  The sources
-relax (q, tau) so that the stationary limit is Fourier-Newton-Stokes and,
-for stress-dependent viscosity kappa = mu0 |tau|^alpha, a power-law fluid.
+relax (q, tau) so that the stationary limit is Fourier-Newton-Stokes.  The
+viscosity kappa is constant: the power-law closure kappa = mu0 |tau|^alpha
+is checked only as the scalar relation `powerlaw_stress`, against a bisection.
 
 Characteristic speeds: with xi = lambda - v, the flux Jacobian has the
 characteristic polynomial xi (xi^4 + p xi^2 + q xi + r), where
@@ -302,33 +303,3 @@ def fns_sine_initial_condition(params: FluidParams, x_min: float,
         rw = params.alpha0 * params.lambda_ * grad_theta
         return np.array([1.0, 0.0, u, rw, 0.0])
     return ic
-
-
-@dataclass(frozen=True)
-class MaxwellGradients:
-    """Time/space derivative estimates for the relaxation-law residuals."""
-    dq_dt: float = 0.0
-    d_vq_dx: float = 0.0
-    dtheta_inv_dx: float = 0.0
-    dthetainv_tau_dt: float = 0.0
-    d_vthetainv_tau_dx: float = 0.0
-    dv_dx: float = 0.0
-
-
-def maxwell_relaxation_residual(params: FluidParams, state,
-                                grads: MaxwellGradients) -> np.ndarray:
-    """Residuals of the Maxwell relaxation laws
-
-        alpha0 [dq/dt + d(vq)/dx] - d(theta^-1)/dx + q/(theta^2 lambda)
-        alpha1 [d(theta^-1 tau)/dt + d(v theta^-1 tau)/dx] + dv/dx + tau/kappa
-
-    which vanish on exact solutions of the density-form system.
-    """
-    U = np.asarray(state, dtype=float) if not hasattr(state, "data") \
-        else state.data
-    theta, _, q, tau = _closures(params, U)
-    r0 = (params.alpha0 * (grads.dq_dt + grads.d_vq_dx)
-          - grads.dtheta_inv_dx + q / (theta ** 2 * params.lambda_))
-    r1 = (params.alpha1 * (grads.dthetainv_tau_dt + grads.d_vthetainv_tau_dx)
-          + grads.dv_dx + tau / params.kappa_)
-    return np.array([r0, r1])

@@ -155,14 +155,3 @@ def sign_flipped_heat_model(params: HeatParams) -> CdfModel:
         max_wave_speed=good.max_wave_speed,
         sample_box=good.sample_box,
     )
-
-
-def fourier_flux(params: HeatParams, grad_theta) -> np.ndarray:
-    """Stationary-limit heat flux q = -lambda grad(theta)."""
-    return -params.lambda_ * np.asarray(grad_theta, dtype=float)
-
-
-def generalized_fourier(M, grad_theta_inv) -> np.ndarray:
-    """Solve M q = grad(theta^{-1}), the anisotropic stationary limit."""
-    M = np.asarray(M, dtype=float)
-    return np.linalg.solve(M, np.asarray(grad_theta_inv, dtype=float))

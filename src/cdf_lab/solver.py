@@ -136,6 +136,7 @@ class Scenario:
 @dataclass
 class Trajectory:
     boundary: str
+    boundary_inflow: np.ndarray    # conserved flux in through the ends
     times: list = field(default_factory=list)          # snapshot times
     snapshots: list = field(default_factory=list)      # interior states
     step_times: list = field(default_factory=list)     # per accepted step
@@ -143,7 +144,6 @@ class Trajectory:
     total_entropy: list = field(default_factory=list)
     min_sigma: list = field(default_factory=list)
     max_sigma: list = field(default_factory=list)
-    boundary_inflow: Optional[np.ndarray] = None       # accumulated, per var
 
 
 def fill_ghost(field_arr: np.ndarray, boundary: str,
@@ -448,8 +448,8 @@ def run(scenario: Scenario, override_audit: bool = False,
     fill_ghost(field_arr, scenario.boundary, scenario.left_state,
                scenario.right_state)
 
-    traj = Trajectory(boundary=scenario.boundary)
-    traj.boundary_inflow = np.zeros(model.n_conserved)
+    traj = Trajectory(boundary=scenario.boundary,
+                      boundary_inflow=np.zeros(model.n_conserved))
 
     def record_diag(t):
         inner_f = field_arr[inner]

@@ -46,8 +46,6 @@ DEFAULT_TOLERANCES = {
     "hyperbolicity": 1e-6,
 }
 
-CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
-
 
 class SamplingError(ValueError):
     """The sampling plan produced no admissible states."""

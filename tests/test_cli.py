@@ -148,13 +148,15 @@ class TestRunCommand:
         assert rc == 1
 
     def test_inadmissible_initial_data_rejected(self, tmp_path):
+        """Rejected mid-work, the scenario leaves none of the directories
+        the command made."""
         payload = _run_config(tmp_path)
         payload["scenario"]["initial"] = {"preset": "riemann", "left": -1.0}
         cfg = _cfg(tmp_path, payload)
         rc = cli.main(["run", "--config", cfg, "--out",
-                       str(tmp_path / "out")])
+                       str(tmp_path / "out" / "nested")])
         assert rc == 2
-        assert not (tmp_path / "out" / "run_summary.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_inadmissible_state_mid_run_is_scientific(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -336,11 +338,14 @@ class TestVerifyCommand:
         assert hyp["witness_state"][0] > 1.9
 
     def test_bad_box_is_config_error(self, tmp_path):
+        """Found only when the audit draws its states, inadmissible draws
+        leave none of the directories the command made."""
         cfg = _cfg(tmp_path, self._payload(
-            "heat", HEAT_PARAMS, count=200, box=[[-1.0, 1.0], [-1.0, 1.0]]))
+            "heat", HEAT_PARAMS, count=10, box=[[-1.0, 2.0], [-1.0, 1.0]]))
         rc = cli.main(["verify", "--config", cfg, "--out",
-                       str(tmp_path / "out")])
+                       str(tmp_path / "out" / "nested")])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_custom_tolerance_can_fail_a_good_model(self, tmp_path):
         # demanding Hessian eigenvalues <= -10 must flip the verdict

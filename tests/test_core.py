@@ -3,32 +3,12 @@
 import numpy as np
 import pytest
 
-from cdf_lab import core
-from cdf_lab.core import (AdmissibilityError, StateVector, entropy_gradient,
-                          entropy_hessian, entropy_production,
-                          equilibrium_project, flux_jacobian, source,
-                          spectral_radius)
+from cdf_lab import HeatParams, cli, core, heat_model
+from cdf_lab.core import (AdmissibilityError, entropy_gradient,
+                          entropy_hessian, entropy_production, flux_jacobian,
+                          source, spectral_radius)
 
 from conftest import random_fluid_states, random_heat_states
-
-
-class TestStateVector:
-    def test_blocks(self):
-        s = StateVector(np.array([1.0, 2.0, 3.0]), 1, 2)
-        assert s.conserved.tolist() == [1.0]
-        assert s.dissipative.tolist() == [2.0, 3.0]
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 2.0]), 1, 2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, np.nan]), 1, 1)
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0]), 1, 0)
 
 
 class TestFiniteDifferences:
@@ -166,24 +146,43 @@ class TestEntropyProduction:
         assert sig > 1e-4
 
 
-class TestEquilibriumProject:
-    def test_heat(self, heat):
-        eq = equilibrium_project(heat, [2.0])
-        assert np.allclose(eq.data, [2.0, 0.0], atol=1e-12)
+def _preset_equilibria():
+    """(model, state) for every CLI model at the states its preset lift
+    builds from a scalar profile value, plus heat in 2D at (u, 0, 0)."""
+    cases = []
+    for name, spec in cli._MODELS.items():
+        model = spec["build"](dict.fromkeys(spec["params"], 1.0))
+        cases += [pytest.param(model, spec["lift"](u), id=f"{name}-{u}")
+                  for u in (0.6, 1.0, 1.7)]
+    heat_2d = heat_model(HeatParams(space_dim=2))
+    cases += [pytest.param(heat_2d, np.array([u, 0.0, 0.0]),
+                           id=f"heat-2d-{u}") for u in (0.6, 1.0, 1.7)]
+    return cases
 
-    def test_fluid(self, fluid):
-        eq = equilibrium_project(fluid, [1.0, 0.5, 2.0])
-        assert np.allclose(eq.conserved, [1.0, 0.5, 2.0])
-        assert np.allclose(eq.dissipative, [0.0, 0.0], atol=1e-12)
 
-    def test_maximizes_entropy_at_fixed_conserved(self, fluid):
+@pytest.mark.parametrize("model,U", _preset_equilibria())
+class TestPresetEquilibrium:
+    """The preset lifts build equilibrium states: eta_v = 0 at v = 0."""
+
+    def test_no_source_and_no_production(self, model, U):
+        n = model.n_conserved
+        assert np.all(entropy_gradient(model, U)[n:] == 0.0)
+        assert np.all(source(model, U) == 0.0)
+        assert entropy_production(model, U) == 0.0
+
+    def test_maximizes_entropy_at_fixed_conserved(self, model, U):
+        n = model.n_conserved
         rng = np.random.default_rng(7)
-        cons = np.array([1.0, 0.3, 2.0])
-        eq = equilibrium_project(fluid, cons)
-        s_eq = float(fluid.entropy(eq.data))
-        for _ in range(50):
-            pert = np.concatenate([cons, rng.uniform(-0.3, 0.3, 2)])
-            assert float(fluid.entropy(pert)) <= s_eq + 1e-12
+        perturbed = np.tile(U, (50, 1))
+        perturbed[:, n:] = rng.uniform(-0.3, 0.3,
+                                       (50, model.n_dissipative))
+        s_eq = float(model.entropy(U))
+        if model.name == "heat-signflip":
+            # the w-part has the wrong sign, so v = 0 is a minimum: the
+            # broken concavity that its audit reports
+            assert np.all(model.entropy(perturbed) > s_eq)
+        else:
+            assert np.all(model.entropy(perturbed) < s_eq)
 
 
 class TestFluxJacobianAndSpeeds:

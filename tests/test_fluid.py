@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdf_lab import core, verify
-from cdf_lab.fluid import (FluidParams, MaxwellGradients, PowerLawParams,
+from cdf_lab.fluid import (FluidParams, PowerLawParams,
                            conserved_from_primitive, fluid_model,
-                           fns_limit_fluxes, maxwell_relaxation_residual,
-                           orthogonal_decompose, powerlaw_stress,
-                           powerlaw_stress_fixed_point,
+                           fns_limit_fluxes, orthogonal_decompose,
+                           powerlaw_stress, powerlaw_stress_fixed_point,
                            primitive_from_conserved)
 
 from conftest import random_fluid_states
@@ -296,24 +295,3 @@ class TestStationaryLimits:
         q, tau = fns_limit_fluxes(p, 0.5, -1.0)
         assert q == pytest.approx(-1.0)
         assert tau == pytest.approx(3.0)
-
-    def test_maxwell_residual_vanishes_on_closure(self, fluid_params):
-        """A state sitting exactly on the Fourier / Newton-Stokes closure
-        (theta = 1 so the conjugates are easy to invert) zeroes both
-        relaxation residuals."""
-        p = fluid_params
-        g_theta, g_v = 0.4, -0.7
-        rw = p.alpha0 * p.lambda_ * g_theta      # q = -lambda g_theta
-        rC = p.alpha1 * p.kappa_ * g_v           # tau = -kappa g_v
-        U = np.array([1.0, 0.0, p.c_v, rw, rC])
-        grads = MaxwellGradients(dtheta_inv_dx=-g_theta, dv_dx=g_v)
-        r = maxwell_relaxation_residual(p, U, grads)
-        assert np.allclose(r, 0.0, atol=1e-14)
-
-    def test_maxwell_residual_pure_relaxation(self, fluid_params):
-        # no gradients: residuals reduce to q/(theta^2 lambda), tau/kappa
-        U = conserved_from_primitive(1.0, 0.0, 1.0, 0.1, -0.2)
-        r = maxwell_relaxation_residual(fluid_params, U,
-                                        MaxwellGradients())
-        assert r[0] == pytest.approx(-0.1)
-        assert r[1] == pytest.approx(0.2)

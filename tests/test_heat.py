@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cdf_lab import core, verify
-from cdf_lab.heat import (HeatParams, fourier_flux, generalized_fourier,
-                          heat_model, sign_flipped_heat_model)
+from cdf_lab.heat import HeatParams, heat_model, sign_flipped_heat_model
 
 from conftest import random_heat_states
 
@@ -98,31 +97,6 @@ def test_derived_fields(heat):
     assert np.allclose(d["tau"], 0.0)
     assert np.allclose(d["sigma"], core.entropy_production(heat, states),
                        rtol=1e-12, atol=1e-14)
-
-
-def test_fourier_flux():
-    p = HeatParams(lambda_=2.0)
-    assert fourier_flux(p, 0.5) == pytest.approx(-1.0)
-    assert np.allclose(fourier_flux(p, np.array([1.0, -2.0])), [-2.0, 4.0])
-
-
-def test_generalized_fourier_hand_values():
-    M = np.diag([2.0, 4.0])
-    q = generalized_fourier(M, np.array([1.0, 2.0]))
-    assert np.allclose(q, [0.5, 0.5])
-
-
-def test_generalized_fourier_reduces_to_fourier():
-    """With M = I/(lambda theta^2) and grad(1/theta) = -grad(theta)/theta^2
-    the anisotropic stationary limit collapses to q = -lambda grad(theta)."""
-    rng = np.random.default_rng(13)
-    p = HeatParams(lambda_=3.0, space_dim=2)
-    for _ in range(20):
-        theta = rng.uniform(0.5, 2.0)
-        grad_theta = rng.uniform(-1.0, 1.0, 2)
-        M = np.eye(2) / (p.lambda_ * theta ** 2)
-        q = generalized_fourier(M, -grad_theta / theta ** 2)
-        assert np.allclose(q, fourier_flux(p, grad_theta), rtol=1e-12)
 
 
 def test_custom_dissipation_disables_exact_rates(heat_params):

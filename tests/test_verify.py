@@ -35,9 +35,10 @@ def _elliptic_heat():
 
 
 def test_default_tolerances_complete():
-    assert set(verify.CHECK_NAMES) == {
-        "concavity", "symmetrizability", "dissipation_matrix",
-        "entropy_flux", "source_consistency", "hyperbolicity"}
+    names = {"concavity", "symmetrizability", "dissipation_matrix",
+             "entropy_flux", "source_consistency", "hyperbolicity"}
+    assert set(verify.DEFAULT_TOLERANCES) == names
+    assert set(verify._CHECKS) == names
 
 
 class TestSamplingPlan:
