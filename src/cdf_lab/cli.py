@@ -4,9 +4,10 @@ Commands: `run` a scenario, `verify` a model's structural conditions,
 `converge` the relaxation-limit study, `powerlaw` the stress-closure sweep.
 All inputs come from a JSON config; all outputs are CSV/JSON files stamped
 with the config hash.  Each command checks its inputs, then creates the
-output directory, then works; a configuration error found during the work
-removes the directories the command created.  Exit status: 0 all criteria
-pass, 1 a scientific criterion failed, 2 configuration or output error.
+output directory, then works, then writes; a failure during the work
+removes the directories the command created and ends in one classified
+stderr line.  Exit status: 0 all criteria pass, 1 a scientific criterion
+or the solver failed, 2 configuration or output error.
 """
 
 from __future__ import annotations
@@ -260,19 +261,34 @@ def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _mkdir(out_dir: Path):
-    """Create `out_dir` and its missing parents.  Return the function that
-    removes those again, deepest first, after a configuration error found
-    mid-work; `rmdir` removes only empty directories and this stops at the
+# A failure found during a command's work -> its exit status and the
+# prefix of its stderr line; the first matching class wins.
+_WORK_FAILURES = {
+    verify.SamplingError: (EXIT_CONFIG, "sampling"),
+    solver.InitialConditionError: (EXIT_CONFIG, "scenario rejected"),
+    ModelAuditError: (EXIT_SCIENTIFIC, "audit gate"),
+    ConvergenceError: (EXIT_SCIENTIFIC, "source step failed"),
+    solver.InadmissibleStateError: (EXIT_SCIENTIFIC, "time stepping failed"),
+    solver.CflError: (EXIT_SCIENTIFIC, "time stepping failed"),
+    solver.StepLimitError: (EXIT_SCIENTIFIC, "time stepping failed"),
+}
+
+
+@contextlib.contextmanager
+def _working_in(out_dir: Path):
+    """Create `out_dir` and its missing parents for the work of the block,
+    which writes nothing.  If the block raises, remove them again, deepest
+    first; `rmdir` removes only empty directories and this stops at the
     first that is not, so nothing else is ever deleted."""
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def undo():
+    try:
+        yield
+    except BaseException:
         with contextlib.suppress(OSError):
             for d in created:
                 d.rmdir()
-    return undo
+        raise
 
 
 def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
@@ -288,23 +304,8 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         output_every=float(sc_cfg["output_every"]),
         left_state=sc_cfg.get("left_state"),
         right_state=sc_cfg.get("right_state"))
-    undo_mkdir = _mkdir(out_dir)
-    try:
+    with _working_in(out_dir):
         traj = solver.run(scenario, override_audit=override_audit)
-    except ModelAuditError as exc:
-        print(f"audit gate: {exc}", file=sys.stderr)
-        return EXIT_SCIENTIFIC
-    except solver.InitialConditionError as exc:
-        undo_mkdir()
-        print(f"scenario rejected: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"source step failed: {exc}", file=sys.stderr)
-        return EXIT_SCIENTIFIC
-    except (solver.InadmissibleStateError, solver.CflError,
-            solver.StepLimitError) as exc:
-        print(f"time stepping failed: {exc}", file=sys.stderr)
-        return EXIT_SCIENTIFIC
 
     h = config_hash(cfg)
     x = grid.centers()
@@ -353,13 +354,8 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     model = build_model(cfg)
     v = cfg["verify"]
     plan = verify.SamplingPlan(seed=v["seed"], count=v["count"], box=v["box"])
-    undo_mkdir = _mkdir(out_dir)
-    try:
+    with _working_in(out_dir):
         report = verify.run_full_audit(model, plan, v["tolerances"])
-    except verify.SamplingError as exc:
-        undo_mkdir()
-        print(f"sampling: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     payload = report.to_dict()
     payload["config_sha256"] = config_hash(cfg)
     with open(out_dir / "audit.json", "w") as fh:
@@ -373,10 +369,10 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 def cmd_converge(cfg: dict, out_dir: Path) -> int:
     cv = cfg["converge"]
     base = HeatParams(**cfg["params"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    study = diagnostics.relaxation_convergence(
-        base, cv["alpha0_values"], Grid1D(cv["n_cells"]), cv["t_end"],
-        cv["amplitude"])
+    with _working_in(out_dir):
+        study = diagnostics.relaxation_convergence(
+            base, cv["alpha0_values"], Grid1D(cv["n_cells"]), cv["t_end"],
+            cv["amplitude"])
 
     h = config_hash(cfg)
     rows = np.column_stack([study.parameter_values, study.errors_l1,
@@ -399,12 +395,13 @@ def cmd_powerlaw(cfg: dict, out_dir: Path) -> int:
     p = PowerLawParams(mu0=pl["mu0"], alpha=float(pl["alpha"]))
     gdots = np.geomspace(pl["gamma_dot_min"], pl["gamma_dot_max"],
                          pl["n_points"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for g in gdots:
-        t_cf = powerlaw_stress(p, g)
-        t_fp = powerlaw_stress_fixed_point(p, g)
-        rows.append((g, t_cf, t_fp, abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)))
+    with _working_in(out_dir):
+        for g in gdots:
+            t_cf = powerlaw_stress(p, g)
+            t_fp = powerlaw_stress_fixed_point(p, g)
+            rows.append((g, t_cf, t_fp,
+                         abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)))
     rows = np.asarray(rows)
     _write_csv(out_dir / "powerlaw.csv",
                "gamma_dot,tau_closed_form,tau_fixed_point,relative_gap",
@@ -442,6 +439,11 @@ def main(argv=None) -> int:
         if cfg["command"] == "converge":
             return cmd_converge(cfg, out_dir)
         return cmd_powerlaw(cfg, out_dir)
+    except tuple(_WORK_FAILURES) as exc:
+        status, what = next(v for kind, v in _WORK_FAILURES.items()
+                            if isinstance(exc, kind))
+        print(f"{what}: {exc}", file=sys.stderr)
+        return status
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

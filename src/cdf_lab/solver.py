@@ -1,15 +1,16 @@
 """Finite-volume method-of-lines integrator.
 
 Hyperbolic transport uses a first-order Rusanov (local Lax-Friedrichs)
-flux; the stiff relaxation source is integrated exactly, for all interior
-cells at once (the built-in models have sources -M(u) A(u) v that are
-linear in the dissipative block v, so one batched matrix exponential
-solves them); the two are composed with Strang splitting.
+flux; the stiff relaxation source is integrated exactly, for all cells at
+once (the built-in models have sources -M(u) A(u) v that are linear in the
+dissipative block v, so one batched matrix exponential solves them); the
+two are composed with Strang splitting.
 
 One time loop serves 1D grids (any model, any boundary kind) and periodic
-2D grids (models with space_dim == 2): the field has `GHOST` layers on every
-spatial axis, transport sums the face-flux differences axis by axis, and
-dt * sum_d s_d / dx_d <= cfl is rechecked on the ghost-filled field.
+2D grids (models with space_dim == 2).  The field holds the cells only;
+transport alone pads it with one ghost cell at each end of every spatial
+axis (`with_ghosts`), sums the face-flux differences axis by axis, and
+rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import numpy as np
 
 from . import core
 from .core import CdfModel
-
-GHOST = 2
 
 BOUNDARY_KINDS = ("periodic", "fixed-state", "zero-gradient")
 
@@ -128,7 +127,7 @@ class Scenario:
                 continue
             if np.shape(state) != (self.model.n_comp,):
                 raise ValueError("left/right states need n_comp components")
-            # the solver does not check fixed-state ghosts again
+            # the solver does not check fixed boundary states again
             if not np.all(self.model.admissible(np.asarray(state, float))):
                 raise ValueError(f"boundary state {state} is inadmissible")
 
@@ -138,7 +137,7 @@ class Trajectory:
     boundary: str
     boundary_inflow: np.ndarray    # conserved flux in through the ends
     times: list = field(default_factory=list)          # snapshot times
-    snapshots: list = field(default_factory=list)      # interior states
+    snapshots: list = field(default_factory=list)      # cell states
     step_times: list = field(default_factory=list)     # per accepted step
     totals: list = field(default_factory=list)         # conserved integrals
     total_entropy: list = field(default_factory=list)
@@ -146,25 +145,25 @@ class Trajectory:
     max_sigma: list = field(default_factory=list)
 
 
-def fill_ghost(field_arr: np.ndarray, boundary: str,
-               left_state=None, right_state=None) -> None:
-    """Fill the `GHOST` layers at both ends of every spatial axis in place
-    (all axes but the last, which holds the state components)."""
+def with_ghosts(U: np.ndarray, boundary: str,
+                left_state=None, right_state=None) -> np.ndarray:
+    """Copy of the cells U padded by one ghost cell at both ends of every
+    spatial axis (all axes but the last, which holds the state components),
+    filled per the boundary rule.  Axes are padded in turn, so a corner
+    ghost is filled from the ghosts of the axes before."""
     if boundary not in BOUNDARY_KINDS:
         raise ValueError(f"unknown boundary '{boundary}'")
-    g = GHOST
-    for axis in range(field_arr.ndim - 1):
-        a = (slice(None),) * axis   # the axes before this one, whole
-        low, high = a + (slice(None, g),), a + (slice(-g, None),)
+    for axis in range(U.ndim - 1):
         if boundary == "periodic":
-            field_arr[low] = field_arr[a + (slice(-2 * g, -g),)]
-            field_arr[high] = field_arr[a + (slice(g, 2 * g),)]
+            ends = U.take([-1], axis), U.take([0], axis)
         elif boundary == "zero-gradient":
-            field_arr[low] = field_arr[a + (slice(g, g + 1),)]
-            field_arr[high] = field_arr[a + (slice(-g - 1, -g),)]
+            ends = U.take([0], axis), U.take([-1], axis)
         else:
-            field_arr[low] = np.asarray(left_state, dtype=float)
-            field_arr[high] = np.asarray(right_state, dtype=float)
+            shape = U.shape[:axis] + (1,) + U.shape[axis + 1:]
+            ends = [np.broadcast_to(np.asarray(s, dtype=float), shape)
+                    for s in (left_state, right_state)]
+        U = np.concatenate([ends[0], U, ends[1]], axis=axis)
+    return U
 
 
 def rusanov_flux(F_left: np.ndarray, F_right: np.ndarray,
@@ -199,58 +198,53 @@ def _cell(flat_index, shape, offset: int = 0):
     return idx[0] if len(idx) == 1 else idx
 
 
-def _raise_inadmissible(model: CdfModel, interior: np.ndarray, what: str,
+def _raise_inadmissible(model: CdfModel, cells: np.ndarray, what: str,
                         error=InadmissibleStateError):
-    """Raise `error` at the first bad cell of `interior`."""
-    finite = np.isfinite(interior)
-    ok = finite.all(axis=-1) & model.admissible(np.where(finite, interior, 1))
+    """Raise `error` at the first bad cell of `cells`."""
+    finite = np.isfinite(cells)
+    ok = finite.all(axis=-1) & model.admissible(np.where(finite, cells, 1))
     bad = _cell(np.argmin(ok), ok.shape)
-    raise error(f"{what} at cell {bad}: {interior[bad]}")
+    raise error(f"{what} at cell {bad}: {cells[bad]}")
 
 
-def step_hyperbolic(model: CdfModel, field_arr: np.ndarray, dt: float,
+def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
                     grid: Grid1D | Grid2D, boundary: str = "periodic",
                     left_state=None, right_state=None, cfl: float = 1.0):
-    """First-order FV update of the interior cells, ghosts filled per the
-    boundary rule.  Returns the new field and the conserved-block fluxes
-    through the low and high ends integrated over their faces.  Raises
-    InadmissibleStateError at the first non-finite or inadmissible new cell:
-    the one check of the transport output."""
-    g = GHOST
+    """First-order FV update of the cells (no ghosts: the end faces read the
+    ghosts `with_ghosts` adds per the boundary rule).  Returns the new cells
+    and the conserved-block fluxes through the low and high ends integrated
+    over their faces.  Raises InadmissibleStateError at the first
+    non-finite or inadmissible new cell: the one check of the transport
+    output."""
     spacing = _spacing(grid)
-    work = field_arr.copy()
-    fill_ghost(work, boundary, left_state, right_state)
+    work = with_ghosts(cells, boundary, left_state, right_state)
     # ghost speeds count too: the Rusanov faces at the domain ends use them
     speeds, rate = _axis_speeds(model, work, spacing)
     smax = float(rate.max())
     if smax > 0 and dt > cfl * spacing[0] / smax * (1.0 + 1e-9):
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
-            f"cell {_cell(np.argmax(rate), rate.shape, g)}")
+            f"cell {_cell(np.argmax(rate), rate.shape, 1)}")
     n = model.n_conserved
     f_ends = np.zeros((2, n))
-    new = field_arr.copy()
-    inner = (slice(g, -g),) * len(spacing)
-    interior = new[inner]   # a view into `new`
+    new = cells.copy()
+    no_ghost = (slice(1, -1),) * len(spacing)
     for d, h in enumerate(spacing):
-        # the cells beside the faces along axis d that bound an interior
-        # cell (one ghost layer past each end of d): their flux is evaluated
-        # once and sliced into the low and high side of every face
-        cells = inner[:d] + (slice(g - 1, work.shape[d] - g + 1),) \
-            + inner[d + 1:]
+        # the cells of a line along axis d plus its two ghosts: their flux
+        # is evaluated once and sliced into the low and high side of every
+        # face
+        line = no_ghost[:d] + (slice(None),) + no_ghost[d + 1:]
         a = (slice(None),) * d
         lo, hi = a + (slice(None, -1),), a + (slice(1, None),)
-        U, s = work[cells], speeds[d][cells]
+        U, s = work[line], speeds[d][line]
         Fc = model.flux(U, d)
         F = rusanov_flux(Fc[lo], Fc[hi], U[lo], U[hi], (s[lo], s[hi]))
-        interior -= (dt / h) * (F[hi] - F[lo])
+        new -= (dt / h) * (F[hi] - F[lo])
         other = tuple(i for i in range(len(spacing)) if i != d)
         ends = a + (slice(None, None, F.shape[d] - 1),)     # first, last face
         f_ends += F[ends][..., :n].sum(axis=other) * (math.prod(spacing) / h)
-    if not np.isfinite(interior).all() or \
-            not model.admissible(interior).all():
-        _raise_inadmissible(model, interior,
-                            "inadmissible state after transport")
+    if not np.isfinite(new).all() or not model.admissible(new).all():
+        _raise_inadmissible(model, new, "inadmissible state after transport")
     return new, f_ends[0], f_ends[1]
 
 
@@ -387,20 +381,15 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float,
         f": state {U[idx]}, residual {size(r)[idx]:.3e}")
 
 
-def strang_step(model: CdfModel, field_arr: np.ndarray, dt: float,
+def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
                 grid: Grid1D | Grid2D, boundary: str = "periodic",
                 left_state=None, right_state=None, cfl: float = 1.0):
-    """S(dt/2) o H(dt) o S(dt/2); conserves the conserved block exactly.
-
-    Only interior cells are relaxed: `step_hyperbolic` refills the ghost
-    layers before it reads them."""
-    inner = (slice(GHOST, -GHOST),) * (field_arr.ndim - 1)
-    half = field_arr.copy()
-    half[inner] = step_source_exact(model, field_arr[inner], 0.5 * dt)
+    """S(dt/2) o H(dt) o S(dt/2) on the cells (no ghosts); conserves the
+    conserved block exactly."""
+    half = step_source_exact(model, cells, 0.5 * dt)
     out, f_left, f_right = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl)
-    out[inner] = step_source_exact(model, out[inner], 0.5 * dt)
-    return out, f_left, f_right
+    return step_source_exact(model, out, 0.5 * dt), f_left, f_right
 
 
 def _audit_or_raise(model: CdfModel, samples: int = 200) -> None:
@@ -430,47 +419,34 @@ def run(scenario: Scenario, override_audit: bool = False,
         if model.space_dim != 2:
             raise ValueError("2D runs need a model with space_dim == 2")
 
-    g = GHOST
     spacing = _spacing(grid)
     centers = grid.centers() if len(spacing) > 1 else (grid.centers(),)
-    inner = (slice(g, -g),) * len(spacing)
     sum_axes = tuple(range(len(spacing)))
     vol = math.prod(spacing)
-    field_arr = np.empty(tuple(c.size + 2 * g for c in centers)
-                         + (model.n_comp,))
-    interior = field_arr[inner]
-    for idx in np.ndindex(interior.shape[:-1]):
-        interior[idx] = scenario.initial_condition(
+    bc = (scenario.boundary, scenario.left_state, scenario.right_state)
+    field_arr = np.empty(tuple(c.size for c in centers) + (model.n_comp,))
+    for idx in np.ndindex(field_arr.shape[:-1]):
+        field_arr[idx] = scenario.initial_condition(
             *(c[i] for c, i in zip(centers, idx)))
-    if not np.all(model.admissible(interior)):
-        _raise_inadmissible(model, interior, "initial condition inadmissible",
+    if not np.all(model.admissible(field_arr)):
+        _raise_inadmissible(model, field_arr, "initial condition inadmissible",
                             InitialConditionError)
-    fill_ghost(field_arr, scenario.boundary, scenario.left_state,
-               scenario.right_state)
 
     traj = Trajectory(boundary=scenario.boundary,
                       boundary_inflow=np.zeros(model.n_conserved))
 
     def record_diag(t):
-        inner_f = field_arr[inner]
         traj.step_times.append(t)
         traj.totals.append(
-            inner_f[..., :model.n_conserved].sum(axis=sum_axes) * vol)
-        traj.total_entropy.append(float(model.entropy(inner_f).sum() * vol))
-        sig = core.entropy_production(model, inner_f)
+            field_arr[..., :model.n_conserved].sum(axis=sum_axes) * vol)
+        traj.total_entropy.append(float(model.entropy(field_arr).sum() * vol))
+        sig = core.entropy_production(model, field_arr)
         traj.min_sigma.append(float(sig.min()))
         traj.max_sigma.append(float(sig.max()))
 
     def record_snapshot(t):
         traj.times.append(t)
-        traj.snapshots.append(field_arr[inner].copy())
-
-    # Fixed boundary states enter the end faces, so their (constant) speed
-    # bounds dt; periodic and zero-gradient ghosts copy interior cells.
-    s_boundary = 0.0
-    if scenario.boundary == "fixed-state":
-        s_boundary = float(np.max(core.spectral_radius(model, np.array(
-            [scenario.left_state, scenario.right_state], dtype=float))))
+        traj.snapshots.append(field_arr)   # each step returns a new array
 
     t = 0.0
     record_diag(t)
@@ -479,8 +455,10 @@ def run(scenario: Scenario, override_audit: bool = False,
     for _ in range(max_steps):
         if t >= scenario.t_end - 1e-14 * scenario.t_end:
             break
-        _, speed = _axis_speeds(model, field_arr[inner], spacing)
-        smax = max(float(speed.max()), s_boundary)
+        # the ghosts hold what the end faces read, fixed boundary states
+        # included, so their speeds bound dt as in the CFL recheck
+        _, speed = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)
+        smax = float(speed.max())
         if smax <= 0:
             dt = scenario.t_end - t
         else:
@@ -489,8 +467,7 @@ def run(scenario: Scenario, override_audit: bool = False,
             dt = 0.99 * scenario.cfl * spacing[0] / smax
         dt = min(dt, scenario.t_end - t)
         field_arr, f_left, f_right = strang_step(
-            model, field_arr, dt, grid, scenario.boundary,
-            scenario.left_state, scenario.right_state, scenario.cfl)
+            model, field_arr, dt, grid, *bc, scenario.cfl)
         traj.boundary_inflow += (f_left - f_right) * dt
         t += dt
         record_diag(t)

@@ -140,12 +140,17 @@ class TestRunCommand:
         header = (out / "snapshot_0000.csv").read_text().splitlines()[1]
         assert header == "x,rho,mom,erg,rw,rC,theta,q,tau,sigma"
 
-    def test_audit_gate_blocks_signflip(self, tmp_path):
+    def test_audit_gate_blocks_signflip(self, tmp_path, capsys):
+        """Stopped before its first write, the run leaves none of the
+        directories the command made."""
         payload = _run_config(tmp_path, model="heat-signflip")
         cfg = _cfg(tmp_path, payload)
         rc = cli.main(["run", "--config", cfg, "--out",
-                       str(tmp_path / "out")])
+                       str(tmp_path / "out" / "nested")])
         assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("audit gate: ")
+        assert not (tmp_path / "out").exists()
 
     def test_inadmissible_initial_data_rejected(self, tmp_path):
         """Rejected mid-work, the scenario leaves none of the directories
@@ -522,13 +527,19 @@ MALFORMED = {
     "verify-fluid-3-rows": (_verify_box("fluid", FLUID_PARAMS),
                             "sampling: the box has 3 rows; model 'fluid' "
                             "has 5 components"),
+    # well-formed, but u = 1 + 2 sin(2 pi x) < 0 in the study's first run
+    "converge-amplitude-2": (_small_converge(amplitude=2.0),
+                             "scenario rejected: initial condition "
+                             "inadmissible at cell 9: [-0.11114047  0.    "
+                             "    ]"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_config_is_one_line_exit_2(tmp_path, capsys, name):
     """A malformed config ends in exit 2 with one classified stderr line,
-    before any work starts and without writing any file."""
+    without writing any file or leaving a directory; so does a scenario
+    rejected during the work."""
     payload, message = MALFORMED[name]
     out = tmp_path / "out"
     rc = cli.main([payload["command"], "--config", _cfg(tmp_path, payload),

@@ -7,29 +7,18 @@ from cdf_lab import core, diagnostics, solver, verify
 from cdf_lab.fluid import FluidParams, conserved_from_primitive, fluid_model
 from cdf_lab.heat import HeatParams, heat_model
 from cdf_lab.solver import (CflError, Grid1D, Grid2D, InadmissibleStateError,
-                            ModelAuditError, Scenario, fill_ghost,
-                            rusanov_flux, step_hyperbolic, step_source_exact,
-                            strang_step)
+                            ModelAuditError, Scenario, rusanov_flux,
+                            step_hyperbolic, step_source_exact, strang_step,
+                            with_ghosts)
 
 from conftest import random_fluid_states, random_heat_states
-
-G = solver.GHOST
-
-
-def _padded(interior):
-    """Interior cells wrapped with (periodically filled) ghost storage."""
-    interior = np.asarray(interior, dtype=float)
-    out = np.empty((interior.shape[0] + 2 * G,) + interior.shape[1:])
-    out[G:-G] = interior
-    fill_ghost(out, "periodic")
-    return out
 
 
 def _heat_sine_field(n, amplitude=0.1):
     x = Grid1D(n).centers()
     field = np.zeros((n, 2))
     field[:, 0] = 1.0 + amplitude * np.sin(2.0 * np.pi * x)
-    return _padded(field)
+    return field
 
 
 class TestGrids:
@@ -97,24 +86,50 @@ class TestScenarioValidation:
                          right_state=right, t_end=1.0)
 
 
+# 1D cells 0..7, and 2D cells 10 i + j on a 3 x 4 grid; one component
+_CELLS_1D = np.arange(8.0)[:, None]
+_CELLS_2D = (10.0 * np.arange(3)[:, None] + np.arange(4))[..., None]
+
+
 class TestGhostFilling:
+    """`with_ghosts` pads one cell per axis end and leaves its input as it
+    is; a 2D corner ghost is the axis-1 ghost of an axis-0 ghost."""
+
+    @staticmethod
+    def _ghosted(cells, *args):
+        before = cells.copy()
+        out = with_ghosts(cells, *args)
+        assert np.array_equal(cells, before)
+        assert out.shape == tuple(k + 2 for k in cells.shape[:-1]) + (1,)
+        assert np.array_equal(out[(slice(1, -1),) * (cells.ndim - 1)], cells)
+        return out[..., 0]
+
     def test_periodic(self):
-        f = _padded(np.arange(8.0)[:, None])
-        fill_ghost(f, "periodic")
-        assert f[:G, 0].tolist() == [6.0, 7.0]
-        assert f[-G:, 0].tolist() == [0.0, 1.0]
+        f = self._ghosted(_CELLS_1D, "periodic")
+        assert (f[0], f[-1]) == (7.0, 0.0)
+        f = self._ghosted(_CELLS_2D, "periodic")
+        assert f[0, 1:-1].tolist() == [20.0, 21.0, 22.0, 23.0]
+        assert f[1:-1, -1].tolist() == [0.0, 10.0, 20.0]
+        assert [f[0, 0], f[0, -1], f[-1, 0], f[-1, -1]] == [23, 20, 3, 0]
 
     def test_zero_gradient(self):
-        f = _padded(np.arange(8.0)[:, None])
-        fill_ghost(f, "zero-gradient")
-        assert f[:G, 0].tolist() == [0.0, 0.0]
-        assert f[-G:, 0].tolist() == [7.0, 7.0]
+        f = self._ghosted(_CELLS_1D, "zero-gradient")
+        assert (f[0], f[-1]) == (0.0, 7.0)
+        f = self._ghosted(_CELLS_2D, "zero-gradient")
+        assert f[-1, 1:-1].tolist() == [20.0, 21.0, 22.0, 23.0]
+        assert f[1:-1, 0].tolist() == [0.0, 10.0, 20.0]
+        assert [f[0, 0], f[0, -1], f[-1, 0], f[-1, -1]] == [0, 3, 20, 23]
 
     def test_fixed_state(self):
-        f = _padded(np.arange(8.0)[:, None])
-        fill_ghost(f, "fixed-state", left_state=[-5.0], right_state=[9.0])
-        assert f[:G, 0].tolist() == [-5.0, -5.0]
-        assert f[-G:, 0].tolist() == [9.0, 9.0]
+        f = self._ghosted(_CELLS_1D, "fixed-state", [-5.0], [9.0])
+        assert (f[0], f[-1]) == (-5.0, 9.0)
+        f = self._ghosted(_CELLS_2D, "fixed-state", [-5.0], [9.0])
+        assert f[0, 1:-1].tolist() == [-5.0] * 4
+        assert f[1:-1, -1].tolist() == [9.0] * 3
+        # the last axis padded sets the corners
+        assert [f[0, 0], f[0, -1], f[-1, 0], f[-1, -1]] == [-5, 9, -5, 9]
+        with pytest.raises(ValueError, match="unknown boundary"):
+            with_ghosts(_CELLS_1D, "reflecting")
 
 
 def _rusanov(model, UL, UR):
@@ -143,16 +158,16 @@ class TestRusanovFlux:
 
 class TestStepHyperbolic:
     def test_uniform_state_invariant(self, heat):
-        f = _padded(np.tile([1.4, 0.2], (16, 1)))
+        f = np.tile([1.4, 0.2], (16, 1))
         out, _, _ = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
-        assert np.allclose(out[G:-G], f[G:-G], atol=1e-15)
+        assert np.allclose(out, f, atol=1e-15)
 
     def test_conserves_totals_periodic(self, heat):
         f = _heat_sine_field(32)
-        f[G:-G, 1] = 0.05  # nonzero dissipative content too
+        f[:, 1] = 0.05  # nonzero dissipative content too
         out, _, _ = step_hyperbolic(heat, f, 5e-3, Grid1D(32))
-        before = f[G:-G].sum(axis=0)
-        after = out[G:-G].sum(axis=0)
+        before = f.sum(axis=0)
+        after = out.sum(axis=0)
         assert np.max(np.abs(after - before) / np.abs(before)) < 1e-13
 
     def test_cfl_violation_raises(self, heat):
@@ -160,14 +175,14 @@ class TestStepHyperbolic:
         with pytest.raises(CflError):
             step_hyperbolic(heat, f, 1.0, Grid1D(32), cfl=0.45)
         # a fixed boundary state faster than every interior cell counts too
-        dt = 0.4 * Grid1D(32).dx / np.max(heat.max_wave_speed(f[G:-G]))
+        dt = 0.4 * Grid1D(32).dx / np.max(heat.max_wave_speed(f))
         with pytest.raises(CflError):
             step_hyperbolic(heat, f, dt, Grid1D(32), "fixed-state",
                             [0.1, 0.0], [1.0, 0.0], cfl=0.45)
         # in 2D a dt valid for the x-width fails once the narrower y-width
         # is counted too: 0.3 (1 + dx/dy) > 0.45 for dy = dx/4, not dx*4
         model = heat_model(HeatParams(space_dim=2))
-        f = np.zeros((8 + 2 * G, 32 + 2 * G, 3))
+        f = np.zeros((8, 32, 3))
         f[..., 0] = 1.0
         dt = 0.3 * Grid2D(8, 32).dx / float(model.max_wave_speed(f[0, 0]))
         with pytest.raises(CflError):
@@ -187,7 +202,7 @@ class TestStepHyperbolic:
             calls.append((j, U.shape[:-1]))
             return base.flux(U, j)
 
-        f = np.zeros(tuple(k + 2 * G for k in shape) + (base.n_comp,))
+        f = np.zeros(shape + (base.n_comp,))
         f[..., 0] = 1.0 + 0.1 * np.sin(np.arange(f[..., 0].size)).reshape(
             f.shape[:-1])
         step_hyperbolic(dataclasses.replace(base, flux=flux), f, 1e-3, grid)
@@ -208,7 +223,7 @@ class TestStepHyperbolic:
             return out
 
         f = _heat_sine_field(16)
-        f[G + 5, 0] = 2.0
+        f[5, 0] = 2.0
         # the NaN flux of cell 5 spoils both of its faces, so cells 4-6;
         # the error names the first of them
         with pytest.raises(InadmissibleStateError,
@@ -520,10 +535,9 @@ class TestStrangStep:
         field = conserved_from_primitive(
             1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0,
             1.0 + 0.05 * np.cos(2 * np.pi * x), 0.05, -0.02)
-        f = _padded(field)
-        out, _, _ = strang_step(fluid, f, 1e-3, Grid1D(32))
-        before = f[G:-G, :3].sum(axis=0)
-        after = out[G:-G, :3].sum(axis=0)
+        out, _, _ = strang_step(fluid, field, 1e-3, Grid1D(32))
+        before = field[:, :3].sum(axis=0)
+        after = out[:, :3].sum(axis=0)
         # momentum total is zero; scale by the largest conserved total
         assert np.max(np.abs(after - before)) / np.max(np.abs(before)) < 1e-13
 
@@ -544,10 +558,10 @@ class TestStrangStep:
             heat,
             source_decay_rates=lambda U: np.zeros(U.shape[:-1] + (1,)))
         f = _heat_sine_field(32)
-        f[G:-G, 1] = 0.03
+        f[:, 1] = 0.03
         a, _, _ = strang_step(frozen, f, 2e-3, Grid1D(32))
         b, _, _ = step_hyperbolic(heat, f, 2e-3, Grid1D(32))
-        assert np.array_equal(a[G:-G], b[G:-G])
+        assert np.array_equal(a, b)
 
 
 def _run_fixed_dt(model, field, dt, n_steps, grid):
@@ -566,11 +580,11 @@ class TestAccuracy:
         f0 = _heat_sine_field(32)
         T = 0.1
         base_steps = 16
-        ref = _run_fixed_dt(heat, f0, T / 128, 128, grid)[G:-G, 0]
+        ref = _run_fixed_dt(heat, f0, T / 128, 128, grid)[:, 0]
         errs = []
         for k in (1, 2, 4):
             n = base_steps * k
-            out = _run_fixed_dt(heat, f0, T / n, n, grid)[G:-G, 0]
+            out = _run_fixed_dt(heat, f0, T / n, n, grid)[:, 0]
             errs.append(np.sqrt(np.mean((out - ref) ** 2)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 0.7), orders
