@@ -330,6 +330,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
                 "total_entropy": traj.total_entropy[i],
                 "min_sigma": traj.min_sigma[i],
                 "max_sigma": traj.max_sigma[i],
+                "speed": traj.speeds[i],
             }) + "\n")
 
     cons = diagnostics.conservation_audit(traj)
@@ -343,6 +344,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         "max_relative_drift": float(cons.max_drift),
         "entropy_ok": ent.passed,
         "steps": len(traj.step_times) - 1,
+        "cfl_retries": traj.cfl_retries,
         "config_sha256": h,
     }
     with open(out_dir / "run_summary.json", "w") as fh:

@@ -11,6 +11,13 @@ One time loop serves 1D grids (any model, any boundary kind) and periodic
 transport alone pads it with one ghost cell at each end of every spatial
 axis (`with_ghosts`), sums the face-flux differences axis by axis, and
 rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
+
+Wave speeds are evaluated once per step, by transport.  The time loop
+takes each dt from the CFL speed the previous step's transport measured
+(the first from the initial field), with a 1% margin.  If the speed has
+grown past that margin by the next recheck, the recheck raises `CflError`
+and the loop retries the step once from the same cells, with dt from the
+speed that check measured.  A second violation ends the run.
 """
 
 from __future__ import annotations
@@ -29,7 +36,12 @@ BOUNDARY_KINDS = ("periodic", "fixed-state", "zero-gradient")
 
 
 class CflError(RuntimeError):
-    """The time step violates the CFL restriction."""
+    """The time step violates the CFL restriction; `speed` is the CFL speed
+    the failed check measured."""
+
+    def __init__(self, message: str, speed: float = math.nan):
+        super().__init__(message)
+        self.speed = speed
 
 
 class InadmissibleStateError(RuntimeError):
@@ -139,6 +151,8 @@ class Trajectory:
     times: list = field(default_factory=list)          # snapshot times
     snapshots: list = field(default_factory=list)      # cell states
     step_times: list = field(default_factory=list)     # per accepted step
+    speeds: list = field(default_factory=list)         # CFL speed for next dt
+    cfl_retries: int = 0                               # steps retried
     totals: list = field(default_factory=list)         # conserved integrals
     total_entropy: list = field(default_factory=list)
     min_sigma: list = field(default_factory=list)
@@ -211,9 +225,11 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
                     grid: Grid1D | Grid2D, boundary: str = "periodic",
                     left_state=None, right_state=None, cfl: float = 1.0):
     """First-order FV update of the cells (no ghosts: the end faces read the
-    ghosts `with_ghosts` adds per the boundary rule).  Returns the new cells
-    and the conserved-block fluxes through the low and high ends integrated
-    over their faces.  Raises InadmissibleStateError at the first
+    ghosts `with_ghosts` adds per the boundary rule).  Returns the new cells,
+    the conserved-block fluxes through the low and high ends integrated
+    over their faces, and the largest CFL speed of the ghost-filled input
+    (see `_axis_speeds`).  Raises CflError, carrying that speed, when dt
+    exceeds cfl dx / speed, and InadmissibleStateError at the first
     non-finite or inadmissible new cell: the one check of the transport
     output."""
     spacing = _spacing(grid)
@@ -224,7 +240,7 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
     if smax > 0 and dt > cfl * spacing[0] / smax * (1.0 + 1e-9):
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
-            f"cell {_cell(np.argmax(rate), rate.shape, 1)}")
+            f"cell {_cell(np.argmax(rate), rate.shape, 1)}", smax)
     n = model.n_conserved
     f_ends = np.zeros((2, n))
     new = cells.copy()
@@ -245,7 +261,7 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
         f_ends += F[ends][..., :n].sum(axis=other) * (math.prod(spacing) / h)
     if not np.isfinite(new).all() or not model.admissible(new).all():
         _raise_inadmissible(model, new, "inadmissible state after transport")
-    return new, f_ends[0], f_ends[1]
+    return new, f_ends[0], f_ends[1], smax
 
 
 def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float
@@ -385,11 +401,12 @@ def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
                 grid: Grid1D | Grid2D, boundary: str = "periodic",
                 left_state=None, right_state=None, cfl: float = 1.0):
     """S(dt/2) o H(dt) o S(dt/2) on the cells (no ghosts); conserves the
-    conserved block exactly."""
+    conserved block exactly.  Returns what `step_hyperbolic` does, with the
+    cells relaxed by the closing half step."""
     half = step_source_exact(model, cells, 0.5 * dt)
-    out, f_left, f_right = step_hyperbolic(
+    out, f_left, f_right, speed = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl)
-    return step_source_exact(model, out, 0.5 * dt), f_left, f_right
+    return step_source_exact(model, out, 0.5 * dt), f_left, f_right, speed
 
 
 def _audit_or_raise(model: CdfModel, samples: int = 200) -> None:
@@ -408,8 +425,12 @@ def _audit_or_raise(model: CdfModel, samples: int = 200) -> None:
 
 def run(scenario: Scenario, override_audit: bool = False,
         max_steps: int = 2_000_000) -> Trajectory:
-    """Integrate to t_end with adaptive dt = cfl dx / max speed (the speed
-    summed over the axes in units of dx, see `_axis_speeds`)."""
+    """Integrate to t_end with adaptive dt = 0.99 cfl dx / speed, the CFL
+    speed (summed over the axes in units of dx, see `_axis_speeds`) that
+    the previous step's transport measured, or for the first step the
+    speed of the initial field.  A step whose transport raises CflError is
+    retried once from the same cells, with dt from the speed that check
+    measured; a second CflError propagates."""
     model, grid = scenario.model, scenario.grid
     if not override_audit:
         _audit_or_raise(model)
@@ -435,8 +456,9 @@ def run(scenario: Scenario, override_audit: bool = False,
     traj = Trajectory(boundary=scenario.boundary,
                       boundary_inflow=np.zeros(model.n_conserved))
 
-    def record_diag(t):
+    def record_diag(t, speed):
         traj.step_times.append(t)
+        traj.speeds.append(speed)
         traj.totals.append(
             field_arr[..., :model.n_conserved].sum(axis=sum_axes) * vol)
         traj.total_entropy.append(float(model.entropy(field_arr).sum() * vol))
@@ -448,29 +470,37 @@ def run(scenario: Scenario, override_audit: bool = False,
         traj.times.append(t)
         traj.snapshots.append(field_arr)   # each step returns a new array
 
+    def time_step(speed):
+        if speed <= 0:
+            return scenario.t_end - t
+        # 1% margin for the speed's drift from the transport that measured
+        # it to the next one's recheck (one transport update and one full
+        # source step); a larger drift costs one retry
+        return min(0.99 * scenario.cfl * spacing[0] / speed,
+                   scenario.t_end - t)
+
     t = 0.0
-    record_diag(t)
+    # the ghosts hold what the end faces read, fixed boundary states
+    # included, so their speeds bound dt as in the CFL recheck
+    _, rate = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)
+    speed = float(rate.max())
+    record_diag(t, speed)
     record_snapshot(t)
     next_out = scenario.output_every
     for _ in range(max_steps):
         if t >= scenario.t_end - 1e-14 * scenario.t_end:
             break
-        # the ghosts hold what the end faces read, fixed boundary states
-        # included, so their speeds bound dt as in the CFL recheck
-        _, speed = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)
-        smax = float(speed.max())
-        if smax <= 0:
-            dt = scenario.t_end - t
-        else:
-            # 1% margin absorbs the small speed drift across the leading
-            # half source step, which runs before the CFL recheck
-            dt = 0.99 * scenario.cfl * spacing[0] / smax
-        dt = min(dt, scenario.t_end - t)
-        field_arr, f_left, f_right = strang_step(
-            model, field_arr, dt, grid, *bc, scenario.cfl)
+        dt = time_step(speed)
+        try:
+            step = strang_step(model, field_arr, dt, grid, *bc, scenario.cfl)
+        except CflError as err:
+            traj.cfl_retries += 1
+            dt = time_step(err.speed)
+            step = strang_step(model, field_arr, dt, grid, *bc, scenario.cfl)
+        field_arr, f_left, f_right, speed = step
         traj.boundary_inflow += (f_left - f_right) * dt
         t += dt
-        record_diag(t)
+        record_diag(t, speed)
         if t >= next_out - 1e-12 or t >= scenario.t_end - 1e-14:
             record_snapshot(t)
             while next_out <= t + 1e-12:

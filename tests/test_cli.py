@@ -119,7 +119,16 @@ class TestRunCommand:
         assert len(diag_lines) == summary["steps"] + 1
         first = json.loads(diag_lines[0])
         assert set(first) == {"time", "totals", "total_entropy",
-                              "min_sigma", "max_sigma"}
+                              "min_sigma", "max_sigma", "speed"}
+        # each record's speed sets the next dt, 0.99 cfl dx / speed, until
+        # the last step, which ends on t_end
+        assert summary["cfl_retries"] == 0
+        records = [json.loads(line) for line in diag_lines]
+        dt = np.diff([r["time"] for r in records])
+        limit = 0.99 * 0.45 * (1.0 / 64) / np.array(
+            [r["speed"] for r in records[:-1]])
+        assert np.allclose(dt[:-1], limit[:-1], rtol=1e-12, atol=0)
+        assert dt[-1] <= limit[-1]
 
     def test_repeat_runs_bit_identical(self, tmp_path):
         cfg = _cfg(tmp_path, _run_config(tmp_path))
@@ -226,6 +235,32 @@ class TestRunCommand:
                                     solver.CflError("dt too large"))
         assert rc == 1
         assert err == ["time stepping failed: dt too large"]
+
+    def test_speed_that_keeps_growing_is_scientific(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """A wave speed that grows x1.5 on every evaluation fails the first
+        step and its one retry: exit 1 with one stderr line, not a loop."""
+        build = cli.build_model
+
+        def growing(cfg):
+            model = build(cfg)
+            calls = []
+
+            def max_wave_speed(U):
+                calls.append(U.shape)
+                return 1.5 ** len(calls) * model.max_wave_speed(U)
+
+            return dataclasses.replace(model, max_wave_speed=max_wave_speed)
+
+        monkeypatch.setattr(cli, "build_model", growing)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, _run_config(
+            tmp_path)), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("time stepping failed: dt=")
+        assert not out.exists()
 
     def test_step_limit_is_scientific(self, tmp_path, monkeypatch, capsys):
         rc, err = self._run_failing(tmp_path, monkeypatch, capsys,

@@ -159,13 +159,13 @@ class TestRusanovFlux:
 class TestStepHyperbolic:
     def test_uniform_state_invariant(self, heat):
         f = np.tile([1.4, 0.2], (16, 1))
-        out, _, _ = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
+        out, _, _, _ = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
         assert np.allclose(out, f, atol=1e-15)
 
     def test_conserves_totals_periodic(self, heat):
         f = _heat_sine_field(32)
         f[:, 1] = 0.05  # nonzero dissipative content too
-        out, _, _ = step_hyperbolic(heat, f, 5e-3, Grid1D(32))
+        out, _, _, _ = step_hyperbolic(heat, f, 5e-3, Grid1D(32))
         before = f.sum(axis=0)
         after = out.sum(axis=0)
         assert np.max(np.abs(after - before) / np.abs(before)) < 1e-13
@@ -188,6 +188,24 @@ class TestStepHyperbolic:
         with pytest.raises(CflError):
             step_hyperbolic(model, f, dt, Grid2D(8, 32), cfl=0.45)
         step_hyperbolic(model, f, dt, Grid2D(8, 32, y_max=32.0), cfl=0.45)
+
+    def test_reports_its_cfl_speed(self, heat):
+        """The speed returned, and the one a failed recheck carries, is the
+        largest CFL speed of the ghost-filled input, summed over the axes
+        in units of dx."""
+        f = _heat_sine_field(32)
+        s = float(np.max(heat.max_wave_speed(f)))  # periodic ghosts repeat
+        assert step_hyperbolic(heat, f, 1e-3, Grid1D(32))[3] == s
+        with pytest.raises(CflError) as err:
+            step_hyperbolic(heat, f, 1.0, Grid1D(32), cfl=0.45)
+        assert err.value.speed == s
+        model = heat_model(HeatParams(space_dim=2))
+        f = np.zeros((8, 32, 3))
+        f[..., 0] = 1.0
+        grid = Grid2D(8, 32)
+        s = float(model.max_wave_speed(f[0, 0]))
+        assert step_hyperbolic(model, f, 1e-4, grid)[3] == pytest.approx(
+            s * (1.0 + grid.dx / grid.dy), rel=1e-14)
 
     @staticmethod
     def _flux_calls(grid):
@@ -233,7 +251,7 @@ class TestStepHyperbolic:
 
     def test_boundary_flux_return(self, heat):
         f = _heat_sine_field(16)
-        out, f_left, f_right = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
+        out, f_left, f_right, _ = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
         # periodic: identical boundary faces
         assert np.allclose(f_left, f_right)
         assert f_left.shape == (1,)
@@ -535,7 +553,7 @@ class TestStrangStep:
         field = conserved_from_primitive(
             1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0,
             1.0 + 0.05 * np.cos(2 * np.pi * x), 0.05, -0.02)
-        out, _, _ = strang_step(fluid, field, 1e-3, Grid1D(32))
+        out, _, _, _ = strang_step(fluid, field, 1e-3, Grid1D(32))
         before = field[:, :3].sum(axis=0)
         after = out[:, :3].sum(axis=0)
         # momentum total is zero; scale by the largest conserved total
@@ -559,15 +577,15 @@ class TestStrangStep:
             source_decay_rates=lambda U: np.zeros(U.shape[:-1] + (1,)))
         f = _heat_sine_field(32)
         f[:, 1] = 0.03
-        a, _, _ = strang_step(frozen, f, 2e-3, Grid1D(32))
-        b, _, _ = step_hyperbolic(heat, f, 2e-3, Grid1D(32))
+        a, _, _, _ = strang_step(frozen, f, 2e-3, Grid1D(32))
+        b, _, _, _ = step_hyperbolic(heat, f, 2e-3, Grid1D(32))
         assert np.array_equal(a, b)
 
 
 def _run_fixed_dt(model, field, dt, n_steps, grid):
     f = field.copy()
     for _ in range(n_steps):
-        f, _, _ = strang_step(model, f, dt, grid)
+        f, _, _, _ = strang_step(model, f, dt, grid)
     return f
 
 
@@ -793,6 +811,96 @@ class TestFluidWaveSpeed:
         assert len(calls) == steps   # the Rusanov flux only
         Ua, Ub = a.snapshots[-1], b.snapshots[-1]
         assert np.all(np.abs(Ua - Ub) <= 1e-8 * np.max(np.abs(Ub), axis=0))
+
+
+def _speed_wrapped(model, jump_after=None, keep_jumping=False):
+    """`model` with a max_wave_speed that records each call in the returned
+    list.  After its `jump_after`-th call it reports the speeds x1.5, or
+    with `keep_jumping` x1.5 more on every further call."""
+    calls = []
+
+    def max_wave_speed(U):
+        calls.append(U.shape)
+        jumps = 0 if jump_after is None else max(len(calls) - jump_after, 0)
+        if not keep_jumping:
+            jumps = min(jumps, 1)
+        return 1.5 ** jumps * model.max_wave_speed(U)
+
+    return dataclasses.replace(model, max_wave_speed=max_wave_speed), calls
+
+
+class TestOneSpeedEvaluationPerStep:
+    """Transport's speeds set the next dt: only the first step evaluates
+    the speeds of its start-of-step field."""
+
+    def test_fluid_1d(self):
+        sc = diagnostics.fluid_pulse_scenario(
+            FluidParams(alpha0=1e-3, alpha1=1e-3), n_cells=32, t_end=0.01)
+        model, calls = _speed_wrapped(sc.model)
+        traj = solver.run(dataclasses.replace(sc, model=model))
+        steps = len(traj.step_times) - 1
+        assert steps > 1 and traj.cfl_retries == 0
+        assert len(calls) == steps + 1
+
+    def test_heat_2d_one_call_per_axis(self):
+        model, calls = _speed_wrapped(heat_model(HeatParams(space_dim=2)))
+        sc = Scenario(model=model, grid=Grid2D(16, 8),
+                      initial_condition=lambda x, y: np.array(
+                          [1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0, 0.0]),
+                      t_end=0.02)
+        traj = solver.run(sc)
+        steps = len(traj.step_times) - 1
+        assert steps > 1 and traj.cfl_retries == 0
+        assert len(calls) == 2 * (steps + 1)
+
+
+class TestCflRetry:
+    @staticmethod
+    def _run(model, monkeypatch):
+        """solver.run on a heat sine scenario with `model`, and the (dt,
+        speed) of every transport step that passed its CFL recheck."""
+        accepted = []
+        real = solver.step_hyperbolic
+
+        def recording(model, cells, dt, *args):
+            out = real(model, cells, dt, *args)
+            accepted.append((dt, out[3]))
+            return out
+
+        monkeypatch.setattr(solver, "step_hyperbolic", recording)
+        sc = dataclasses.replace(
+            diagnostics.heat_sine_scenario(HeatParams(), Grid1D(32), 0.2),
+            model=model)
+        return sc, solver.run(sc), accepted
+
+    def test_speed_jump_retries_once(self, heat, monkeypatch):
+        model, calls = _speed_wrapped(heat, jump_after=5)
+        sc, traj, accepted = self._run(model, monkeypatch)
+        assert traj.cfl_retries == 1
+        assert traj.step_times[-1] == pytest.approx(sc.t_end, rel=1e-14)
+        steps = len(traj.step_times) - 1
+        assert len(calls) == steps + 2     # the retried step's own transport
+        dt, speed = np.array(accepted).T
+        assert len(dt) == steps
+        assert np.array_equal(speed, traj.speeds[1:])
+        assert np.all(dt * speed / sc.grid.dx <= sc.cfl * (1.0 + 1e-9))
+
+    def test_retried_runs_are_bitwise_equal(self, heat, monkeypatch):
+        runs = [self._run(_speed_wrapped(heat, jump_after=5)[0],
+                          monkeypatch)[1] for _ in range(2)]
+        a, b = runs
+        assert a.cfl_retries == b.cfl_retries == 1
+        assert a.step_times == b.step_times and a.speeds == b.speeds
+        assert a.total_entropy == b.total_entropy
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(a.snapshots, b.snapshots, strict=True))
+
+    def test_speed_that_keeps_jumping_fails(self, heat, monkeypatch):
+        model, calls = _speed_wrapped(heat, jump_after=5, keep_jumping=True)
+        with pytest.raises(CflError, match="exceeds cfl"):
+            self._run(model, monkeypatch)
+        # the failed step and its one retry, then no more
+        assert len(calls) == 5 + 2
 
 
 class TestRun2D:
