@@ -129,8 +129,9 @@ _TOLERANCES = {name: (tol, *_POSITIVE)
 
 _CONVERGE = {
     "alpha0_values": ([1e-1, 3e-2, 1e-2, 3e-3, 1e-3],
-                      lambda v: _NUMBERS[0](v) and len(v) >= 3 and min(v) > 0,
-                      "a list of >= 3 positive numbers"),
+                      lambda v: _NUMBERS[0](v) and len(set(v)) >= 3
+                      and min(v) > 0,
+                      "a list of >= 3 distinct positive numbers"),
     "n_cells": (512, *_integer(4)),
     "t_end": (0.1, *_POSITIVE),
     "amplitude": (0.1, *_POSITIVE),
@@ -314,8 +315,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     for k, snap in enumerate(traj.snapshots):
         if model.derived is not None:
             d = model.derived(snap)
-            extra = np.column_stack([d["theta"], d["q"],
-                                     np.broadcast_to(d["tau"], (len(x),)),
+            extra = np.column_stack([d["theta"], d["q"], d["tau"],
                                      d["sigma"]])
         else:
             extra = np.zeros((len(x), 4))

@@ -169,11 +169,10 @@ def entropy_production(model: CdfModel, U) -> np.ndarray:
 
 
 def flux_jacobian(model: CdfModel, U, direction: int = 0,
-                  fd_step: float = FD_STEP,
                   scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Central-difference Jacobian of F_direction, shape (..., n+m, n+m)."""
     x = np.asarray(U, dtype=float)
-    return fd_jacobian(lambda y: model.flux(y, direction), x, fd_step, scale)
+    return fd_jacobian(lambda y: model.flux(y, direction), x, scale=scale)
 
 
 def spectral_radius(model: CdfModel, U, direction: int = 0) -> np.ndarray:

@@ -178,8 +178,8 @@ def relaxation_convergence(base: HeatParams, alpha0_values: Sequence[float],
     """
     alpha0_values = np.asarray(sorted(alpha0_values, reverse=True),
                                dtype=float)
-    if alpha0_values.size < 3:
-        raise ValueError("need at least 3 relaxation values")
+    if np.unique(alpha0_values).size < 3:
+        raise ValueError("need at least 3 distinct relaxation values")
     u_ref = fourier_sine_solution(base, grid.centers(), t_end, amplitude)
     ref_l2 = float(np.sqrt(np.sum(u_ref ** 2) * grid.dx))
 

@@ -34,6 +34,12 @@ from .core import CdfModel
 
 BOUNDARY_KINDS = ("periodic", "fixed-state", "zero-gradient")
 
+# states the audit gate of `run` samples (seed 0)
+_AUDIT_SAMPLES = 200
+# implicit-midpoint Newton: relative residual bound and iteration cap
+_MIDPOINT_TOL = 1e-12
+_MIDPOINT_MAX_ITER = 50
+
 
 class CflError(RuntimeError):
     """The time step violates the CFL restriction; `speed` is the CFL speed
@@ -350,8 +356,7 @@ def _relax_linear(model: CdfModel, U: np.ndarray, dt: float):
     return U1[:, n:].reshape(U.shape[:-1] + (-1,))
 
 
-def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float,
-                    tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
     """Implicit-midpoint relaxed v-block of every cell of U at once:
     v1 = v0 + dt Q_v(u, (v0 + v1)/2) by Newton with an FD Jacobian, step
     halving per cell until each cell's residual drops."""
@@ -366,10 +371,10 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float,
     def size(r):
         return np.max(np.abs(r), axis=-1)
 
-    bound = tol * (1.0 + size(v0))
+    bound = _MIDPOINT_TOL * (1.0 + size(v0))
     v1 = v0.copy()
     r = resid(v1)
-    for _ in range(max_iter):
+    for _ in range(_MIDPOINT_MAX_ITER):
         pending = ~(size(r) <= bound)   # a non-finite residual is pending
         if not pending.any():
             return v1
@@ -409,14 +414,14 @@ def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
     return step_source_exact(model, out, 0.5 * dt), f_left, f_right, speed
 
 
-def _audit_or_raise(model: CdfModel, samples: int = 200) -> None:
+def _audit_or_raise(model: CdfModel) -> None:
     from . import verify
-    states = verify.sample_states(
-        model, verify.SamplingPlan(seed=0, count=samples))
-    rep_c = verify.check_concavity(model, states)
-    rep_m = verify.check_dissipation_matrix(model, states)
-    if not (rep_c.passed and rep_m.passed):
-        failed = [r.name for r in (rep_c, rep_m) if not r.passed]
+    samples = verify.AuditSamples(model, verify.sample_states(
+        model, verify.SamplingPlan(seed=0, count=_AUDIT_SAMPLES)))
+    failed = [r.name for r in (verify.check_concavity(samples),
+                               verify.check_dissipation_matrix(samples))
+              if not r.passed]
+    if failed:
         raise ModelAuditError(
             f"model '{model.name}' fails structural checks {failed}; "
             "pass override_audit=True to run anyway"

@@ -18,18 +18,16 @@ allowance for rounding, is at most tol/2 passes without an eigensolve;
 `np.linalg.eigvals` decides every other sample and is the oracle the bound
 is tested against.
 
-An audit draws its states once (seeded, deterministic) and every `check_*`
-takes that states array.  `run_full_audit` also passes every check one
-`_SharedDerivatives` holder (`shared=`), so the entropy Hessian, its
-largest eigenvalue, the flux Jacobian of each direction and the symmetry
-defect of eta_UU . F_jU are computed once per audit; a check called on its
-own builds its own holder.
+An audit draws its states once (seeded, deterministic) into one
+`AuditSamples` holder, and every `check_*` takes that holder: eta_U,
+eta_UU, M and each F_jU are evaluated once per audit, by whichever check
+needs them first.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -138,16 +136,6 @@ class AuditReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.condition_results)
 
-    @property
-    def tolerances(self) -> dict:
-        return {r.name: r.tolerance for r in self.condition_results}
-
-    def result(self, name: str) -> CheckResult:
-        for r in self.condition_results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "model": self.model_name,
@@ -159,61 +147,65 @@ class AuditReport:
             "conditions": [r.to_dict() for r in self.condition_results],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
-
-def _fd_scale(states: np.ndarray) -> np.ndarray:
-    # Plan-wide per-component step scale keeps the finite-difference
-    # truncation error smooth across samples (matters for nested FD).
-    return np.maximum(1.0, np.max(np.abs(states), axis=0))
-
-
-class _SharedDerivatives:
-    """Finite-difference derivatives that the checks of one audit share,
-    and per-sample results derived from them, each computed on first use
-    on the audit's states with the plan-wide step scale."""
+class AuditSamples:
+    """The states of one audit and the quantities its checks share, each
+    evaluated once, on first use: eta_U, the entropy Hessian eta_UU and its
+    largest eigenvalue, M(U), each direction's flux Jacobian F_jU and the
+    symmetry defect of eta_UU . F_jU.  Finite differences take one
+    plan-wide per-component step scale, which keeps their truncation error
+    smooth across samples (this matters for nested differences)."""
 
     def __init__(self, model: CdfModel, states: np.ndarray):
         self.model = model
         self.states = states
-        self.scale = _fd_scale(states)
-        self._hessian = None
-        self._lam_max = None
-        self._flux_jacobians = {}
-        self._defects = {}
+        self.scale = np.maximum(1.0, np.max(np.abs(states), axis=0))
 
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """eta_U at any states: the closed form, else central differences
+        at the plan-wide scale."""
+        if self.model.entropy_grad is not None:
+            return np.asarray(self.model.entropy_grad(y), dtype=float)
+        return core.fd_gradient(self.model.entropy, y, scale=self.scale)
+
+    @cached_property
+    def entropy_grad(self) -> np.ndarray:
+        return self.gradient(self.states)
+
+    @cached_property
     def hessian(self) -> np.ndarray:
-        if self._hessian is None:
-            self._hessian = core.entropy_hessian(self.model, self.states,
-                                                 scale=self.scale)
-        return self._hessian
+        return core.entropy_hessian(self.model, self.states, scale=self.scale)
 
+    @cached_property
     def hessian_lam_max(self) -> np.ndarray:
         """Largest eigenvalue of the entropy Hessian, per sample."""
-        if self._lam_max is None:
-            self._lam_max = np.max(np.linalg.eigvalsh(self.hessian()),
-                                   axis=-1)
-        return self._lam_max
+        return np.max(np.linalg.eigvalsh(self.hessian), axis=-1)
 
-    def flux_jacobian(self, j: int) -> np.ndarray:
-        if j not in self._flux_jacobians:
-            self._flux_jacobians[j] = core.flux_jacobian(
-                self.model, self.states, j, scale=self.scale)
-        return self._flux_jacobians[j]
+    @cached_property
+    def dissipation_matrix(self) -> np.ndarray:
+        return np.asarray(self.model.dissipation_matrix(self.states),
+                          dtype=float)
 
-    def symmetry_defect(self, j: int) -> tuple:
-        """Per sample, for P = eta_UU . F_jU: max |P - P^T|, max |P| and
-        ||K_a||_F with K_a = (P - P^T)/2.  P itself is not kept."""
-        if j not in self._defects:
-            P = np.einsum("...ij,...jk->...ik", self.hessian(),
-                          self.flux_jacobian(j))
+    @cached_property
+    def flux_jacobians(self) -> list:
+        """F_jU for every direction j."""
+        return [core.flux_jacobian(self.model, self.states, j,
+                                   scale=self.scale)
+                for j in range(self.model.space_dim)]
+
+    @cached_property
+    def symmetry_defects(self) -> list:
+        """Per direction and sample, for P = eta_UU . F_jU: max |P - P^T|,
+        max |P| and ||K_a||_F with K_a = (P - P^T)/2.  P is not kept."""
+        out = []
+        for JF in self.flux_jacobians:
+            P = np.einsum("...ij,...jk->...ik", self.hessian, JF)
             D = P - np.swapaxes(P, -1, -2)
             with np.errstate(over="ignore"):   # an inf norm certifies nothing
                 k_fro = 0.5 * np.sqrt(np.sum(D * D, axis=(-1, -2)))
-            self._defects[j] = (np.max(np.abs(D), axis=(-1, -2)),
-                                np.max(np.abs(P), axis=(-1, -2)), k_fro)
-        return self._defects[j]
+            out.append((np.max(np.abs(D), axis=(-1, -2)),
+                        np.max(np.abs(P), axis=(-1, -2)), k_fro))
+        return out
 
 
 def _result(name, worst, tol, states, idx) -> CheckResult:
@@ -230,66 +222,51 @@ def _worst_direction(rels) -> tuple:
     return jworst[j], int(np.argmax(rels[j]))
 
 
-def check_concavity(model: CdfModel, states: np.ndarray,
-                    tol: float = DEFAULT_TOLERANCES["concavity"], *,
-                    shared: Optional[_SharedDerivatives] = None,
+def check_concavity(samples: AuditSamples,
+                    tol: float = DEFAULT_TOLERANCES["concavity"]
                     ) -> CheckResult:
     """Entropy must be strictly concave: max Hessian eigenvalue <= -tol."""
-    d = shared or _SharedDerivatives(model, states)
-    lam_max = d.hessian_lam_max()
+    lam_max = samples.hessian_lam_max
     worst = np.max(lam_max + tol)
-    return _result("concavity", worst, tol, states, int(np.argmax(lam_max)))
+    return _result("concavity", worst, tol, samples.states,
+                   int(np.argmax(lam_max)))
 
 
-def check_symmetrizability(model: CdfModel, states: np.ndarray,
-                           tol: float = DEFAULT_TOLERANCES["symmetrizability"],
-                           *, shared: Optional[_SharedDerivatives] = None,
+def check_symmetrizability(samples: AuditSamples,
+                           tol: float = DEFAULT_TOLERANCES["symmetrizability"]
                            ) -> CheckResult:
     """eta_UU . F_jU must be symmetric for every direction j."""
-    d = shared or _SharedDerivatives(model, states)
-    rels = []
-    for j in range(model.space_dim):
-        asym, size, _ = d.symmetry_defect(j)
-        rels.append(asym - tol * (1.0 + size))
+    rels = [asym - tol * (1.0 + size)
+            for asym, size, _ in samples.symmetry_defects]
     worst, idx = _worst_direction(rels)
-    return _result("symmetrizability", worst, tol, states, idx)
+    return _result("symmetrizability", worst, tol, samples.states, idx)
 
 
-def check_dissipation_matrix(model: CdfModel, states: np.ndarray,
-                             tol: float = DEFAULT_TOLERANCES["dissipation_matrix"],
-                             *, shared: Optional[_SharedDerivatives] = None,
+def check_dissipation_matrix(samples: AuditSamples,
+                             tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
                              ) -> CheckResult:
     """Symmetric part of M must have eigenvalues >= tol everywhere."""
-    M = np.asarray(model.dissipation_matrix(states), dtype=float)
+    M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
     lam_min = np.min(np.linalg.eigvalsh(Ms), axis=-1)
     worst = np.max(tol - lam_min)
-    return _result("dissipation_matrix", worst, tol, states,
+    return _result("dissipation_matrix", worst, tol, samples.states,
                    int(np.argmin(lam_min)))
 
 
-def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
-                              tol: float = DEFAULT_TOLERANCES["entropy_flux"],
-                              *, shared: Optional[_SharedDerivatives] = None,
+def check_entropy_flux_exists(samples: AuditSamples,
+                              tol: float = DEFAULT_TOLERANCES["entropy_flux"]
                               ) -> CheckResult:
     """eta_U . F_jU must be the gradient of an entropy flux psi_j.
 
     With the model's closed-form `entropy_flux`, the central-difference
     psi_jU must equal eta_U . F_jU.  Without one, eta_U . F_jU must have a
     symmetric Jacobian (nested finite differences)."""
-    d = shared or _SharedDerivatives(model, states)
-    scale = d.scale
-
-    def grad(y):
-        if model.entropy_grad is not None:
-            return np.asarray(model.entropy_grad(y), dtype=float)
-        return core.fd_gradient(model.entropy, y, scale=scale)
-
+    model, states, scale = samples.model, samples.states, samples.scale
     rels = []
     if model.entropy_flux is not None:
-        g = grad(states)
-        for j in range(model.space_dim):
-            G = np.einsum("...i,...ik->...k", g, d.flux_jacobian(j))
+        for j, JF in enumerate(samples.flux_jacobians):
+            G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
             dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
                                     states, scale=scale)
             gap = np.max(np.abs(dpsi - G), axis=-1)
@@ -298,7 +275,7 @@ def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
         for j in range(model.space_dim):
             def G(y, j=j):
                 JF = core.flux_jacobian(model, y, j, scale=scale)
-                return np.einsum("...i,...ik->...k", grad(y), JF)
+                return np.einsum("...i,...ik->...k", samples.gradient(y), JF)
 
             JG = core.fd_jacobian(G, states, scale=scale)
             asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-1, -2))
@@ -307,18 +284,18 @@ def check_entropy_flux_exists(model: CdfModel, states: np.ndarray,
     return _result("entropy_flux", worst, tol, states, idx)
 
 
-def check_source_consistency(model: CdfModel, states: np.ndarray,
-                             tol: float = DEFAULT_TOLERANCES["source_consistency"],
-                             *, shared: Optional[_SharedDerivatives] = None,
+def check_source_consistency(samples: AuditSamples,
+                             tol: float = DEFAULT_TOLERANCES["source_consistency"]
                              ) -> CheckResult:
     """The model's source must equal (0, M . eta_v), and so must the
     relaxation the solver integrates from `source_decay_rates`, -rates * v.
     Without `source_fn` the source is (0, M . eta_v) by construction."""
+    model, states = samples.model, samples.states
     n = model.n_conserved
-    g = core.entropy_gradient(model, states)
-    M = np.asarray(model.dissipation_matrix(states), dtype=float)
     expected = np.zeros_like(states)
-    expected[..., n:] = np.einsum("...ij,...j->...i", M, g[..., n:])
+    expected[..., n:] = np.einsum("...ij,...j->...i",
+                                  samples.dissipation_matrix,
+                                  samples.entropy_grad[..., n:])
     norm = 1.0 + np.max(np.abs(expected), axis=-1)
     gap = 0.0 * norm   # 0, or NaN where the expected source is not finite
     if model.source_fn is not None:
@@ -333,27 +310,26 @@ def check_source_consistency(model: CdfModel, states: np.ndarray,
                    int(np.argmax(gap)))
 
 
-def _certified(d: _SharedDerivatives, j: int, tol: float) -> np.ndarray:
+def _certified(samples: AuditSamples, j: int, tol: float) -> np.ndarray:
     """Samples whose direction-j flux Jacobian provably has every
     |Im lambda| <= tol/2: the Bauer-Fike bound ||K_a||_F / (-lambda_max(H))
     of the module docstring, with the rounding of P = H . F_jU (n^3 eps
     max|H| max|F_jU|) and of eigvalsh (n^2 eps max|H|) on the unsafe
     side.  Non-concave, non-finite and undecided samples are not
     certified."""
-    n = d.model.n_comp
+    n = samples.model.n_comp
     eps = np.finfo(float).eps
-    h_max = np.max(np.abs(d.hessian()), axis=(-1, -2))
-    j_max = np.max(np.abs(d.flux_jacobian(j)), axis=(-1, -2))
-    k_fro = d.symmetry_defect(j)[2]
+    h_max = np.max(np.abs(samples.hessian), axis=(-1, -2))
+    j_max = np.max(np.abs(samples.flux_jacobians[j]), axis=(-1, -2))
+    k_fro = samples.symmetry_defects[j][2]
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = -d.hessian_lam_max() - n ** 2 * eps * h_max
+        gap = -samples.hessian_lam_max - n ** 2 * eps * h_max
         bound = k_fro + n ** 3 * eps * h_max * j_max
         return (gap > 0) & (bound <= 0.5 * tol * gap)
 
 
-def check_hyperbolicity(model: CdfModel, states: np.ndarray,
-                        tol: float = DEFAULT_TOLERANCES["hyperbolicity"],
-                        *, shared: Optional[_SharedDerivatives] = None,
+def check_hyperbolicity(samples: AuditSamples,
+                        tol: float = DEFAULT_TOLERANCES["hyperbolicity"]
                         ) -> CheckResult:
     """Flux Jacobian eigenvalues must be real to FD noise:
     max |Im lambda| <= tol * (1 + spectral radius).  A sample passes
@@ -363,13 +339,12 @@ def check_hyperbolicity(model: CdfModel, states: np.ndarray,
     Jacobians), and a sample with a non-finite Jacobian fails.  Certified
     samples never hold a violation, so verdict and witness are those of
     `eigvals` on every sample."""
-    d = shared or _SharedDerivatives(model, states)
     rels = []
-    for j in range(model.space_dim):
-        rest = ~_certified(d, j, tol)
+    for j, JF in enumerate(samples.flux_jacobians):
+        rest = ~_certified(samples, j, tol)
         rel = np.full(rest.shape, -np.inf)
         if np.any(rest):
-            JF = d.flux_jacobian(j)[rest]
+            JF = JF[rest]
             finite = np.all(np.isfinite(JF), axis=(-1, -2))
             ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
             rad = np.max(np.abs(ev), axis=-1)
@@ -377,7 +352,7 @@ def check_hyperbolicity(model: CdfModel, states: np.ndarray,
             rel[rest] = np.where(finite, imag - tol * (1.0 + rad), np.nan)
         rels.append(rel)
     worst, idx = _worst_direction(rels)
-    return _result("hyperbolicity", worst, tol, states, idx)
+    return _result("hyperbolicity", worst, tol, samples.states, idx)
 
 
 _CHECKS = {
@@ -402,9 +377,7 @@ def run_full_audit(model: CdfModel, plan: SamplingPlan,
         tols.update(tolerances)
     report = AuditReport(model_name=model.name, samples_used=plan.count,
                          seed=plan.seed, box=sampling_box(model, plan))
-    states = sample_states(model, plan)
-    shared = _SharedDerivatives(model, states)
+    samples = AuditSamples(model, sample_states(model, plan))
     for name, fn in _CHECKS.items():
-        report.condition_results.append(
-            fn(model, states, tols[name], shared=shared))
+        report.condition_results.append(fn(samples, tols[name]))
     return report

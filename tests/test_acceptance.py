@@ -51,8 +51,8 @@ def test_criterion_1_structural_audit(verdict):
     heat_report = verify.run_full_audit(heat_model(HeatParams()), plan)
     fluid_report = verify.run_full_audit(fluid_model(FluidParams()), plan)
     flipped = sign_flipped_heat_model(HeatParams())
-    broken = verify.check_concavity(flipped,
-                                    verify.sample_states(flipped, plan))
+    broken = verify.check_concavity(
+        verify.AuditSamples(flipped, verify.sample_states(flipped, plan)))
     ok = (heat_report.passed and fluid_report.passed
           and not broken.passed and broken.witness_state is not None)
     verdict(1, "structural audit", ok)
@@ -118,7 +118,7 @@ def test_criterion_7_hyperbolicity(verdict):
                               rng.uniform(-1.0, 1.0, 1000)])
     analytic = heat.max_wave_speed(states)
     # step tuned for the quotient-rule truncation/roundoff balance
-    J = core.flux_jacobian(heat, states, fd_step=3e-6)
+    J = core.fd_jacobian(lambda y: heat.flux(y, 0), states, 3e-6)
     numeric = np.max(np.abs(np.linalg.eigvals(J)), axis=-1)
     ok = bool(np.max(np.abs(analytic - numeric)) <= 1e-10)
 

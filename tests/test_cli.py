@@ -555,7 +555,11 @@ MALFORMED = {
     "alpha0_values-bool": (
         _small_converge(alpha0_values=[1e-1, True, 1e-2]),
         "config error: 'converge.alpha0_values' must be a list of >= 3 "
-        "positive numbers"),
+        "distinct positive numbers"),
+    "alpha0_values-repeated": (
+        _small_converge(alpha0_values=[1e-1, 1e-1, 1e-1]),
+        "config error: 'converge.alpha0_values' must be a list of >= 3 "
+        "distinct positive numbers"),
     "verify-heat-3-rows": (_verify_box("heat", HEAT_PARAMS),
                            "sampling: the box has 3 rows; model 'heat' has "
                            "2 components"),

@@ -160,10 +160,16 @@ class TestRelaxationConvergence:
             np.testing.assert_allclose(got[norm], values, rtol=2e-3,
                                        err_msg=norm)
 
-    def test_requires_three_values(self, heat_params):
-        with pytest.raises(ValueError):
-            relaxation_convergence(heat_params, [1e-1, 1e-2], Grid1D(64),
-                                   0.01)
+    def test_requires_three_values(self, heat_params, monkeypatch):
+        """Fewer than 3 distinct values are refused before any run."""
+        def fail(*args, **kwargs):
+            raise AssertionError("solver.run called")
+
+        monkeypatch.setattr(solver, "run", fail)
+        for values in ([1e-1, 1e-2], [1e-1, 1e-1, 1e-1],
+                       [1e-1, 1e-2, 1e-1, 1e-2]):
+            with pytest.raises(ValueError, match="3 distinct"):
+                relaxation_convergence(heat_params, values, Grid1D(64), 0.01)
 
 
 def _inline_fns_gaps(params, snapshot, grid, threshold=0.25):

@@ -230,7 +230,7 @@ def test_entropy_flux_gradient_matches_eta_u_f_u(params):
 
 def test_full_audit_passes(fluid):
     report = verify.run_full_audit(fluid, verify.SamplingPlan(count=500))
-    assert report.passed, report.to_json()
+    assert report.passed, report.to_dict()
 
 
 class TestOrthogonalDecompose:

@@ -34,6 +34,12 @@ def _elliptic_heat():
                                max_wave_speed=None, name="heat-elliptic")
 
 
+def _samples(model, **plan):
+    """The audit holder over a fresh draw of `SamplingPlan(**plan)`."""
+    return verify.AuditSamples(
+        model, verify.sample_states(model, verify.SamplingPlan(**plan)))
+
+
 def test_default_tolerances_complete():
     names = {"concavity", "symmetrizability", "dissipation_matrix",
              "entropy_flux", "source_consistency", "hyperbolicity"}
@@ -102,7 +108,7 @@ class TestFullAudit:
     def test_json_round_trip(self, broken_heat):
         report = verify.run_full_audit(broken_heat,
                                        verify.SamplingPlan(count=300))
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["model"] == "heat-signflip"
         assert payload["passed"] is False
         by_name = {c["condition"]: c for c in payload["conditions"]}
@@ -118,8 +124,10 @@ class TestFullAudit:
     def test_tolerance_override_recorded(self, heat):
         report = verify.run_full_audit(heat, verify.SamplingPlan(count=50),
                                        tolerances={"concavity": 1e-8})
-        assert report.tolerances["concavity"] == 1e-8
-        assert report.tolerances["entropy_flux"] == 1e-6
+        tols = {c["condition"]: c["tolerance"]
+                for c in report.to_dict()["conditions"]}
+        assert tols["concavity"] == 1e-8
+        assert tols["entropy_flux"] == 1e-6
 
     def test_one_sampling_pass_per_audit(self, heat, monkeypatch):
         """run_full_audit and the solver's audit gate each draw once."""
@@ -143,7 +151,9 @@ class TestFullAudit:
     ], ids=["heat-1d", "heat-2d", "fluid"])
     def test_one_derivative_pass_per_audit(self, model, monkeypatch):
         """One entropy Hessian and one flux Jacobian per direction per
-        audit, shared by the checks that need them."""
+        audit, shared by the checks that need them; the model's M and eta_U
+        are evaluated once (eta_U also 2 n_comp times by the Hessian) and
+        its domain predicate once by sampling and once by the Hessian."""
         hessians, jacobians = [], []
         real_hessian, real_jacobian = core.entropy_hessian, core.flux_jacobian
 
@@ -155,11 +165,26 @@ class TestFullAudit:
             jacobians.append(direction)
             return real_jacobian(model, U, direction, *args, **kwargs)
 
+        calls = {"dissipation_matrix": 0, "entropy_grad": 0, "admissible": 0}
+
+        def counted(name):
+            real = getattr(model, name)
+
+            def fn(*args):
+                calls[name] += 1
+                return real(*args)
+            return fn
+
         monkeypatch.setattr(core, "entropy_hessian", hessian)
         monkeypatch.setattr(core, "flux_jacobian", jacobian)
-        verify.run_full_audit(model, verify.SamplingPlan(count=50))
+        verify.run_full_audit(
+            dataclasses.replace(model, **{f: counted(f) for f in calls}),
+            verify.SamplingPlan(count=50))
         assert len(hessians) == 1
         assert sorted(jacobians) == list(range(model.space_dim))
+        assert calls == {"dissipation_matrix": 1,
+                         "entropy_grad": 2 * model.n_comp + 1,
+                         "admissible": 2}
 
     def test_fluid_audit_flux_calls(self, fluid):
         """The one flux Jacobian costs two flux calls per component; no
@@ -174,23 +199,6 @@ class TestFullAudit:
         verify.run_full_audit(counted, verify.SamplingPlan(count=50))
         assert len(calls) == 2 * fluid.n_comp == 10
 
-    def test_direct_check_calls_match_audit(self, fluid, broken_heat):
-        """A check called on its own computes what the audit shares."""
-        plan = verify.SamplingPlan(seed=3, count=300)
-        for model in (fluid, heat_model(HeatParams()),
-                      heat_model(HeatParams(space_dim=2)), broken_heat):
-            states = verify.sample_states(model, plan)
-            report = verify.run_full_audit(model, plan)
-            for name, fn in verify._CHECKS.items():
-                assert fn(model, states).to_dict() == \
-                    report.result(name).to_dict()
-
-    def test_result_lookup(self, heat):
-        report = verify.run_full_audit(heat, verify.SamplingPlan(count=50))
-        assert report.result("hyperbolicity").passed
-        with pytest.raises(KeyError):
-            report.result("nonsense")
-
 
 class TestEngineeredFailures:
     def test_zero_dissipation_matrix(self, heat):
@@ -201,8 +209,7 @@ class TestEngineeredFailures:
 
         flat = dataclasses.replace(heat, dissipation_matrix=zero_M,
                                    name="heat-flatM")
-        res = verify.check_dissipation_matrix(
-            flat, verify.sample_states(flat, verify.SamplingPlan(count=100)))
+        res = verify.check_dissipation_matrix(_samples(flat, count=100))
         assert not res.passed
         assert res.worst_violation == pytest.approx(res.tolerance)
 
@@ -213,16 +220,14 @@ class TestEngineeredFailures:
             return M
 
         neg = dataclasses.replace(heat, dissipation_matrix=neg_M)
-        res = verify.check_dissipation_matrix(
-            neg, verify.sample_states(neg, verify.SamplingPlan(count=100)))
+        res = verify.check_dissipation_matrix(_samples(neg, count=100))
         assert not res.passed
         assert res.worst_violation == pytest.approx(2.0, rel=1e-9)
 
     def test_inconsistent_source_override(self, heat):
         wrong = dataclasses.replace(
             heat, source_fn=lambda U: np.ones_like(U), name="heat-badsource")
-        res = verify.check_source_consistency(
-            wrong, verify.sample_states(wrong, verify.SamplingPlan(count=100)))
+        res = verify.check_source_consistency(_samples(wrong, count=100))
         assert not res.passed
         assert res.witness_state is not None
 
@@ -235,11 +240,13 @@ class TestEngineeredFailures:
 
         monkeypatch.setattr(verify.core, "source", fail)
         states = verify.sample_states(heat, verify.SamplingPlan(count=100))
-        assert verify.check_source_consistency(heat, states).passed
+        assert verify.check_source_consistency(
+            verify.AuditSamples(heat, states)).passed
         rates = heat.source_decay_rates
         bad_rates = dataclasses.replace(
             heat, source_decay_rates=lambda U: 2.0 * rates(U))
-        assert not verify.check_source_consistency(bad_rates, states).passed
+        assert not verify.check_source_consistency(
+            verify.AuditSamples(bad_rates, states)).passed
 
     def test_non_finite_expected_source_fails(self, heat):
         """A NaN M . eta_v fails the check even when nothing is compared
@@ -251,8 +258,7 @@ class TestEngineeredFailures:
 
         model = dataclasses.replace(heat, dissipation_matrix=nan_M,
                                     source_decay_rates=None)
-        states = verify.sample_states(model, verify.SamplingPlan(count=200))
-        res = verify.check_source_consistency(model, states)
+        res = verify.check_source_consistency(_samples(model, count=200))
         assert not res.passed
         assert res.witness_state[0] > 1.9
 
@@ -266,8 +272,7 @@ class TestEngineeredFailures:
             return out
 
         ok = dataclasses.replace(heat, source_fn=explicit)
-        res = verify.check_source_consistency(
-            ok, verify.sample_states(ok, verify.SamplingPlan(count=100)))
+        res = verify.check_source_consistency(_samples(ok, count=100))
         assert res.passed
         states = verify.sample_states(ok, verify.SamplingPlan(count=5))
         assert np.allclose(core.source(ok, states), explicit(states))
@@ -283,26 +288,22 @@ class TestEngineeredFailures:
         tampered = dataclasses.replace(heat, flux=bad_flux,
                                        max_wave_speed=None)
         res = verify.check_entropy_flux_exists(
-            tampered,
-            verify.sample_states(tampered, verify.SamplingPlan(count=200)))
+            _samples(tampered, count=200))
         assert not res.passed
 
     def test_hyperbolicity_fails_for_elliptic_flux(self):
         m = _elliptic_heat()
-        res = verify.check_hyperbolicity(
-            m, verify.sample_states(m, verify.SamplingPlan(count=100)))
+        res = verify.check_hyperbolicity(_samples(m, count=100))
         assert not res.passed
 
     def test_nan_flux_fails_directional_checks(self, heat):
         """A flux that is NaN on part of the box is a violation with a
         witness in that part, not a pass."""
-        m = _nan_flux(heat)
-        states = verify.sample_states(m, verify.SamplingPlan(seed=1,
-                                                             count=200))
+        samples = _samples(_nan_flux(heat), seed=1, count=200)
         for check in (verify.check_symmetrizability,
                       verify.check_entropy_flux_exists,
                       verify.check_hyperbolicity):
-            res = check(m, states)
+            res = check(samples)
             assert not res.passed
             assert res.witness_state[0] > 1.9
 
@@ -311,11 +312,12 @@ class TestEngineeredFailures:
         instead of raising from eigvals."""
         report = verify.run_full_audit(
             _nan_flux(heat), verify.SamplingPlan(seed=1, count=200))
+        results = {r.name: r for r in report.condition_results}
         for name in ("symmetrizability", "entropy_flux", "hyperbolicity"):
-            res = report.result(name)
+            res = results[name]
             assert not res.passed
             assert res.witness_state[0] > 1.9
-        assert report.result("concavity").passed
+        assert results["concavity"].passed
 
     @pytest.mark.parametrize("model", [heat_model(HeatParams()),
                                        fluid_model(FluidParams())],
@@ -326,8 +328,10 @@ class TestEngineeredFailures:
         wrong = dataclasses.replace(
             model, source_decay_rates=lambda U: 2.0 * model.source_decay_rates(U))
         states = verify.sample_states(wrong, verify.SamplingPlan(count=200))
-        assert verify.check_source_consistency(model, states).passed
-        res = verify.check_source_consistency(wrong, states)
+        assert verify.check_source_consistency(
+            verify.AuditSamples(model, states)).passed
+        res = verify.check_source_consistency(
+            verify.AuditSamples(wrong, states))
         assert not res.passed
         assert res.witness_state is not None
 
@@ -366,9 +370,10 @@ class TestEntropyFluxPaths:
         model = make()
         states = verify.sample_states(model,
                                       verify.SamplingPlan(seed=2, count=500))
-        fast = verify.check_entropy_flux_exists(model, states)
-        oracle = verify.check_entropy_flux_exists(
-            dataclasses.replace(model, entropy_flux=None), states)
+        fast = verify.check_entropy_flux_exists(
+            verify.AuditSamples(model, states))
+        oracle = verify.check_entropy_flux_exists(verify.AuditSamples(
+            dataclasses.replace(model, entropy_flux=None), states))
         assert fast.passed == oracle.passed
         assert (fast.witness_state is None) == (oracle.witness_state is None)
 
@@ -379,11 +384,12 @@ class TestEntropyFluxPaths:
         model = make()
         states = verify.sample_states(model,
                                       verify.SamplingPlan(seed=2, count=500))
-        res = verify.check_entropy_flux_exists(model, states)
+        res = verify.check_entropy_flux_exists(
+            verify.AuditSamples(model, states))
         assert not res.passed
         assert res.witness_state is not None
-        assert verify.check_entropy_flux_exists(
-            dataclasses.replace(model, entropy_flux=None), states).passed
+        assert verify.check_entropy_flux_exists(verify.AuditSamples(
+            dataclasses.replace(model, entropy_flux=None), states)).passed
 
 
 TOL_HYP = verify.DEFAULT_TOLERANCES["hyperbolicity"]
@@ -415,7 +421,7 @@ def _eigvals_oracle(d, tol=TOL_HYP):
     flux Jacobians: the CheckResult and the per-direction |Im lambda|."""
     rels, imags = [], []
     for j in range(d.model.space_dim):
-        JF = d.flux_jacobian(j)
+        JF = d.flux_jacobians[j]
         finite = np.all(np.isfinite(JF), axis=(-1, -2))
         ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
         imag = np.max(np.abs(ev.imag), axis=-1)
@@ -449,9 +455,9 @@ class TestHyperbolicityCertificate:
     """The symmetrizer bound against the eigvals oracle it replaces."""
 
     def _assert_matches_oracle(self, model, states):
-        d = verify._SharedDerivatives(model, states)
+        d = verify.AuditSamples(model, states)
         oracle, imags = _eigvals_oracle(d)
-        fast = verify.check_hyperbolicity(model, states)
+        fast = verify.check_hyperbolicity(d)
         assert fast.to_dict() == oracle.to_dict()
         certified = [verify._certified(d, j, TOL_HYP)
                      for j in range(model.space_dim)]
@@ -499,8 +505,8 @@ class TestHyperbolicityCertificate:
         """A holder of the fluid's shape carrying given H and F_0U."""
         states = verify.sample_states(fluid,
                                       verify.SamplingPlan(count=len(H)))
-        d = verify._SharedDerivatives(fluid, states)
-        d._hessian, d._flux_jacobians[0] = H, J
+        d = verify.AuditSamples(fluid, states)
+        d.hessian, d.flux_jacobians = H, [J]
         return d
 
     @staticmethod
@@ -515,7 +521,7 @@ class TestHyperbolicityCertificate:
         J = rng.normal(size=H.shape)
         d = self._random_holder(fluid, H, J)
         assert not np.any(verify._certified(d, 0, TOL_HYP))
-        res = verify.check_hyperbolicity(fluid, d.states, shared=d)
+        res = verify.check_hyperbolicity(d)
         assert eigvals_rows == [500]
         assert res.to_dict() == _eigvals_oracle(d)[0].to_dict()
         assert not res.passed
@@ -531,7 +537,7 @@ class TestHyperbolicityCertificate:
         d = self._random_holder(fluid, H, np.linalg.solve(
             H, S + np.swapaxes(S, -1, -2)))
         assert not np.any(verify._certified(d, 0, TOL_HYP))
-        res = verify.check_hyperbolicity(fluid, d.states, shared=d)
+        res = verify.check_hyperbolicity(d)
         assert res.to_dict() == _eigvals_oracle(d)[0].to_dict()
         assert not res.passed
 
@@ -550,8 +556,7 @@ class TestHyperbolicityCertificate:
         assert np.all(imag[cert] <= TOL_HYP / 2)
         if skew == 0.0:
             assert np.all(cert)
-        assert verify.check_hyperbolicity(
-            fluid, d.states, shared=d).to_dict() == oracle.to_dict()
+        assert verify.check_hyperbolicity(d).to_dict() == oracle.to_dict()
 
     @pytest.mark.parametrize("make, rows", [
         (lambda: heat_model(HeatParams()), 0),
