@@ -18,6 +18,14 @@ takes each dt from the CFL speed the previous step's transport measured
 grown past that margin by the next recheck, the recheck raises `CflError`
 and the loop retries the step once from the same cells, with dt from the
 speed that check measured.  A second violation ends the run.
+
+The per-step diagnostics (conserved totals, total entropy, min and max of
+sigma) are evaluated a block of steps at a time: `run` copies each
+recorded field into a preallocated block of about `_DIAG_BLOCK_VALUES`
+state values and evaluates the block when it fills and when the time loop
+ends, for any reason.  Each step's values are the same reductions over the
+same cells as one step at a time, so they are bit-identical; the block's
+sigma evaluation is also the admissibility check of the relaxed states.
 """
 
 from __future__ import annotations
@@ -39,6 +47,11 @@ _AUDIT_SAMPLES = 200
 # implicit-midpoint Newton: relative residual bound and iteration cap
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_MAX_ITER = 50
+# state values (float64) per block of recorded fields whose diagnostics
+# `run` evaluates at once: 256 KiB, whatever the number of components, as
+# the evaluation's temporaries take about three times the block; a larger
+# field gets a block of one step
+_DIAG_BLOCK_VALUES = 2 ** 15
 
 
 class CflError(RuntimeError):
@@ -159,10 +172,11 @@ class Trajectory:
     step_times: list = field(default_factory=list)     # per accepted step
     speeds: list = field(default_factory=list)         # CFL speed for next dt
     cfl_retries: int = 0                               # steps retried
+    # per accepted step as well; `run` fills these a block of steps at a time
     totals: list = field(default_factory=list)         # conserved integrals
-    total_entropy: list = field(default_factory=list)
-    min_sigma: list = field(default_factory=list)
-    max_sigma: list = field(default_factory=list)
+    total_entropy: list = field(default_factory=list)  # integral of eta
+    min_sigma: list = field(default_factory=list)      # extremes of sigma
+    max_sigma: list = field(default_factory=list)      # over the cells
 
 
 def with_ghosts(U: np.ndarray, boundary: str,
@@ -435,7 +449,9 @@ def run(scenario: Scenario, override_audit: bool = False,
     the previous step's transport measured, or for the first step the
     speed of the initial field.  A step whose transport raises CflError is
     retried once from the same cells, with dt from the speed that check
-    measured; a second CflError propagates."""
+    measured; a second CflError propagates.  A relaxed state outside the
+    admissible domain raises InadmissibleStateError naming its step, time
+    and cell when its block of diagnostics is evaluated."""
     model, grid = scenario.model, scenario.grid
     if not override_audit:
         _audit_or_raise(model)
@@ -447,7 +463,6 @@ def run(scenario: Scenario, override_audit: bool = False,
 
     spacing = _spacing(grid)
     centers = grid.centers() if len(spacing) > 1 else (grid.centers(),)
-    sum_axes = tuple(range(len(spacing)))
     vol = math.prod(spacing)
     bc = (scenario.boundary, scenario.left_state, scenario.right_state)
     field_arr = np.empty(tuple(c.size for c in centers) + (model.n_comp,))
@@ -461,15 +476,40 @@ def run(scenario: Scenario, override_audit: bool = False,
     traj = Trajectory(boundary=scenario.boundary,
                       boundary_inflow=np.zeros(model.n_conserved))
 
+    block = np.empty((max(1, _DIAG_BLOCK_VALUES // field_arr.size),)
+                     + field_arr.shape)
+    pending = 0     # rows of `block` recorded and not yet evaluated
+    cell_axes = tuple(range(1, block.ndim - 1))
+
     def record_diag(t, speed):
+        nonlocal pending
         traj.step_times.append(t)
         traj.speeds.append(speed)
-        traj.totals.append(
-            field_arr[..., :model.n_conserved].sum(axis=sum_axes) * vol)
-        traj.total_entropy.append(float(model.entropy(field_arr).sum() * vol))
-        sig = core.entropy_production(model, field_arr)
-        traj.min_sigma.append(float(sig.min()))
-        traj.max_sigma.append(float(sig.max()))
+        block[pending] = field_arr
+        pending += 1
+        if pending == len(block):
+            evaluate_block()
+
+    def evaluate_block():
+        nonlocal pending
+        if not pending:
+            return
+        rows, pending = block[:pending], 0
+        try:
+            sig = core.entropy_production(model, rows)
+        except core.AdmissibilityError:
+            for step, cells in enumerate(rows, len(traj.totals)):
+                if not np.all(model.admissible(cells)):
+                    _raise_inadmissible(
+                        model, cells, f"inadmissible state after relaxation "
+                        f"at step {step}, t={traj.step_times[step]:.6g},")
+            raise
+        traj.totals.extend(
+            rows[..., :model.n_conserved].sum(axis=cell_axes) * vol)
+        traj.total_entropy.extend(
+            (model.entropy(rows).sum(axis=cell_axes) * vol).tolist())
+        traj.min_sigma.extend(sig.min(axis=cell_axes).tolist())
+        traj.max_sigma.extend(sig.max(axis=cell_axes).tolist())
 
     def record_snapshot(t):
         traj.times.append(t)
@@ -489,27 +529,35 @@ def run(scenario: Scenario, override_audit: bool = False,
     # included, so their speeds bound dt as in the CFL recheck
     _, rate = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)
     speed = float(rate.max())
-    record_diag(t, speed)
-    record_snapshot(t)
     next_out = scenario.output_every
-    for _ in range(max_steps):
-        if t >= scenario.t_end - 1e-14 * scenario.t_end:
-            break
-        dt = time_step(speed)
-        try:
-            step = strang_step(model, field_arr, dt, grid, *bc, scenario.cfl)
-        except CflError as err:
-            traj.cfl_retries += 1
-            dt = time_step(err.speed)
-            step = strang_step(model, field_arr, dt, grid, *bc, scenario.cfl)
-        field_arr, f_left, f_right, speed = step
-        traj.boundary_inflow += (f_left - f_right) * dt
-        t += dt
+    try:
         record_diag(t, speed)
-        if t >= next_out - 1e-12 or t >= scenario.t_end - 1e-14:
-            record_snapshot(t)
-            while next_out <= t + 1e-12:
-                next_out += scenario.output_every
-    else:
-        raise StepLimitError(f"max_steps={max_steps} exceeded at t={t:.6g}")
+        record_snapshot(t)
+        for _ in range(max_steps):
+            if t >= scenario.t_end - 1e-14 * scenario.t_end:
+                break
+            dt = time_step(speed)
+            try:
+                step = strang_step(model, field_arr, dt, grid, *bc,
+                                   scenario.cfl)
+            except CflError as err:
+                traj.cfl_retries += 1
+                dt = time_step(err.speed)
+                step = strang_step(model, field_arr, dt, grid, *bc,
+                                   scenario.cfl)
+            field_arr, f_left, f_right, speed = step
+            traj.boundary_inflow += (f_left - f_right) * dt
+            t += dt
+            record_diag(t, speed)
+            if t >= next_out - 1e-12 or t >= scenario.t_end - 1e-14:
+                record_snapshot(t)
+                while next_out <= t + 1e-12:
+                    next_out += scenario.output_every
+        else:
+            raise StepLimitError(
+                f"max_steps={max_steps} exceeded at t={t:.6g}")
+    finally:
+        # also when a later step fails: the earliest inadmissible recorded
+        # state is then the failure reported
+        evaluate_block()
     return traj

@@ -202,6 +202,37 @@ class TestRunCommand:
             "cell ")
         assert not (out / "run_summary.json").exists()
 
+    def test_inadmissible_relaxed_state_is_scientific(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """A state spoiled by the closing relaxation half step fails the
+        run with exit 1, naming the step, time and cell."""
+        real = cli.build_model
+
+        def nan_rates_model(cfg):
+            model = real(cfg)
+            calls = []
+
+            def source_decay_rates(U):
+                calls.append(U.shape)
+                rates = model.source_decay_rates(U)
+                return rates * np.nan if len(calls) >= 10 else rates
+
+            return dataclasses.replace(
+                model, source_decay_rates=source_decay_rates)
+
+        monkeypatch.setattr(cli, "build_model", nan_rates_model)
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, _run_config(
+            tmp_path)), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "time stepping failed: inadmissible state after relaxation at "
+            "step 5, t=")
+        assert ", at cell 0: [" in err[0]
+        assert not out.exists()
+
     def test_source_step_failure_is_scientific(self, tmp_path, monkeypatch,
                                                capsys):
         def stalled(scenario, override_audit=False):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -642,7 +643,8 @@ class TestRunDriver:
     @pytest.mark.parametrize("boundary", ["periodic", "fixed-state"])
     def test_admissibility_checked_at_most_twice_per_step(
             self, heat, monkeypatch, boundary):
-        """Once after transport and once before sigma is recorded."""
+        """Once after each transport, and once per block of recorded
+        steps, by its sigma evaluation (here one block)."""
         calls = []
 
         def admissible(U):
@@ -667,6 +669,7 @@ class TestRunDriver:
         per_step = np.diff(starts + [len(calls)])
         assert len(per_step) == len(traj.step_times) - 1 > 1
         assert per_step.max() <= 2
+        assert per_step.sum() == len(per_step) + 1
 
     def test_max_steps_guard(self, heat_params):
         sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(64), 1.0)
@@ -901,6 +904,172 @@ class TestCflRetry:
             self._run(model, monkeypatch)
         # the failed step and its one retry, then no more
         assert len(calls) == 5 + 2
+
+
+def _per_step_diagnostics(model, fields, vol):
+    """The recorded diagnostics of each field, one step at a time: the
+    oracle for the block evaluation of `solver.run`."""
+    out = {"totals": [], "total_entropy": [], "min_sigma": [],
+           "max_sigma": []}
+    for f in fields:
+        cell_axes = tuple(range(f.ndim - 1))
+        out["totals"].append(
+            f[..., :model.n_conserved].sum(axis=cell_axes) * vol)
+        out["total_entropy"].append(float(model.entropy(f).sum() * vol))
+        sig = core.entropy_production(model, f)
+        out["min_sigma"].append(float(sig.min()))
+        out["max_sigma"].append(float(sig.max()))
+    return out
+
+
+def _set_block_steps(monkeypatch, sc, steps):
+    """Make `run` evaluate the diagnostics of `steps` recorded fields of
+    the scenario `sc` at a time."""
+    cells = (sc.grid.n_cells if isinstance(sc.grid, Grid1D)
+             else sc.grid.nx * sc.grid.ny)
+    monkeypatch.setattr(solver, "_DIAG_BLOCK_VALUES",
+                        steps * cells * sc.model.n_comp)
+
+
+def _riemann(model, left, right):
+    """A Riemann scenario of `model` on 32 cells with fixed-state ends."""
+    return Scenario(model=model, grid=Grid1D(32),
+                    initial_condition=lambda x: left if x < 0.5 else right,
+                    left_state=left, right_state=right, t_end=0.1)
+
+
+_FLUID_RIEMANN = (conserved_from_primitive(1.5, 0.0, 1.0, 0.0, 0.0),
+                  conserved_from_primitive(1.0, 0.0, 1.0, 0.0, 0.0))
+
+
+class TestBlockDiagnostics:
+    """`run` evaluates the per-step diagnostics a block of recorded fields
+    at a time; every value equals the one-step-at-a-time oracle."""
+
+    @staticmethod
+    def _run(sc, monkeypatch, block_steps=None):
+        """solver.run(sc) with `block_steps` recorded fields per block
+        (default: the solver's budget), the recorded fields (the
+        initial one and every accepted step's output), and the number of
+        entropy_production calls."""
+        fields, sigma_calls = [], []
+        real_step, real_sigma = solver.strang_step, core.entropy_production
+
+        def recording(*args):
+            out = real_step(*args)
+            fields.append(out[0])
+            return out
+
+        def counting(*args):
+            sigma_calls.append(args[1].shape)
+            return real_sigma(*args)
+
+        monkeypatch.setattr(solver, "strang_step", recording)
+        monkeypatch.setattr(core, "entropy_production", counting)
+        if block_steps is not None:
+            _set_block_steps(monkeypatch, sc, block_steps)
+        traj = solver.run(sc)
+        return traj, [traj.snapshots[0]] + fields, list(sigma_calls)
+
+    @staticmethod
+    def _assert_matches_oracle(traj, sc, fields):
+        vol = math.prod(solver._spacing(sc.grid))
+        want = _per_step_diagnostics(sc.model, fields, vol)
+        assert len(fields) == len(traj.step_times)
+        assert np.array_equal(np.asarray(traj.totals),
+                              np.asarray(want["totals"]))
+        for key in ("total_entropy", "min_sigma", "max_sigma"):
+            assert getattr(traj, key) == want[key], key
+
+    @pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+    @pytest.mark.parametrize("model_name", ["heat", "fluid"])
+    def test_1d_every_boundary(self, heat, fluid, monkeypatch, boundary,
+                               model_name):
+        model, states = ((heat, (np.array([1.5, 0.0]), np.array([1.0, 0.0])))
+                         if model_name == "heat" else (fluid, _FLUID_RIEMANN))
+        sc = dataclasses.replace(_riemann(model, *states), boundary=boundary)
+        traj, fields, _ = self._run(sc, monkeypatch, block_steps=4)
+        assert len(fields) > 4 * 2
+        # the fluid's early speed rise retries two steps; a retried step is
+        # recorded once, after its retry
+        assert traj.cfl_retries == (2 if model_name == "fluid" else 0)
+        self._assert_matches_oracle(traj, sc, fields)
+
+    def test_periodic_2d(self, monkeypatch):
+        sc = Scenario(model=heat_model(HeatParams(space_dim=2)),
+                      grid=Grid2D(16, 8),
+                      initial_condition=lambda x, y: np.array(
+                          [1.0 + 0.1 * np.sin(2 * np.pi * x),
+                           0.01 * np.cos(2 * np.pi * y), 0.0]),
+                      t_end=0.15)
+        traj, fields, _ = self._run(sc, monkeypatch, block_steps=3)
+        assert len(fields) > 3 * 2
+        self._assert_matches_oracle(traj, sc, fields)
+
+    # recorded fields (steps + 1) relative to the block size K
+    @pytest.mark.parametrize("rows_minus_k", [-1, 0, 1])
+    def test_step_counts_around_the_block_size(self, heat_params,
+                                               monkeypatch, rows_minus_k):
+        sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(32), 0.1)
+        rows = len(solver.run(sc).step_times)
+        k = rows - rows_minus_k
+        traj, fields, sigma_calls = self._run(sc, monkeypatch, block_steps=k)
+        assert len(fields) == rows
+        self._assert_matches_oracle(traj, sc, fields)
+        assert len(sigma_calls) == math.ceil(rows / k)
+        assert sigma_calls[0][0] == min(rows, k)
+
+    @pytest.mark.parametrize("block_steps", [None, 1])
+    def test_one_step_run(self, heat_params, monkeypatch, block_steps):
+        sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(32), 1e-4)
+        traj, fields, sigma_calls = self._run(sc, monkeypatch, block_steps)
+        assert len(traj.step_times) == 2
+        self._assert_matches_oracle(traj, sc, fields)
+        assert len(sigma_calls) == (1 if block_steps is None else 2)
+
+    def test_large_field_is_evaluated_step_by_step(self, heat):
+        sc = Scenario(model=heat, grid=Grid1D(2 ** 14),
+                      initial_condition=lambda x: np.array([1.0, 0.0]),
+                      t_end=1e-5)
+        traj = solver.run(sc)
+        assert len(traj.min_sigma) == len(traj.step_times) == 2
+
+
+class TestInadmissibleRelaxedState:
+    """A state the closing relaxation half step spoils is found by the
+    block's sigma evaluation and named by its step, time and cell."""
+
+    @staticmethod
+    def _spoiled(model, from_call=10):
+        """`model` whose decay rates turn NaN from their `from_call`-th call
+        on: the closing half step of step from_call / 2."""
+        calls = []
+
+        def source_decay_rates(U):
+            calls.append(U.shape)
+            rates = model.source_decay_rates(U)
+            return rates * np.nan if len(calls) >= from_call else rates
+
+        return dataclasses.replace(model,
+                                   source_decay_rates=source_decay_rates)
+
+    # 2: the block holding step 5 fills at step 5; 4: a later transport
+    # fails first, before the block fills; None: one block for the run
+    @pytest.mark.parametrize("block_steps", [2, 4, None])
+    def test_names_step_time_and_cell(self, heat_params, monkeypatch,
+                                      block_steps):
+        sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(32), 0.2)
+        times = solver.run(sc).step_times
+        if block_steps is not None:
+            _set_block_steps(monkeypatch, sc, block_steps)
+        with pytest.raises(InadmissibleStateError) as err:
+            solver.run(dataclasses.replace(sc, model=self._spoiled(sc.model)))
+        assert str(err.value).startswith(
+            f"inadmissible state after relaxation at step 5, "
+            f"t={times[5]:.6g}, at cell 0: [")
+        assert "nan]" in str(err.value)
+        if block_steps == 4:
+            assert "after transport" in str(err.value.__context__.__context__)
 
 
 class TestRun2D:
