@@ -32,9 +32,9 @@ class CdfModel:
     """Model contract shared by the auditor, the solver and the diagnostics.
 
     The callables are vectorized: they accept arrays of shape (..., n+m)
-    and return matching batched results.  Optional fields supply analytic
-    shortcuts (gradient, entropy flux, wave speed, linear source rates);
-    when absent the generic finite-difference / numerical paths are used.
+    and return matching batched results; `entropy_grad` (eta_U) is required.
+    Optional fields supply analytic shortcuts (entropy flux, wave speed,
+    linear source rates); when absent, generic numerical paths are used.
     `max_wave_speed` must be the exact spectral radius of the flux Jacobian,
     the same in every direction (it takes no direction argument).
     `entropy_flux(U, j)` is the entropy flux psi_j paired with `entropy`
@@ -51,7 +51,7 @@ class CdfModel:
     entropy: Callable[[np.ndarray], np.ndarray]
     dissipation_matrix: Callable[[np.ndarray], np.ndarray]
     admissible: Callable[[np.ndarray], np.ndarray]
-    entropy_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    entropy_grad: Callable[[np.ndarray], np.ndarray]
     entropy_flux: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     max_wave_speed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     source_decay_rates: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -114,33 +114,17 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def entropy_gradient(model: CdfModel, U) -> np.ndarray:
-    """Gradient of the entropy, ordered (eta_u, eta_v).
-
-    Uses the model's closed form when available, otherwise central
-    differences with relative step `FD_STEP`.
-    """
+    """The model's eta_U, ordered (eta_u, eta_v), at admissible states."""
     x = require_admissible(model, U)
-    if model.entropy_grad is not None:
-        return np.asarray(model.entropy_grad(x), dtype=float)
-    return fd_gradient(model.entropy, x)
+    return np.asarray(model.entropy_grad(x), dtype=float)
 
 
 def entropy_hessian(model: CdfModel, U,
                     scale: Optional[np.ndarray] = None) -> np.ndarray:
-    """Symmetrized entropy Hessian.
-
-    Differentiates the analytic gradient when the model has one; otherwise
-    falls back to nested central differences (with a larger step to balance
-    truncation against roundoff).  `scale` fixes per-component step
-    magnitudes at both difference levels (see `fd_gradient`).
-    """
+    """Symmetrized entropy Hessian: the central-difference Jacobian of the
+    model's eta_U, with per-component steps `scale` (see `fd_jacobian`)."""
     x = require_admissible(model, U)
-    if model.entropy_grad is not None:
-        H = fd_jacobian(model.entropy_grad, x, scale=scale)
-    else:
-        H = fd_jacobian(
-            lambda y: fd_gradient(model.entropy, y, scale=scale),
-            x, float(np.finfo(float).eps) ** 0.25, scale)
+    H = fd_jacobian(model.entropy_grad, x, scale=scale)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 

@@ -30,8 +30,8 @@ sigma evaluation is also the admissibility check of the relaxed states.
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -238,7 +238,9 @@ def _raise_inadmissible(model: CdfModel, cells: np.ndarray, what: str,
     finite = np.isfinite(cells)
     ok = finite.all(axis=-1) & model.admissible(np.where(finite, cells, 1))
     bad = _cell(np.argmin(ok), ok.shape)
-    raise error(f"{what} at cell {bad}: {cells[bad]}")
+    # one line, however long the state
+    raise error(f"{what} at cell {bad}: "
+                f"{np.array2string(cells[bad], max_line_width=sys.maxsize)}")
 
 
 def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
@@ -341,12 +343,10 @@ def _relax_linear(model: CdfModel, U: np.ndarray, dt: float):
         return None
     n = model.n_conserved
     # not core.entropy_gradient: its admissibility check would raise on a
-    # shifted-v state instead of letting the call fall back
-    grad = model.entropy_grad or functools.partial(core.fd_gradient,
-                                                   model.entropy)
+    # shifted-v state instead of falling back to the implicit midpoint
     flat = U.reshape(-1, U.shape[-1])
     v0 = flat[:, n:]
-    g0, A = _eta_v_and_A(grad, flat, n)
+    g0, A = _eta_v_and_A(model.entropy_grad, flat, n)
     M = np.asarray(model.dissipation_matrix(flat), dtype=float)
     try:
         L = np.linalg.cholesky(A)
@@ -358,7 +358,7 @@ def _relax_linear(model: CdfModel, U: np.ndarray, dt: float):
         return None
     U1 = flat.copy()
     U1[:, n:] = v1[..., 0]
-    g1, A1 = _eta_v_and_A(grad, U1, n)
+    g1, A1 = _eta_v_and_A(model.entropy_grad, U1, n)
     M1 = np.asarray(model.dissipation_matrix(U1), dtype=float)
     V = np.stack([v0, U1[:, n:]], axis=1)
     if not (_close(np.stack([A.transpose(0, 2, 1), A1], axis=1), A[:, None])
@@ -413,7 +413,8 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
     idx = np.unravel_index(worst, excess.shape)
     raise core.ConvergenceError(
         f"implicit source solve stalled at cell {_cell(worst, excess.shape)}"
-        f": state {U[idx]}, residual {size(r)[idx]:.3e}")
+        f": state {np.array2string(U[idx], max_line_width=sys.maxsize)}, "
+        f"residual {size(r)[idx]:.3e}")
 
 
 def strang_step(model: CdfModel, cells: np.ndarray, dt: float,

@@ -150,27 +150,20 @@ class AuditReport:
 
 class AuditSamples:
     """The states of one audit and the quantities its checks share, each
-    evaluated once, on first use: eta_U, the entropy Hessian eta_UU and its
-    largest eigenvalue, M(U), each direction's flux Jacobian F_jU and the
-    symmetry defect of eta_UU . F_jU.  Finite differences take one
-    plan-wide per-component step scale, which keeps their truncation error
-    smooth across samples (this matters for nested differences)."""
+    evaluated once, on first use: the model's eta_U, its central-difference
+    Jacobian eta_UU and that Hessian's largest eigenvalue, M(U), each
+    direction's flux Jacobian F_jU and the symmetry defect of eta_UU . F_jU.
+    Finite differences take one plan-wide per-component step scale, so that
+    their truncation error is smooth across samples, as nested ones need."""
 
     def __init__(self, model: CdfModel, states: np.ndarray):
         self.model = model
         self.states = states
         self.scale = np.maximum(1.0, np.max(np.abs(states), axis=0))
 
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        """eta_U at any states: the closed form, else central differences
-        at the plan-wide scale."""
-        if self.model.entropy_grad is not None:
-            return np.asarray(self.model.entropy_grad(y), dtype=float)
-        return core.fd_gradient(self.model.entropy, y, scale=self.scale)
-
     @cached_property
     def entropy_grad(self) -> np.ndarray:
-        return self.gradient(self.states)
+        return np.asarray(self.model.entropy_grad(self.states), dtype=float)
 
     @cached_property
     def hessian(self) -> np.ndarray:
@@ -275,7 +268,7 @@ def check_entropy_flux_exists(samples: AuditSamples,
         for j in range(model.space_dim):
             def G(y, j=j):
                 JF = core.flux_jacobian(model, y, j, scale=scale)
-                return np.einsum("...i,...ik->...k", samples.gradient(y), JF)
+                return np.einsum("...i,...ik->...k", model.entropy_grad(y), JF)
 
             JG = core.fd_jacobian(G, states, scale=scale)
             asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-1, -2))

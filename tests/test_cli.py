@@ -233,6 +233,38 @@ class TestRunCommand:
         assert ", at cell 0: [" in err[0]
         assert not out.exists()
 
+    def test_inadmissible_fluid_witness_is_one_line(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """A five-component witness state that numpy's str would wrap over
+        two lines is printed on the one stderr line."""
+        real = cli.build_model
+
+        def blown_up_flux_model(cfg):
+            model = real(cfg)
+
+            def flux(U, j):
+                F = model.flux(U, j)
+                return np.where((U[..., 2] > 1.04)[..., None], 1e6 * F, F)
+
+            return dataclasses.replace(model, flux=flux)
+
+        monkeypatch.setattr(cli, "build_model", blown_up_flux_model)
+        out = tmp_path / "out"
+        cfg = _run_config(
+            tmp_path, model="fluid",
+            params=dict(FLUID_PARAMS, alpha0=1e-3, alpha1=1e-3),
+            scenario={"n_cells": 32, "t_end": 0.01,
+                      "initial": {"preset": "fns-sine"}})
+        rc = cli.main(["run", "--config", _cfg(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("time stepping failed: inadmissible state "
+                              "after transport at cell 4: [")
+        assert err.endswith("0.00000000e+00]\n")
+        assert not out.exists()
+
     def test_source_step_failure_is_scientific(self, tmp_path, monkeypatch,
                                                capsys):
         def stalled(scenario, override_audit=False):

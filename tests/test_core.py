@@ -1,9 +1,12 @@
 """Entropy-calculus primitives against hand-computed and FD oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cdf_lab import HeatParams, cli, core, heat_model
+from cdf_lab import (HeatParams, cli, core, heat_model,
+                     sign_flipped_heat_model, verify)
 from cdf_lab.core import (AdmissibilityError, entropy_gradient,
                           entropy_hessian, entropy_production, flux_jacobian,
                           source, spectral_radius)
@@ -39,11 +42,17 @@ class TestEntropyGradient:
         assert np.allclose(entropy_gradient(heat, [1.0, 0.3]), [1.0, -0.3])
         assert np.allclose(entropy_gradient(heat, [2.0, -0.4]), [0.5, 0.4])
 
-    def test_heat_matches_fd(self, heat):
-        states = random_heat_states(200, seed=1)
-        analytic = entropy_gradient(heat, states)
-        numeric = core.fd_gradient(heat.entropy, states)
-        assert np.max(np.abs(analytic - numeric)) < 1e-7
+    def test_heat_matches_fd(self):
+        # every heat variant: 1D, 2D and the sign-flipped fixture
+        for model in (heat_model(HeatParams()),
+                      heat_model(HeatParams(alpha0=0.3, space_dim=2)),
+                      sign_flipped_heat_model(HeatParams())):
+            states = verify.sample_states(
+                model, verify.SamplingPlan(seed=1, count=200))
+            analytic = entropy_gradient(model, states)
+            numeric = core.fd_gradient(model.entropy, states)
+            assert np.max(np.abs(analytic - numeric)) < 1e-7, \
+                (model.name, model.space_dim)
 
     def test_fluid_matches_fd(self, fluid):
         states = random_fluid_states(fluid, 200, seed=2)
@@ -52,11 +61,12 @@ class TestEntropyGradient:
         rel = np.abs(analytic - numeric) / (1.0 + np.abs(analytic))
         assert np.max(rel) < 1e-6
 
-    def test_fd_fallback_used_without_closed_form(self, heat):
-        import dataclasses
-        plain = dataclasses.replace(heat, entropy_grad=None)
-        g = entropy_gradient(plain, [1.5, 0.2])
-        assert np.allclose(g, [1.0 / 1.5, -0.2], atol=1e-8)
+    def test_model_without_closed_form_rejected(self, heat):
+        fields = {f.name: getattr(heat, f.name)
+                  for f in dataclasses.fields(heat)
+                  if f.name != "entropy_grad"}
+        with pytest.raises(TypeError, match="entropy_grad"):
+            core.CdfModel(**fields)
 
     def test_inadmissible_state_rejected(self, heat, fluid):
         with pytest.raises(AdmissibilityError):
@@ -88,13 +98,6 @@ class TestEntropyHessian:
         lam = np.linalg.eigvalsh(H)
         assert np.max(lam) < 0.0
 
-    def test_nested_fd_fallback_close(self, heat):
-        import dataclasses
-        plain = dataclasses.replace(heat, entropy_grad=None)
-        for scale in (None, np.array([2.0, 1.0])):
-            H = entropy_hessian(plain, [1.0, 0.3], scale=scale)
-            assert np.allclose(H, np.diag([-1.0, -1.0]), atol=1e-5)
-
 
 class TestSource:
     def test_heat_hand_values(self, heat):
@@ -114,7 +117,6 @@ class TestSource:
         assert np.allclose(source(fluid, [1.2, 0.6, 1.0, 0.0, 0.0]), 0.0)
 
     def test_override_honored(self, heat):
-        import dataclasses
         custom = dataclasses.replace(
             heat, source_fn=lambda U: np.full_like(U, 7.0))
         assert np.allclose(source(custom, [1.0, 0.0]), [7.0, 7.0])

@@ -250,6 +250,16 @@ class TestStepHyperbolic:
             step_hyperbolic(dataclasses.replace(heat, flux=flux), f, 1e-3,
                             Grid1D(16))
 
+    def test_witness_state_prints_on_one_line(self, fluid):
+        # numpy's str would wrap this five-component state at 75 characters
+        cells = np.array([[1.0, 0.0, 2.5, 0.0, 0.0],
+                          [1.0, -6968.20574, 817.29511, -6392.00018, 0.0]])
+        with pytest.raises(InadmissibleStateError) as err:
+            solver._raise_inadmissible(fluid, cells, "inadmissible state")
+        assert str(err.value) == (
+            "inadmissible state at cell 1: [ 1.00000000e+00 -6.96820574e+03"
+            "  8.17295110e+02 -6.39200018e+03  0.00000000e+00]")
+
     def test_boundary_flux_return(self, heat):
         f = _heat_sine_field(16)
         out, f_left, f_right, _ = step_hyperbolic(heat, f, 1e-3, Grid1D(16))
@@ -384,10 +394,6 @@ class TestExactRelaxation:
         ref = _expm_oracle(m, U, A, dt)
         assert np.max(np.abs(out[:, 1:] - ref)) <= 1e-10 * np.max(np.abs(U))
         assert np.array_equal(out[:, 0], U[:, 0])
-        # without entropy_grad, eta_v comes from differences of the entropy
-        fd = step_source_exact(dataclasses.replace(m, entropy_grad=None),
-                               U, dt)
-        assert np.max(np.abs(fd[:, 1:] - ref)) <= 1e-9 * np.max(np.abs(U))
 
     @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0])
     def test_matches_expm_coupled(self, dt):
@@ -546,6 +552,15 @@ class TestExactRelaxation:
         with pytest.raises(core.ConvergenceError,
                            match="at cell 1: .* residual nan"):
             step_source_exact(m, U, 0.1)
+
+    def test_fallback_failure_state_prints_on_one_line(self, fluid):
+        m = dataclasses.replace(fluid, source_decay_rates=None,
+                                source_fn=lambda U: np.full_like(U, np.nan))
+        U = np.array([[1.0, -6968.20574, 2.5e7 + 0.123, -6392.00018, 0.0]])
+        with pytest.raises(core.ConvergenceError,
+                           match="at cell 0: state .* residual nan") as err:
+            step_source_exact(m, U, 0.1)
+        assert "\n" not in str(err.value)
 
 
 class TestStrangStep:
