@@ -255,11 +255,38 @@ def _initial_condition(cfg: dict, grid: Grid1D):
 
 
 def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
-    with open(path, "w") as fh:
-        fh.write(f"# config_sha256={cfg_hash}\n")
-        fh.write(header + "\n")
-        for row in rows.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    """The hash line, the header and one line of comma-separated float
+    reprs per row, written at once."""
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    path.write_text(f"# config_sha256={cfg_hash}\n{header}\n"
+                    + "".join([line % tuple(row) for row in rows.tolist()]))
+
+
+# the keys of each diagnostics.jsonl record, in order; "totals" is a list
+_DIAGNOSTICS = ("time", "totals", "total_entropy", "min_sigma", "max_sigma",
+                "speed")
+
+
+def _write_diagnostics(path: Path, traj) -> None:
+    """diagnostics.jsonl: per recorded step, the line `json.dumps` writes
+    for its record, all written at once."""
+    totals = np.asarray(traj.totals, dtype=float)
+    n = totals.shape[1]
+    # one column per value of a record, in the order of its keys; every
+    # value a Python float, as `run` records them
+    columns = (traj.step_times, *totals.T.tolist(), traj.total_entropy,
+               traj.min_sigma, traj.max_sigma, traj.speeds)
+    if np.isfinite(columns).all():
+        # json.dumps writes a finite float as its repr
+        slots = {"totals": "[" + ", ".join(["%r"] * n) + "]"}
+        line = "{" + ", ".join(f'"{key}": {slots.get(key, "%r")}'
+                               for key in _DIAGNOSTICS) + "}\n"
+        text = "".join([line % r for r in zip(*columns)])
+    else:   # NaN and infinities as json.dumps spells them
+        text = "".join([json.dumps(dict(zip(
+            _DIAGNOSTICS, (r[0], list(r[1:n + 1]), *r[n + 1:])))) + "\n"
+            for r in zip(*columns)])
+    path.write_text(text)
 
 
 # A failure found during a command's work -> its exit status and the
@@ -322,16 +349,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         rows = np.column_stack([x, snap, extra])
         _write_csv(out_dir / f"snapshot_{k:04d}.csv", header, rows, h)
 
-    with open(out_dir / "diagnostics.jsonl", "w") as fh:
-        for i, t in enumerate(traj.step_times):
-            fh.write(json.dumps({
-                "time": t,
-                "totals": [float(v) for v in traj.totals[i]],
-                "total_entropy": traj.total_entropy[i],
-                "min_sigma": traj.min_sigma[i],
-                "max_sigma": traj.max_sigma[i],
-                "speed": traj.speeds[i],
-            }) + "\n")
+    _write_diagnostics(out_dir / "diagnostics.jsonl", traj)
 
     cons = diagnostics.conservation_audit(traj)
     ent = diagnostics.entropy_audit(traj, model)

@@ -40,7 +40,11 @@ class CdfModel:
     `entropy_flux(U, j)` is the entropy flux psi_j paired with `entropy`
     (same sign convention): psi_jU = eta_U . F_jU, so that smooth solutions
     satisfy d eta/dt + d psi_j/dx_j = eta_U . Q.  A model for which no such
-    psi exists must leave it None.
+    psi exists must leave it None.  `source_decay_rates(U)` gives per
+    dissipative component the rate r of the source -r v, and must depend on
+    the conserved block of U only: the solver relaxes v exactly by
+    exp(-r dt) with r held fixed, and reuses one evaluation for the two
+    half steps that relax a field.
     """
 
     name: str

@@ -15,7 +15,7 @@ import numpy as np
 from . import solver
 from .core import CdfModel
 from .fluid import (FluidParams, _closures, fluid_model, fns_limit_fluxes,
-                    fns_sine_initial_condition, primitive_from_conserved)
+                    fns_sine_initial_condition)
 from .heat import HeatParams, heat_model
 from .solver import Grid1D, Scenario, Trajectory
 
@@ -41,8 +41,9 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
     """
     totals = np.asarray(traj.totals)
     t0 = totals[0]
-    # zero totals (e.g. momentum of a symmetric pulse) are scaled by the
-    # largest conserved total so "relative" stays meaningful
+    # every total is scaled by the largest |initial total| (at least 1e-30),
+    # so a zero total (e.g. momentum of a symmetric pulse) gets a
+    # meaningful "relative" drift
     scale = np.maximum(np.abs(t0), max(np.max(np.abs(t0)), 1e-30))
     drift = np.max(np.abs(totals - t0), axis=0) / scale
     if traj.boundary == "periodic":
@@ -218,8 +219,7 @@ def fns_flux_comparison(params: FluidParams, snapshot: np.ndarray,
     """Compare the model's evolved (q, tau) against the FNS fluxes
     -lambda d(theta)/dx and -kappa dv/dx (`fns_limit_fluxes`), using
     periodic central gradients of the snapshot."""
-    theta, _, q, tau = _closures(params, snapshot)
-    v = primitive_from_conserved(snapshot)[1]
+    v, theta, _, q, tau = _closures(params, snapshot)
 
     def grad(f):
         return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * grid.dx)

@@ -71,8 +71,18 @@ def conserved_from_primitive(rho, v, u, w, C):
     return np.stack([rho, rho * v, rho * e, rho * w, rho * C], axis=-1)
 
 
+def _temperature(params: FluidParams, U):
+    """theta of a conserved state, by the operations, in their order, of
+    `primitive_from_conserved` and `_closures`, so it is the same bits."""
+    U = np.asarray(U, dtype=float)
+    rho = U[..., 0]
+    v = U[..., 1] / rho
+    u = U[..., 2] / rho - 0.5 * v ** 2
+    return u / params.c_v
+
+
 def _closures(params: FluidParams, U):
-    """theta, pi (generalized pressure), q, tau from a conserved state."""
+    """v, theta, pi (generalized pressure), q, tau from a conserved state."""
     rho, v, u, w, C = primitive_from_conserved(U)
     theta = u / params.c_v
     # s_nu of the full generalized entropy, quadratic terms included
@@ -81,7 +91,7 @@ def _closures(params: FluidParams, U):
     pi = theta * s_nu
     q = -rho * w / params.alpha0
     tau = -theta * rho * C / params.alpha1
-    return theta, pi, q, tau
+    return v, theta, pi, q, tau
 
 
 def fluid_model(params: FluidParams) -> CdfModel:
@@ -113,8 +123,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
         return g
 
     def flux(U, j):
-        rho, v, u, w, C = primitive_from_conserved(U)
-        theta, pi, q, tau = _closures(params, U)
+        v, theta, pi, q, tau = _closures(params, U)
         P = pi + tau
         out = np.empty_like(U)
         out[..., 0] = U[..., 1]
@@ -165,7 +174,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
         return np.maximum(v + xi[0], -(v + xi[1]))
 
     def dissipation_matrix(U):
-        theta, _, _, _ = _closures(params, U)
+        theta = _temperature(params, U)
         M = np.zeros(U.shape[:-1] + (2, 2))
         M[..., 0, 0] = 1.0 / (lam * theta ** 2)
         M[..., 1, 1] = theta / kap
@@ -180,14 +189,14 @@ def fluid_model(params: FluidParams) -> CdfModel:
     def source_decay_rates(U):
         # d(rho w)/dt = q/(theta^2 lam) = -(rho w)/(a0 lam theta^2)
         # d(rho C)/dt = tau/kap       = -theta (rho C)/(a1 kap)
-        theta, _, _, _ = _closures(params, U)
+        theta = _temperature(params, U)
         rates = np.empty(U.shape[:-1] + (2,))
         rates[..., 0] = 1.0 / (a0 * lam * theta ** 2)
         rates[..., 1] = theta / (a1 * kap)
         return rates
 
     def derived(U):
-        theta, pi, q, tau = _closures(params, U)
+        _, theta, pi, q, tau = _closures(params, U)
         sigma = q ** 2 / (lam * theta ** 2) + tau ** 2 / (theta * kap)
         return {"theta": theta, "q": q, "tau": tau, "sigma": sigma}
 

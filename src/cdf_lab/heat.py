@@ -66,7 +66,7 @@ def heat_model(params: HeatParams,
         return g
 
     def flux(U, j):
-        out = np.zeros_like(U)
+        out = np.zeros(U.shape)
         out[..., 0] = -U[..., 1 + j] / a0          # q_j
         out[..., 1 + j] = c_v / U[..., 0]          # theta^{-1}
         return out

@@ -12,6 +12,14 @@ transport alone pads it with one ghost cell at each end of every spatial
 axis (`with_ghosts`), sums the face-flux differences axis by axis, and
 rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
 
+Closed-form decay rates are evaluated once per relaxed field, for both
+half steps that relax it: they depend on the conserved block only, which
+relaxation leaves untouched, so the closing half step of one step and the
+opening half step of the next read the same rates.  `run` evaluates them
+for the initial field, and then `strang_step` for each step's output: a
+run makes steps + 1 evaluations, as a retried step starts from the same
+cells and reuses their rates.
+
 Wave speeds are evaluated once per step, by transport.  The time loop
 takes each dt from the CFL speed the previous step's transport measured
 (the first from the initial field), with a 1% margin.  If the speed has
@@ -188,10 +196,12 @@ def with_ghosts(U: np.ndarray, boundary: str,
     if boundary not in BOUNDARY_KINDS:
         raise ValueError(f"unknown boundary '{boundary}'")
     for axis in range(U.ndim - 1):
+        a = (slice(None),) * axis
+        first, last = U[a + (slice(None, 1),)], U[a + (slice(-1, None),)]
         if boundary == "periodic":
-            ends = U.take([-1], axis), U.take([0], axis)
+            ends = last, first
         elif boundary == "zero-gradient":
-            ends = U.take([0], axis), U.take([-1], axis)
+            ends = first, last
         else:
             shape = U.shape[:axis] + (1,) + U.shape[axis + 1:]
             ends = [np.broadcast_to(np.asarray(s, dtype=float), shape)
@@ -208,7 +218,13 @@ def rusanov_flux(F_left: np.ndarray, F_right: np.ndarray,
     (a_L, a_R).  Pure arithmetic: the caller evaluates the fluxes and
     speeds, and passes admissible states."""
     a = np.maximum(*speeds)
-    return 0.5 * (F_left + F_right) - 0.5 * a[..., None] * (U_right - U_left)
+    # in place, in the order of the formula's operations
+    jump = U_right - U_left
+    jump *= 0.5 * a[..., None]
+    flux = F_left + F_right
+    flux *= 0.5
+    flux -= jump
+    return flux
 
 
 def _spacing(grid) -> tuple:
@@ -280,17 +296,30 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
         new -= (dt / h) * (F[hi] - F[lo])
         other = tuple(i for i in range(len(spacing)) if i != d)
         ends = a + (slice(None, None, F.shape[d] - 1),)     # first, last face
-        f_ends += F[ends][..., :n].sum(axis=other) * (math.prod(spacing) / h)
+        face = F[ends][..., :n]
+        if other:
+            face = face.sum(axis=other) * (math.prod(spacing) / h)
+        f_ends += face
     if not np.isfinite(new).all() or not model.admissible(new).all():
         _raise_inadmissible(model, new, "inadmissible state after transport")
     return new, f_ends[0], f_ends[1], smax
 
 
-def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float
-                      ) -> np.ndarray:
+def _decay_rates(model: CdfModel, field_arr: np.ndarray):
+    """The model's closed-form decay rates at the cells, or None when it
+    declares none."""
+    if model.source_decay_rates is None:
+        return None
+    return np.asarray(model.source_decay_rates(field_arr), dtype=float)
+
+
+def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
+                      rates=None) -> np.ndarray:
     """Relax the dissipative block over dt; conserved block untouched.
 
-    Uses the model's closed-form per-component rates when declared.
+    Uses the model's closed-form per-component rates when declared:
+    `rates` when the caller has them for these cells (`_decay_rates`),
+    else evaluated here.
     Otherwise, when eta_v = -A(u) v with A symmetric positive definite and
     M(u) symmetric (both independent of v), the source is the linear ODE
     v' = -M A v, solved exactly for all cells at once: with A = L L^T and
@@ -300,8 +329,10 @@ def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float
     n = model.n_conserved
     new = field_arr.copy()
     if model.source_decay_rates is not None:
-        rates = np.asarray(model.source_decay_rates(field_arr), dtype=float)
-        new[..., n:] = field_arr[..., n:] * np.exp(-rates * dt)
+        if rates is None:
+            rates = _decay_rates(model, field_arr)
+        decay = rates * -dt
+        new[..., n:] *= np.exp(decay, out=decay)
         return new
     v = _relax_linear(model, new, dt)
     new[..., n:] = _relax_midpoint(model, new, dt) if v is None else v
@@ -419,14 +450,21 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
 
 def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
                 grid: Grid1D | Grid2D, boundary: str = "periodic",
-                left_state=None, right_state=None, cfl: float = 1.0):
+                left_state=None, right_state=None, cfl: float = 1.0,
+                rates=None):
     """S(dt/2) o H(dt) o S(dt/2) on the cells (no ghosts); conserves the
-    conserved block exactly.  Returns what `step_hyperbolic` does, with the
-    cells relaxed by the closing half step."""
-    half = step_source_exact(model, cells, 0.5 * dt)
+    conserved block exactly.  `rates` are the cells' `_decay_rates`, when
+    the caller has them.  Returns what `step_hyperbolic` does, with the
+    cells relaxed by the closing half step, and then the decay rates of
+    the returned cells (None without closed-form rates): the next step's
+    opening half step reads them."""
+    half = step_source_exact(model, cells, 0.5 * dt, rates)
     out, f_left, f_right, speed = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl)
-    return step_source_exact(model, out, 0.5 * dt), f_left, f_right, speed
+    # relaxation keeps the conserved block, on which alone the rates depend
+    rates = _decay_rates(model, out)
+    return (step_source_exact(model, out, 0.5 * dt, rates), f_left, f_right,
+            speed, rates)
 
 
 def _audit_or_raise(model: CdfModel) -> None:
@@ -530,6 +568,7 @@ def run(scenario: Scenario, override_audit: bool = False,
     # included, so their speeds bound dt as in the CFL recheck
     _, rate = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)
     speed = float(rate.max())
+    rates = _decay_rates(model, field_arr)
     next_out = scenario.output_every
     try:
         record_diag(t, speed)
@@ -540,13 +579,13 @@ def run(scenario: Scenario, override_audit: bool = False,
             dt = time_step(speed)
             try:
                 step = strang_step(model, field_arr, dt, grid, *bc,
-                                   scenario.cfl)
+                                   scenario.cfl, rates)
             except CflError as err:
                 traj.cfl_retries += 1
                 dt = time_step(err.speed)
                 step = strang_step(model, field_arr, dt, grid, *bc,
-                                   scenario.cfl)
-            field_arr, f_left, f_right, speed = step
+                                   scenario.cfl, rates)
+            field_arr, f_left, f_right, speed, rates = step
             traj.boundary_inflow += (f_left - f_right) * dt
             t += dt
             record_diag(t, speed)

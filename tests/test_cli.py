@@ -215,7 +215,9 @@ class TestRunCommand:
             def source_decay_rates(U):
                 calls.append(U.shape)
                 rates = model.source_decay_rates(U)
-                return rates * np.nan if len(calls) >= 10 else rates
+                # call 1 is the initial field's, call k + 1 the closing
+                # half step's of step k
+                return rates * np.nan if len(calls) >= 6 else rates
 
             return dataclasses.replace(
                 model, source_decay_rates=source_decay_rates)
@@ -578,6 +580,119 @@ def _small_powerlaw(**section):
     return {"command": "powerlaw", "model": "fluid",
             "params": dict(FLUID_PARAMS),
             "powerlaw": {"mu0": 1.0, "alpha": 0.5, "n_points": 3, **section}}
+
+
+# finite floats whose repr is long, short, signed zero or at the limits
+_AWKWARD = [0.1, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, -2.5e-17,
+            123456789.12345679, 1 / 3]
+
+
+def _former_csv(header, rows, cfg_hash):
+    """The text `_write_csv` wrote one row per write."""
+    return (f"# config_sha256={cfg_hash}\n{header}\n"
+            + "".join(",".join(map(repr, row)) + "\n"
+                      for row in rows.tolist()))
+
+
+def _records(traj):
+    """The diagnostics records of a trajectory, one dict per step."""
+    return [{"time": t,
+             "totals": [float(v) for v in traj.totals[i]],
+             "total_entropy": traj.total_entropy[i],
+             "min_sigma": traj.min_sigma[i],
+             "max_sigma": traj.max_sigma[i],
+             "speed": traj.speeds[i]}
+            for i, t in enumerate(traj.step_times)]
+
+
+class TestWriters:
+    """The output files are written in one pass; every line is what the
+    one-record-at-a-time writers wrote."""
+
+    @staticmethod
+    def _trajectory(n_conserved, special=None):
+        """Seven recorded steps of awkward values; `special`, when given,
+        replaces one value of every field in turn."""
+        rng = np.random.default_rng(7)
+        traj = solver.Trajectory(boundary="periodic",
+                                 boundary_inflow=np.zeros(n_conserved))
+        steps = 7
+
+        def column(k):
+            vals = [_AWKWARD[(k + i) % len(_AWKWARD)] * rng.uniform(0.5, 1)
+                    for i in range(steps)]
+            if special is not None:
+                vals[k % steps] = special
+            return vals
+
+        traj.step_times = column(0)
+        traj.totals = list(np.array([column(1 + j)
+                                     for j in range(n_conserved)]).T)
+        traj.total_entropy = column(4)
+        traj.min_sigma = column(5)
+        traj.max_sigma = column(6)
+        traj.speeds = column(7)
+        return traj
+
+    @pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_conserved", [1, 3])
+    def test_diagnostics_lines_are_json_dumps(self, tmp_path, n_conserved,
+                                              special):
+        traj = self._trajectory(n_conserved, special)
+        path = tmp_path / "diagnostics.jsonl"
+        cli._write_diagnostics(path, traj)
+        lines = path.read_text().split("\n")
+        assert lines.pop() == ""
+        want = [json.dumps(r) for r in _records(traj)]
+        assert lines == want
+        if special is not None:
+            assert any(("NaN" if np.isnan(special) else "Infinity") in line
+                       for line in lines)
+
+    def test_run_diagnostics_lines_are_json_dumps(self, tmp_path,
+                                                  monkeypatch):
+        runs, real = [], solver.run
+
+        def recording(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.solver, "run", recording)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", _cfg(tmp_path, _run_config(
+            tmp_path)), "--out", str(out)]) == 0
+        lines = (out / "diagnostics.jsonl").read_text().splitlines()
+        assert lines == [json.dumps(r) for r in _records(runs[0])]
+        assert all(list(json.loads(line)) == list(cli._DIAGNOSTICS)
+                   for line in lines)
+
+    @pytest.mark.parametrize("special", [None, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_cols", [1, 4, 9])
+    def test_csv_matches_row_by_row_writer(self, tmp_path, n_cols, special):
+        rng = np.random.default_rng(n_cols)
+        rows = rng.choice(_AWKWARD, size=(11, n_cols)) * rng.uniform(
+            -1, 1, size=(11, n_cols))
+        if special is not None:
+            rows[3, n_cols // 2] = special
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, "a,b", rows, "abc")
+        assert path.read_text() == _former_csv("a,b", rows, "abc")
+
+    @pytest.mark.parametrize("payload, name",
+                             [(_small_converge, "convergence.csv"),
+                              (_small_powerlaw, "powerlaw.csv"),
+                              (_small_run, "snapshot_0001.csv")])
+    def test_command_csvs_are_float_reprs(self, tmp_path, payload, name):
+        """Every value a command writes reads back to a float whose repr
+        is the written text: the former writer's format."""
+        out = tmp_path / "out"
+        cmd = payload()["command"]
+        cli.main([cmd, "--config", _cfg(tmp_path, payload()), "--out",
+                  str(out)])
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) > 3 and lines[0].startswith("# config_sha256=")
+        for line in lines[2:]:
+            assert line == ",".join(repr(float(v)) for v in line.split(","))
 
 
 def _verify_box(model, params):

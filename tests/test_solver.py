@@ -156,6 +156,13 @@ class TestRusanovFlux:
         F = _rusanov(heat, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
         assert F[0] > 0.0
 
+    def test_equals_the_formula_bitwise(self, fluid):
+        UL, UR = (random_fluid_states(fluid, 200, seed) for seed in (1, 2))
+        FL, FR = fluid.flux(UL, 0), fluid.flux(UR, 0)
+        aL, aR = (core.spectral_radius(fluid, U) for U in (UL, UR))
+        want = 0.5 * (FL + FR) - 0.5 * np.maximum(aL, aR)[:, None] * (UR - UL)
+        assert np.array_equal(rusanov_flux(FL, FR, UL, UR, (aL, aR)), want)
+
 
 class TestStepHyperbolic:
     def test_uniform_state_invariant(self, heat):
@@ -275,6 +282,16 @@ class TestStepSourceExact:
         out = step_source_exact(heat, f, np.log(2.0))
         assert out[0, 1] == pytest.approx(0.15, rel=1e-14)
         assert out[0, 0] == 1.0  # conserved untouched, bitwise
+
+    def test_rates_path_equals_the_formula_bitwise(self, fluid):
+        U = random_fluid_states(fluid, 200)
+        rates = fluid.source_decay_rates(U)
+        for given in (None, rates):
+            out = step_source_exact(fluid, U, 0.3, given)
+            assert np.array_equal(out[:, :3], U[:, :3])
+            assert np.array_equal(out[:, 3:], U[:, 3:] * np.exp(-rates * 0.3))
+        # the caller's rates are read, not overwritten
+        assert np.array_equal(rates, fluid.source_decay_rates(U))
 
     def test_long_time_equilibrium(self, fluid):
         f = conserved_from_primitive(1.0, 0.5, 1.5, 0.2, -0.2)[None, :]
@@ -569,7 +586,7 @@ class TestStrangStep:
         field = conserved_from_primitive(
             1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0,
             1.0 + 0.05 * np.cos(2 * np.pi * x), 0.05, -0.02)
-        out, _, _, _ = strang_step(fluid, field, 1e-3, Grid1D(32))
+        out, _, _, _, _ = strang_step(fluid, field, 1e-3, Grid1D(32))
         before = field[:, :3].sum(axis=0)
         after = out[:, :3].sum(axis=0)
         # momentum total is zero; scale by the largest conserved total
@@ -579,9 +596,9 @@ class TestStrangStep:
         rows = []
         exact = solver.step_source_exact
 
-        def recording(model, field_arr, dt):
+        def recording(model, field_arr, dt, rates=None):
             rows.append(field_arr.shape)
-            return exact(model, field_arr, dt)
+            return exact(model, field_arr, dt, rates)
 
         monkeypatch.setattr(solver, "step_source_exact", recording)
         strang_step(heat, _heat_sine_field(32), 1e-3, Grid1D(32))
@@ -593,7 +610,7 @@ class TestStrangStep:
             source_decay_rates=lambda U: np.zeros(U.shape[:-1] + (1,)))
         f = _heat_sine_field(32)
         f[:, 1] = 0.03
-        a, _, _, _ = strang_step(frozen, f, 2e-3, Grid1D(32))
+        a, _, _, _, _ = strang_step(frozen, f, 2e-3, Grid1D(32))
         b, _, _, _ = step_hyperbolic(heat, f, 2e-3, Grid1D(32))
         assert np.array_equal(a, b)
 
@@ -601,7 +618,7 @@ class TestStrangStep:
 def _run_fixed_dt(model, field, dt, n_steps, grid):
     f = field.copy()
     for _ in range(n_steps):
-        f, _, _, _ = strang_step(model, f, dt, grid)
+        f, _, _, _, _ = strang_step(model, f, dt, grid)
     return f
 
 
@@ -1055,9 +1072,10 @@ class TestInadmissibleRelaxedState:
     block's sigma evaluation and named by its step, time and cell."""
 
     @staticmethod
-    def _spoiled(model, from_call=10):
+    def _spoiled(model, from_call=6):
         """`model` whose decay rates turn NaN from their `from_call`-th call
-        on: the closing half step of step from_call / 2."""
+        on.  `run` evaluates them for the initial field and then once per
+        step, for the closing half step: call 6 is that of step 5."""
         calls = []
 
         def source_decay_rates(U):
@@ -1085,6 +1103,92 @@ class TestInadmissibleRelaxedState:
         assert "nan]" in str(err.value)
         if block_steps == 4:
             assert "after transport" in str(err.value.__context__.__context__)
+
+
+class TestDecayRateSeam:
+    """`run` evaluates a field's closed-form decay rates once, for both
+    half steps that relax it; the oracle evaluates them at every half
+    step: S(dt/2) H(dt) S(dt/2) by hand, over the run's own dt sequence."""
+
+    @staticmethod
+    def _run(sc, monkeypatch):
+        """solver.run(sc) with a model that counts its decay-rate calls;
+        the run, the call count and the (dt, cells) of every accepted
+        step."""
+        calls, steps = [], []
+        model, real = sc.model, solver.strang_step
+
+        def source_decay_rates(U):
+            calls.append(U.shape)
+            return model.source_decay_rates(U)
+
+        def recording(model, cells, dt, *args):
+            out = real(model, cells, dt, *args)
+            steps.append((dt, out[0]))
+            return out
+
+        monkeypatch.setattr(solver, "strang_step", recording)
+        counted = dataclasses.replace(model,
+                                      source_decay_rates=source_decay_rates)
+        traj = solver.run(dataclasses.replace(sc, model=counted))
+        return traj, len(calls), steps
+
+    @staticmethod
+    def _assert_matches_hand_loop(sc, traj, steps):
+        bc = (sc.boundary, sc.left_state, sc.right_state)
+        cells = traj.snapshots[0]
+        fields, inflow = [cells], np.zeros(sc.model.n_conserved)
+        for dt, _ in steps:
+            half = step_source_exact(sc.model, cells, 0.5 * dt)
+            out, f_left, f_right, _ = step_hyperbolic(
+                sc.model, half, dt, sc.grid, *bc, sc.cfl)
+            cells = step_source_exact(sc.model, out, 0.5 * dt)
+            fields.append(cells)
+            inflow += (f_left - f_right) * dt
+        assert len(fields) == len(traj.step_times)
+        for want, (_, got) in zip(fields[1:], steps):
+            assert np.array_equal(got, want)
+        for t, snap in zip(traj.times, traj.snapshots, strict=True):
+            assert np.array_equal(snap, fields[traj.step_times.index(t)])
+        assert np.array_equal(traj.boundary_inflow, inflow)
+
+    @pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+    @pytest.mark.parametrize("model_name", ["heat", "fluid"])
+    def test_1d_every_boundary(self, heat, fluid, monkeypatch, boundary,
+                               model_name):
+        model, states = ((heat, (np.array([1.5, 0.0]), np.array([1.0, 0.0])))
+                         if model_name == "heat" else (fluid, _FLUID_RIEMANN))
+        sc = dataclasses.replace(_riemann(model, *states), boundary=boundary,
+                                 t_end=0.3, output_every=0.05)
+        traj, rate_calls, steps = self._run(sc, monkeypatch)
+        assert len(steps) == len(traj.step_times) - 1 > 10
+        assert rate_calls == len(steps) + 1
+        # the fluid's early speed rise retries two steps, from the rates
+        # of the cells they start from
+        assert traj.cfl_retries == (2 if model_name == "fluid" else 0)
+        self._assert_matches_hand_loop(sc, traj, steps)
+
+    def test_periodic_2d(self, monkeypatch):
+        sc = Scenario(model=heat_model(HeatParams(space_dim=2)),
+                      grid=Grid2D(16, 8),
+                      initial_condition=lambda x, y: np.array(
+                          [1.0 + 0.1 * np.sin(2 * np.pi * x),
+                           0.01 * np.cos(2 * np.pi * y), 0.0]),
+                      t_end=0.05, output_every=0.01)
+        traj, rate_calls, steps = self._run(sc, monkeypatch)
+        assert rate_calls == len(steps) + 1
+        self._assert_matches_hand_loop(sc, traj, steps)
+
+    def test_strang_step_returns_the_rates_of_its_output(self, fluid):
+        x = Grid1D(32).centers()
+        field = conserved_from_primitive(
+            1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0,
+            1.0 + 0.05 * np.cos(2 * np.pi * x), 0.05, -0.02)
+        out, _, _, _, rates = strang_step(fluid, field, 1e-3, Grid1D(32))
+        assert np.array_equal(rates, fluid.source_decay_rates(out))
+        # without closed-form rates there are none to hand on
+        m = dataclasses.replace(fluid, source_decay_rates=None)
+        assert strang_step(m, field, 1e-3, Grid1D(32))[4] is None
 
 
 class TestRun2D:
