@@ -9,12 +9,23 @@ assembled source and of the solver's decay rates with M . eta_v, and
 hyperbolicity of the flux Jacobians.  Failures carry a witness state; so
 does a sample whose derivatives are not finite.
 
+Definiteness (concavity: -eta_UU; dissipation: the symmetric part of M) is
+decided by one batched Cholesky test, `_definite`: a factorisation of
+A - (shift + allowance) I that completes with positive pivots proves
+lambda_min(A) > shift, the allowance covering the factorisation's own
+rounding.  The shift is the tolerance plus the rounding of `eigvalsh`, so a
+decided sample is one `eigvalsh` would pass; a check whose samples are all
+decided passes without an eigensolve, and any undecided sample sends the
+whole check to `np.linalg.eigvalsh`, which gives the verdict, worst value
+and witness.  A sample whose Hessian or M is not finite fails.
+
 Hyperbolicity is certified from the first two conditions where it can be.
 With -H = L L^T (H = eta_UU) and P = H . F_jU, the Jacobian F_jU is similar
 to L^-1 (-P) L^-T, whose antisymmetric part is L^-1 K_a L^-T with
 K_a = (P - P^T)/2; by Bauer-Fike every eigenvalue then has
-|Im lambda| <= ||K_a||_F / (-lambda_max(H)).  A sample whose bound, with
-allowance for rounding, is at most tol/2 passes without an eigensolve;
+|Im lambda| <= ||K_a||_F / lambda_min(-H).  A sample passes without an
+eigensolve when the Cholesky test proves lambda_min(-H) > 2 ||K_a||_F / tol
+(the bound, with allowance for rounding, at most tol/2);
 `np.linalg.eigvals` decides every other sample and is the oracle the bound
 is tested against.
 
@@ -43,6 +54,9 @@ DEFAULT_TOLERANCES = {
     "source_consistency": 1e-12,
     "hyperbolicity": 1e-6,
 }
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 class SamplingError(ValueError):
@@ -151,10 +165,14 @@ class AuditReport:
 class AuditSamples:
     """The states of one audit and the quantities its checks share, each
     evaluated once, on first use: the model's eta_U, its central-difference
-    Jacobian eta_UU and that Hessian's largest eigenvalue, M(U), each
-    direction's flux Jacobian F_jU and the symmetry defect of eta_UU . F_jU.
-    Finite differences take one plan-wide per-component step scale, so that
-    their truncation error is smooth across samples, as nested ones need."""
+    Jacobian eta_UU and that Hessian's largest entry in magnitude (which
+    scales the rounding allowances of the concavity test and of the
+    hyperbolicity certificate), M(U), each direction's flux Jacobian F_jU
+    and the symmetry defect of eta_UU . F_jU.  The Hessian's largest
+    eigenvalue is computed only when the concavity check falls back to
+    `eigvalsh`.  Finite differences take
+    one plan-wide per-component step scale, so that their truncation error
+    is smooth across samples, as nested ones need."""
 
     def __init__(self, model: CdfModel, states: np.ndarray):
         self.model = model
@@ -170,9 +188,14 @@ class AuditSamples:
         return core.entropy_hessian(self.model, self.states, scale=self.scale)
 
     @cached_property
+    def hessian_abs_max(self) -> np.ndarray:
+        """max |eta_UU| per sample."""
+        return np.max(np.abs(self.hessian), axis=(-1, -2))
+
+    @cached_property
     def hessian_lam_max(self) -> np.ndarray:
         """Largest eigenvalue of the entropy Hessian, per sample."""
-        return np.max(np.linalg.eigvalsh(self.hessian), axis=-1)
+        return np.max(_eigvalsh(self.hessian), axis=-1)
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
@@ -192,13 +215,65 @@ class AuditSamples:
         max |P| and ||K_a||_F with K_a = (P - P^T)/2.  P is not kept."""
         out = []
         for JF in self.flux_jacobians:
-            P = np.einsum("...ij,...jk->...ik", self.hessian, JF)
+            P = self.hessian @ JF
             D = P - np.swapaxes(P, -1, -2)
             with np.errstate(over="ignore"):   # an inf norm certifies nothing
                 k_fro = 0.5 * np.sqrt(np.sum(D * D, axis=(-1, -2)))
             out.append((np.max(np.abs(D), axis=(-1, -2)),
                         np.max(np.abs(P), axis=(-1, -2)), k_fro))
         return out
+
+
+def _definite(A: np.ndarray, shift) -> np.ndarray:
+    """Per matrix of the symmetric stack A (..., n, n): True only if
+    lambda_min(A) > shift, proved by a floating-point Cholesky factorisation
+    of A - (shift + allowance) I that completes with positive pivots.
+
+    The rounding bound is Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2nd ed.), Theorem 10.3: a completed factorisation of B
+    gives R^T R = B + dB with |dB| <= g |R^T| |R|, g = gamma_{n+1}, so
+    ||dB||_2 <= g ||R||_F^2 <= g trace(B) / (1 - g), and R^T R positive
+    definite gives lambda_min(B) > -||dB||_2.  Forming the diagonal of
+    B = A - s I rounds it by at most u |a_ii - s| (u = eps/2), and
+    s = fl(shift + allowance) by u |s|.  With S = sum |a_ii| + n |shift|
+    (which bounds trace(B) and |shift|) these cost at most (n + 3) u S to
+    first order; the allowance (n + 2) eps S = 2 (n + 2) u S covers them
+    with room for the second-order terms.  Underflow is not modelled.  A
+    matrix with a NaN or infinite entry yields a NaN or non-positive pivot
+    (an infinite diagonal makes the allowance infinite), so it is never
+    True.  The n <= 5 components are visited one by one, as in
+    `core.all_finite`; only the upper triangle is read."""
+    n = A.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        size = n * np.abs(shift)
+        for i in range(n):
+            size = size + np.abs(A[..., i, i])
+        s = shift + (n + 2) * _EPS * size
+        R = {}
+        ok = np.ones(np.shape(size), dtype=bool)
+        for j in range(n):
+            for i in range(j):
+                r = A[..., i, j]
+                for k in range(i):
+                    r = r - R[k, i] * R[k, j]
+                R[i, j] = r / R[i, i]
+            pivot = A[..., j, j] - s
+            for k in range(j):
+                pivot = pivot - R[k, j] * R[k, j]
+            ok &= pivot > 0
+            R[j, j] = np.sqrt(np.where(ok, pivot, 1.0))
+    return ok
+
+
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigvalsh` per matrix, with NaN eigenvalues where the
+    matrix is not finite (LAPACK returns numbers for a NaN matrix)."""
+    finite = np.all(np.isfinite(A), axis=(-1, -2))
+    if np.all(finite):
+        return np.linalg.eigvalsh(A)
+    ev = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
+    ev[~finite] = np.nan
+    return ev
 
 
 def _result(name, worst, tol, states, idx) -> CheckResult:
@@ -218,7 +293,15 @@ def _worst_direction(rels) -> tuple:
 def check_concavity(samples: AuditSamples,
                     tol: float = DEFAULT_TOLERANCES["concavity"]
                     ) -> CheckResult:
-    """Entropy must be strictly concave: max Hessian eigenvalue <= -tol."""
+    """Entropy must be strictly concave: max Hessian eigenvalue <= -tol.
+    Every sample passes when the Cholesky test proves
+    lambda_min(-H) > tol + n^2 eps max|H|, the last term covering the
+    rounding of `eigvalsh`; otherwise `eigvalsh` decides, and a sample with
+    a non-finite Hessian fails."""
+    n = samples.model.n_comp
+    if np.all(_definite(-samples.hessian,
+                        tol + n ** 2 * _EPS * samples.hessian_abs_max)):
+        return CheckResult("concavity", True, 0.0, None, tol)
     lam_max = samples.hessian_lam_max
     worst = np.max(lam_max + tol)
     return _result("concavity", worst, tol, samples.states,
@@ -238,10 +321,17 @@ def check_symmetrizability(samples: AuditSamples,
 def check_dissipation_matrix(samples: AuditSamples,
                              tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
                              ) -> CheckResult:
-    """Symmetric part of M must have eigenvalues >= tol everywhere."""
+    """Symmetric part of M must have eigenvalues >= tol everywhere.
+    Every sample passes when the Cholesky test proves
+    lambda_min(sym M) > tol + m^2 eps max|sym M|; otherwise `eigvalsh`
+    decides, and a sample with a non-finite M fails."""
     M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
-    lam_min = np.min(np.linalg.eigvalsh(Ms), axis=-1)
+    m = Ms.shape[-1]
+    m_max = np.max(np.abs(Ms), axis=(-1, -2))
+    if np.all(_definite(Ms, tol + m ** 2 * _EPS * m_max)):
+        return CheckResult("dissipation_matrix", True, 0.0, None, tol)
+    lam_min = np.min(_eigvalsh(Ms), axis=-1)
     worst = np.max(tol - lam_min)
     return _result("dissipation_matrix", worst, tol, samples.states,
                    int(np.argmin(lam_min)))
@@ -305,20 +395,21 @@ def check_source_consistency(samples: AuditSamples,
 
 def _certified(samples: AuditSamples, j: int, tol: float) -> np.ndarray:
     """Samples whose direction-j flux Jacobian provably has every
-    |Im lambda| <= tol/2: the Bauer-Fike bound ||K_a||_F / (-lambda_max(H))
-    of the module docstring, with the rounding of P = H . F_jU (n^3 eps
-    max|H| max|F_jU|) and of eigvalsh (n^2 eps max|H|) on the unsafe
-    side.  Non-concave, non-finite and undecided samples are not
-    certified."""
+    |Im lambda| <= tol/2: the Bauer-Fike condition of the module docstring,
+    lambda_min(-H) >= 2 bound / tol, tested directly by the Cholesky test.
+    The bound ||K_a||_F carries the rounding of P = H . F_jU
+    (n^3 eps max|H| max|F_jU|); the shift adds n^2 eps max|H|, the
+    rounding of the eigenvalue gap the test replaces, so a sample is
+    certified as before.  Non-concave, non-finite and undecided samples are
+    not certified."""
     n = samples.model.n_comp
-    eps = np.finfo(float).eps
-    h_max = np.max(np.abs(samples.hessian), axis=(-1, -2))
+    h_max = samples.hessian_abs_max
     j_max = np.max(np.abs(samples.flux_jacobians[j]), axis=(-1, -2))
     k_fro = samples.symmetry_defects[j][2]
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = -samples.hessian_lam_max - n ** 2 * eps * h_max
-        bound = k_fro + n ** 3 * eps * h_max * j_max
-        return (gap > 0) & (bound <= 0.5 * tol * gap)
+        bound = k_fro + n ** 3 * _EPS * h_max * j_max
+        shift = 2.0 * bound / tol + n ** 2 * _EPS * h_max
+    return _definite(-samples.hessian, shift)
 
 
 def check_hyperbolicity(samples: AuditSamples,

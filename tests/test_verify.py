@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -437,18 +438,27 @@ def _eigvals_oracle(d, tol=TOL_HYP):
                               witness, tol), imags
 
 
+def _count_rows(monkeypatch, name):
+    """Rows passed to np.linalg.<name> while the fixture is active."""
+    rows = []
+    real = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        rows.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return rows
+
+
 @pytest.fixture
 def eigvals_rows(monkeypatch):
-    """Rows passed to np.linalg.eigvals while the fixture is active."""
-    rows = []
-    real = np.linalg.eigvals
+    return _count_rows(monkeypatch, "eigvals")
 
-    def counting(a):
-        rows.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
-        return real(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
-    return rows
+@pytest.fixture
+def eigvalsh_rows(monkeypatch):
+    return _count_rows(monkeypatch, "eigvalsh")
 
 
 class TestHyperbolicityCertificate:
@@ -569,3 +579,224 @@ class TestHyperbolicityCertificate:
         the non-concave fixture leaves every sample to eigvals."""
         verify.run_full_audit(make(), verify.SamplingPlan())
         assert sum(eigvals_rows) == rows
+
+
+EPS = np.finfo(float).eps
+
+
+def _symmetric_stack(rng, size, n, shift_low=-2.0, shift_high=2.0):
+    """X X^T / n + c I with c uniform in [shift_low, shift_high): some rows
+    positive definite, some indefinite."""
+    X = rng.normal(size=(size, n, n))
+    c = rng.uniform(shift_low, shift_high, size)
+    return X @ np.swapaxes(X, -1, -2) / n + c[:, None, None] * np.eye(n)
+
+
+def _with_spectrum(rng, lam):
+    """Symmetric Q diag(lam) Q^T per row, Q random orthogonal."""
+    Q, _ = np.linalg.qr(rng.normal(size=lam.shape + lam.shape[-1:]))
+    return (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+class TestDefinite:
+    """The batched Cholesky test against the eigvalsh oracle it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("shift", [0.0, 1e-10, 0.5])
+    def test_true_only_above_shift(self, n, shift):
+        rng = np.random.default_rng(n)
+        A = _symmetric_stack(rng, 4000, n)
+        ok = verify._definite(A, shift)
+        lam_min = np.linalg.eigvalsh(A)[:, 0]
+        assert np.all(lam_min[ok] > shift)
+        # a margin well above the rounding allowance is always decided
+        size = np.abs(np.diagonal(A, axis1=-2, axis2=-1)).sum(axis=-1)
+        assert np.all(ok[lam_min > shift + 1e-8 * (1.0 + size + n * shift)])
+        assert 0 < np.sum(ok) < len(ok)
+
+    def test_per_row_shift(self):
+        rng = np.random.default_rng(3)
+        A = _symmetric_stack(rng, 2000, 5, 0.0, 4.0)
+        shift = rng.uniform(0.0, 2.0, len(A))
+        ok = verify._definite(A, shift)
+        lam_min = np.linalg.eigvalsh(A)[:, 0]
+        assert np.all(lam_min[ok] > shift[ok])
+        assert np.all(ok[lam_min > shift + 1e-8])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3])
+    def test_near_threshold_family(self, n, side):
+        """lambda_min = shift (1 +- 1e-3), the other eigenvalues up to 5:
+        just above the threshold is True, just below is False."""
+        rng = np.random.default_rng(10 + n)
+        shift = 0.5
+        lam = np.sort(rng.uniform(shift, shift + 5.0, (1000, n)), axis=-1)
+        lam[:, 0] = shift * side
+        ok = verify._definite(_with_spectrum(rng, lam), shift)
+        assert np.all(ok) if side > 1 else not np.any(ok)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_true_is_a_proof_in_exact_arithmetic(self, n, shift):
+        """lambda_min within a few ulps of the shift: every True row has
+        A - shift I positive definite in exact rational arithmetic (all
+        pivots of its elimination positive), which a factorisation without
+        the rounding allowance gets wrong on some rows."""
+        rng = np.random.default_rng(30 + n)
+        lam = np.sort(rng.uniform(1.0, 5.0, (3000, n)), axis=-1)
+        lam[:, 0] = shift + rng.uniform(-100.0, 100.0, len(lam)) * EPS
+        A = _with_spectrum(rng, lam)
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+        ok = verify._definite(A, shift)
+        assert np.any(ok)
+        for a in A[ok]:
+            B = [[Fraction(x) for x in row] for row in a]
+            for k in range(n):
+                B[k][k] -= Fraction(shift)
+            for k in range(n):
+                assert B[k][k] > 0
+                for i in range(k + 1, n):
+                    f = B[i][k] / B[k][k]
+                    for j in range(k + 1, n):
+                        B[i][j] -= f * B[k][j]
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_false(self, n, bad):
+        rng = np.random.default_rng(20 + n)
+        A = _with_spectrum(rng, rng.uniform(1.0, 3.0, (300, n)))
+        rows = np.arange(0, 300, 3)
+        i, j = rng.integers(0, n, (2, len(rows)))
+        A[rows, i, j] = bad
+        A[rows, j, i] = bad
+        ok = verify._definite(A, 0.1)
+        assert not np.any(ok[rows])
+        assert np.all(np.delete(ok, rows))
+
+
+def _eigvalsh_oracle(samples, name, tol):
+    """check_concavity or check_dissipation_matrix as `eigvalsh` over every
+    sample; a sample whose matrix is not finite fails with a NaN."""
+    if name == "concavity":
+        A = samples.hessian
+    else:
+        M = samples.dissipation_matrix
+        A = 0.5 * (M + np.swapaxes(M, -1, -2))
+    finite = np.all(np.isfinite(A), axis=(-1, -2))
+    ev = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
+    if name == "concavity":
+        lam = np.where(finite, ev[:, -1], np.nan)
+        worst, idx = np.max(lam + tol), int(np.argmax(lam))
+    else:
+        lam = np.where(finite, ev[:, 0], np.nan)
+        worst, idx = np.max(tol - lam), int(np.argmin(lam))
+    passed = bool(worst <= 0.0)
+    witness = None if passed else samples.states[idx].copy()
+    return verify.CheckResult(name, passed, float(max(worst, 0.0)), witness,
+                              tol)
+
+
+def _constant_M(value):
+    """Heat with the 1x1 dissipation matrix `value` everywhere."""
+    heat = heat_model(HeatParams())
+    return dataclasses.replace(
+        heat, dissipation_matrix=lambda U: np.full(U.shape[:-1] + (1, 1),
+                                                   value))
+
+
+def _nan_fluid_M(rho_max=1.99):
+    """The fluid with M(0, 0) NaN wherever rho > rho_max."""
+    fluid = fluid_model(FluidParams())
+
+    def M(U):
+        out = fluid.dissipation_matrix(U).copy()
+        out[U[..., 0] > rho_max, 0, 0] = np.nan
+        return out
+
+    return dataclasses.replace(fluid, dissipation_matrix=M)
+
+
+def _nan_heat_entropy_grad(u_max=1.9):
+    """Heat whose eta_U, and so its Hessian, is NaN wherever u > u_max."""
+    heat = heat_model(HeatParams())
+
+    def grad(U):
+        out = heat.entropy_grad(U).copy()
+        out[U[..., 0] > u_max] = np.nan
+        return out
+
+    return dataclasses.replace(heat, entropy_grad=grad)
+
+
+DEFINITENESS_MODELS = {
+    "heat": lambda: heat_model(HeatParams()),
+    "heat-2d": lambda: heat_model(HeatParams(space_dim=2)),
+    "fluid": lambda: fluid_model(FluidParams()),
+    "fluid-stiff": lambda: fluid_model(FluidParams(alpha0=1e-3, alpha1=1e-3)),
+    "heat-signflip": lambda: sign_flipped_heat_model(HeatParams()),
+    "heat-zero-M": lambda: _constant_M(0.0),
+    "heat-indefinite-M": lambda: _constant_M(-2.0),
+    "fluid-nan-M": _nan_fluid_M,
+    "heat-nan-hessian": _nan_heat_entropy_grad,
+}
+
+
+class TestDefinitenessChecks:
+    """check_concavity and check_dissipation_matrix against eigvalsh on
+    every sample."""
+
+    @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
+    @pytest.mark.parametrize("tol", [None, 0.5], ids=["default-tol",
+                                                      "raised-tol"])
+    @pytest.mark.parametrize("model", DEFINITENESS_MODELS)
+    def test_same_result_as_oracle(self, model, tol, name):
+        samples = _samples(DEFINITENESS_MODELS[model](), count=2000)
+        tol = verify.DEFAULT_TOLERANCES[name] if tol is None else tol
+        res = verify._CHECKS[name](samples, tol)
+        assert res.to_dict() == _eigvalsh_oracle(samples, name,
+                                                 tol).to_dict()
+
+    @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
+    def test_raised_tolerance_fails_some_samples(self, name, eigvalsh_rows):
+        """At tolerance 0.5 heat fails part of its box: the check falls
+        back to eigvalsh on every sample and reports its witness."""
+        samples = _samples(heat_model(HeatParams()), count=2000)
+        oracle = _eigvalsh_oracle(samples, name, 0.5)
+        res = verify._CHECKS[name](samples, 0.5)
+        assert not res.passed and res.witness_state is not None
+        assert res.to_dict() == oracle.to_dict()
+        assert eigvalsh_rows == [2000, 2000]   # the oracle's, the check's
+        default = verify.DEFAULT_TOLERANCES[name]
+        assert _eigvalsh_oracle(samples, name, default).passed
+
+    def test_non_finite_hessian_fails_concavity(self):
+        samples = _samples(_nan_heat_entropy_grad(), count=2000)
+        bad = ~np.all(np.isfinite(samples.hessian), axis=(-1, -2))
+        res = verify.check_concavity(samples)
+        assert res.to_dict()["worst_violation"] is None
+        assert not res.passed
+        assert np.array_equal(res.witness_state,
+                              samples.states[np.argmax(bad)])
+
+    def test_non_finite_M_fails_dissipation(self):
+        """Without the rule LAPACK gives [[nan, 0], [0, 1]] the eigenvalues
+        [0, -0], and the check reported the tolerance as its worst value."""
+        samples = _samples(_nan_fluid_M(), count=2000)
+        res = verify.check_dissipation_matrix(samples)
+        assert res.to_dict()["worst_violation"] is None
+        assert not res.passed
+        first = np.argmax(samples.states[:, 0] > 1.99)
+        assert np.array_equal(res.witness_state, samples.states[first])
+
+    @pytest.mark.parametrize("make, rows", [
+        (lambda: heat_model(HeatParams()), 0),
+        (lambda: heat_model(HeatParams(space_dim=2)), 0),
+        (lambda: fluid_model(FluidParams()), 0),
+        (lambda: sign_flipped_heat_model(HeatParams()), 1000),
+    ], ids=["heat", "heat-2d", "fluid", "heat-signflip"])
+    def test_eigvalsh_rows_in_default_audit(self, make, rows, eigvalsh_rows):
+        """The default audits of the built-in models decide every sample by
+        the Cholesky test; heat-signflip's concavity check leaves every
+        sample to eigvalsh."""
+        verify.run_full_audit(make(), verify.SamplingPlan())
+        assert sum(eigvalsh_rows) == rows
