@@ -25,9 +25,13 @@ to L^-1 (-P) L^-T, whose antisymmetric part is L^-1 K_a L^-T with
 K_a = (P - P^T)/2; by Bauer-Fike every eigenvalue then has
 |Im lambda| <= ||K_a||_F / lambda_min(-H).  A sample passes without an
 eigensolve when the Cholesky test proves lambda_min(-H) > 2 ||K_a||_F / tol
-(the bound, with allowance for rounding, at most tol/2);
-`np.linalg.eigvals` decides every other sample and is the oracle the bound
-is tested against.
+(the bound, with allowance for rounding, at most tol/2).  A 2x2
+Jacobian [[a, b], [c, d]] is first tested by its discriminant: a
+computed (a - d)^2 + 4bc that clears the rounding allowance of
+`_real_spectrum_2x2` proves both eigenvalues real, and the Bauer-Fike test
+runs only on the samples it leaves.  `np.linalg.eigvals`
+decides only the samples neither certificate decides, and is the oracle
+both are tested against.
 
 An audit draws its states once (seeded, deterministic) into one
 `AuditSamples` holder, and every `check_*` takes that holder: eta_U,
@@ -57,6 +61,7 @@ DEFAULT_TOLERANCES = {
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class SamplingError(ValueError):
@@ -190,7 +195,7 @@ class AuditSamples:
     @cached_property
     def hessian_abs_max(self) -> np.ndarray:
         """max |eta_UU| per sample."""
-        return np.max(np.abs(self.hessian), axis=(-1, -2))
+        return _abs_max(self.hessian)
 
     @cached_property
     def hessian_lam_max(self) -> np.ndarray:
@@ -212,16 +217,46 @@ class AuditSamples:
     @cached_property
     def symmetry_defects(self) -> list:
         """Per direction and sample, for P = eta_UU . F_jU: max |P - P^T|,
-        max |P| and ||K_a||_F with K_a = (P - P^T)/2.  P is not kept."""
+        max |P| and ||K_a||_F with K_a = (P - P^T)/2.  P is not kept.
+
+        The maxima are exact.  The sum of squares under ||K_a||_F
+        (`_square_sum`) need not round as `np.sum` does; either way its
+        relative error is at most gamma_{n^2} = n^2 eps/2 to first order,
+        which the 2x margin of the hyperbolicity certificate
+        (|Im lambda| <= tol/2 against the check's tol) absorbs many times
+        over.  ||K_a||_F feeds only that certificate."""
         out = []
         for JF in self.flux_jacobians:
-            P = self.hessian @ JF
-            D = P - np.swapaxes(P, -1, -2)
-            with np.errstate(over="ignore"):   # an inf norm certifies nothing
-                k_fro = 0.5 * np.sqrt(np.sum(D * D, axis=(-1, -2)))
-            out.append((np.max(np.abs(D), axis=(-1, -2)),
-                        np.max(np.abs(P), axis=(-1, -2)), k_fro))
+            # a non-finite P or an inf norm certifies nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = self.hessian @ JF
+                D = P - np.swapaxes(P, -1, -2)
+                k_fro = 0.5 * np.sqrt(_square_sum(D))
+            out.append((_abs_max(D), _abs_max(P), k_fro))
         return out
+
+
+def _abs_max(X: np.ndarray, axes: int = 2) -> np.ndarray:
+    """max |X| over the trailing `axes` axes, bit-identical to
+    `np.max(np.abs(X), axis=...)` (a maximum does not depend on order, and
+    `np.maximum` propagates NaN as `np.max` does).  The few components are
+    folded one by one, as in `core.all_finite`: a reduction over a short
+    trailing axis costs more than the whole-array ufuncs it combines."""
+    Y = X.reshape(X.shape[:X.ndim - axes] + (-1,))
+    out = np.abs(Y[..., 0])
+    for k in range(1, Y.shape[-1]):
+        np.maximum(out, np.abs(Y[..., k]), out=out)
+    return out
+
+
+def _square_sum(X: np.ndarray, axes: int = 2) -> np.ndarray:
+    """sum X^2 over the trailing `axes` axes, added one component at a time
+    in index order (see `_abs_max`)."""
+    Y = X.reshape(X.shape[:X.ndim - axes] + (-1,))
+    out = Y[..., 0] * Y[..., 0]
+    for k in range(1, Y.shape[-1]):
+        out += Y[..., k] * Y[..., k]
+    return out
 
 
 def _definite(A: np.ndarray, shift) -> np.ndarray:
@@ -268,7 +303,7 @@ def _definite(A: np.ndarray, shift) -> np.ndarray:
 def _eigvalsh(A: np.ndarray) -> np.ndarray:
     """`np.linalg.eigvalsh` per matrix, with NaN eigenvalues where the
     matrix is not finite (LAPACK returns numbers for a NaN matrix)."""
-    finite = np.all(np.isfinite(A), axis=(-1, -2))
+    finite = core.all_finite(A.reshape(A.shape[:-2] + (-1,)))
     if np.all(finite):
         return np.linalg.eigvalsh(A)
     ev = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
@@ -328,7 +363,7 @@ def check_dissipation_matrix(samples: AuditSamples,
     M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
     m = Ms.shape[-1]
-    m_max = np.max(np.abs(Ms), axis=(-1, -2))
+    m_max = _abs_max(Ms)
     if np.all(_definite(Ms, tol + m ** 2 * _EPS * m_max)):
         return CheckResult("dissipation_matrix", True, 0.0, None, tol)
     lam_min = np.min(_eigvalsh(Ms), axis=-1)
@@ -352,8 +387,8 @@ def check_entropy_flux_exists(samples: AuditSamples,
             G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
             dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
                                     states, scale=scale)
-            gap = np.max(np.abs(dpsi - G), axis=-1)
-            rels.append(gap - tol * (1.0 + np.max(np.abs(G), axis=-1)))
+            gap = _abs_max(dpsi - G, 1)
+            rels.append(gap - tol * (1.0 + _abs_max(G, 1)))
     else:
         for j in range(model.space_dim):
             def G(y, j=j):
@@ -361,8 +396,8 @@ def check_entropy_flux_exists(samples: AuditSamples,
                 return np.einsum("...i,...ik->...k", model.entropy_grad(y), JF)
 
             JG = core.fd_jacobian(G, states, scale=scale)
-            asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-1, -2))
-            rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-1, -2))))
+            asym = _abs_max(JG - np.swapaxes(JG, -1, -2))
+            rels.append(asym - tol * (1.0 + _abs_max(JG)))
     worst, idx = _worst_direction(rels)
     return _result("entropy_flux", worst, tol, states, idx)
 
@@ -379,60 +414,102 @@ def check_source_consistency(samples: AuditSamples,
     expected[..., n:] = np.einsum("...ij,...j->...i",
                                   samples.dissipation_matrix,
                                   samples.entropy_grad[..., n:])
-    norm = 1.0 + np.max(np.abs(expected), axis=-1)
+    norm = 1.0 + _abs_max(expected, 1)
     gap = 0.0 * norm   # 0, or NaN where the expected source is not finite
     if model.source_fn is not None:
         actual = core.source(model, states)
-        gap = np.max(np.abs(actual - expected), axis=-1) / norm
+        gap = _abs_max(actual - expected, 1) / norm
     if model.source_decay_rates is not None:
         decay = -np.asarray(model.source_decay_rates(states)) * states[..., n:]
-        gap = np.maximum(gap, np.max(np.abs(decay - expected[..., n:]),
-                                     axis=-1) / norm)
+        gap = np.maximum(gap, _abs_max(decay - expected[..., n:], 1) / norm)
     worst = np.max(gap - tol)
     return _result("source_consistency", worst, tol, states,
                    int(np.argmax(gap)))
 
 
-def _certified(samples: AuditSamples, j: int, tol: float) -> np.ndarray:
-    """Samples whose direction-j flux Jacobian provably has every
-    |Im lambda| <= tol/2: the Bauer-Fike condition of the module docstring,
-    lambda_min(-H) >= 2 bound / tol, tested directly by the Cholesky test.
+def _real_spectrum_2x2(J: np.ndarray) -> np.ndarray:
+    """Per matrix [[a, b], [c, d]] of the stack J (..., 2, 2): True only if
+    both eigenvalues are real, proved by the discriminant
+    disc = (a - d)^2 + 4 bc > 16 eps size + tiny, with
+    size = a^2 + d^2 + 4 |bc| and tiny = 2^-1022, the smallest normal
+    number; every term is evaluated in floating point.
+
+    Rounding of disc: with u = eps/2, the difference a - d is exact or
+    within a relative u (a difference that underflows is exact); the
+    square, bc and the sum each add a relative u, and each product that
+    underflows an absolute u tiny at most; the factor 4 is exact.  So the
+    computed disc' has disc >= disc'/(1 + u) - 3.01 u S - 5 u tiny, with
+    S = (a - d)^2 + 4 |bc| <= 2 size.  The computed allowance is at least
+    32 u size (1 - O(u)) + tiny (1 - O(u)), so disc' above it leaves
+    disc > 25 u size + tiny/2 > 0: about five times the rounding it must
+    cover.  The rest of the margin is for `eigvals`, whose backward error
+    is relative to the entries, not to a - d: under a common diagonal
+    shift it returns a complex pair for near-defective matrices whose
+    exact eigenvalues are real, which an allowance in (a - d)^2 + 4 |bc|
+    alone would certify; in random shifted, unbalanced, near-defective
+    matrices it did so only below disc = 1.8 eps size.  A NaN or infinite
+    entry, or an overflow in size, never gives True.  If disc alone
+    overflows, then (a - d)^2 exceeds the largest float while
+    4 |bc| <= size - (a - d)^2/2 stays below half of it, so disc > 0 still
+    holds."""
+    a, b, c, d = J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        amd = a - d
+        bc = b * c
+        disc = amd * amd + 4.0 * bc
+        size = a * a + d * d + 4.0 * np.abs(bc)
+        return disc > 16.0 * _EPS * size + _TINY
+
+
+def _certified(samples: AuditSamples, j: int, tol: float,
+               rows=slice(None)) -> np.ndarray:
+    """Of the samples `rows` (by default all), those whose direction-j flux
+    Jacobian provably has every |Im lambda| <= tol/2: the Bauer-Fike
+    condition of the module docstring, lambda_min(-H) >= 2 bound / tol,
+    tested directly by the Cholesky test.
     The bound ||K_a||_F carries the rounding of P = H . F_jU
     (n^3 eps max|H| max|F_jU|); the shift adds n^2 eps max|H|, the
     rounding of the eigenvalue gap the test replaces, so a sample is
     certified as before.  Non-concave, non-finite and undecided samples are
     not certified."""
     n = samples.model.n_comp
-    h_max = samples.hessian_abs_max
-    j_max = np.max(np.abs(samples.flux_jacobians[j]), axis=(-1, -2))
-    k_fro = samples.symmetry_defects[j][2]
+    h_max = samples.hessian_abs_max[rows]
+    j_max = _abs_max(samples.flux_jacobians[j][rows])
+    k_fro = samples.symmetry_defects[j][2][rows]
     with np.errstate(over="ignore", invalid="ignore"):
         bound = k_fro + n ** 3 * _EPS * h_max * j_max
         shift = 2.0 * bound / tol + n ** 2 * _EPS * h_max
-    return _definite(-samples.hessian, shift)
+    return _definite(-samples.hessian[rows], shift)
 
 
 def check_hyperbolicity(samples: AuditSamples,
                         tol: float = DEFAULT_TOLERANCES["hyperbolicity"]
                         ) -> CheckResult:
     """Flux Jacobian eigenvalues must be real to FD noise:
-    max |Im lambda| <= tol * (1 + spectral radius).  A sample passes
-    without an eigensolve when the symmetrizer bound of the module
-    docstring certifies |Im lambda| <= tol/2; `np.linalg.eigvals` decides
-    the rest (non-concave entropy, non-symmetrizable or non-finite
+    max |Im lambda| <= tol * (1 + spectral radius).  A 2x2 Jacobian whose
+    discriminant proves its eigenvalues real (`_real_spectrum_2x2`) passes
+    without an eigensolve, and so does a sample for which the symmetrizer
+    bound of the module docstring certifies |Im lambda| <= tol/2;
+    `np.linalg.eigvals` decides only the samples neither certificate
+    decides (non-concave entropy, non-symmetrizable, complex or non-finite
     Jacobians), and a sample with a non-finite Jacobian fails.  Certified
     samples never hold a violation, so verdict and witness are those of
     `eigvals` on every sample."""
     rels = []
     for j, JF in enumerate(samples.flux_jacobians):
-        rest = ~_certified(samples, j, tol)
+        if JF.shape[-1] == 2:
+            rest = ~_real_spectrum_2x2(JF)
+            if np.any(rest):
+                rest[rest] = ~_certified(samples, j, tol, rest)
+        else:
+            rest = ~_certified(samples, j, tol)
         rel = np.full(rest.shape, -np.inf)
         if np.any(rest):
             JF = JF[rest]
-            finite = np.all(np.isfinite(JF), axis=(-1, -2))
+            finite = core.all_finite(JF.reshape(JF.shape[:-2] + (-1,)))
             ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
-            rad = np.max(np.abs(ev), axis=-1)
-            imag = np.max(np.abs(ev.imag), axis=-1)
+            rad = _abs_max(ev, 1)
+            imag = _abs_max(ev.imag, 1)
             rel[rest] = np.where(finite, imag - tol * (1.0 + rad), np.nan)
         rels.append(rel)
     worst, idx = _worst_direction(rels)

@@ -474,6 +474,9 @@ class TestHyperbolicityCertificate:
         for cert, imag in zip(certified, imags):
             # the bound proves |Im lambda| <= tol/2 on a certified row
             assert np.all(imag[cert] <= TOL_HYP / 2)
+        if model.n_comp == 2:
+            real = verify._real_spectrum_2x2(d.flux_jacobians[0])
+            assert np.all(imags[0][real] == 0.0)
         return fast, certified
 
     @pytest.mark.parametrize("make", [
@@ -572,13 +575,22 @@ class TestHyperbolicityCertificate:
         (lambda: heat_model(HeatParams()), 0),
         (lambda: heat_model(HeatParams(space_dim=2)), 0),
         (lambda: fluid_model(FluidParams()), 0),
-        (lambda: sign_flipped_heat_model(HeatParams()), 1000),
-    ], ids=["heat", "heat-2d", "fluid", "heat-signflip"])
+        (lambda: sign_flipped_heat_model(HeatParams()), 0),
+        (_elliptic_heat, 1000),
+    ], ids=["heat", "heat-2d", "fluid", "heat-signflip", "heat-elliptic"])
     def test_eigvals_rows_in_default_audit(self, make, rows, eigvals_rows):
         """The default audits of the built-in models certify every sample;
-        the non-concave fixture leaves every sample to eigvals."""
-        verify.run_full_audit(make(), verify.SamplingPlan())
+        the non-concave heat-signflip by the discriminant of its 2x2
+        Jacobians.  The elliptic fixture's eigenvalue pairs are all
+        complex, so every sample reaches eigvals, and the check fails with
+        the oracle's witness."""
+        model = make()
+        report = verify.run_full_audit(model, verify.SamplingPlan())
         assert sum(eigvals_rows) == rows
+        (hyp,) = [c for c in report.to_dict()["conditions"]
+                  if c["condition"] == "hyperbolicity"]
+        assert hyp == _eigvals_oracle(_samples(model))[0].to_dict()
+        assert hyp["passed"] == (rows == 0)
 
 
 EPS = np.finfo(float).eps
@@ -800,3 +812,169 @@ class TestDefinitenessChecks:
         sample to eigvalsh."""
         verify.run_full_audit(make(), verify.SamplingPlan())
         assert sum(eigvalsh_rows) == rows
+
+
+def _special_values_stack(rng, shape):
+    """Random normals of `shape` = (N, ...) with, row by row, NaN, +-inf,
+    -0.0 and subnormals planted at every position of the trailing axes."""
+    X = rng.normal(size=shape)
+    flat = X.reshape(shape[0], -1)
+    k = flat.shape[1]
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1e-310]
+    for r, (v, pos) in enumerate((v, pos) for v in special
+                                 for pos in range(k)):
+        flat[r, pos] = v
+    flat[len(special) * k:len(special) * k + k] = -0.0   # all -0.0 rows
+    flat[-k:] = 1e-320 * rng.normal(size=(k, k))          # all subnormal
+    return X
+
+
+class TestShortAxisReductions:
+    """The per-component reductions against the numpy reductions they
+    replace."""
+
+    @pytest.mark.parametrize("shape", [(300, 1, 1), (300, 2, 2),
+                                       (300, 3, 3), (300, 5, 5), (300, 5)])
+    def test_abs_max_is_bit_identical(self, shape):
+        X = _special_values_stack(np.random.default_rng(len(shape)), shape)
+        axes = len(shape) - 1
+        axis = tuple(range(-axes, 0))
+        fast = verify._abs_max(X, axes)
+        assert fast.tobytes() == np.max(np.abs(X), axis=axis).tobytes()
+        # a NaN in any position makes the row NaN
+        assert np.array_equal(np.isnan(fast),
+                              np.isnan(X.reshape(len(X), -1)).any(axis=-1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_square_sum_within_rounding_bound(self, n):
+        X = _special_values_stack(np.random.default_rng(n), (300, n, n))
+        X[:50] *= 10.0 ** np.random.default_rng(9).uniform(-150, 150, 50)[
+            :, None, None]
+        with np.errstate(over="ignore", under="ignore"):
+            fast = verify._square_sum(X)
+            ref = np.sum(X * X, axis=(-1, -2))
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.isnan(fast), np.isnan(ref))
+        assert np.array_equal(fast[~finite & ~np.isnan(ref)],
+                              ref[~finite & ~np.isnan(ref)])
+        # two orders of n^2 nonnegative terms: each within gamma_{n^2}
+        # of the exact sum (plus underflow, far below the smallest normal)
+        bound = n * n * EPS * ref[finite] + np.finfo(float).tiny
+        assert np.all(np.abs(fast[finite] - ref[finite]) <= bound)
+        assert np.all(fast[~np.isnan(fast)] >= 0.0)
+
+
+def _stack_2x2(a, b, c, d):
+    return np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+
+
+def _random_2x2(rng, size, kind):
+    """2x2 stacks V T V^-1 with T diag(l1, l2) ("real"), the rotation block
+    [[x, y], [-y, x]] ("complex") or the Jordan block [[l, 1], [0, l]]
+    ("jordan"); or, for "near-zero", a diagonal shift s + [[p, b], [c, q]]
+    with c chosen so that disc = (a - d)^2 + 4bc lies within
+    +-64 eps (a^2 + d^2) of zero, b and c unbalanced by up to 10^+-8."""
+    if kind == "near-zero":
+        shift = 10.0 ** rng.uniform(-3, 9, size) * rng.choice([-1, 0, 1],
+                                                               size)
+        scale = 10.0 ** rng.uniform(-4, 4, size)
+        a = shift + rng.uniform(-1, 1, size) * scale
+        d = shift + rng.uniform(-1, 1, size) * scale
+        b = (rng.uniform(0.1, 2, size) * rng.choice([-1, 1], size) * scale
+             * 10.0 ** rng.uniform(-8, 8, size))
+        target = rng.uniform(-64, 64, size) * EPS * (a * a + d * d)
+        return _stack_2x2(a, b, (target - (a - d) ** 2) / (4 * b), d)
+    x, y = rng.normal(size=(2, size))
+    T = np.zeros((size, 2, 2))
+    if kind == "real":
+        T[:, 0, 0], T[:, 1, 1] = x, y
+    elif kind == "complex":
+        T[:, 0, 0] = T[:, 1, 1] = x
+        T[:, 0, 1], T[:, 1, 0] = y, -y
+    else:
+        T[:, 0, 0] = T[:, 1, 1] = x
+        T[:, 0, 1] = 1.0
+    V = rng.normal(size=(size, 2, 2))
+    return V @ T @ np.linalg.inv(V)
+
+
+class TestRealSpectrum2x2:
+    """The discriminant certificate against the eigvals oracle."""
+
+    KINDS = ["real", "complex", "jordan", "near-zero"]
+
+    @staticmethod
+    def _eig_imag_rad(J):
+        ev = np.linalg.eigvals(J)
+        return np.max(np.abs(ev.imag), axis=-1), np.max(np.abs(ev), axis=-1)
+
+    @pytest.mark.parametrize("exponent", [0, 150, 300, -150, -161, -300])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_certified_rows_are_real_to_eigvals(self, kind, exponent):
+        """A certified row holds no violation at any tolerance down to
+        1e-300: eigvals returns it a real pair."""
+        rng = np.random.default_rng([self.KINDS.index(kind), exponent + 300])
+        with np.errstate(over="ignore"):   # overflowed rows are inf
+            J = _random_2x2(rng, 4000, kind) * 10.0 ** exponent
+        cert = verify._real_spectrum_2x2(J)
+        finite = np.isfinite(J).all(axis=(-1, -2))
+        assert not np.any(cert[~finite])
+        imag, rad = self._eig_imag_rad(np.where(finite[:, None, None], J, 0))
+        assert np.all(imag[cert] <= TOL_HYP / 2)
+        assert np.all(imag[cert] <= 1e-300 * (1.0 + rad[cert]))
+        if kind == "complex":
+            assert not np.any(cert)
+        if kind == "real" and abs(exponent) <= 150:
+            assert np.mean(cert) > 0.99
+
+    def test_near_zero_discriminant_needs_the_allowance(self):
+        """Shifted near-defective matrices: eigvals returns a complex pair
+        for some whose computed disc is positive; none is certified."""
+        J = _random_2x2(np.random.default_rng(3), 20000, "near-zero")
+        a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+        positive = (a - d) ** 2 + 4 * (b * c) > 0
+        imag, _ = self._eig_imag_rad(J)
+        assert np.any(positive & (imag > TOL_HYP / 2))
+        cert = verify._real_spectrum_2x2(J)
+        assert np.any(cert)
+        assert np.all(imag[cert] == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_not_certified(self, bad):
+        rng = np.random.default_rng(4)
+        J = _random_2x2(rng, 400, "real")
+        rows = np.arange(0, 400, 4)
+        i, j = rng.integers(0, 2, (2, len(rows)))
+        J[rows, i, j] = bad
+        cert = verify._real_spectrum_2x2(J)
+        assert not np.any(cert[rows])
+        assert np.mean(np.delete(cert, rows)) > 0.99
+
+    @pytest.mark.parametrize("tol", [TOL_HYP, 1e-300])
+    def test_check_matches_oracle(self, heat, tol):
+        """check_hyperbolicity on a heat holder carrying every kind of
+        2x2 Jacobian, non-finite rows included."""
+        rng = np.random.default_rng(5)
+        J = np.concatenate([_random_2x2(rng, 500, kind)
+                            * 10.0 ** rng.uniform(-200, 200, (500, 1, 1))
+                            for kind in self.KINDS])
+        J[::97, 1, 0] = np.nan
+        J[1::89, 0, 1] = np.inf
+        d = _samples(heat, count=len(J))
+        d.flux_jacobians = [J]
+        res = verify.check_hyperbolicity(d, tol)
+        assert res.to_dict() == _eigvals_oracle(d, tol)[0].to_dict()
+        assert not res.passed
+
+    @pytest.mark.parametrize("tol", [TOL_HYP, 1e-300])
+    def test_check_matches_oracle_on_real_stacks(self, heat, tol):
+        """Only real and near-zero-discriminant Jacobians: the oracle's
+        verdict, worst value and witness, down to tolerance 1e-300."""
+        rng = np.random.default_rng(6)
+        J = np.concatenate([_random_2x2(rng, 1000, kind)
+                            for kind in ("real", "near-zero")])
+        d = _samples(heat, count=len(J))
+        d.flux_jacobians = [J]
+        oracle = _eigvals_oracle(d, tol)[0]
+        assert verify.check_hyperbolicity(d, tol).to_dict() \
+            == oracle.to_dict()
