@@ -299,6 +299,7 @@ _WORK_FAILURES = {
     solver.InadmissibleStateError: (EXIT_SCIENTIFIC, "time stepping failed"),
     solver.CflError: (EXIT_SCIENTIFIC, "time stepping failed"),
     solver.StepLimitError: (EXIT_SCIENTIFIC, "time stepping failed"),
+    OverflowError: (EXIT_CONFIG, "overflow"),
 }
 
 
@@ -418,8 +419,10 @@ def cmd_powerlaw(cfg: dict, out_dir: Path) -> int:
     rows = []
     with _working_in(out_dir):
         for g in gdots:
-            t_cf = powerlaw_stress(p, g)
+            # the oracle first: it raises OverflowError, with the shear
+            # rate, wherever the stress exceeds the largest float
             t_fp = powerlaw_stress_fixed_point(p, g)
+            t_cf = powerlaw_stress(p, g)
             rows.append((g, t_cf, t_fp,
                          abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)))
     rows = np.asarray(rows)

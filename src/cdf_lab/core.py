@@ -79,6 +79,29 @@ def all_finite(U) -> np.ndarray:
     return ok
 
 
+def abs_max(X: np.ndarray, axes: int = 2) -> np.ndarray:
+    """max |X| over the trailing `axes` axes, folded one component at a
+    time as in `all_finite`; bit-identical to `np.max(np.abs(X), axis=...)`
+    (a maximum does not depend on order, and `np.maximum` propagates NaN as
+    `np.max` does).  The result is an array even for a single matrix, so
+    that `out=` takes it."""
+    Y = X.reshape(X.shape[:X.ndim - axes] + (-1,))
+    out = np.asarray(np.abs(Y[..., 0]))
+    for k in range(1, Y.shape[-1]):
+        np.maximum(out, np.abs(Y[..., k]), out=out)
+    return out
+
+
+def square_sum(X: np.ndarray, axes: int = 2) -> np.ndarray:
+    """sum X^2 over the trailing `axes` axes, added one component at a time
+    in index order (see `abs_max`)."""
+    Y = X.reshape(X.shape[:X.ndim - axes] + (-1,))
+    out = Y[..., 0] * Y[..., 0]
+    for k in range(1, Y.shape[-1]):
+        out += Y[..., k] * Y[..., k]
+    return out
+
+
 def require_admissible(model: CdfModel, U) -> np.ndarray:
     x = np.asarray(U, dtype=float)
     if not np.asarray(model.admissible(x)).all():

@@ -27,6 +27,8 @@ closed form.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,30 +267,35 @@ def powerlaw_stress(p: PowerLawParams, gamma_dot: float) -> float:
 def powerlaw_stress_fixed_point(p: PowerLawParams, gamma_dot: float,
                                 rel_tol: float = 1e-13) -> float:
     """Independent route: bisection on the implicit relation
-    |tau| = mu0 |tau|^alpha |gamma_dot|."""
+    |tau| = mu0 |tau|^alpha |gamma_dot| in L = log |tau|, where it reads
+    (1 - alpha) L = log mu0 + log |gamma_dot| and no power can overflow or
+    underflow.  The bracket is the logs of the positive finite floats, so
+    the bisection ends: a root below it is a stress that rounds to zero,
+    and one above it raises OverflowError.  It stops when the bracket, the
+    relative error of |tau|, is below `rel_tol` or cannot be halved."""
     g = abs(float(gamma_dot))
     if g == 0.0:
         return 0.0
+    rhs = math.log(p.mu0) + math.log(g)
 
-    def f(T):
-        return T - p.mu0 * T ** p.alpha * g
+    def f(L):
+        return (1.0 - p.alpha) * L - rhs
 
-    lo, hi = 1e-30, 1.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise RuntimeError("bisection bracket blew up")
-    while f(lo) >= 0.0:
-        lo *= 0.5
-    for _ in range(200):
+    # the logs of the smallest and of the largest positive finite float
+    lo, hi = math.log(math.ulp(0.0)), math.log(sys.float_info.max)
+    if f(hi) <= 0.0:
+        raise OverflowError(f"the power-law stress at shear rate "
+                            f"{gamma_dot:.6g} exceeds the largest float")
+    T = 0.0
+    if f(lo) < 0.0:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= rel_tol * hi:
-            break
-    T = 0.5 * (lo + hi)
+        while hi - lo > rel_tol and lo < mid < hi:
+            if f(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        T = math.exp(mid)
     return -T if gamma_dot > 0 else T
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CdfModel, all_finite
+from .core import CdfModel, all_finite, square_sum
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,6 @@ class HeatParams:
                 raise ValueError(f"{name} must be > 0")
         if self.space_dim not in (1, 2):
             raise ValueError("space_dim must be 1 or 2")
-
-
-def _sum_squares(X):
-    """sum_k X[..., k]**2, added one component at a time in index order."""
-    total = X[..., 0] ** 2
-    for k in range(1, X.shape[-1]):
-        total = total + X[..., k] ** 2
-    return total
 
 
 def heat_model(params: HeatParams,
@@ -56,7 +48,7 @@ def heat_model(params: HeatParams,
     m = params.space_dim
 
     def entropy(U):
-        w2 = _sum_squares(U[..., 1:])
+        w2 = square_sum(U[..., 1:], 1)
         return c_v * np.log(U[..., 0]) - w2 / (2.0 * a0)
 
     def entropy_grad(U):
@@ -66,7 +58,7 @@ def heat_model(params: HeatParams,
         return g
 
     def flux(U, j):
-        out = np.zeros(U.shape)
+        out = np.zeros(U.shape, U.dtype)
         out[..., 0] = -U[..., 1 + j] / a0          # q_j
         out[..., 1 + j] = c_v / U[..., 0]          # theta^{-1}
         return out
@@ -100,7 +92,7 @@ def heat_model(params: HeatParams,
         u = U[..., 0]
         q = -U[..., 1:] / a0
         theta = u / c_v
-        sigma = _sum_squares(q) / (lam * theta ** 2)
+        sigma = square_sum(q, 1) / (lam * theta ** 2)
         return {"theta": theta,
                 "q": q[..., 0] if m == 1 else q,
                 "tau": np.zeros_like(u),
@@ -133,7 +125,7 @@ def sign_flipped_heat_model(params: HeatParams) -> CdfModel:
     c_v, a0 = params.c_v, params.alpha0
 
     def entropy(U):
-        w2 = _sum_squares(U[..., 1:])
+        w2 = square_sum(U[..., 1:], 1)
         return c_v * np.log(U[..., 0]) + w2 / (2.0 * a0)
 
     def entropy_grad(U):

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core
-from .core import CdfModel
+from .core import CdfModel, abs_max
 
 BOUNDARY_KINDS = ("periodic", "fixed-state", "zero-gradient")
 
@@ -346,9 +346,9 @@ _LINEAR_TOL = 1e-8
 def _close(a: np.ndarray, b: np.ndarray) -> bool:
     """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (axis 0);
     false wherever either is not finite."""
-    def size(x):
-        return np.abs(x).reshape(len(x), -1).max(axis=1)
-    return bool(np.all(size(a - b) <= _LINEAR_TOL * size(b)))
+    axes = b.ndim - 1
+    return bool(np.all(abs_max(a - b, axes)
+                       <= _LINEAR_TOL * abs_max(b, axes)))
 
 
 def _eta_v_and_A(grad, U: np.ndarray, n: int):
@@ -413,14 +413,11 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
         mid[..., n:] = 0.5 * (v0 + v1)
         return v1 - v0 - dt * core.source(model, mid)[..., n:]
 
-    def size(r):
-        return np.max(np.abs(r), axis=-1)
-
-    bound = _MIDPOINT_TOL * (1.0 + size(v0))
+    bound = _MIDPOINT_TOL * (1.0 + abs_max(v0, 1))
     v1 = v0.copy()
     r = resid(v1)
     for _ in range(_MIDPOINT_MAX_ITER):
-        pending = ~(size(r) <= bound)   # a non-finite residual is pending
+        pending = ~(abs_max(r, 1) <= bound)   # so is a non-finite one
         if not pending.any():
             return v1
         J = core.fd_jacobian(resid, v1)
@@ -431,13 +428,13 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
         while pending.any() and lam >= 2.0 ** -20:
             cand = np.where(pending[..., None], v1 + lam * dv, v1)
             rc = resid(cand)
-            take = pending & (size(rc) < size(r))
+            take = pending & (abs_max(rc, 1) < abs_max(r, 1))
             v1[take], r[take] = cand[take], rc[take]
             pending &= ~take
             lam *= 0.5
         if pending.any():
             break   # no step lowers the residual of some cell
-    excess = size(r) / bound
+    excess = abs_max(r, 1) / bound
     if np.all(excess <= 1.0):
         return v1
     worst = int(np.argmax(excess))
@@ -445,7 +442,7 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
     raise core.ConvergenceError(
         f"implicit source solve stalled at cell {_cell(worst, excess.shape)}"
         f": state {np.array2string(U[idx], max_line_width=sys.maxsize)}, "
-        f"residual {size(r)[idx]:.3e}")
+        f"residual {abs_max(r, 1)[idx]:.3e}")
 
 
 def strang_step(model: CdfModel, cells: np.ndarray, dt: float,

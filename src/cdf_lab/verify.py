@@ -9,29 +9,31 @@ assembled source and of the solver's decay rates with M . eta_v, and
 hyperbolicity of the flux Jacobians.  Failures carry a witness state; so
 does a sample whose derivatives are not finite.
 
+Three conditions are eigenvalue questions, and each is decided in one
+shape: a certificate first, then LAPACK only on the samples it leaves
+(`_lapack_measure`), which also fails every sample whose matrix is not
+finite.  Certified samples hold no violation, so the verdict, worst value
+and witness are those of LAPACK on every sample.
+
 Definiteness (concavity: -eta_UU; dissipation: the symmetric part of M) is
-decided by one batched Cholesky test, `_definite`: a factorisation of
+certified by one batched Cholesky test, `_definite`: a factorisation of
 A - (shift + allowance) I that completes with positive pivots proves
 lambda_min(A) > shift, the allowance covering the factorisation's own
 rounding.  The shift is the tolerance plus the rounding of `eigvalsh`, so a
-decided sample is one `eigvalsh` would pass; a check whose samples are all
-decided passes without an eigensolve, and any undecided sample sends the
-whole check to `np.linalg.eigvalsh`, which gives the verdict, worst value
-and witness.  A sample whose Hessian or M is not finite fails.
+certified sample is one `eigvalsh` would pass.
 
-Hyperbolicity is certified from the first two conditions where it can be.
-With -H = L L^T (H = eta_UU) and P = H . F_jU, the Jacobian F_jU is similar
-to L^-1 (-P) L^-T, whose antisymmetric part is L^-1 K_a L^-T with
-K_a = (P - P^T)/2; by Bauer-Fike every eigenvalue then has
-|Im lambda| <= ||K_a||_F / lambda_min(-H).  A sample passes without an
-eigensolve when the Cholesky test proves lambda_min(-H) > 2 ||K_a||_F / tol
-(the bound, with allowance for rounding, at most tol/2).  A 2x2
-Jacobian [[a, b], [c, d]] is first tested by its discriminant: a
-computed (a - d)^2 + 4bc that clears the rounding allowance of
-`_real_spectrum_2x2` proves both eigenvalues real, and the Bauer-Fike test
-runs only on the samples it leaves.  `np.linalg.eigvals`
-decides only the samples neither certificate decides, and is the oracle
-both are tested against.
+A flux Jacobian larger than 2x2 is certified from the first two
+conditions.  With -H = L L^T (H = eta_UU) and P = H . F_jU, the Jacobian
+F_jU is similar to L^-1 (-P) L^-T, whose antisymmetric part is
+L^-1 K_a L^-T with K_a = (P - P^T)/2; by Bauer-Fike every eigenvalue then
+has |Im lambda| <= ||K_a||_F / lambda_min(-H).  A sample is certified when
+the Cholesky test proves lambda_min(-H) > 2 ||K_a||_F / tol (the bound,
+with allowance for rounding, at most tol/2).  A 2x2 Jacobian
+[[a, b], [c, d]] is certified by its discriminant instead: a computed
+(a - d)^2 + 4bc that clears the rounding allowance of `_real_spectrum_2x2`
+proves both eigenvalues real.  `np.linalg.eigvals` decides the samples the
+certificate leaves, and is the oracle both certificates are tested
+against.
 
 An audit draws its states once (seeded, deterministic) into one
 `AuditSamples` holder, and every `check_*` takes that holder: eta_U,
@@ -48,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import core
-from .core import CdfModel
+from .core import CdfModel, abs_max, square_sum
 
 DEFAULT_TOLERANCES = {
     "concavity": 1e-10,
@@ -173,11 +175,9 @@ class AuditSamples:
     Jacobian eta_UU and that Hessian's largest entry in magnitude (which
     scales the rounding allowances of the concavity test and of the
     hyperbolicity certificate), M(U), each direction's flux Jacobian F_jU
-    and the symmetry defect of eta_UU . F_jU.  The Hessian's largest
-    eigenvalue is computed only when the concavity check falls back to
-    `eigvalsh`.  Finite differences take
-    one plan-wide per-component step scale, so that their truncation error
-    is smooth across samples, as nested ones need."""
+    and the symmetry defect of eta_UU . F_jU.  Finite differences take one
+    plan-wide per-component step scale, so that their truncation error is
+    smooth across samples, as nested ones need."""
 
     def __init__(self, model: CdfModel, states: np.ndarray):
         self.model = model
@@ -195,12 +195,7 @@ class AuditSamples:
     @cached_property
     def hessian_abs_max(self) -> np.ndarray:
         """max |eta_UU| per sample."""
-        return _abs_max(self.hessian)
-
-    @cached_property
-    def hessian_lam_max(self) -> np.ndarray:
-        """Largest eigenvalue of the entropy Hessian, per sample."""
-        return np.max(_eigvalsh(self.hessian), axis=-1)
+        return abs_max(self.hessian)
 
     @cached_property
     def dissipation_matrix(self) -> np.ndarray:
@@ -220,7 +215,7 @@ class AuditSamples:
         max |P| and ||K_a||_F with K_a = (P - P^T)/2.  P is not kept.
 
         The maxima are exact.  The sum of squares under ||K_a||_F
-        (`_square_sum`) need not round as `np.sum` does; either way its
+        (`core.square_sum`) need not round as `np.sum` does; either way its
         relative error is at most gamma_{n^2} = n^2 eps/2 to first order,
         which the 2x margin of the hyperbolicity certificate
         (|Im lambda| <= tol/2 against the check's tol) absorbs many times
@@ -231,32 +226,9 @@ class AuditSamples:
             with np.errstate(over="ignore", invalid="ignore"):
                 P = self.hessian @ JF
                 D = P - np.swapaxes(P, -1, -2)
-                k_fro = 0.5 * np.sqrt(_square_sum(D))
-            out.append((_abs_max(D), _abs_max(P), k_fro))
+                k_fro = 0.5 * np.sqrt(square_sum(D))
+            out.append((abs_max(D), abs_max(P), k_fro))
         return out
-
-
-def _abs_max(X: np.ndarray, axes: int = 2) -> np.ndarray:
-    """max |X| over the trailing `axes` axes, bit-identical to
-    `np.max(np.abs(X), axis=...)` (a maximum does not depend on order, and
-    `np.maximum` propagates NaN as `np.max` does).  The few components are
-    folded one by one, as in `core.all_finite`: a reduction over a short
-    trailing axis costs more than the whole-array ufuncs it combines."""
-    Y = X.reshape(X.shape[:X.ndim - axes] + (-1,))
-    out = np.abs(Y[..., 0])
-    for k in range(1, Y.shape[-1]):
-        np.maximum(out, np.abs(Y[..., k]), out=out)
-    return out
-
-
-def _square_sum(X: np.ndarray, axes: int = 2) -> np.ndarray:
-    """sum X^2 over the trailing `axes` axes, added one component at a time
-    in index order (see `_abs_max`)."""
-    Y = X.reshape(X.shape[:X.ndim - axes] + (-1,))
-    out = Y[..., 0] * Y[..., 0]
-    for k in range(1, Y.shape[-1]):
-        out += Y[..., k] * Y[..., k]
-    return out
 
 
 def _definite(A: np.ndarray, shift) -> np.ndarray:
@@ -300,17 +272,6 @@ def _definite(A: np.ndarray, shift) -> np.ndarray:
     return ok
 
 
-def _eigvalsh(A: np.ndarray) -> np.ndarray:
-    """`np.linalg.eigvalsh` per matrix, with NaN eigenvalues where the
-    matrix is not finite (LAPACK returns numbers for a NaN matrix)."""
-    finite = core.all_finite(A.reshape(A.shape[:-2] + (-1,)))
-    if np.all(finite):
-        return np.linalg.eigvalsh(A)
-    ev = np.linalg.eigvalsh(np.where(finite[..., None, None], A, 0.0))
-    ev[~finite] = np.nan
-    return ev
-
-
 def _result(name, worst, tol, states, idx) -> CheckResult:
     passed = bool(worst <= 0.0)
     witness = None if passed else np.array(states[idx], dtype=float)
@@ -325,22 +286,42 @@ def _worst_direction(rels) -> tuple:
     return jworst[j], int(np.argmax(rels[j]))
 
 
+def _lapack_measure(A: np.ndarray, certified: np.ndarray, eig,
+                    measure) -> np.ndarray:
+    """Per matrix of the stack A (..., n, n): -inf where `certified`, else
+    measure(eig(A)), with the LAPACK eigensolver `eig` run only on those
+    matrices, and NaN where A is not finite (LAPACK returns numbers for a
+    NaN matrix).  `measure` maps the eigenvalues to a per-sample value
+    whose maximum is the worst sample; a certified sample never holds the
+    maximum of a failing check, so where that maximum is positive, it and
+    its first sample are those of `eig` on every matrix."""
+    out = np.full(certified.shape, -np.inf)
+    rest = ~certified
+    if np.any(rest):
+        A = A[rest]
+        finite = core.all_finite(A.reshape(A.shape[:-2] + (-1,)))
+        ev = eig(np.where(finite[..., None, None], A, 0.0))
+        out[rest] = np.where(finite, measure(ev), np.nan)
+    return out
+
+
 def check_concavity(samples: AuditSamples,
                     tol: float = DEFAULT_TOLERANCES["concavity"]
                     ) -> CheckResult:
     """Entropy must be strictly concave: max Hessian eigenvalue <= -tol.
-    Every sample passes when the Cholesky test proves
+    A sample passes when the Cholesky test proves
     lambda_min(-H) > tol + n^2 eps max|H|, the last term covering the
-    rounding of `eigvalsh`; otherwise `eigvalsh` decides, and a sample with
-    a non-finite Hessian fails."""
-    n = samples.model.n_comp
-    if np.all(_definite(-samples.hessian,
-                        tol + n ** 2 * _EPS * samples.hessian_abs_max)):
-        return CheckResult("concavity", True, 0.0, None, tol)
-    lam_max = samples.hessian_lam_max
-    worst = np.max(lam_max + tol)
-    return _result("concavity", worst, tol, samples.states,
-                   int(np.argmax(lam_max)))
+    rounding of `eigvalsh`; `eigvalsh` decides the others, and a sample
+    with a non-finite Hessian fails.  tol is added to the largest
+    eigenvalue after the maximum over samples, which rounding, being
+    monotone, leaves the same as a maximum of lambda_max + tol."""
+    H = samples.hessian
+    certified = _definite(-H, tol + H.shape[-1] ** 2 * _EPS
+                          * samples.hessian_abs_max)
+    lam_max = _lapack_measure(H, certified, np.linalg.eigvalsh,
+                              lambda ev: ev[..., -1])
+    worst, idx = _worst_direction([lam_max])
+    return _result("concavity", worst + tol, tol, samples.states, idx)
 
 
 def check_symmetrizability(samples: AuditSamples,
@@ -357,19 +338,18 @@ def check_dissipation_matrix(samples: AuditSamples,
                              tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
                              ) -> CheckResult:
     """Symmetric part of M must have eigenvalues >= tol everywhere.
-    Every sample passes when the Cholesky test proves
-    lambda_min(sym M) > tol + m^2 eps max|sym M|; otherwise `eigvalsh`
-    decides, and a sample with a non-finite M fails."""
+    A sample passes when the Cholesky test proves
+    lambda_min(sym M) > tol + m^2 eps max|sym M|; `eigvalsh` decides the
+    others, and a sample with a non-finite M fails.  As in concavity, tol
+    is applied after the maximum of -lambda_min."""
     M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
-    m = Ms.shape[-1]
-    m_max = _abs_max(Ms)
-    if np.all(_definite(Ms, tol + m ** 2 * _EPS * m_max)):
-        return CheckResult("dissipation_matrix", True, 0.0, None, tol)
-    lam_min = np.min(_eigvalsh(Ms), axis=-1)
-    worst = np.max(tol - lam_min)
-    return _result("dissipation_matrix", worst, tol, samples.states,
-                   int(np.argmin(lam_min)))
+    certified = _definite(Ms, tol + Ms.shape[-1] ** 2 * _EPS * abs_max(Ms))
+    neg_lam_min = _lapack_measure(Ms, certified, np.linalg.eigvalsh,
+                                  lambda ev: -ev[..., 0])
+    worst, idx = _worst_direction([neg_lam_min])
+    return _result("dissipation_matrix", worst + tol, tol, samples.states,
+                   idx)
 
 
 def check_entropy_flux_exists(samples: AuditSamples,
@@ -387,8 +367,8 @@ def check_entropy_flux_exists(samples: AuditSamples,
             G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
             dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
                                     states, scale=scale)
-            gap = _abs_max(dpsi - G, 1)
-            rels.append(gap - tol * (1.0 + _abs_max(G, 1)))
+            gap = abs_max(dpsi - G, 1)
+            rels.append(gap - tol * (1.0 + abs_max(G, 1)))
     else:
         for j in range(model.space_dim):
             def G(y, j=j):
@@ -396,8 +376,8 @@ def check_entropy_flux_exists(samples: AuditSamples,
                 return np.einsum("...i,...ik->...k", model.entropy_grad(y), JF)
 
             JG = core.fd_jacobian(G, states, scale=scale)
-            asym = _abs_max(JG - np.swapaxes(JG, -1, -2))
-            rels.append(asym - tol * (1.0 + _abs_max(JG)))
+            asym = abs_max(JG - np.swapaxes(JG, -1, -2))
+            rels.append(asym - tol * (1.0 + abs_max(JG)))
     worst, idx = _worst_direction(rels)
     return _result("entropy_flux", worst, tol, states, idx)
 
@@ -414,14 +394,14 @@ def check_source_consistency(samples: AuditSamples,
     expected[..., n:] = np.einsum("...ij,...j->...i",
                                   samples.dissipation_matrix,
                                   samples.entropy_grad[..., n:])
-    norm = 1.0 + _abs_max(expected, 1)
+    norm = 1.0 + abs_max(expected, 1)
     gap = 0.0 * norm   # 0, or NaN where the expected source is not finite
     if model.source_fn is not None:
         actual = core.source(model, states)
-        gap = _abs_max(actual - expected, 1) / norm
+        gap = abs_max(actual - expected, 1) / norm
     if model.source_decay_rates is not None:
         decay = -np.asarray(model.source_decay_rates(states)) * states[..., n:]
-        gap = np.maximum(gap, _abs_max(decay - expected[..., n:], 1) / norm)
+        gap = np.maximum(gap, abs_max(decay - expected[..., n:], 1) / norm)
     worst = np.max(gap - tol)
     return _result("source_consistency", worst, tol, states,
                    int(np.argmax(gap)))
@@ -461,57 +441,43 @@ def _real_spectrum_2x2(J: np.ndarray) -> np.ndarray:
         return disc > 16.0 * _EPS * size + _TINY
 
 
-def _certified(samples: AuditSamples, j: int, tol: float,
-               rows=slice(None)) -> np.ndarray:
-    """Of the samples `rows` (by default all), those whose direction-j flux
-    Jacobian provably has every |Im lambda| <= tol/2: the Bauer-Fike
-    condition of the module docstring, lambda_min(-H) >= 2 bound / tol,
-    tested directly by the Cholesky test.
+def _certified(samples: AuditSamples, j: int, tol: float) -> np.ndarray:
+    """The samples whose direction-j flux Jacobian provably has every
+    |Im lambda| <= tol/2: the Bauer-Fike condition of the module docstring,
+    lambda_min(-H) >= 2 bound / tol, tested directly by the Cholesky test.
     The bound ||K_a||_F carries the rounding of P = H . F_jU
     (n^3 eps max|H| max|F_jU|); the shift adds n^2 eps max|H|, the
-    rounding of the eigenvalue gap the test replaces, so a sample is
-    certified as before.  Non-concave, non-finite and undecided samples are
-    not certified."""
+    rounding of the eigenvalue gap the test replaces.  Non-concave,
+    non-finite and undecided samples are not certified."""
     n = samples.model.n_comp
-    h_max = samples.hessian_abs_max[rows]
-    j_max = _abs_max(samples.flux_jacobians[j][rows])
-    k_fro = samples.symmetry_defects[j][2][rows]
+    h_max = samples.hessian_abs_max
+    j_max = abs_max(samples.flux_jacobians[j])
+    k_fro = samples.symmetry_defects[j][2]
     with np.errstate(over="ignore", invalid="ignore"):
         bound = k_fro + n ** 3 * _EPS * h_max * j_max
         shift = 2.0 * bound / tol + n ** 2 * _EPS * h_max
-    return _definite(-samples.hessian[rows], shift)
+    return _definite(-samples.hessian, shift)
 
 
 def check_hyperbolicity(samples: AuditSamples,
                         tol: float = DEFAULT_TOLERANCES["hyperbolicity"]
                         ) -> CheckResult:
     """Flux Jacobian eigenvalues must be real to FD noise:
-    max |Im lambda| <= tol * (1 + spectral radius).  A 2x2 Jacobian whose
-    discriminant proves its eigenvalues real (`_real_spectrum_2x2`) passes
-    without an eigensolve, and so does a sample for which the symmetrizer
-    bound of the module docstring certifies |Im lambda| <= tol/2;
-    `np.linalg.eigvals` decides only the samples neither certificate
-    decides (non-concave entropy, non-symmetrizable, complex or non-finite
-    Jacobians), and a sample with a non-finite Jacobian fails.  Certified
-    samples never hold a violation, so verdict and witness are those of
-    `eigvals` on every sample."""
+    max |Im lambda| <= tol * (1 + spectral radius).  A 2x2 Jacobian passes
+    when its discriminant proves its eigenvalues real
+    (`_real_spectrum_2x2`), a larger one when the symmetrizer bound of the
+    module docstring certifies |Im lambda| <= tol/2 (`_certified`);
+    `np.linalg.eigvals` decides the others, and a sample with a non-finite
+    Jacobian fails."""
+    def violation(ev):
+        return abs_max(ev.imag, 1) - tol * (1.0 + abs_max(ev, 1))
+
     rels = []
     for j, JF in enumerate(samples.flux_jacobians):
-        if JF.shape[-1] == 2:
-            rest = ~_real_spectrum_2x2(JF)
-            if np.any(rest):
-                rest[rest] = ~_certified(samples, j, tol, rest)
-        else:
-            rest = ~_certified(samples, j, tol)
-        rel = np.full(rest.shape, -np.inf)
-        if np.any(rest):
-            JF = JF[rest]
-            finite = core.all_finite(JF.reshape(JF.shape[:-2] + (-1,)))
-            ev = np.linalg.eigvals(np.where(finite[..., None, None], JF, 0.0))
-            rad = _abs_max(ev, 1)
-            imag = _abs_max(ev.imag, 1)
-            rel[rest] = np.where(finite, imag - tol * (1.0 + rad), np.nan)
-        rels.append(rel)
+        certified = (_real_spectrum_2x2(JF) if JF.shape[-1] == 2
+                     else _certified(samples, j, tol))
+        rels.append(_lapack_measure(JF, certified, np.linalg.eigvals,
+                                    violation))
     worst, idx = _worst_direction(rels)
     return _result("hyperbolicity", worst, tol, samples.states, idx)
 

@@ -564,6 +564,22 @@ class TestPowerlawCommand:
         assert "gap nan" in capsys.readouterr().out
 
 
+    def test_tiny_shear_rates_pass(self, tmp_path):
+        """Stresses down to 1e-80: the oracle agrees within max_gap."""
+        payload = _small_powerlaw(gamma_dot_min=1e-40)
+        assert cli.main(["powerlaw", "--config", _cfg(tmp_path, payload),
+                         "--out", str(tmp_path / "out")]) == 0
+
+    def test_stress_overflow_is_one_line(self, tmp_path, capsys):
+        payload = _small_powerlaw(gamma_dot_max=1e200)
+        rc = cli.main(["powerlaw", "--config", _cfg(tmp_path, payload),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("overflow: ")
+        assert not (tmp_path / "out").exists()
+
+
 def _small_run(**scenario):
     return {"command": "run", "model": "heat", "params": dict(HEAT_PARAMS),
             "scenario": {"n_cells": 16, "t_end": 0.01, **scenario}}

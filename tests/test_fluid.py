@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdf_lab
 from cdf_lab import core, verify
 from cdf_lab.fluid import (FluidParams, PowerLawParams,
                            conserved_from_primitive, fluid_model,
@@ -280,6 +286,32 @@ class TestPowerLaw:
                 cf = powerlaw_stress(p, s)
                 fp = powerlaw_stress_fixed_point(p, s)
                 assert abs(cf - fp) <= 1e-10 * abs(cf)
+
+    @pytest.mark.parametrize("g", [1e-40, -1e-40, 1e-100, 1e100])
+    def test_extreme_rates_agree_with_closed_form(self, g):
+        """Stresses from 1e-200 to 1e200, far from 1 on both sides."""
+        p = PowerLawParams(mu0=1.0, alpha=0.5)
+        cf = powerlaw_stress(p, g)
+        assert abs(powerlaw_stress_fixed_point(p, g) - cf) <= 1e-12 * abs(cf)
+
+    def test_stress_below_the_floats_is_zero(self):
+        """|tau| = 1e-400 rounds to zero, with the sign of -gamma_dot.  Run
+        in a subprocess with a timeout, so that a bracket search that never
+        ends fails the test instead of hanging the suite."""
+        code = ("from cdf_lab.fluid import PowerLawParams as P, "
+                "powerlaw_stress_fixed_point as fp; "
+                "print(repr(fp(P(1.0, 0.5), 1e-200)), "
+                "repr(fp(P(1.0, 0.5), -1e-200)))")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(cdf_lab.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["-0.0", "0.0"]
+
+    def test_stress_above_the_floats_raises(self):
+        with pytest.raises(OverflowError, match="shear rate 1e\\+200"):
+            powerlaw_stress_fixed_point(PowerLawParams(1.0, 0.5), 1e200)
 
     def test_index_recovered_from_sweep(self):
         p = PowerLawParams(mu0=0.7, alpha=0.25)

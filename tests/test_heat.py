@@ -34,6 +34,24 @@ def test_flux_values_2d():
     assert np.allclose(m.flux(U, 1), [-0.5, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("space_dim", [1, 2])
+def test_flux_is_complex_safe(space_dim):
+    """A complex state keeps its imaginary part: the complex-step column
+    Im F_j(U + ih e_k) / h equals the central-difference F_jU column, and
+    a float state still gets a float flux."""
+    m = heat_model(HeatParams(alpha0=0.5, space_dim=space_dim))
+    states = verify.sample_states(m, verify.SamplingPlan(seed=6, count=500))
+    h = 1e-30
+    for j in range(space_dim):
+        assert m.flux(states, j).dtype == np.float64
+        J = core.flux_jacobian(m, states, j)
+        for k in range(m.n_comp):
+            step = np.zeros(m.n_comp, complex)
+            step[k] = 1j * h
+            col = m.flux(states + step, j).imag / h
+            assert np.allclose(col, J[..., k], rtol=1e-8, atol=1e-8)
+
+
 def test_admissibility_predicate(heat):
     assert heat.admissible(np.array([0.5, 5.0]))
     assert not heat.admissible(np.array([0.0, 0.0]))

@@ -770,14 +770,24 @@ class TestDefinitenessChecks:
 
     @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
     def test_raised_tolerance_fails_some_samples(self, name, eigvalsh_rows):
-        """At tolerance 0.5 heat fails part of its box: the check falls
-        back to eigvalsh on every sample and reports its witness."""
+        """At tolerance 0.5 heat fails part of its box: eigvalsh runs only
+        on the samples the Cholesky test leaves, and the check reports the
+        oracle's witness."""
         samples = _samples(heat_model(HeatParams()), count=2000)
         oracle = _eigvalsh_oracle(samples, name, 0.5)
         res = verify._CHECKS[name](samples, 0.5)
         assert not res.passed and res.witness_state is not None
         assert res.to_dict() == oracle.to_dict()
-        assert eigvalsh_rows == [2000, 2000]   # the oracle's, the check's
+        if name == "concavity":
+            A = -samples.hessian
+        else:
+            M = samples.dissipation_matrix
+            A = 0.5 * (M + np.swapaxes(M, -1, -2))
+        n = A.shape[-1]
+        left = int(np.sum(~verify._definite(
+            A, 0.5 + n ** 2 * EPS * core.abs_max(A))))
+        assert 0 < left < 2000
+        assert eigvalsh_rows == [2000, left]   # the oracle's, the check's
         default = verify.DEFAULT_TOLERANCES[name]
         assert _eigvalsh_oracle(samples, name, default).passed
 
@@ -839,11 +849,18 @@ class TestShortAxisReductions:
         X = _special_values_stack(np.random.default_rng(len(shape)), shape)
         axes = len(shape) - 1
         axis = tuple(range(-axes, 0))
-        fast = verify._abs_max(X, axes)
+        fast = core.abs_max(X, axes)
         assert fast.tobytes() == np.max(np.abs(X), axis=axis).tobytes()
         # a NaN in any position makes the row NaN
         assert np.array_equal(np.isnan(fast),
                               np.isnan(X.reshape(len(X), -1)).any(axis=-1))
+
+    def test_single_matrix(self):
+        """One state or matrix, as an unbatched relaxation step passes."""
+        X = np.array([[1.0, -3.0], [np.nan, 2.0]])
+        assert core.abs_max(X[0], 1) == 3.0
+        assert np.isnan(core.abs_max(X))
+        assert core.square_sum(X[0], 1) == 10.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_square_sum_within_rounding_bound(self, n):
@@ -851,7 +868,7 @@ class TestShortAxisReductions:
         X[:50] *= 10.0 ** np.random.default_rng(9).uniform(-150, 150, 50)[
             :, None, None]
         with np.errstate(over="ignore", under="ignore"):
-            fast = verify._square_sum(X)
+            fast = core.square_sum(X)
             ref = np.sum(X * X, axis=(-1, -2))
         finite = np.isfinite(ref)
         assert np.array_equal(np.isnan(fast), np.isnan(ref))
