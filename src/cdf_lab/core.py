@@ -33,6 +33,7 @@ class CdfModel:
 
     The callables are vectorized: they accept arrays of shape (..., n+m)
     and return matching batched results; `entropy_grad` (eta_U) is required.
+    The source is Q = (0, M(U) . eta_v) (`source`); no field replaces it.
     Optional fields supply analytic shortcuts (entropy flux, wave speed,
     linear source rates); when absent, generic numerical paths are used.
     `max_wave_speed` must be the exact spectral radius of the flux Jacobian,
@@ -40,11 +41,12 @@ class CdfModel:
     `entropy_flux(U, j)` is the entropy flux psi_j paired with `entropy`
     (same sign convention): psi_jU = eta_U . F_jU, so that smooth solutions
     satisfy d eta/dt + d psi_j/dx_j = eta_U . Q.  A model for which no such
-    psi exists must leave it None.  `source_decay_rates(U)` gives per
-    dissipative component the rate r of the source -r v, and must depend on
-    the conserved block of U only: the solver relaxes v exactly by
-    exp(-r dt) with r held fixed, and reuses one evaluation for the two
-    half steps that relax a field.
+    psi exists must leave it None; the audit then decides whether one
+    exists from the symmetry of eta_UU . F_jU (Godunov-Mock).
+    `source_decay_rates(U)` gives per dissipative component the rate r of
+    the source -r v, and must depend on the conserved block of U only: the
+    solver relaxes v exactly by exp(-r dt) with r held fixed, and reuses one
+    evaluation for the two half steps that relax a field.
     """
 
     name: str
@@ -59,10 +61,12 @@ class CdfModel:
     entropy_flux: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     max_wave_speed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     source_decay_rates: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    source_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sample_box: Optional[np.ndarray] = None
     from_sample: Optional[Callable[[np.ndarray], np.ndarray]] = None
     derived: Optional[Callable[[np.ndarray], dict]] = None
+    # not a field, so no model sets it: bench/tracer.py reads the name with
+    # no default until it uses getattr(model, f, None) (ROADMAP item 1)
+    source_fn = None
 
     @property
     def n_comp(self) -> int:
@@ -158,9 +162,6 @@ def entropy_hessian(model: CdfModel, U,
 def source(model: CdfModel, U) -> np.ndarray:
     """Source Q(U) = (0, M(U) . eta_v): zeros on the conserved block."""
     x = np.asarray(U, dtype=float)
-    if model.source_fn is not None:
-        return np.asarray(model.source_fn(require_admissible(model, x)),
-                          dtype=float)
     n = model.n_conserved
     g = entropy_gradient(model, x)   # checks x
     M = np.asarray(model.dissipation_matrix(x), dtype=float)

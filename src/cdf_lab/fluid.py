@@ -256,12 +256,16 @@ class PowerLawParams:
 
 
 def powerlaw_stress(p: PowerLawParams, gamma_dot: float) -> float:
-    """Closed-form power-law stress tau = -mu0^n |g|^(n-1) g, n = 1/(1-alpha)."""
+    """Closed-form power-law stress tau = -mu0^n |g|^(n-1) g, n = 1/(1-alpha),
+    as (mu0 |g|)^n for n >= 1 and mu0^n |g|^n for n < 1: no intermediate
+    overflows on a finite stress (for n >= 1, |tau| >= mu0 |g| once that
+    product exceeds 1; for n < 1, each power lies between 1 and its base)."""
     n = 1.0 / (1.0 - p.alpha)
     g = float(gamma_dot)
     if g == 0.0:
         return 0.0
-    return -(p.mu0 ** n) * abs(g) ** (n - 1.0) * g
+    t = (p.mu0 * abs(g)) ** n if n >= 1.0 else p.mu0 ** n * abs(g) ** n
+    return -math.copysign(t, g)
 
 
 def powerlaw_stress_fixed_point(p: PowerLawParams, gamma_dot: float,

@@ -35,7 +35,7 @@ class HeatParams:
 def heat_model(params: HeatParams,
                dissipation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                ) -> CdfModel:
-    """Build the heat-conduction model.
+    """Build the heat-conduction model, with source (0, M eta_w).
 
     `dissipation` optionally replaces the default M = I/(lambda theta^2)
     with a user-supplied state-dependent matrix (the generalized,

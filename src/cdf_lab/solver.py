@@ -315,7 +315,7 @@ def _decay_rates(model: CdfModel, field_arr: np.ndarray):
 
 def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
                       rates=None) -> np.ndarray:
-    """Relax the dissipative block over dt; conserved block untouched.
+    """Relax v over dt under v' = M(U) eta_v; conserved block untouched.
 
     Uses the model's closed-form per-component rates when declared:
     `rates` when the caller has them for these cells (`_decay_rates`),
@@ -367,11 +367,8 @@ def _eta_v_and_A(grad, U: np.ndarray, n: int):
 
 def _relax_linear(model: CdfModel, U: np.ndarray, dt: float):
     """Exact relaxed v-block of every cell of U, or None unless the source
-    is M eta_v (no `source_fn`) with eta_v = -A v, A symmetric positive
-    definite, M symmetric, and both unchanged along the step (checked on
-    the call's own states)."""
-    if model.source_fn is not None:
-        return None
+    M eta_v has eta_v = -A v, A symmetric positive definite, M symmetric,
+    and both unchanged along the step (checked on the call's own states)."""
     n = model.n_conserved
     # not core.entropy_gradient: its admissibility check would raise on a
     # shifted-v state instead of falling back to the implicit midpoint

@@ -4,8 +4,9 @@ Each `tests/data/audit/<name>.config.json` has its expected output beside
 it as `<name>.audit.json`: heat, fluid, the stiff fluid, heat-signflip and
 heat with concavity and dissipation tolerances of 0.5, which fail part of
 its box.  The files were written by `cdf-lab verify --config
-<name>.config.json --out DIR` and hold floating-point values to the last
-bit, so a change to how the audit computes them shows here.
+<name>.config.json --out DIR` with numpy 2.4.6.  They hold floating-point
+values to the last bit, so they depend on the numpy build, and a change to
+how the audit computes them shows here.
 """
 
 import json

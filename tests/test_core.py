@@ -116,10 +116,19 @@ class TestSource:
         assert np.allclose(source(heat, [1.7, 0.0]), 0.0)
         assert np.allclose(source(fluid, [1.2, 0.6, 1.0, 0.0, 0.0]), 0.0)
 
-    def test_override_honored(self, heat):
-        custom = dataclasses.replace(
-            heat, source_fn=lambda U: np.full_like(U, 7.0))
-        assert np.allclose(source(custom, [1.0, 0.0]), [7.0, 7.0])
+    def test_source_override_rejected(self, heat):
+        """The source is (0, M . eta_v) for every model: `source_fn` is no
+        field, so neither the constructor nor `replace` takes it."""
+        def custom(U):
+            return np.full_like(U, 7.0)
+
+        fields = {f.name: getattr(heat, f.name)
+                  for f in dataclasses.fields(heat)}
+        assert "source_fn" not in fields
+        with pytest.raises(TypeError, match="source_fn"):
+            core.CdfModel(**fields, source_fn=custom)
+        with pytest.raises(TypeError, match="source_fn"):
+            dataclasses.replace(heat, source_fn=custom)
 
     def test_fluid_decay_form(self, fluid, fluid_params):
         # source on (rho w, rho C) is -rate * value with the model's rates

@@ -287,10 +287,17 @@ class TestPowerLaw:
                 fp = powerlaw_stress_fixed_point(p, s)
                 assert abs(cf - fp) <= 1e-10 * abs(cf)
 
-    @pytest.mark.parametrize("g", [1e-40, -1e-40, 1e-100, 1e100])
-    def test_extreme_rates_agree_with_closed_form(self, g):
-        """Stresses from 1e-200 to 1e200, far from 1 on both sides."""
-        p = PowerLawParams(mu0=1.0, alpha=0.5)
+    @pytest.mark.parametrize("mu0, alpha, g", [
+        pytest.param(1.0, 0.5, g, id=f"{g:g}")
+        for g in (1e-40, -1e-40, 1e-100, 1e100)] + [
+        # finite stresses whose factors mu0^n and |g|^(n-1) overflow
+        pytest.param(1e200, 2.0 / 3.0, 1e-200, id="mu0-1e200"),
+        pytest.param(1.0, -100.0, 5e-324, id="alpha-100"),
+    ])
+    def test_extreme_rates_agree_with_closed_form(self, mu0, alpha, g):
+        """Stresses from 1e-200 to 1e200, far from 1 on both sides, and
+        finite stresses of extreme parameters."""
+        p = PowerLawParams(mu0=mu0, alpha=alpha)
         cf = powerlaw_stress(p, g)
         assert abs(powerlaw_stress_fixed_point(p, g) - cf) <= 1e-12 * abs(cf)
 

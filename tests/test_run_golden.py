@@ -1,4 +1,5 @@
-"""`cdf-lab run` and `cdf-lab powerlaw` write the committed output bytes.
+"""`cdf-lab run`, `converge` and `powerlaw` write the committed output
+bytes.
 
 Each `tests/data/run/<name>.config.json` has the files its command writes
 in the directory `<name>/` beside it:
@@ -7,6 +8,10 @@ in the directory `<name>/` beside it:
   block (64 steps for 256 two-component cells);
 - fluid-stiff: the stiff fluid (alpha0 = alpha1 = 1e-3) from `fns-sine`,
   64 cells to t_end 0.01, 48 steps;
+- converge: the Cattaneo-to-Fourier study at alpha0 = 0.01, 0.005 and
+  0.0025 on 128 cells, which is monotone with slope 0.933 and passes (on
+  64 cells the scheme's own error holds the slope at 0.762, outside the
+  band);
 - powerlaw: the default shear-rate sweep for mu0 = 1, alpha = 0.5.
 
 The files were written by `cdf-lab <command> --config <name>.config.json
@@ -28,7 +33,7 @@ CASES = sorted(p.name[:-len(".config.json")]
 
 
 def test_every_case_present():
-    assert CASES == ["fluid-stiff", "heat", "powerlaw"]
+    assert CASES == ["converge", "fluid-stiff", "heat", "powerlaw"]
 
 
 def _first_difference(name: str, got: bytes, expected: bytes) -> str:

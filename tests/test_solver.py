@@ -395,6 +395,24 @@ def _expm_oracle(model, U, A, dt):
     return np.array(out).reshape(U.shape[:-1] + (-1,))
 
 
+def _with_source_v(model, q_v):
+    """`model` with M = I and eta_v = q_v(U), no decay rates: its source,
+    M . eta_v, is then Q_v = q_v(U)."""
+    n, m = model.n_conserved, model.n_dissipative
+
+    def grad(U):
+        g = model.entropy_grad(U).copy()
+        g[..., n:] = q_v(U)
+        return g
+
+    def eye(U):
+        return np.broadcast_to(np.eye(m), U.shape[:-1] + (m, m))
+
+    return dataclasses.replace(model, entropy_grad=grad,
+                               dissipation_matrix=eye,
+                               source_decay_rates=None)
+
+
 class TestExactRelaxation:
     """The rates-free exact step against its oracles: per-cell expm, the
     closed-form rates and the batched implicit-midpoint fallback."""
@@ -521,16 +539,10 @@ class TestExactRelaxation:
         out = step_source_exact(m, U, dt)
         assert np.array_equal(out[:, 1:], solver._relax_midpoint(m, U, dt))
 
-    def test_explicit_source_fn_takes_midpoint_fallback(self, heat):
+    def test_stiff_nonlinear_source_takes_midpoint_fallback(self, heat):
         # a stiff nonlinear source: full Newton steps overshoot, so cells
         # need different numbers of iterations and damped steps
-        def stiff(U):
-            out = np.zeros_like(U)
-            out[..., 1] = -50.0 * np.arctan(U[..., 1])
-            return out
-
-        m = dataclasses.replace(heat, source_decay_rates=None,
-                                source_fn=stiff)
+        m = _with_source_v(heat, lambda U: -50.0 * np.arctan(U[..., 1:]))
         U = random_heat_states(16, seed=9, w_range=(-3.0, 3.0))
         dt = 0.5
         out = step_source_exact(m, U, dt)
@@ -545,35 +557,26 @@ class TestExactRelaxation:
 
     def test_fallback_failure_names_the_worst_cell(self, heat):
         # a source with no real midpoint solution in cell 2: w1 = w0 + w_m^2
-        def no_root(U):
-            out = np.zeros_like(U)
-            out[..., 1] = np.where(U[..., 0] > 1.5, 10.0 + U[..., 1] ** 2,
-                                   -U[..., 1])
-            return out
-
-        m = dataclasses.replace(heat, source_decay_rates=None,
-                                source_fn=no_root)
+        m = _with_source_v(heat, lambda U: np.where(
+            U[..., :1] > 1.5, 10.0 + U[..., 1:] ** 2, -U[..., 1:]))
         U = np.array([[1.0, 0.1], [1.2, 0.2], [1.8, 0.3], [1.1, 0.0]])
+        assert solver._relax_linear(m, U, 1.0) is None
         with pytest.raises(core.ConvergenceError, match="at cell 2"):
             step_source_exact(m, U, 1.0)
 
     def test_fallback_nan_residual_is_not_converged(self, heat):
-        def nan_above(U):
-            out = np.zeros_like(U)
-            out[..., 1] = np.where(U[..., 0] > 1.5, np.nan, -U[..., 1])
-            return out
-
-        m = dataclasses.replace(heat, source_decay_rates=None,
-                                source_fn=nan_above)
+        m = _with_source_v(heat, lambda U: np.where(
+            U[..., :1] > 1.5, np.nan, -U[..., 1:]))
         U = np.array([[1.0, 0.3], [2.0, 0.3]])
+        assert solver._relax_linear(m, U, 0.1) is None
         with pytest.raises(core.ConvergenceError,
                            match="at cell 1: .* residual nan"):
             step_source_exact(m, U, 0.1)
 
     def test_fallback_failure_state_prints_on_one_line(self, fluid):
-        m = dataclasses.replace(fluid, source_decay_rates=None,
-                                source_fn=lambda U: np.full_like(U, np.nan))
+        m = _with_source_v(fluid, lambda U: np.full_like(U[..., 3:], np.nan))
         U = np.array([[1.0, -6968.20574, 2.5e7 + 0.123, -6392.00018, 0.0]])
+        assert solver._relax_linear(m, U, 0.1) is None
         with pytest.raises(core.ConvergenceError,
                            match="at cell 0: state .* residual nan") as err:
             step_source_exact(m, U, 0.1)

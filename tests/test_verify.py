@@ -22,6 +22,19 @@ def _nan_flux(model, u_max=1.9):
     return dataclasses.replace(model, flux=flux)
 
 
+def _bad_flux_heat():
+    """Heat (with its closed-form psi) under a tampered flux whose
+    eta_U . F_U has a curl, so that no entropy flux exists."""
+    def flux(U, j):
+        out = np.zeros_like(U)
+        out[..., 0] = -U[..., 1] + U[..., 1] ** 2
+        out[..., 1] = 1.0 / U[..., 0]
+        return out
+
+    return dataclasses.replace(heat_model(HeatParams()), flux=flux,
+                               max_wave_speed=None)
+
+
 def _elliptic_heat():
     """Heat with a flux whose Jacobian [[0, 1], [-1/u^2, 0]] has an
     imaginary spectrum."""
@@ -200,6 +213,33 @@ class TestFullAudit:
         verify.run_full_audit(counted, verify.SamplingPlan(count=50))
         assert len(calls) == 2 * fluid.n_comp == 10
 
+    def test_no_psi_audit_flux_calls(self, broken_heat):
+        """Without a closed-form psi the entropy-flux check reads the
+        symmetry defect the audit holds: the full heat-signflip audit calls
+        the flux only for its one flux Jacobian, and that check calls no
+        model callable at all."""
+        calls = []
+
+        def counted(name):
+            real = getattr(broken_heat, name)
+
+            def fn(*args):
+                calls.append(name)
+                return real(*args)
+            return fn
+
+        names = [f.name for f in dataclasses.fields(broken_heat)
+                 if callable(getattr(broken_heat, f.name))]
+        model = dataclasses.replace(broken_heat,
+                                    **{f: counted(f) for f in names})
+        verify.run_full_audit(model, verify.SamplingPlan(count=50))
+        assert calls.count("flux") == 2 * broken_heat.n_comp == 4
+        samples = _samples(model, count=50)
+        verify.check_symmetrizability(samples)
+        del calls[:]
+        assert not verify.check_entropy_flux_exists(samples).passed
+        assert calls == []
+
 
 class TestEngineeredFailures:
     def test_zero_dissipation_matrix(self, heat):
@@ -225,17 +265,10 @@ class TestEngineeredFailures:
         assert not res.passed
         assert res.worst_violation == pytest.approx(2.0, rel=1e-9)
 
-    def test_inconsistent_source_override(self, heat):
-        wrong = dataclasses.replace(
-            heat, source_fn=lambda U: np.ones_like(U), name="heat-badsource")
-        res = verify.check_source_consistency(_samples(wrong, count=100))
-        assert not res.passed
-        assert res.witness_state is not None
-
     def test_source_without_source_fn_is_not_reassembled(self, heat,
                                                          monkeypatch):
-        """Without `source_fn`, core.source is (0, M . eta_v) by
-        construction, so the check compares only the decay rates."""
+        """core.source is (0, M . eta_v) by construction, so the check
+        never assembles it and compares only the decay rates."""
         def fail(*args, **kwargs):
             raise AssertionError("core.source called")
 
@@ -251,7 +284,7 @@ class TestEngineeredFailures:
 
     def test_non_finite_expected_source_fails(self, heat):
         """A NaN M . eta_v fails the check even when nothing is compared
-        with it (no `source_fn`, no decay rates)."""
+        with it (no decay rates)."""
         def nan_M(U):
             M = heat.dissipation_matrix(U).copy()
             M[U[..., 0] > 1.9] = np.nan
@@ -263,33 +296,10 @@ class TestEngineeredFailures:
         assert not res.passed
         assert res.witness_state[0] > 1.9
 
-    def test_consistent_source_override_passes(self, heat):
-        import cdf_lab.core as core
-
-        def explicit(U):
-            out = np.zeros_like(U)
-            theta2 = (U[..., 0]) ** 2
-            out[..., 1] = -U[..., 1] / theta2
-            return out
-
-        ok = dataclasses.replace(heat, source_fn=explicit)
-        res = verify.check_source_consistency(_samples(ok, count=100))
-        assert res.passed
-        states = verify.sample_states(ok, verify.SamplingPlan(count=5))
-        assert np.allclose(core.source(ok, states), explicit(states))
-
-    def test_non_integrable_entropy_flux(self, heat):
+    def test_non_integrable_entropy_flux(self):
         """Tampered flux whose eta_U . F_U has a curl: no entropy flux."""
-        def bad_flux(U, j):
-            out = np.zeros_like(U)
-            out[..., 0] = -U[..., 1] + U[..., 1] ** 2
-            out[..., 1] = 1.0 / U[..., 0]
-            return out
-
-        tampered = dataclasses.replace(heat, flux=bad_flux,
-                                       max_wave_speed=None)
         res = verify.check_entropy_flux_exists(
-            _samples(tampered, count=200))
+            _samples(_bad_flux_heat(), count=200))
         assert not res.passed
 
     def test_hyperbolicity_fails_for_elliptic_flux(self):
@@ -355,8 +365,30 @@ def _heat_psi_without_theta():
         heat, entropy_flux=lambda U, j: heat.flux(U, j)[..., 0])
 
 
+def _nested_fd_entropy_flux(samples, tol=verify.DEFAULT_TOLERANCES[
+        "entropy_flux"]):
+    """The entropy-flux condition as integrability of eta_U . F_jU: the
+    antisymmetric part of its nested central-difference Jacobian J, against
+    tol (1 + max |J|), with the holder's plan-wide steps."""
+    model, states, scale = samples.model, samples.states, samples.scale
+    rels = []
+    for j in range(model.space_dim):
+        def G(y, j=j):
+            JF = core.fd_jacobian(lambda x: model.flux(x, j), y, scale=scale)
+            return np.einsum("...i,...ik->...k", model.entropy_grad(y), JF)
+
+        JG = core.fd_jacobian(G, states, scale=scale)
+        asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-2, -1))
+        rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-2, -1))))
+    worst, idx = verify._worst_direction(rels)
+    return verify._result("entropy_flux", worst, tol, states, idx)
+
+
 class TestEntropyFluxPaths:
-    """The closed-form psi path against the nested-FD oracle."""
+    """Both entropy-flux paths against the nested-FD oracle
+    (`_nested_fd_entropy_flux`): the closed-form psi where the model has
+    one, and the symmetry defect of eta_UU . F_jU, which the check reads
+    without psi."""
 
     @pytest.mark.parametrize("make", [
         lambda: heat_model(HeatParams(alpha0=0.1)),
@@ -365,18 +397,35 @@ class TestEntropyFluxPaths:
         lambda: fluid_model(FluidParams(alpha0=1e-3, alpha1=1e-3)),
         lambda: fluid_model(FluidParams(R=0.4, c_v=2.5)),
         lambda: _nan_flux(heat_model(HeatParams())),
+        lambda: sign_flipped_heat_model(HeatParams()),
+        lambda: sign_flipped_heat_model(HeatParams(space_dim=2)),
+        _bad_flux_heat,
     ], ids=["heat", "heat-2d", "fluid", "fluid-stiff", "fluid-R0.4",
-            "heat-nan-flux"])
+            "heat-nan-flux", "heat-signflip", "heat-signflip-2d",
+            "heat-bad-flux"])
     def test_same_verdict_as_nested_fd(self, make):
         model = make()
+        no_psi = dataclasses.replace(model, entropy_flux=None)
         states = verify.sample_states(model,
                                       verify.SamplingPlan(seed=2, count=500))
-        fast = verify.check_entropy_flux_exists(
-            verify.AuditSamples(model, states))
-        oracle = verify.check_entropy_flux_exists(verify.AuditSamples(
-            dataclasses.replace(model, entropy_flux=None), states))
-        assert fast.passed == oracle.passed
-        assert (fast.witness_state is None) == (oracle.witness_state is None)
+        oracle = _nested_fd_entropy_flux(verify.AuditSamples(no_psi, states))
+        defect = verify.check_entropy_flux_exists(
+            verify.AuditSamples(no_psi, states))
+        assert defect.passed == oracle.passed
+        if oracle.witness_state is None:
+            assert defect.witness_state is None
+        else:
+            assert np.array_equal(defect.witness_state, oracle.witness_state)
+        # they differ by FD noise and by tol (max |P| - max |J|) in the
+        # allowance: at most 1.3e-6 relative on these boxes
+        assert defect.worst_violation == pytest.approx(
+            oracle.worst_violation, rel=1e-5, nan_ok=True)
+        if model.entropy_flux is not None:
+            fast = verify.check_entropy_flux_exists(
+                verify.AuditSamples(model, states))
+            assert fast.passed == oracle.passed
+            assert (fast.witness_state is None) \
+                == (oracle.witness_state is None)
 
     @pytest.mark.parametrize("make", [_fluid_psi_without_heat_term,
                                       _heat_psi_without_theta],
