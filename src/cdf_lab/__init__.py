@@ -10,9 +10,8 @@ from .core import (AdmissibilityError, CdfModel, ConvergenceError,
                    entropy_gradient, entropy_hessian, entropy_production,
                    flux_jacobian, source, spectral_radius)
 from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
-                    fluid_model, fns_limit_fluxes, orthogonal_decompose,
-                    powerlaw_stress, powerlaw_stress_fixed_point,
-                    primitive_from_conserved)
+                    fluid_model, fns_limit_fluxes, powerlaw_stress,
+                    powerlaw_stress_fixed_point, primitive_from_conserved)
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
 from .solver import (Grid1D, Grid2D, Scenario, Trajectory, run, rusanov_flux,
                      step_hyperbolic, step_source_exact, strang_step)

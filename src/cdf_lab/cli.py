@@ -354,12 +354,8 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
 
     cons = diagnostics.conservation_audit(traj)
     ent = diagnostics.entropy_audit(traj, model)
-    if traj.boundary == "periodic":
-        cons_ok = bool(cons.max_drift <= 1e-12)
-    else:
-        cons_ok = bool(np.max(cons.flux_accounting_error) <= 1e-10)
     summary = {
-        "conservation_ok": cons_ok,
+        "conservation_ok": cons.passed,
         "max_relative_drift": float(cons.max_drift),
         "entropy_ok": ent.passed,
         "steps": len(traj.step_times) - 1,
@@ -368,7 +364,7 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
     }
     with open(out_dir / "run_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
-    return EXIT_OK if (cons_ok and ent.passed) else EXIT_SCIENTIFIC
+    return EXIT_OK if (cons.passed and ent.passed) else EXIT_SCIENTIFIC
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
@@ -455,13 +451,15 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text, args.command)
         out_dir = Path(args.out or cfg["output_dir"])
-        if cfg["command"] == "run":
-            return cmd_run(cfg, out_dir, args.override_audit)
-        if cfg["command"] == "verify":
-            return cmd_verify(cfg, out_dir)
-        if cfg["command"] == "converge":
-            return cmd_converge(cfg, out_dir)
-        return cmd_powerlaw(cfg, out_dir)
+        # a non-finite value ends in a verdict or a typed error, not a warning
+        with np.errstate(all="ignore"):
+            if cfg["command"] == "run":
+                return cmd_run(cfg, out_dir, args.override_audit)
+            if cfg["command"] == "verify":
+                return cmd_verify(cfg, out_dir)
+            if cfg["command"] == "converge":
+                return cmd_converge(cfg, out_dir)
+            return cmd_powerlaw(cfg, out_dir)
     except tuple(_WORK_FAILURES) as exc:
         status, what = next(v for kind, v in _WORK_FAILURES.items()
                             if isinstance(exc, kind))

@@ -116,12 +116,11 @@ def require_admissible(model: CdfModel, U) -> np.ndarray:
 
 
 def fd_gradient(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: float = FD_STEP,
                 scale: Optional[np.ndarray] = None) -> np.ndarray:
     """Central-difference gradient of a scalar function of the last axis
-    (the one-row Jacobian of `fd_jacobian`, with the same steps)."""
-    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x, step,
-                       scale)[..., 0, :]
+    (the one-row Jacobian of `fd_jacobian`, with its default steps)."""
+    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x,
+                       scale=scale)[..., 0, :]
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

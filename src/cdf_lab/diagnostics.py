@@ -27,10 +27,19 @@ ENTROPY_STEP_TOL = 1e-10  # relative, absorbs roundoff accumulation
 class ConservationReport:
     drift: np.ndarray                 # max relative drift per conserved var
     flux_accounting_error: np.ndarray  # |delta total - boundary inflow|, rel
+    periodic: bool
 
     @property
     def max_drift(self) -> float:
         return float(np.max(self.drift))
+
+    @property
+    def passed(self) -> bool:
+        """A periodic run is judged on its drift (then also its accounting
+        error) to 1e-12, an open one on the accounting of its drift by the
+        boundary fluxes to 1e-10; NaN fails."""
+        tol = 1e-12 if self.periodic else 1e-10
+        return bool(np.max(self.flux_accounting_error) <= tol)
 
 
 def conservation_audit(traj: Trajectory) -> ConservationReport:
@@ -50,7 +59,8 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
         accounting = drift.copy()
     else:
         accounting = np.abs((totals[-1] - t0) - traj.boundary_inflow) / scale
-    return ConservationReport(drift=drift, flux_accounting_error=accounting)
+    return ConservationReport(drift=drift, flux_accounting_error=accounting,
+                              periodic=traj.boundary == "periodic")
 
 
 @dataclass
@@ -66,20 +76,19 @@ class EntropyAudit:
             not self.monotonicity_violations
 
 
-def entropy_audit(traj: Trajectory, model: CdfModel,
-                  sigma_tol: float = POINTWISE_SIGMA_TOL,
-                  step_tol: float = ENTROPY_STEP_TOL) -> EntropyAudit:
+def entropy_audit(traj: Trajectory, model: CdfModel) -> EntropyAudit:
     """Check the second law on the min sigma and total entropy `solver.run`
     recorded at every step (snapshots included); violations are (step index,
-    value).  `model` is unused: sigma is not recomputed."""
+    value), and a NaN sigma or entropy change is one.  `model` is unused:
+    sigma is not recomputed."""
     min_sigma = np.asarray(traj.min_sigma)
     pointwise = [(k, float(mn)) for k, mn in enumerate(min_sigma)
-                 if mn < -sigma_tol]
+                 if not mn >= -POINTWISE_SIGMA_TOL]
     totals = np.asarray(traj.total_entropy)
     mono = []
     for k in range(1, len(totals)):
         dS = totals[k] - totals[k - 1]
-        if dS < -step_tol * max(abs(totals[k - 1]), 1.0):
+        if not dS >= -ENTROPY_STEP_TOL * max(abs(totals[k - 1]), 1.0):
             mono.append((k, float(dS)))
     return EntropyAudit(total_entropy=totals,
                         min_sigma=min_sigma,
@@ -139,15 +148,13 @@ def fourier_sine_solution(params: HeatParams, x, t: float, amplitude: float):
 
 
 def heat_sine_scenario(params: HeatParams, grid: Grid1D, t_end: float,
-                       amplitude: float = 0.1, cfl: float = 0.45,
-                       output_every: Optional[float] = None) -> Scenario:
+                       amplitude: float = 0.1) -> Scenario:
     def ic(x):
         return np.array([fourier_sine_solution(params, x, 0.0, amplitude),
                          0.0])
 
     return Scenario(model=heat_model(params), grid=grid, initial_condition=ic,
-                    boundary="periodic", cfl=cfl, t_end=t_end,
-                    output_every=output_every or t_end,
+                    boundary="periodic", t_end=t_end, output_every=t_end,
                     name="heat-sine")
 
 
@@ -214,11 +221,11 @@ class FnsComparison:
 
 
 def fns_flux_comparison(params: FluidParams, snapshot: np.ndarray,
-                        grid: Grid1D, threshold: float = 0.25
-                        ) -> FnsComparison:
+                        grid: Grid1D) -> FnsComparison:
     """Compare the model's evolved (q, tau) against the FNS fluxes
     -lambda d(theta)/dx and -kappa dv/dx (`fns_limit_fluxes`), using
-    periodic central gradients of the snapshot."""
+    periodic central gradients of the snapshot, in the cells where the
+    closure flux is at least a quarter of its peak."""
     v, theta, _, q, tau = _closures(params, snapshot)
 
     def grad(f):
@@ -230,7 +237,7 @@ def fns_flux_comparison(params: FluidParams, snapshot: np.ndarray,
         peak = np.max(np.abs(ref))
         if peak == 0.0:
             return 0.0, 0
-        mask = np.abs(ref) >= threshold * peak
+        mask = np.abs(ref) >= 0.25 * peak
         if not np.any(mask):
             return 0.0, 0
         gap = np.abs(val[mask] - ref[mask]) / np.abs(ref[mask])

@@ -230,18 +230,6 @@ def fluid_model(params: FluidParams) -> CdfModel:
     )
 
 
-def orthogonal_decompose(A):
-    """Spherical and deviatoric-symmetric parts of a 3x3 matrix.
-
-    bullet = (1/3) Tr(A) I,  ring = sym(A) - bullet; the two are orthogonal
-    under double contraction.
-    """
-    A = np.asarray(A, dtype=float)
-    bullet = (np.trace(A) / 3.0) * np.eye(3)
-    ring = 0.5 * (A + A.T) - bullet
-    return bullet, ring
-
-
 @dataclass(frozen=True)
 class PowerLawParams:
     mu0: float
@@ -268,15 +256,14 @@ def powerlaw_stress(p: PowerLawParams, gamma_dot: float) -> float:
     return -math.copysign(t, g)
 
 
-def powerlaw_stress_fixed_point(p: PowerLawParams, gamma_dot: float,
-                                rel_tol: float = 1e-13) -> float:
+def powerlaw_stress_fixed_point(p: PowerLawParams, gamma_dot: float) -> float:
     """Independent route: bisection on the implicit relation
     |tau| = mu0 |tau|^alpha |gamma_dot| in L = log |tau|, where it reads
     (1 - alpha) L = log mu0 + log |gamma_dot| and no power can overflow or
     underflow.  The bracket is the logs of the positive finite floats, so
     the bisection ends: a root below it is a stress that rounds to zero,
     and one above it raises OverflowError.  It stops when the bracket, the
-    relative error of |tau|, is below `rel_tol` or cannot be halved."""
+    relative error of |tau|, is below 1e-13 or cannot be halved."""
     g = abs(float(gamma_dot))
     if g == 0.0:
         return 0.0
@@ -293,7 +280,7 @@ def powerlaw_stress_fixed_point(p: PowerLawParams, gamma_dot: float,
     T = 0.0
     if f(lo) < 0.0:
         mid = 0.5 * (lo + hi)
-        while hi - lo > rel_tol and lo < mid < hi:
+        while hi - lo > 1e-13 and lo < mid < hi:
             if f(mid) > 0.0:
                 hi = mid
             else:

@@ -52,6 +52,7 @@ BOUNDARY_KINDS = ("periodic", "fixed-state", "zero-gradient")
 
 # states the audit gate of `run` samples (seed 0)
 _AUDIT_SAMPLES = 200
+_MAX_STEPS = 2_000_000   # steps after which `run` gives up before t_end
 # implicit-midpoint Newton: relative residual bound and iteration cap
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_MAX_ITER = 50
@@ -84,7 +85,7 @@ class ModelAuditError(RuntimeError):
 
 
 class StepLimitError(RuntimeError):
-    """The run reached max_steps before t_end."""
+    """The run reached `_MAX_STEPS` steps before t_end."""
 
 
 @dataclass(frozen=True)
@@ -233,13 +234,20 @@ def _spacing(grid) -> tuple:
 
 
 def _axis_speeds(model: CdfModel, U: np.ndarray, spacing):
-    """Spectral radius along each axis, and per cell the CFL speed
-    s_0 + s_1 dx/dy + ... in units of the axis-0 width (1D: exactly s_0)."""
+    """Spectral radius along each axis of the ghost-filled field U, per cell
+    the CFL speed s_0 + s_1 dx/dy + ... in units of the axis-0 width (1D:
+    exactly s_0), and its maximum.  Raises CflError, carrying the maximum,
+    at the first cell whose CFL speed is not finite."""
     speeds = [core.spectral_radius(model, U, d) for d in range(len(spacing))]
     rate = speeds[0]
     for s, h in zip(speeds[1:], spacing[1:]):
         rate = rate + s * (spacing[0] / h)
-    return speeds, rate
+    smax = float(rate.max())
+    if not math.isfinite(smax):
+        bad = np.argmin(np.isfinite(rate))
+        raise CflError(f"non-finite CFL speed {rate.flat[bad]} at cell "
+                       f"{_cell(bad, rate.shape, 1)}", smax)
+    return speeds, rate, smax
 
 
 def _cell(flat_index, shape, offset: int = 0):
@@ -266,15 +274,14 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
     ghosts `with_ghosts` adds per the boundary rule).  Returns the new cells,
     the conserved-block fluxes through the low and high ends integrated
     over their faces, and the largest CFL speed of the ghost-filled input
-    (see `_axis_speeds`).  Raises CflError, carrying that speed, when dt
-    exceeds cfl dx / speed, and InadmissibleStateError at the first
-    non-finite or inadmissible new cell: the one check of the transport
-    output."""
+    (see `_axis_speeds`).  Raises CflError, carrying that speed, when it
+    is not finite (`_axis_speeds`) or dt exceeds cfl dx / speed, and
+    InadmissibleStateError at the first non-finite or inadmissible new
+    cell: the one check of the transport output."""
     spacing = _spacing(grid)
     work = with_ghosts(cells, boundary, left_state, right_state)
     # ghost speeds count too: the Rusanov faces at the domain ends use them
-    speeds, rate = _axis_speeds(model, work, spacing)
-    smax = float(rate.max())
+    speeds, rate, smax = _axis_speeds(model, work, spacing)
     if smax > 0 and dt > cfl * spacing[0] / smax * (1.0 + 1e-9):
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
@@ -475,16 +482,16 @@ def _audit_or_raise(model: CdfModel) -> None:
         )
 
 
-def run(scenario: Scenario, override_audit: bool = False,
-        max_steps: int = 2_000_000) -> Trajectory:
+def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
     """Integrate to t_end with adaptive dt = 0.99 cfl dx / speed, the CFL
     speed (summed over the axes in units of dx, see `_axis_speeds`) that
     the previous step's transport measured, or for the first step the
-    speed of the initial field.  A step whose transport raises CflError is
-    retried once from the same cells, with dt from the speed that check
-    measured; a second CflError propagates.  A relaxed state outside the
-    admissible domain raises InadmissibleStateError naming its step, time
-    and cell when its block of diagnostics is evaluated."""
+    speed of the initial field, which must be finite.  A step whose
+    transport raises CflError is retried once from the same cells, with dt
+    from the speed that check measured; a second CflError propagates, and
+    so does a first one whose speed is not finite.  A relaxed state outside
+    the admissible domain raises InadmissibleStateError naming its step,
+    time and cell when its block of diagnostics is evaluated."""
     model, grid = scenario.model, scenario.grid
     if not override_audit:
         _audit_or_raise(model)
@@ -560,14 +567,13 @@ def run(scenario: Scenario, override_audit: bool = False,
     t = 0.0
     # the ghosts hold what the end faces read, fixed boundary states
     # included, so their speeds bound dt as in the CFL recheck
-    _, rate = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)
-    speed = float(rate.max())
+    speed = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)[2]
     rates = _decay_rates(model, field_arr)
     next_out = scenario.output_every
     try:
         record_diag(t, speed)
         record_snapshot(t)
-        for _ in range(max_steps):
+        for _ in range(_MAX_STEPS):
             if t >= scenario.t_end - 1e-14 * scenario.t_end:
                 break
             dt = time_step(speed)
@@ -575,6 +581,8 @@ def run(scenario: Scenario, override_audit: bool = False,
                 step = strang_step(model, field_arr, dt, grid, *bc,
                                    scenario.cfl, rates)
             except CflError as err:
+                if not math.isfinite(err.speed):
+                    raise
                 traj.cfl_retries += 1
                 dt = time_step(err.speed)
                 step = strang_step(model, field_arr, dt, grid, *bc,
@@ -589,7 +597,7 @@ def run(scenario: Scenario, override_audit: bool = False,
                     next_out += scenario.output_every
         else:
             raise StepLimitError(
-                f"max_steps={max_steps} exceeded at t={t:.6g}")
+                f"step limit {_MAX_STEPS} reached at t={t:.6g}")
     finally:
         # also when a later step fails: the earliest inadmissible recorded
         # state is then the failure reported

@@ -5,14 +5,15 @@ Heavy simulations are shared through module-scoped fixtures; every
 tolerance is stated inline next to the assertion it guards.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cdf_lab import core, diagnostics, solver, verify
 from cdf_lab.fluid import (FluidParams, PowerLawParams,
                            conserved_from_primitive, fluid_model,
-                           orthogonal_decompose, powerlaw_stress,
-                           powerlaw_stress_fixed_point,
+                           powerlaw_stress, powerlaw_stress_fixed_point,
                            primitive_from_conserved)
 from cdf_lab.heat import HeatParams, heat_model, sign_flipped_heat_model
 from cdf_lab.solver import Grid1D
@@ -32,8 +33,8 @@ def heat_sine_run():
     """256 cells, t_end = 0.5, alpha0 = 0.1; cfl = 0.4 keeps the step count
     above 10^3 for the conservation criterion."""
     params = HeatParams(alpha0=0.1)
-    scenario = diagnostics.heat_sine_scenario(params, Grid1D(256), 0.5,
-                                              cfl=0.4)
+    scenario = dataclasses.replace(
+        diagnostics.heat_sine_scenario(params, Grid1D(256), 0.5), cfl=0.4)
     return scenario, solver.run(scenario)
 
 
@@ -63,8 +64,7 @@ def test_criterion_2_second_law(verdict, heat_sine_run, fluid_pulse_run):
     f_params, f_sc, f_traj = fluid_pulse_run
     ok = True
     for sc, traj in ((h_sc, h_traj), (f_sc, f_traj)):
-        audit = diagnostics.entropy_audit(traj, sc.model,
-                                          sigma_tol=1e-14, step_tol=1e-10)
+        audit = diagnostics.entropy_audit(traj, sc.model)
         ok &= audit.passed
         ok &= bool(np.min(audit.min_sigma) >= -1e-14)
     verdict(2, "second law", ok)
@@ -158,9 +158,4 @@ def test_criterion_8_oracle_equivalence(verdict):
     back = primitive_from_conserved(conserved_from_primitive(*prim))
     for a, b in zip(back, prim):
         ok &= bool(np.max(np.abs(a - b)) <= 1e-14)
-
-    for _ in range(100):
-        A = rng.normal(size=(3, 3))
-        bullet, ring = orthogonal_decompose(A)
-        ok &= abs(np.sum(bullet * ring)) <= 1e-14 * max(1.0, np.sum(A * A))
     verdict(8, "oracle equivalence", ok)

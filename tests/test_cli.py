@@ -333,6 +333,37 @@ class TestRunCommand:
         assert rc == 1
         assert err == ["time stepping failed: max_steps=3"]
 
+    def _tiny_left_state(self, tmp_path, capfd, left):
+        """A heat riemann run whose left state is `left`: exit status and
+        stderr lines, read at the file descriptor, where numpy's warnings
+        would land too."""
+        payload = _run_config(tmp_path)
+        payload["params"]["alpha0"] = 0.1
+        payload["scenario"] = {"n_cells": 16, "t_end": 0.01, "initial": {
+            "preset": "riemann", "left": left, "right": 1.0}}
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", _cfg(tmp_path, payload),
+                       "--out", str(out)])
+        return rc, capfd.readouterr().err.splitlines(), out
+
+    def test_overflowing_speed_is_one_stderr_line(self, tmp_path, capfd):
+        """u = 1e-310: the wave speed 1/u overflows to inf, a CflError."""
+        rc, err, out = self._tiny_left_state(tmp_path, capfd, 1e-310)
+        assert rc == 1
+        assert err == ["time stepping failed: non-finite CFL speed inf at "
+                       "cell 0"]
+        assert not out.exists()
+
+    def test_nan_sigma_fails_the_entropy_verdict(self, tmp_path, capfd):
+        """u = 1e-200: theta^2 underflows, M = inf and sigma is NaN at every
+        step, which the entropy audit counts as a violation."""
+        rc, err, out = self._tiny_left_state(tmp_path, capfd, 1e-200)
+        assert rc == 1
+        assert err == []
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["entropy_ok"] is False
+        assert summary["conservation_ok"] is True
+
     def test_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
         assert rc == 2

@@ -53,6 +53,32 @@ class TestConservationAudit:
         assert rep.max_drift < 1e-12
 
 
+class TestConservationVerdict:
+    """`ConservationReport.passed`: the drift of a periodic run, the
+    boundary-flux accounting of an open one."""
+
+    @staticmethod
+    def _report(boundary, final_total, inflow=0.0):
+        traj = solver.Trajectory(boundary=boundary,
+                                 boundary_inflow=np.array([inflow]))
+        traj.totals = [np.array([1.0]), np.array([final_total])]
+        return conservation_audit(traj)
+
+    def test_periodic_judged_on_drift(self):
+        assert self._report("periodic", 1.0 + 5e-13).passed
+        assert not self._report("periodic", 1.0 + 5e-12).passed
+
+    @pytest.mark.parametrize("boundary", ["fixed-state", "zero-gradient"])
+    def test_open_judged_on_flux_accounting(self, boundary):
+        # a drift of 0.5 that the boundary inflow accounts for passes
+        assert self._report(boundary, 1.5, inflow=0.5).passed
+        assert not self._report(boundary, 1.5, inflow=0.5 - 1e-9).passed
+
+    @pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
+    def test_nan_total_fails(self, boundary):
+        assert not self._report(boundary, np.nan).passed
+
+
 class TestEntropyAudit:
     def test_heat_sine_passes_and_grows(self, heat_params):
         p = HeatParams(alpha0=0.1)
@@ -83,6 +109,20 @@ class TestEntropyAudit:
         assert not audit.passed
         assert audit.monotonicity_violations
 
+
+    def test_nan_sigma_and_nan_total_are_violations(self, heat_params):
+        sc = heat_sine_scenario(heat_params, Grid1D(32), 0.02)
+        traj = solver.run(sc)
+        assert entropy_audit(traj, sc.model).passed
+        k = len(traj.step_times) // 2
+        traj.min_sigma[k] = np.nan
+        traj.total_entropy[k] = np.nan
+        audit = entropy_audit(traj, sc.model)
+        assert not audit.passed
+        assert len(audit.pointwise_violations) == 1
+        assert audit.pointwise_violations[0][0] == k
+        # the changes into and out of the NaN total
+        assert [v[0] for v in audit.monotonicity_violations] == [k, k + 1]
 
     def test_negative_sigma_between_snapshots_detected(self, heat_params):
         sc = heat_sine_scenario(heat_params, Grid1D(32), 0.02)

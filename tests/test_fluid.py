@@ -5,15 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cdf_lab
 from cdf_lab import core, verify
 from cdf_lab.fluid import (FluidParams, PowerLawParams,
                            conserved_from_primitive, fluid_model,
-                           fns_limit_fluxes, orthogonal_decompose,
-                           powerlaw_stress, powerlaw_stress_fixed_point,
+                           fns_limit_fluxes, powerlaw_stress,
+                           powerlaw_stress_fixed_point,
                            primitive_from_conserved)
 
 from conftest import random_fluid_states
@@ -237,22 +235,6 @@ def test_entropy_flux_gradient_matches_eta_u_f_u(params):
 def test_full_audit_passes(fluid):
     report = verify.run_full_audit(fluid, verify.SamplingPlan(count=500))
     assert report.passed, report.to_dict()
-
-
-class TestOrthogonalDecompose:
-    def test_hand_values(self):
-        bullet, ring = orthogonal_decompose(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(bullet, 2.0 * np.eye(3))
-        assert np.allclose(ring, np.diag([-1.0, 0.0, 1.0]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-10, 10), min_size=9, max_size=9))
-    def test_properties(self, entries):
-        A = np.array(entries).reshape(3, 3)
-        bullet, ring = orthogonal_decompose(A)
-        assert abs(np.sum(bullet * ring)) < 1e-12 * (1 + np.sum(A * A))
-        assert np.allclose(bullet + ring, 0.5 * (A + A.T), atol=1e-12)
-        assert abs(np.trace(ring)) < 1e-12 * (1 + abs(np.trace(A)))
 
 
 class TestPowerLaw:

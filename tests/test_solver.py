@@ -22,6 +22,12 @@ def _heat_sine_field(n, amplitude=0.1):
     return field
 
 
+def _nan_speed_above(heat, u_max):
+    """The heat model with a NaN wave speed wherever u > u_max."""
+    return dataclasses.replace(heat, max_wave_speed=lambda U: np.where(
+        U[..., 0] > u_max, np.nan, heat.max_wave_speed(U)))
+
+
 class TestGrids:
     def test_grid1d(self):
         g = Grid1D(8, 0.0, 2.0)
@@ -196,6 +202,22 @@ class TestStepHyperbolic:
         with pytest.raises(CflError):
             step_hyperbolic(model, f, dt, Grid2D(8, 32), cfl=0.45)
         step_hyperbolic(model, f, dt, Grid2D(8, 32, y_max=32.0), cfl=0.45)
+
+    def test_non_finite_speed_raises(self, heat):
+        """An infinite or NaN speed is a CflError naming the speed and the
+        first cell where it is not finite, whatever dt."""
+        f = _heat_sine_field(32)
+        f[5, 0] = 1e-310       # the speed 1/u overflows
+        with pytest.raises(CflError, match=r"speed inf at cell 5$") as err, \
+                np.errstate(over="ignore"):
+            step_hyperbolic(heat, f, 0.0, Grid1D(32))
+        assert err.value.speed == math.inf
+        nan_speed = _nan_speed_above(heat, 1.05)
+        f = _heat_sine_field(32)
+        first = int(np.argmax(f[:, 0] > 1.05))
+        assert first > 0
+        with pytest.raises(CflError, match=rf"speed nan at cell {first}$"):
+            step_hyperbolic(nan_speed, f, 1e-6, Grid1D(32))
 
     def test_reports_its_cfl_speed(self, heat):
         """The speed returned, and the one a failed recheck carries, is the
@@ -706,10 +728,33 @@ class TestRunDriver:
         assert per_step.max() <= 2
         assert per_step.sum() == len(per_step) + 1
 
-    def test_max_steps_guard(self, heat_params):
+    def test_max_steps_guard(self, heat_params, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_STEPS", 3)
         sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(64), 1.0)
-        with pytest.raises(solver.StepLimitError, match="max_steps=3"):
-            solver.run(sc, max_steps=3)
+        with pytest.raises(solver.StepLimitError, match="limit 3 reached"):
+            solver.run(sc)
+
+    @pytest.mark.parametrize("first_finite", [0, 1])
+    def test_run_ends_at_a_non_finite_speed(self, heat, first_finite):
+        """`run` takes no step from an initial field whose speed is not
+        finite (first_finite = 0), and does not retry a step whose
+        transport finds such a speed (first_finite = 1)."""
+        nan_speed = _nan_speed_above(heat, 1.05).max_wave_speed
+        calls = []
+
+        def max_wave_speed(U):
+            calls.append(U.shape)
+            if len(calls) <= first_finite:
+                return heat.max_wave_speed(U)
+            return nan_speed(U)
+
+        sc = Scenario(model=dataclasses.replace(
+            heat, max_wave_speed=max_wave_speed), grid=Grid1D(32),
+            initial_condition=lambda x: np.array(
+                [1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0]), t_end=0.01)
+        with pytest.raises(CflError, match=r"speed nan at cell 3$"):
+            solver.run(sc)
+        assert len(calls) == first_finite + 1
 
     def test_equilibrium_stays_put(self, heat):
         sc = Scenario(model=heat, grid=Grid1D(16),
@@ -727,8 +772,8 @@ class TestRunDriver:
         assert a.step_times == b.step_times
 
     def test_snapshot_cadence(self, heat_params):
-        sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(32), 0.1,
-                                            output_every=0.025)
+        sc = dataclasses.replace(diagnostics.heat_sine_scenario(
+            heat_params, Grid1D(32), 0.1), output_every=0.025)
         traj = solver.run(sc)
         assert len(traj.times) >= 5  # t=0 plus four output slots
         assert traj.times[0] == 0.0
