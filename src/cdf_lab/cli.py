@@ -272,21 +272,16 @@ def _write_diagnostics(path: Path, traj) -> None:
     for its record, all written at once."""
     totals = np.asarray(traj.totals, dtype=float)
     n = totals.shape[1]
-    # one column per value of a record, in the order of its keys; every
-    # value a Python float, as `run` records them
-    columns = (traj.step_times, *totals.T.tolist(), traj.total_entropy,
-               traj.min_sigma, traj.max_sigma, traj.speeds)
-    if np.isfinite(columns).all():
-        # json.dumps writes a finite float as its repr
-        slots = {"totals": "[" + ", ".join(["%r"] * n) + "]"}
-        line = "{" + ", ".join(f'"{key}": {slots.get(key, "%r")}'
-                               for key in _DIAGNOSTICS) + "}\n"
-        text = "".join([line % r for r in zip(*columns)])
-    else:   # NaN and infinities as json.dumps spells them
-        text = "".join([json.dumps(dict(zip(
-            _DIAGNOSTICS, (r[0], list(r[1:n + 1]), *r[n + 1:])))) + "\n"
-            for r in zip(*columns)])
-    path.write_text(text)
+    # one column per value of a record, in the order of its keys, each
+    # value spelled once by json.dumps: a finite float as its repr, NaN and
+    # the infinities as NaN, Infinity and -Infinity
+    columns = [json.dumps(column)[1:-1].split(", ") for column in (
+        traj.step_times, *totals.T.tolist(), traj.total_entropy,
+        traj.min_sigma, traj.max_sigma, traj.speeds)]
+    slots = {"totals": "[" + ", ".join(["%s"] * n) + "]"}
+    line = "{" + ", ".join(f'"{key}": {slots.get(key, "%s")}'
+                           for key in _DIAGNOSTICS) + "}\n"
+    path.write_text("".join([line % r for r in zip(*columns)]))
 
 
 # A failure found during a command's work -> its exit status and the

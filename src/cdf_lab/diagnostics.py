@@ -8,7 +8,7 @@ data, and the Fourier-Newton-Stokes fluxes of `fluid.fns_limit_fluxes`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -159,10 +159,9 @@ def heat_sine_scenario(params: HeatParams, grid: Grid1D, t_end: float,
 
 
 def fluid_pulse_scenario(params: FluidParams, n_cells: int = 512,
-                         t_end: float = 0.05, amplitude: float = 0.05,
-                         cfl: float = 0.45,
-                         output_every: Optional[float] = None) -> Scenario:
-    """Smooth periodic temperature bump on a length-2 domain.
+                         t_end: float = 0.05, cfl: float = 0.45) -> Scenario:
+    """Smooth periodic temperature bump of amplitude 0.05 on a length-2
+    domain, with one output at t_end.
 
     The heat-flux conjugate starts on its stationary closure so the
     relaxation-limit flux comparison is not polluted by the initial layer;
@@ -170,10 +169,9 @@ def fluid_pulse_scenario(params: FluidParams, n_cells: int = 512,
     """
     return Scenario(model=fluid_model(params), grid=Grid1D(n_cells, 0.0, 2.0),
                     initial_condition=fns_sine_initial_condition(
-                        params, 0.0, 2.0, amplitude),
+                        params, 0.0, 2.0, 0.05),
                     boundary="periodic", cfl=cfl,
-                    t_end=t_end, output_every=output_every or t_end,
-                    name="fluid-pulse")
+                    t_end=t_end, output_every=t_end, name="fluid-pulse")
 
 
 def relaxation_convergence(base: HeatParams, alpha0_values: Sequence[float],

@@ -73,16 +73,6 @@ def conserved_from_primitive(rho, v, u, w, C):
     return np.stack([rho, rho * v, rho * e, rho * w, rho * C], axis=-1)
 
 
-def _temperature(params: FluidParams, U):
-    """theta of a conserved state, by the operations, in their order, of
-    `primitive_from_conserved` and `_closures`, so it is the same bits."""
-    U = np.asarray(U, dtype=float)
-    rho = U[..., 0]
-    v = U[..., 1] / rho
-    u = U[..., 2] / rho - 0.5 * v ** 2
-    return u / params.c_v
-
-
 def _closures(params: FluidParams, U):
     """v, theta, pi (generalized pressure), q, tau from a conserved state."""
     rho, v, u, w, C = primitive_from_conserved(U)
@@ -101,16 +91,17 @@ def fluid_model(params: FluidParams) -> CdfModel:
     a0, a1 = params.alpha0, params.alpha1
     lam, kap = params.lambda_, params.kappa_
 
+    def specific_entropy(rho, u, w, C):
+        return (c_v * np.log(u) + R * np.log(1.0 / rho)
+                - rho * w ** 2 / (2.0 * a0) - rho * C ** 2 / (2.0 * a1))
+
     def entropy(U):
         rho, v, u, w, C = primitive_from_conserved(U)
-        s = (c_v * np.log(u) + R * np.log(1.0 / rho)
-             - rho * w ** 2 / (2.0 * a0) - rho * C ** 2 / (2.0 * a1))
-        return rho * s
+        return rho * specific_entropy(rho, u, w, C)
 
     def entropy_grad(U):
         rho, v, u, w, C = primitive_from_conserved(U)
-        s = (c_v * np.log(u) + R * np.log(1.0 / rho)
-             - rho * w ** 2 / (2.0 * a0) - rho * C ** 2 / (2.0 * a1))
+        s = specific_entropy(rho, u, w, C)
         s_u = c_v / u
         s_nu = R * rho + rho ** 2 * (w ** 2 / (2.0 * a0) + C ** 2 / (2.0 * a1))
         s_w = -rho * w / a0
@@ -176,7 +167,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
         return np.maximum(v + xi[0], -(v + xi[1]))
 
     def dissipation_matrix(U):
-        theta = _temperature(params, U)
+        theta = primitive_from_conserved(U)[2] / c_v
         M = np.zeros(U.shape[:-1] + (2, 2))
         M[..., 0, 0] = 1.0 / (lam * theta ** 2)
         M[..., 1, 1] = theta / kap
@@ -191,7 +182,7 @@ def fluid_model(params: FluidParams) -> CdfModel:
     def source_decay_rates(U):
         # d(rho w)/dt = q/(theta^2 lam) = -(rho w)/(a0 lam theta^2)
         # d(rho C)/dt = tau/kap       = -theta (rho C)/(a1 kap)
-        theta = _temperature(params, U)
+        theta = primitive_from_conserved(U)[2] / c_v
         rates = np.empty(U.shape[:-1] + (2,))
         rates[..., 0] = 1.0 / (a0 * lam * theta ** 2)
         rates[..., 1] = theta / (a1 * kap)
@@ -203,10 +194,8 @@ def fluid_model(params: FluidParams) -> CdfModel:
         return {"theta": theta, "q": q, "tau": tau, "sigma": sigma}
 
     def from_sample(sample):
-        sample = np.asarray(sample, dtype=float)
-        return conserved_from_primitive(sample[..., 0], sample[..., 1],
-                                        sample[..., 2], sample[..., 3],
-                                        sample[..., 4])
+        return conserved_from_primitive(
+            *np.moveaxis(np.asarray(sample, dtype=float), -1, 0))
 
     # sample box in primitive coordinates (rho, v, u, w, C)
     box = np.array([(0.5, 2.0), (-1.0, 1.0), (0.5, 2.0),

@@ -9,7 +9,7 @@ regularized Cattaneo law whose stationary limit is Fourier's law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -118,9 +118,11 @@ def heat_model(params: HeatParams,
 
 
 def sign_flipped_heat_model(params: HeatParams) -> CdfModel:
-    """Deliberately broken fixture: the w-part of the entropy has the wrong
-    sign, so concavity (and with it symmetrizable hyperbolicity) fails, and
-    eta_U . F_U is not a gradient, so it has no entropy flux."""
+    """Deliberately broken fixture: the heat model with the w-part of the
+    entropy of the wrong sign, so concavity (and with it symmetrizable
+    hyperbolicity) fails, and eta_U . F_U is not a gradient, so it has no
+    entropy flux.  Heat's entropy flux, decay rates and closures do not hold
+    for it, so it has none."""
     good = heat_model(params)
     c_v, a0 = params.c_v, params.alpha0
 
@@ -129,21 +131,10 @@ def sign_flipped_heat_model(params: HeatParams) -> CdfModel:
         return c_v * np.log(U[..., 0]) + w2 / (2.0 * a0)
 
     def entropy_grad(U):
-        g = np.empty_like(U)
-        g[..., 0] = c_v / U[..., 0]
-        g[..., 1:] = U[..., 1:] / a0
+        g = good.entropy_grad(U)
+        np.negative(g[..., 1:], out=g[..., 1:])
         return g
 
-    return CdfModel(
-        name="heat-signflip",
-        n_conserved=1,
-        n_dissipative=good.n_dissipative,
-        space_dim=good.space_dim,
-        flux=good.flux,
-        entropy=entropy,
-        dissipation_matrix=good.dissipation_matrix,
-        admissible=good.admissible,
-        entropy_grad=entropy_grad,
-        max_wave_speed=good.max_wave_speed,
-        sample_box=good.sample_box,
-    )
+    return replace(good, name="heat-signflip", entropy=entropy,
+                   entropy_grad=entropy_grad, entropy_flux=None,
+                   source_decay_rates=None, derived=None)

@@ -237,22 +237,36 @@ def _axis_speeds(model: CdfModel, U: np.ndarray, spacing):
     """Spectral radius along each axis of the ghost-filled field U, per cell
     the CFL speed s_0 + s_1 dx/dy + ... in units of the axis-0 width (1D:
     exactly s_0), and its maximum.  Raises CflError, carrying the maximum,
-    at the first cell whose CFL speed is not finite."""
+    when a CFL speed is not finite, naming the first (see `_locate`)."""
     speeds = [core.spectral_radius(model, U, d) for d in range(len(spacing))]
     rate = speeds[0]
     for s, h in zip(speeds[1:], spacing[1:]):
         rate = rate + s * (spacing[0] / h)
     smax = float(rate.max())
     if not math.isfinite(smax):
-        bad = np.argmin(np.isfinite(rate))
-        raise CflError(f"non-finite CFL speed {rate.flat[bad]} at cell "
-                       f"{_cell(bad, rate.shape, 1)}", smax)
+        raise CflError("non-finite CFL speed %s at %s"
+                       % _locate(rate, ~np.isfinite(rate)), smax)
     return speeds, rate, smax
 
 
-def _cell(flat_index, shape, offset: int = 0):
+def _locate(rate: np.ndarray, hit: np.ndarray) -> tuple:
+    """The value of the ghost-padded `rate` where `hit` first holds, and
+    that place named: the first interior cell where it holds, else (as
+    periodic and zero-gradient ghosts copy cells) the fixed boundary state
+    of the first ghost where it does, left or right along axis 0."""
+    inner = (slice(1, -1),) * rate.ndim
+    cells, found = rate[inner], hit[inner]
+    if found.any():
+        k = np.argmax(found)
+        return cells.flat[k], f"cell {_cell(k, cells.shape)}"
+    k = np.argmax(hit)
+    side = "left" if np.unravel_index(k, rate.shape)[0] == 0 else "right"
+    return rate.flat[k], f"the {side} boundary state"
+
+
+def _cell(flat_index, shape):
     """Grid index (int in 1D, tuple in 2D) of a flat cell number."""
-    idx = tuple(int(i) - offset for i in np.unravel_index(flat_index, shape))
+    idx = tuple(int(i) for i in np.unravel_index(flat_index, shape))
     return idx[0] if len(idx) == 1 else idx
 
 
@@ -285,7 +299,7 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
     if smax > 0 and dt > cfl * spacing[0] / smax * (1.0 + 1e-9):
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
-            f"cell {_cell(np.argmax(rate), rate.shape, 1)}", smax)
+            f"{_locate(rate, rate == smax)[1]}", smax)
     n = model.n_conserved
     f_ends = np.zeros((2, n))
     new = cells.copy()

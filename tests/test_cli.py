@@ -149,6 +149,52 @@ class TestRunCommand:
         header = (out / "snapshot_0000.csv").read_text().splitlines()[1]
         assert header == "x,rho,mom,erg,rw,rC,theta,q,tau,sigma"
 
+    def test_gaussian_pulse_periodic(self, tmp_path):
+        """The pulse preset starts from u = 1 + A exp(-((x - c)/width)^2),
+        w = 0; periodic, the run keeps both verdicts."""
+        payload = _run_config(tmp_path)
+        payload["scenario"]["initial"] = {
+            "preset": "gaussian-pulse", "amplitude": 0.2, "center": 0.4,
+            "width": 0.05}
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", _cfg(tmp_path, payload),
+                         "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "snapshot_0000.csv", delimiter=",",
+                          skiprows=2)
+        x = rows[:, 0]
+        assert np.allclose(rows[:, 1], 1.0 + 0.2 * np.exp(
+            -((x - 0.4) / 0.05) ** 2), rtol=1e-15, atol=0)
+        assert not rows[:, 2].any()
+
+    def test_signflip_runs_with_override(self, tmp_path, monkeypatch):
+        """--override-audit runs the fixture.  It has no decay rates and its
+        A = -d eta_w / dw = -1/alpha0 is not positive definite, so both half
+        steps of every step take the implicit midpoint; it has no closures,
+        so the closure columns are zeros.  Its entropy verdict is judged
+        with the flipped entropy and means nothing, so it is not checked."""
+        calls, real = [], solver._relax_midpoint
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_relax_midpoint", counting)
+        out = tmp_path / "out"
+        cli.main(["run", "--config", _cfg(tmp_path, _run_config(
+            tmp_path, model="heat-signflip")), "--out", str(out),
+            "--override-audit"])
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["conservation_ok"] is True
+        assert summary["steps"] == 8 and summary["cfl_retries"] == 0
+        assert len(calls) == 2 * summary["steps"]
+        diag = (out / "diagnostics.jsonl").read_text().splitlines()
+        assert len(diag) == summary["steps"] + 1
+        for snap in sorted(out.glob("snapshot_*.csv")):
+            lines = snap.read_text().splitlines()
+            assert lines[1] == "x,u,w,theta,q,tau,sigma"
+            assert all(line.endswith(",0.0,0.0,0.0,0.0")
+                       for line in lines[2:])
+
     def test_audit_gate_blocks_signflip(self, tmp_path, capsys):
         """Stopped before its first write, the run leaves none of the
         directories the command made."""
@@ -333,18 +379,22 @@ class TestRunCommand:
         assert rc == 1
         assert err == ["time stepping failed: max_steps=3"]
 
-    def _tiny_left_state(self, tmp_path, capfd, left):
-        """A heat riemann run whose left state is `left`: exit status and
+    def _small_heat_run(self, tmp_path, capfd, **scenario):
+        """A 16-cell heat run at alpha0 = 0.1 to t = 0.01: exit status,
         stderr lines, read at the file descriptor, where numpy's warnings
-        would land too."""
+        would land too, and the output directory."""
         payload = _run_config(tmp_path)
         payload["params"]["alpha0"] = 0.1
-        payload["scenario"] = {"n_cells": 16, "t_end": 0.01, "initial": {
-            "preset": "riemann", "left": left, "right": 1.0}}
+        payload["scenario"] = {"n_cells": 16, "t_end": 0.01, **scenario}
         out = tmp_path / "out"
         rc = cli.main(["run", "--config", _cfg(tmp_path, payload),
                        "--out", str(out)])
         return rc, capfd.readouterr().err.splitlines(), out
+
+    def _tiny_left_state(self, tmp_path, capfd, left):
+        """A heat riemann run whose left state is `left`."""
+        return self._small_heat_run(tmp_path, capfd, initial={
+            "preset": "riemann", "left": left, "right": 1.0})
 
     def test_overflowing_speed_is_one_stderr_line(self, tmp_path, capfd):
         """u = 1e-310: the wave speed 1/u overflows to inf, a CflError."""
@@ -352,6 +402,28 @@ class TestRunCommand:
         assert rc == 1
         assert err == ["time stepping failed: non-finite CFL speed inf at "
                        "cell 0"]
+        assert not out.exists()
+
+    def test_overflowing_speed_names_the_cell_not_its_ghost(self, tmp_path,
+                                                           capfd):
+        """The last cell holds u = 1e-310; the periodic ghost before cell 0
+        copies it, and the message names the cell."""
+        rc, err, out = self._small_heat_run(tmp_path, capfd, initial={
+            "preset": "riemann", "left": 1.0, "right": 1e-310,
+            "center": 0.95})
+        assert rc == 1
+        assert err == ["time stepping failed: non-finite CFL speed inf at "
+                       "cell 15"]
+        assert not out.exists()
+
+    def test_overflowing_boundary_state_is_named(self, tmp_path, capfd):
+        rc, err, out = self._small_heat_run(
+            tmp_path, capfd, boundary="fixed-state", left_state=[1.0, 0.0],
+            right_state=[1e-310, 0.0],
+            initial={"preset": "riemann", "right": 1.0})
+        assert rc == 1
+        assert err == ["time stepping failed: non-finite CFL speed inf at "
+                       "the right boundary state"]
         assert not out.exists()
 
     def test_nan_sigma_fails_the_entropy_verdict(self, tmp_path, capfd):

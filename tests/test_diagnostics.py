@@ -280,3 +280,15 @@ class TestFnsFluxComparison:
         snap = conserved_from_primitive(np.ones_like(x), 0.0, u, 0.0, 0.0)
         cmp = fns_flux_comparison(fluid_params, snap, grid)
         assert cmp.q_max_rel_gap == pytest.approx(1.0)  # q = 0 vs q_ref
+
+    def test_nan_reference_checks_no_cell(self, fluid_params):
+        """A NaN density makes theta, v and so both closure fluxes NaN
+        near it: no peak, so no cell is compared."""
+        grid = Grid1D(64, 0.0, 2.0)
+        u = 1.0 + 0.1 * np.sin(np.pi * grid.centers())
+        rho = np.ones(64)
+        rho[10] = np.nan
+        snap = conserved_from_primitive(rho, 0.01, u, 0.0, 0.0)
+        cmp = fns_flux_comparison(fluid_params, snap, grid)
+        assert (cmp.q_cells_checked, cmp.tau_cells_checked) == (0, 0)
+        assert (cmp.q_max_rel_gap, cmp.tau_max_rel_gap) == (0.0, 0.0)

@@ -260,6 +260,11 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             PowerLawParams(mu0=1.0, alpha=1.5)
 
+    @pytest.mark.parametrize("mu0", [0.0, -1.0, float("nan")])
+    def test_nonpositive_mu0_rejected(self, mu0):
+        with pytest.raises(ValueError, match="mu0 must be > 0"):
+            PowerLawParams(mu0=mu0, alpha=0.5)
+
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.25, 0.5, 0.75])
     def test_closed_form_vs_fixed_point(self, alpha):
         p = PowerLawParams(mu0=1.3, alpha=alpha)

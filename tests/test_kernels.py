@@ -1,12 +1,16 @@
 """The per-cell model kernels the time loop calls every step visit the few
 state components one by one instead of reducing over the last axis.  Each
 is checked bit for bit against the reducing formulation it replaced, kept
-here as the oracle, on non-finite and out-of-domain states too."""
+here as the oracle, on non-finite and out-of-domain states too; so are the
+kernels derived from another (the sign-flipped fixture's eta_U from heat's,
+the fluid's theta from `primitive_from_conserved`) against their former
+spelled-out forms."""
 
 import numpy as np
 import pytest
 
-from cdf_lab import FluidParams, HeatParams, fluid_model, heat_model
+from cdf_lab import (FluidParams, HeatParams, conserved_from_primitive,
+                     fluid_model, heat_model)
 from cdf_lab.heat import sign_flipped_heat_model
 
 from conftest import random_fluid_states, random_heat_states
@@ -36,6 +40,12 @@ def _heat_oracles(p: HeatParams) -> dict:
         theta = U[..., 0] / c_v
         return np.sum(q ** 2, axis=-1) / (lam * theta ** 2)
 
+    def signflip_entropy_grad(U):
+        g = np.empty_like(U)
+        g[..., 0] = c_v / U[..., 0]
+        g[..., 1:] = U[..., 1:] / a0
+        return g
+
     return {
         "admissible": lambda U: np.isfinite(U).all(axis=-1) & (U[..., 0] > 0),
         "entropy": lambda U: c_v * np.log(U[..., 0]) - w2(U) / (2.0 * a0),
@@ -44,7 +54,49 @@ def _heat_oracles(p: HeatParams) -> dict:
         "sigma": sigma,
         "signflip_entropy":
             lambda U: c_v * np.log(U[..., 0]) + w2(U) / (2.0 * a0),
+        "signflip_entropy_grad": signflip_entropy_grad,
     }
+
+
+def _fluid_oracles(p: FluidParams) -> dict:
+    """The temperature-reading kernels with theta by the operations of
+    `primitive_from_conserved`, spelled out, and `from_sample` column by
+    column."""
+    def theta(U):
+        rho = U[..., 0]
+        v = U[..., 1] / rho
+        return (U[..., 2] / rho - 0.5 * v ** 2) / p.c_v
+
+    def dissipation_matrix(U):
+        M = np.zeros(U.shape[:-1] + (2, 2))
+        M[..., 0, 0] = 1.0 / (p.lambda_ * theta(U) ** 2)
+        M[..., 1, 1] = theta(U) / p.kappa_
+        return M
+
+    def source_decay_rates(U):
+        rates = np.empty(U.shape[:-1] + (2,))
+        rates[..., 0] = 1.0 / (p.alpha0 * p.lambda_ * theta(U) ** 2)
+        rates[..., 1] = theta(U) / (p.alpha1 * p.kappa_)
+        return rates
+
+    def from_sample(S):
+        return conserved_from_primitive(S[..., 0], S[..., 1], S[..., 2],
+                                        S[..., 3], S[..., 4])
+
+    return {"dissipation_matrix": dissipation_matrix,
+            "source_decay_rates": source_decay_rates,
+            "from_sample": from_sample}
+
+
+def test_fluid_kernels_match_spelled_out_oracles():
+    p = FluidParams(R=0.7, c_v=1.3, alpha0=0.1, alpha1=0.2, lambda_=0.9,
+                    kappa_=1.1)
+    model, oracle = fluid_model(p), _fluid_oracles(p)
+    states = random_fluid_states(model, 60, seed=6)
+    with np.errstate(all="ignore"):
+        for U in _inputs(states):
+            for name, want in oracle.items():
+                _assert_bit_equal(getattr(model, name)(U), want(U))
 
 
 def _fluid_admissible_oracle(U):
@@ -97,6 +149,7 @@ def test_heat_kernels_match_reducing_oracles(space_dim):
         "source_decay_rates": model.source_decay_rates,
         "sigma": lambda U: model.derived(U)["sigma"],
         "signflip_entropy": broken.entropy,
+        "signflip_entropy_grad": broken.entropy_grad,
     }
     with np.errstate(all="ignore"):
         for U in _inputs(states):

@@ -44,6 +44,11 @@ class TestGrids:
         with pytest.raises(ValueError):
             Grid2D(2, 8)
 
+    @pytest.mark.parametrize("bounds", [dict(x_max=-1.0), dict(y_min=1.0)])
+    def test_grid2d_bounds_out_of_order(self, bounds):
+        with pytest.raises(ValueError, match="out of order"):
+            Grid2D(4, 8, **bounds)
+
 
 class TestScenarioValidation:
     def test_cfl_range(self, heat):
@@ -67,6 +72,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(model=heat, grid=Grid1D(8), initial_condition=lambda x: 0,
                      t_end=1.0, output_every=output_every)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_t_end_positive(self, heat, t_end):
+        with pytest.raises(ValueError, match="t_end must be > 0"):
+            Scenario(model=heat, grid=Grid1D(8), initial_condition=lambda x: 0,
+                     t_end=t_end)
 
     def test_boundary_state_length(self, heat, fluid):
         for model, good in ((heat, [1.0, 0.0]), (fluid, [1.0, 0, 1.0, 0, 0])):
@@ -218,6 +229,53 @@ class TestStepHyperbolic:
         assert first > 0
         with pytest.raises(CflError, match=rf"speed nan at cell {first}$"):
             step_hyperbolic(nan_speed, f, 1e-6, Grid1D(32))
+
+    # (boundary, the cell and the boundary state that get the slow or tiny
+    # u, the place the message names)
+    _PLACES = [
+        ("periodic", 15, None, "cell 15"),
+        ("periodic", 0, None, "cell 0"),
+        ("zero-gradient", 0, None, "cell 0"),
+        ("zero-gradient", 15, None, "cell 15"),
+        ("fixed-state", None, "right", "the right boundary state"),
+        ("fixed-state", None, "left", "the left boundary state"),
+        ("fixed-state", 4, "right", "cell 4"),
+    ]
+
+    @pytest.mark.parametrize("boundary, cell, state, named", _PLACES)
+    @pytest.mark.parametrize("u, speed", [(0.5, "2.000e+00"),
+                                          (1e-310, "inf")])
+    def test_cfl_error_names_a_cell_not_its_ghost(
+            self, heat, boundary, cell, state, named, u, speed):
+        """A finite CFL violation (u = 0.5, speed 2, dt = 1) and a
+        non-finite speed (u = 1e-310) name the first cell that holds the
+        speed, not the periodic or zero-gradient ghost that copies it; a
+        fixed boundary state is named only when no cell holds its speed."""
+        f = np.tile([1.0, 0.0], (16, 1))
+        if cell is not None:
+            f[cell, 0] = u
+        ends = {"left": [1.0, 0.0], "right": [1.0, 0.0]}
+        if state is not None:
+            ends[state] = [u, 0.0]
+        with pytest.raises(CflError) as err, np.errstate(over="ignore"):
+            step_hyperbolic(heat, f, 1.0, Grid1D(16), boundary,
+                            ends["left"], ends["right"])
+        assert str(err.value) == (
+            f"dt=1.000e+00 exceeds cfl*dx/speed with speed {speed} "
+            if u == 0.5 else f"non-finite CFL speed {speed} ") + f"at {named}"
+
+    @pytest.mark.parametrize("u, speed", [(0.5, "dt=.* at "),
+                                          (1e-310, "speed inf at ")])
+    def test_cfl_error_names_a_2d_cell(self, u, speed):
+        """In 2D the cell is a grid index; the last cell's copies fill the
+        low ghosts of both axes."""
+        model = heat_model(HeatParams(space_dim=2))
+        f = np.zeros((6, 4, 3))
+        f[..., 0] = 1.0
+        f[5, 3, 0] = u
+        with pytest.raises(CflError, match=rf"{speed}cell \(5, 3\)$"), \
+                np.errstate(over="ignore"):
+            step_hyperbolic(model, f, 1.0, Grid2D(6, 4))
 
     def test_reports_its_cfl_speed(self, heat):
         """The speed returned, and the one a failed recheck carries, is the
@@ -733,6 +791,21 @@ class TestRunDriver:
         sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(64), 1.0)
         with pytest.raises(solver.StepLimitError, match="limit 3 reached"):
             solver.run(sc)
+
+    def test_zero_speed_steps_straight_to_t_end(self, heat):
+        """With no transport (zero flux and wave speed) the first dt is the
+        whole run, and w relaxes exactly: two half steps of exp(-r t/2)."""
+        still = dataclasses.replace(
+            heat, flux=lambda U, j: np.zeros_like(U),
+            max_wave_speed=lambda U: np.zeros(U.shape[:-1]))
+        sc = Scenario(model=still, grid=Grid1D(16),
+                      initial_condition=lambda x: np.array([1.5, 0.2]),
+                      t_end=0.3, output_every=0.3)
+        traj = solver.run(sc)
+        assert traj.step_times == [0.0, 0.3]
+        rate = heat.source_decay_rates(np.array([1.5, 0.2]))[0]
+        assert np.allclose(traj.snapshots[-1], [1.5, 0.2 * np.exp(
+            -rate * 0.3)], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("first_finite", [0, 1])
     def test_run_ends_at_a_non_finite_speed(self, heat, first_finite):
@@ -1282,3 +1355,10 @@ class TestRun2D:
                       boundary="zero-gradient", t_end=0.01)
         with pytest.raises(ValueError):
             solver.run(sc)
+
+    def test_rejects_a_1d_model(self, heat):
+        sc = Scenario(model=heat, grid=Grid2D(8, 8),
+                      initial_condition=lambda x, y: np.array([1.0, 0.0]),
+                      t_end=0.01)
+        with pytest.raises(ValueError, match="space_dim == 2"):
+            solver.run(sc, override_audit=True)

@@ -90,6 +90,13 @@ class TestSamplingPlan:
             verify.sample_states(heat,
                                  verify.SamplingPlan(count=200, box=bad))
 
+    def test_box_without_admissible_states_rejected(self, heat):
+        bad = np.array([(-2.0, -1.0), (-0.1, 0.1)])  # u < 0 throughout
+        with pytest.raises(verify.SamplingError,
+                           match="no admissible states"):
+            verify.sample_states(heat,
+                                 verify.SamplingPlan(count=200, box=bad))
+
     def test_missing_box_rejected(self, heat):
         naked = dataclasses.replace(heat, sample_box=None)
         with pytest.raises(verify.SamplingError):
