@@ -3,11 +3,12 @@
 Commands: `run` a scenario, `verify` a model's structural conditions,
 `converge` the relaxation-limit study, `powerlaw` the stress-closure sweep.
 All inputs come from a JSON config; all outputs are CSV/JSON files stamped
-with the config hash.  Each command checks its inputs, then creates the
-output directory, then works, then writes; a failure during the work
-removes the directories the command created and ends in one classified
-stderr line.  Exit status: 0 all criteria pass, 1 a scientific criterion
-or the solver failed, 2 configuration or output error.
+with the config hash.  Each command returns a verdict: its `to_dict()` is
+the summary file, its `passed` the exit status.  A failure removes the
+output directories the command created if they are still empty and ends
+in one classified stderr line.  Exit status: 0 all criteria pass, 1 a
+scientific criterion or the solver failed, 2 configuration or output
+error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from . import diagnostics, solver, verify
 from .core import CdfModel, ConvergenceError
 from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
-                    fluid_model, fns_sine_initial_condition, powerlaw_stress,
-                    powerlaw_stress_fixed_point)
+                    fluid_model, fns_sine_initial_condition)
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
 from .solver import Grid1D, ModelAuditError, Scenario
 
@@ -148,10 +148,12 @@ _POWERLAW = {
     "max_gap": (1e-8, *_POSITIVE),
 }
 
-# command -> the config section it reads and that section's table
-_SECTIONS = {"run": ("scenario", _SCENARIO), "verify": ("verify", _VERIFY),
-             "converge": ("converge", _CONVERGE),
-             "powerlaw": ("powerlaw", _POWERLAW)}
+# command -> the config section it reads, that section's table and the
+# summary file its verdict is written to (None: no summary)
+_SECTIONS = {"run": ("scenario", _SCENARIO, "run_summary.json"),
+             "verify": ("verify", _VERIFY, "audit.json"),
+             "converge": ("converge", _CONVERGE, "convergence_summary.json"),
+             "powerlaw": ("powerlaw", _POWERLAW, None)}
 COMMANDS = tuple(_SECTIONS)
 
 _CONFIG = {
@@ -160,7 +162,7 @@ _CONFIG = {
     "params": ({}, *_OBJECT),
     "seed": (0, *_integer(0)),
     "output_dir": ("out", lambda v: isinstance(v, str), "a string"),
-    **{name: ({}, *_OBJECT) for name, _ in _SECTIONS.values()},
+    **{name: ({}, *_OBJECT) for name, _, _ in _SECTIONS.values()},
 }
 
 
@@ -202,7 +204,7 @@ def parse_config(text: str, command: str | None = None) -> dict:
     cfg = {"command": cmd, "model": model,
            "params": {k: float(v) for k, v in params.items()},
            "seed": top["seed"], "output_dir": top["output_dir"]}
-    name, table = _SECTIONS[cmd]
+    name, table, _ = _SECTIONS[cmd]
     sec = cfg[name] = _section(top[name], table, name)
     if cmd == "run":
         _require(sec["x_max"] > sec["x_min"],
@@ -243,15 +245,28 @@ def build_model(cfg: dict) -> CdfModel:
     return _MODELS[cfg["model"]]["build"](cfg["params"])
 
 
-def _initial_condition(cfg: dict, grid: Grid1D):
-    init = cfg["scenario"]["initial"]
+def build_scenario(cfg: dict) -> Scenario:
+    """The scenario of a `run` config, started from its preset."""
+    sc_cfg, init = cfg["scenario"], cfg["scenario"]["initial"]
+    grid = Grid1D(sc_cfg["n_cells"], float(sc_cfg["x_min"]),
+                  float(sc_cfg["x_max"]))
     if init["preset"] == "fns-sine":
-        return fns_sine_initial_condition(
-            FluidParams(**cfg["params"]), grid.x_min, grid.x_max,
-            init["amplitude"])
-    profile = _PRESETS[init["preset"]][1]
-    lift = _MODELS[cfg["model"]]["lift"]
-    return lambda x: lift(profile(init, grid, x))
+        ic = fns_sine_initial_condition(FluidParams(**cfg["params"]),
+                                        grid.x_min, grid.x_max,
+                                        init["amplitude"])
+    else:
+        profile = _PRESETS[init["preset"]][1]
+        lift = _MODELS[cfg["model"]]["lift"]
+
+        def ic(x):
+            return lift(profile(init, grid, x))
+    return Scenario(
+        model=build_model(cfg), grid=grid, initial_condition=ic,
+        boundary=sc_cfg["boundary"], cfl=float(sc_cfg["cfl"]),
+        t_end=float(sc_cfg["t_end"]),
+        output_every=float(sc_cfg["output_every"]),
+        left_state=sc_cfg.get("left_state"),
+        right_state=sc_cfg.get("right_state"))
 
 
 def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
@@ -300,10 +315,10 @@ _WORK_FAILURES = {
 
 @contextlib.contextmanager
 def _working_in(out_dir: Path):
-    """Create `out_dir` and its missing parents for the work of the block,
-    which writes nothing.  If the block raises, remove them again, deepest
-    first; `rmdir` removes only empty directories and this stops at the
-    first that is not, so nothing else is ever deleted."""
+    """Create `out_dir` and its missing parents for the work and the writes
+    of the block.  If the block raises, remove them again, deepest first;
+    `rmdir` removes only empty directories and this stops at the first
+    that is not, so nothing else is ever deleted."""
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -315,29 +330,18 @@ def _working_in(out_dir: Path):
         raise
 
 
-def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
-    model = build_model(cfg)
-    sc_cfg = cfg["scenario"]
-    grid = Grid1D(sc_cfg["n_cells"], float(sc_cfg["x_min"]),
-                  float(sc_cfg["x_max"]))
-    scenario = Scenario(
-        model=model, grid=grid,
-        initial_condition=_initial_condition(cfg, grid),
-        boundary=sc_cfg["boundary"], cfl=float(sc_cfg["cfl"]),
-        t_end=float(sc_cfg["t_end"]),
-        output_every=float(sc_cfg["output_every"]),
-        left_state=sc_cfg.get("left_state"),
-        right_state=sc_cfg.get("right_state"))
-    with _working_in(out_dir):
-        traj = solver.run(scenario, override_audit=override_audit)
+def cmd_run(cfg: dict, out_dir: Path,
+            override_audit: bool = False) -> diagnostics.RunReport:
+    scenario = build_scenario(cfg)
+    traj = solver.run(scenario, override_audit=override_audit)
 
     h = config_hash(cfg)
-    x = grid.centers()
+    x = scenario.grid.centers()
     header = ",".join(["x", *_MODELS[cfg["model"]]["columns"],
                        "theta", "q", "tau", "sigma"])
     for k, snap in enumerate(traj.snapshots):
-        if model.derived is not None:
-            d = model.derived(snap)
+        if scenario.model.derived is not None:
+            d = scenario.model.derived(snap)
             extra = np.column_stack([d["theta"], d["q"], d["tau"],
                                      d["sigma"]])
         else:
@@ -346,85 +350,48 @@ def cmd_run(cfg: dict, out_dir: Path, override_audit: bool = False) -> int:
         _write_csv(out_dir / f"snapshot_{k:04d}.csv", header, rows, h)
 
     _write_diagnostics(out_dir / "diagnostics.jsonl", traj)
-
-    cons = diagnostics.conservation_audit(traj)
-    ent = diagnostics.entropy_audit(traj, model)
-    summary = {
-        "conservation_ok": cons.passed,
-        "max_relative_drift": float(cons.max_drift),
-        "entropy_ok": ent.passed,
-        "steps": len(traj.step_times) - 1,
-        "cfl_retries": traj.cfl_retries,
-        "config_sha256": h,
-    }
-    with open(out_dir / "run_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return EXIT_OK if (cons.passed and ent.passed) else EXIT_SCIENTIFIC
+    return diagnostics.RunReport(
+        traj, diagnostics.conservation_audit(traj),
+        diagnostics.entropy_audit(traj, scenario.model))
 
 
-def cmd_verify(cfg: dict, out_dir: Path) -> int:
-    model = build_model(cfg)
+def cmd_verify(cfg: dict, out_dir: Path) -> verify.AuditReport:
     v = cfg["verify"]
     plan = verify.SamplingPlan(seed=v["seed"], count=v["count"], box=v["box"])
-    with _working_in(out_dir):
-        report = verify.run_full_audit(model, plan, v["tolerances"])
-    payload = report.to_dict()
-    payload["config_sha256"] = config_hash(cfg)
-    with open(out_dir / "audit.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
+    report = verify.run_full_audit(build_model(cfg), plan, v["tolerances"])
     for r in report.condition_results:
         print(f"{r.name}: {'pass' if r.passed else 'FAIL'} "
               f"(worst violation {r.worst_violation:.3e})")
-    return EXIT_OK if report.passed else EXIT_SCIENTIFIC
+    return report
 
 
-def cmd_converge(cfg: dict, out_dir: Path) -> int:
+def cmd_converge(cfg: dict, out_dir: Path) -> diagnostics.ConvergenceStudy:
     cv = cfg["converge"]
-    base = HeatParams(**cfg["params"])
-    with _working_in(out_dir):
-        study = diagnostics.relaxation_convergence(
-            base, cv["alpha0_values"], Grid1D(cv["n_cells"]), cv["t_end"],
-            cv["amplitude"])
-
-    h = config_hash(cfg)
+    study = diagnostics.relaxation_convergence(
+        HeatParams(**cfg["params"]), cv["alpha0_values"],
+        Grid1D(cv["n_cells"]), cv["t_end"], cv["slope_band"],
+        cv["amplitude"])
     rows = np.column_stack([study.parameter_values, study.errors_l1,
                             study.errors_l2, study.errors_linf])
-    _write_csv(out_dir / "convergence.csv", "alpha0,L1,L2,Linf", rows, h)
-    lo, hi = cv["slope_band"]
-    ok = bool(lo <= study.slope <= hi)
-    summary = study.to_dict()
-    summary.update({"slope_band": [lo, hi], "slope_ok": ok,
-                    "config_sha256": h})
-    with open(out_dir / "convergence_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-    print(f"fitted slope {study.slope:.3f} "
-          f"({'within' if ok else 'OUTSIDE'} band [{lo}, {hi}])")
-    return EXIT_OK if ok else EXIT_SCIENTIFIC
+    _write_csv(out_dir / "convergence.csv", "alpha0,L1,L2,Linf", rows,
+               config_hash(cfg))
+    where = "within" if study.passed else "OUTSIDE"
+    print(f"fitted slope {study.slope:.3f} ({where} band {cv['slope_band']})")
+    return study
 
 
-def cmd_powerlaw(cfg: dict, out_dir: Path) -> int:
+def cmd_powerlaw(cfg: dict, out_dir: Path) -> diagnostics.PowerlawComparison:
     pl = cfg["powerlaw"]
-    p = PowerLawParams(mu0=pl["mu0"], alpha=float(pl["alpha"]))
-    gdots = np.geomspace(pl["gamma_dot_min"], pl["gamma_dot_max"],
-                         pl["n_points"])
-    rows = []
-    with _working_in(out_dir):
-        for g in gdots:
-            # the oracle first: it raises OverflowError, with the shear
-            # rate, wherever the stress exceeds the largest float
-            t_fp = powerlaw_stress_fixed_point(p, g)
-            t_cf = powerlaw_stress(p, g)
-            rows.append((g, t_cf, t_fp,
-                         abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)))
-    rows = np.asarray(rows)
+    cmp = diagnostics.powerlaw_comparison(
+        PowerLawParams(mu0=pl["mu0"], alpha=float(pl["alpha"])),
+        np.geomspace(pl["gamma_dot_min"], pl["gamma_dot_max"],
+                     pl["n_points"]), pl["max_gap"])
     _write_csv(out_dir / "powerlaw.csv",
                "gamma_dot,tau_closed_form,tau_fixed_point,relative_gap",
-               rows, config_hash(cfg))
-    worst = np.max(rows[:, 3])
-    ok = worst <= pl["max_gap"]
-    print(f"max closed-form vs fixed-point gap {worst:.3e} "
-          f"({'<=' if ok else '>'} {pl['max_gap']:.1e})")
-    return EXIT_OK if ok else EXIT_SCIENTIFIC
+               cmp.rows, config_hash(cfg))
+    print(f"max closed-form vs fixed-point gap {cmp.worst_gap:.3e} "
+          f"({'<=' if cmp.passed else '>'} {cmp.max_gap:.1e})")
+    return cmp
 
 
 def main(argv=None) -> int:
@@ -447,14 +414,21 @@ def main(argv=None) -> int:
         cfg = parse_config(text, args.command)
         out_dir = Path(args.out or cfg["output_dir"])
         # a non-finite value ends in a verdict or a typed error, not a warning
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _working_in(out_dir):
             if cfg["command"] == "run":
-                return cmd_run(cfg, out_dir, args.override_audit)
-            if cfg["command"] == "verify":
-                return cmd_verify(cfg, out_dir)
-            if cfg["command"] == "converge":
-                return cmd_converge(cfg, out_dir)
-            return cmd_powerlaw(cfg, out_dir)
+                verdict = cmd_run(cfg, out_dir, args.override_audit)
+            elif cfg["command"] == "verify":
+                verdict = cmd_verify(cfg, out_dir)
+            elif cfg["command"] == "converge":
+                verdict = cmd_converge(cfg, out_dir)
+            else:
+                verdict = cmd_powerlaw(cfg, out_dir)
+            summary = _SECTIONS[cfg["command"]][2]
+            if summary is not None:
+                (out_dir / summary).write_text(json.dumps(
+                    {**verdict.to_dict(), "config_sha256": config_hash(cfg)},
+                    indent=2))
+        return EXIT_OK if verdict.passed else EXIT_SCIENTIFIC
     except tuple(_WORK_FAILURES) as exc:
         status, what = next(v for kind, v in _WORK_FAILURES.items()
                             if isinstance(exc, kind))

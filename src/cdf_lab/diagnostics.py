@@ -2,20 +2,20 @@
 
 The limit studies compare against the exact stationary limits: the
 Fourier-limit heat equation solved in closed form for the one-mode sine
-data, and the Fourier-Newton-Stokes fluxes of `fluid.fns_limit_fluxes`.
+data, the Fourier-Newton-Stokes fluxes and the power-law stress oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import solver
 from .core import CdfModel
-from .fluid import (FluidParams, _closures, fluid_model, fns_limit_fluxes,
-                    fns_sine_initial_condition)
+from .fluid import (FluidParams, PowerLawParams, _closures, fns_limit_fluxes,
+                    powerlaw_stress, powerlaw_stress_fixed_point)
 from .heat import HeatParams, heat_model
 from .solver import Grid1D, Scenario, Trajectory
 
@@ -25,13 +25,9 @@ ENTROPY_STEP_TOL = 1e-10  # relative, absorbs roundoff accumulation
 
 @dataclass
 class ConservationReport:
-    drift: np.ndarray                 # max relative drift per conserved var
+    max_drift: float                  # max relative drift of any total
     flux_accounting_error: np.ndarray  # |delta total - boundary inflow|, rel
     periodic: bool
-
-    @property
-    def max_drift(self) -> float:
-        return float(np.max(self.drift))
 
     @property
     def passed(self) -> bool:
@@ -59,14 +55,13 @@ def conservation_audit(traj: Trajectory) -> ConservationReport:
         accounting = drift.copy()
     else:
         accounting = np.abs((totals[-1] - t0) - traj.boundary_inflow) / scale
-    return ConservationReport(drift=drift, flux_accounting_error=accounting,
+    return ConservationReport(max_drift=float(np.max(drift)),
+                              flux_accounting_error=accounting,
                               periodic=traj.boundary == "periodic")
 
 
 @dataclass
 class EntropyAudit:
-    total_entropy: np.ndarray
-    min_sigma: np.ndarray                    # per recorded step
     pointwise_violations: list = field(default_factory=list)
     monotonicity_violations: list = field(default_factory=list)
 
@@ -81,8 +76,7 @@ def entropy_audit(traj: Trajectory, model: CdfModel) -> EntropyAudit:
     recorded at every step (snapshots included); violations are (step index,
     value), and a NaN sigma or entropy change is one.  `model` is unused:
     sigma is not recomputed."""
-    min_sigma = np.asarray(traj.min_sigma)
-    pointwise = [(k, float(mn)) for k, mn in enumerate(min_sigma)
+    pointwise = [(k, float(mn)) for k, mn in enumerate(traj.min_sigma)
                  if not mn >= -POINTWISE_SIGMA_TOL]
     totals = np.asarray(traj.total_entropy)
     mono = []
@@ -90,10 +84,29 @@ def entropy_audit(traj: Trajectory, model: CdfModel) -> EntropyAudit:
         dS = totals[k] - totals[k - 1]
         if not dS >= -ENTROPY_STEP_TOL * max(abs(totals[k - 1]), 1.0):
             mono.append((k, float(dS)))
-    return EntropyAudit(total_entropy=totals,
-                        min_sigma=min_sigma,
-                        pointwise_violations=pointwise,
+    return EntropyAudit(pointwise_violations=pointwise,
                         monotonicity_violations=mono)
+
+
+@dataclass
+class RunReport:
+    """The verdict of a run: its conservation and second-law audits."""
+    traj: Trajectory
+    conservation: ConservationReport
+    entropy: EntropyAudit
+
+    @property
+    def passed(self) -> bool:
+        return self.conservation.passed and self.entropy.passed
+
+    def to_dict(self) -> dict:
+        return {
+            "conservation_ok": self.conservation.passed,
+            "max_relative_drift": self.conservation.max_drift,
+            "entropy_ok": self.entropy.passed,
+            "steps": len(self.traj.step_times) - 1,
+            "cfl_retries": self.traj.cfl_retries,
+        }
 
 
 def error_norms(field_a, field_b, grid: Grid1D):
@@ -116,7 +129,12 @@ class ConvergenceStudy:
     errors_linf: np.ndarray
     slope: float            # log-log fit of the L2 error
     monotone: bool
-    inconclusive: bool
+    slope_band: Sequence[float]  # [low, high], ends included; NaN fails
+
+    @property
+    def passed(self) -> bool:
+        low, high = self.slope_band
+        return bool(low <= self.slope <= high)
 
     def to_dict(self) -> dict:
         return {
@@ -126,7 +144,9 @@ class ConvergenceStudy:
             "errors_linf": [float(v) for v in self.errors_linf],
             "slope": float(self.slope),
             "monotone": bool(self.monotone),
-            "inconclusive": bool(self.inconclusive),
+            "inconclusive": not self.monotone,
+            "slope_band": list(self.slope_band),
+            "slope_ok": self.passed,
         }
 
 
@@ -158,54 +178,32 @@ def heat_sine_scenario(params: HeatParams, grid: Grid1D, t_end: float,
                     name="heat-sine")
 
 
-def fluid_pulse_scenario(params: FluidParams, n_cells: int = 512,
-                         t_end: float = 0.05, cfl: float = 0.45) -> Scenario:
-    """Smooth periodic temperature bump of amplitude 0.05 on a length-2
-    domain, with one output at t_end.
-
-    The heat-flux conjugate starts on its stationary closure so the
-    relaxation-limit flux comparison is not polluted by the initial layer;
-    the stress conjugate starts at zero (so does the velocity).
-    """
-    return Scenario(model=fluid_model(params), grid=Grid1D(n_cells, 0.0, 2.0),
-                    initial_condition=fns_sine_initial_condition(
-                        params, 0.0, 2.0, 0.05),
-                    boundary="periodic", cfl=cfl,
-                    t_end=t_end, output_every=t_end, name="fluid-pulse")
-
-
 def relaxation_convergence(base: HeatParams, alpha0_values: Sequence[float],
                            grid: Grid1D, t_end: float,
+                           slope_band: Sequence[float],
                            amplitude: float = 0.1) -> ConvergenceStudy:
     """L2 distance between the relaxation solution of the sine data and
     the exact Fourier-limit solution at t_end (`fourier_sine_solution` at
     the cell centres) as the relaxation parameter shrinks; fits the
-    log-log rate.  The values are run one after another, largest first.
+    log-log rate and judges it by `slope_band`.  Runs largest first.
     """
     alpha0_values = np.asarray(sorted(alpha0_values, reverse=True),
                                dtype=float)
     if np.unique(alpha0_values).size < 3:
         raise ValueError("need at least 3 distinct relaxation values")
     u_ref = fourier_sine_solution(base, grid.centers(), t_end, amplitude)
-    ref_l2 = float(np.sqrt(np.sum(u_ref ** 2) * grid.dx))
-
-    e1, e2, einf = [], [], []
+    errors = []
     for a0 in alpha0_values:
-        p = HeatParams(c_v=base.c_v, lambda_=base.lambda_, alpha0=float(a0),
-                       space_dim=1)
+        p = replace(base, alpha0=float(a0), space_dim=1)
         traj = solver.run(heat_sine_scenario(p, grid, t_end, amplitude))
-        u_num = traj.snapshots[-1][:, 0]
-        l1, l2, linf = error_norms(u_num, u_ref, grid)
-        e1.append(l1)
-        e2.append(l2 / ref_l2)
-        einf.append(linf)
-    e2 = np.asarray(e2)
-    monotone = bool(np.all(np.diff(e2) < 0))
-    slope = fit_loglog_slope(alpha0_values, e2)
-    return ConvergenceStudy(parameter_values=alpha0_values,
-                            errors_l1=np.asarray(e1), errors_l2=e2,
-                            errors_linf=np.asarray(einf), slope=slope,
-                            monotone=monotone, inconclusive=not monotone)
+        errors.append(error_norms(traj.snapshots[-1][:, 0], u_ref, grid))
+    e1, e2, einf = np.array(errors).T
+    e2 = e2 / error_norms(u_ref, 0.0, grid)[1]
+    return ConvergenceStudy(parameter_values=alpha0_values, errors_l1=e1,
+                            errors_l2=e2, errors_linf=einf,
+                            slope=fit_loglog_slope(alpha0_values, e2),
+                            monotone=bool(np.all(np.diff(e2) < 0)),
+                            slope_band=slope_band)
 
 
 @dataclass
@@ -233,11 +231,10 @@ def fns_flux_comparison(params: FluidParams, snapshot: np.ndarray,
 
     def masked_gap(val, ref):
         peak = np.max(np.abs(ref))
-        if peak == 0.0:
-            return 0.0, 0
+        if not 0.0 < peak < np.inf:
+            # a flat reference has no gap, a non-finite one no verdict
+            return (0.0 if peak == 0.0 else np.nan), 0
         mask = np.abs(ref) >= 0.25 * peak
-        if not np.any(mask):
-            return 0.0, 0
         gap = np.abs(val[mask] - ref[mask]) / np.abs(ref[mask])
         return float(np.max(gap)), int(np.sum(mask))
 
@@ -245,3 +242,30 @@ def fns_flux_comparison(params: FluidParams, snapshot: np.ndarray,
     tg, tc = masked_gap(tau, tau_ref)
     return FnsComparison(q_max_rel_gap=qg, tau_max_rel_gap=tg,
                          q_cells_checked=qc, tau_cells_checked=tc)
+
+
+@dataclass
+class PowerlawComparison:
+    """The closed-form power-law stress against its fixed-point oracle over
+    a shear-rate sweep: every relative gap at most `max_gap`, NaN fails."""
+    rows: np.ndarray  # gamma_dot, closed form, fixed point, relative gap
+    worst_gap: float
+    max_gap: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst_gap <= self.max_gap)
+
+
+def powerlaw_comparison(p: PowerLawParams, gamma_dots,
+                        max_gap: float) -> PowerlawComparison:
+    """The oracle goes first at each rate: it raises OverflowError, naming
+    the rate, where the stress exceeds the largest float."""
+    rows = []
+    for g in gamma_dots:
+        t_fp = powerlaw_stress_fixed_point(p, g)
+        t_cf = powerlaw_stress(p, g)
+        rows.append((g, t_cf, t_fp,
+                     abs(t_cf - t_fp) / max(abs(t_cf), 1e-300)))
+    rows = np.asarray(rows)
+    return PowerlawComparison(rows, float(np.max(rows[:, 3])), max_gap)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from cdf_lab import cli, core, solver
+from cdf_lab import cli, core, diagnostics, solver
 
 HEAT_PARAMS = {"c_v": 1.0, "lambda_": 1.0, "alpha0": 1.0}
 FLUID_PARAMS = {"R": 1.0, "c_v": 1.0, "alpha0": 1.0, "alpha1": 1.0,
@@ -620,6 +620,20 @@ class TestOutputErrors:
         assert len(err) == 1
         assert err[0].startswith("output error: ") and "afile" in err[0]
 
+    def test_first_write_failing_leaves_no_directory(self, tmp_path,
+                                                     monkeypatch, capsys):
+        """An output error before any file lands removes the directories
+        the command made, as a failure of the work does."""
+        def unwritable(path, *args):
+            raise OSError(f"cannot write {path.name}")
+
+        monkeypatch.setattr(cli, "_write_csv", unwritable)
+        rc, err = self._main(tmp_path, capsys, "run",
+                             tmp_path / "out" / "nested")
+        assert rc == 2
+        assert err == ["output error: cannot write snapshot_0000.csv"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, name",
                              [("run", "snapshot_0000.csv"),
                               ("run", "run_summary.json"),
@@ -651,12 +665,13 @@ class TestPowerlawCommand:
 
     def test_nan_gap_fails(self, tmp_path, monkeypatch, capsys):
         """A NaN relative gap is a failed cross-check, not a skipped one."""
-        real = cli.powerlaw_stress_fixed_point
+        real = diagnostics.powerlaw_stress_fixed_point
 
         def nan_at_one(p, g):
             return np.nan if g == 1.0 else real(p, g)
 
-        monkeypatch.setattr(cli, "powerlaw_stress_fixed_point", nan_at_one)
+        monkeypatch.setattr(diagnostics, "powerlaw_stress_fixed_point",
+                            nan_at_one)
         payload = {"command": "powerlaw", "model": "fluid",
                    "params": dict(FLUID_PARAMS),
                    "powerlaw": {"mu0": 2.0, "alpha": 0.5, "n_points": 3,

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cdf_lab import diagnostics, solver
 from cdf_lab.diagnostics import (conservation_audit, entropy_audit,
                                  error_norms, fit_loglog_slope,
-                                 fluid_pulse_scenario, fns_flux_comparison,
-                                 heat_sine_scenario, relaxation_convergence)
-from cdf_lab.fluid import (FluidParams, conserved_from_primitive,
-                          primitive_from_conserved)
+                                 fns_flux_comparison, heat_sine_scenario,
+                                 powerlaw_comparison, relaxation_convergence)
+from cdf_lab.fluid import (FluidParams, PowerLawParams,
+                          conserved_from_primitive, primitive_from_conserved)
 from cdf_lab.heat import HeatParams
 from cdf_lab.solver import Grid1D, Scenario
+
+from conftest import fluid_pulse_scenario
 
 
 class TestErrorNorms:
@@ -49,7 +53,6 @@ class TestConservationAudit:
         # must fall back to the largest conserved total, not blow up
         sc = fluid_pulse_scenario(fluid_params, n_cells=64, t_end=0.01)
         rep = conservation_audit(solver.run(sc))
-        assert np.all(np.isfinite(rep.drift))
         assert rep.max_drift < 1e-12
 
 
@@ -85,21 +88,19 @@ class TestEntropyAudit:
         sc = heat_sine_scenario(p, Grid1D(64), 0.1)
         model = sc.model
         traj = solver.run(sc)
-        audit = entropy_audit(traj, model)
-        assert audit.passed
-        assert audit.total_entropy[-1] > audit.total_entropy[0]
-        assert np.min(audit.min_sigma) >= 0.0
+        assert entropy_audit(traj, model).passed
+        assert traj.total_entropy[-1] > traj.total_entropy[0]
+        assert np.min(traj.min_sigma) >= 0.0
 
     def test_equilibrium_entropy_constant(self, heat):
         sc = Scenario(model=heat, grid=Grid1D(16),
                       initial_condition=lambda x: np.array([1.0, 0.0]),
                       t_end=0.05, output_every=0.05)
         traj = solver.run(sc)
-        audit = entropy_audit(traj, heat)
-        assert audit.passed
-        assert np.allclose(audit.total_entropy, audit.total_entropy[0],
+        assert entropy_audit(traj, heat).passed
+        assert np.allclose(traj.total_entropy, traj.total_entropy[0],
                            atol=1e-14)
-        assert np.max(np.abs(audit.min_sigma)) < 1e-16
+        assert np.max(np.abs(traj.min_sigma)) < 1e-16
 
     def test_violations_detected_on_tampered_history(self, heat_params):
         sc = heat_sine_scenario(heat_params, Grid1D(32), 0.02)
@@ -135,6 +136,58 @@ class TestEntropyAudit:
         assert audit.pointwise_violations == [(k, -1e-3)]
 
 
+class TestRunReport:
+    def test_summary_keys_and_verdict(self, heat_params):
+        sc = heat_sine_scenario(heat_params, Grid1D(32), 0.02)
+        traj = solver.run(sc)
+        report = diagnostics.RunReport(traj, conservation_audit(traj),
+                                       entropy_audit(traj, sc.model))
+        summary = report.to_dict()
+        assert list(summary) == ["conservation_ok", "max_relative_drift",
+                                 "entropy_ok", "steps", "cfl_retries"]
+        assert report.passed and summary["conservation_ok"]
+        assert summary["steps"] == len(traj.step_times) - 1
+        traj.min_sigma[1] = -1e-3
+        report.entropy = entropy_audit(traj, sc.model)
+        assert not report.passed and report.to_dict()["entropy_ok"] is False
+
+
+class TestConvergenceVerdict:
+    @staticmethod
+    def _study(slope, monotone=True):
+        e = np.array([3e-3, 2e-3, 1e-3])
+        return diagnostics.ConvergenceStudy(
+            parameter_values=np.array([1e-2, 5e-3, 2.5e-3]), errors_l1=e,
+            errors_l2=e, errors_linf=e, slope=slope, monotone=monotone,
+            slope_band=[0.8, 1.5])
+
+    @pytest.mark.parametrize("slope, passed", [
+        (0.8, True), (1.5, True), (1.2, True), (np.nextafter(0.8, 0), False),
+        (np.nextafter(1.5, 2), False), (np.nan, False)])
+    def test_band_ends_pass_and_nan_fails(self, slope, passed):
+        study = self._study(slope)
+        assert study.passed is passed
+        assert study.to_dict()["slope_ok"] is passed
+
+    def test_summary_ends_with_the_band(self):
+        summary = self._study(1.0, monotone=False).to_dict()
+        assert list(summary)[-4:] == ["monotone", "inconclusive",
+                                      "slope_band", "slope_ok"]
+        assert summary["inconclusive"] is True
+        assert summary["slope_band"] == [0.8, 1.5]
+
+
+class TestPowerlawComparison:
+    def test_worst_gap_at_the_bound_passes(self):
+        """A NaN gap fails too: see the `powerlaw` command's tests."""
+        cmp = powerlaw_comparison(PowerLawParams(mu0=2.0, alpha=0.5),
+                                  np.geomspace(1e-2, 1e2, 5), 1e-8)
+        assert cmp.passed and cmp.rows.shape == (5, 4)
+        assert cmp.worst_gap == np.max(cmp.rows[:, 3])
+        assert dataclasses.replace(cmp, max_gap=cmp.worst_gap).passed
+        assert not dataclasses.replace(cmp, max_gap=cmp.worst_gap / 2).passed
+
+
 class TestSlopeFit:
     def test_exact_power_law(self):
         x = np.array([1.0, 0.1, 0.01, 0.001])
@@ -158,7 +211,7 @@ class TestScenarios:
         assert w == 0.0
 
     def test_fluid_pulse_ic_on_closure(self, fluid_params):
-        sc = fluid_pulse_scenario(fluid_params, n_cells=64)
+        sc = fluid_pulse_scenario(fluid_params, n_cells=64, t_end=0.05)
         # at x = 0.5 the temperature sits at its crest: zero gradient there
         U = sc.initial_condition(0.5)
         assert U[3] == pytest.approx(0.0, abs=1e-12)
@@ -172,7 +225,7 @@ class TestScenarios:
 class TestRelaxationConvergence:
     def test_error_shrinks_with_alpha0(self, heat_params):
         study = relaxation_convergence(heat_params, [1e-1, 3e-2, 1e-2],
-                                       Grid1D(128), 0.05)
+                                       Grid1D(128), 0.05, [0.8, 1.5])
         assert np.all(study.errors_l2 > 0)
         assert study.errors_l2[-1] < study.errors_l2[0]
         assert study.slope > 0.3
@@ -193,7 +246,7 @@ class TestRelaxationConvergence:
                      0.007187140949979742],
         }
         study = relaxation_convergence(heat_params, [1e-1, 3e-2, 1e-2],
-                                       Grid1D(128), 0.05)
+                                       Grid1D(128), 0.05, [0.8, 1.5])
         got = {"l1": study.errors_l1, "l2": study.errors_l2,
                "linf": study.errors_linf}
         for norm, values in explicit.items():
@@ -209,7 +262,8 @@ class TestRelaxationConvergence:
         for values in ([1e-1, 1e-2], [1e-1, 1e-1, 1e-1],
                        [1e-1, 1e-2, 1e-1, 1e-2]):
             with pytest.raises(ValueError, match="3 distinct"):
-                relaxation_convergence(heat_params, values, Grid1D(64), 0.01)
+                relaxation_convergence(heat_params, values, Grid1D(64), 0.01,
+                                       [0.8, 1.5])
 
 
 def _inline_fns_gaps(params, snapshot, grid, threshold=0.25):
@@ -283,12 +337,18 @@ class TestFnsFluxComparison:
 
     def test_nan_reference_checks_no_cell(self, fluid_params):
         """A NaN density makes theta, v and so both closure fluxes NaN
-        near it: no peak, so no cell is compared."""
+        near it: no peak, so no cell is compared and the gap is NaN, which
+        fails any bound; a flat reference has a gap of 0."""
         grid = Grid1D(64, 0.0, 2.0)
         u = 1.0 + 0.1 * np.sin(np.pi * grid.centers())
         rho = np.ones(64)
         rho[10] = np.nan
         snap = conserved_from_primitive(rho, 0.01, u, 0.0, 0.0)
         cmp = fns_flux_comparison(fluid_params, snap, grid)
+        assert (cmp.q_cells_checked, cmp.tau_cells_checked) == (0, 0)
+        assert np.isnan(cmp.q_max_rel_gap) and np.isnan(cmp.tau_max_rel_gap)
+        flat = conserved_from_primitive(np.ones(64), 0.0, np.ones(64), 0.0,
+                                        0.0)
+        cmp = fns_flux_comparison(fluid_params, flat, grid)
         assert (cmp.q_cells_checked, cmp.tau_cells_checked) == (0, 0)
         assert (cmp.q_max_rel_gap, cmp.tau_max_rel_gap) == (0.0, 0.0)

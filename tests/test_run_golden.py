@@ -8,6 +8,10 @@ in the directory `<name>/` beside it:
   block (64 steps for 256 two-component cells);
 - fluid-stiff: the stiff fluid (alpha0 = alpha1 = 1e-3) from `fns-sine`,
   64 cells to t_end 0.01, 48 steps;
+- heat-shock: heat with alpha0 = 0.1 and lambda = 1e6, so the source is
+  all but frozen, from `riemann` 1.0 | 2.0 at x = 0.5 with zero-gradient
+  ends, 100 cells to t_end 0.05, 36 steps: a rarefaction and a shock,
+  which `test_riemann.py` checks against the exact solution;
 - converge: the Cattaneo-to-Fourier study at alpha0 = 0.01, 0.005 and
   0.0025 on 128 cells, which is monotone with slope 0.933 and passes (on
   64 cells the scheme's own error holds the slope at 0.762, outside the
@@ -33,7 +37,8 @@ CASES = sorted(p.name[:-len(".config.json")]
 
 
 def test_every_case_present():
-    assert CASES == ["converge", "fluid-stiff", "heat", "powerlaw"]
+    assert CASES == ["converge", "fluid-stiff", "heat", "heat-shock",
+                     "powerlaw"]
 
 
 def _first_difference(name: str, got: bytes, expected: bytes) -> str:

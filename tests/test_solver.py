@@ -12,7 +12,8 @@ from cdf_lab.solver import (CflError, Grid1D, Grid2D, InadmissibleStateError,
                             step_hyperbolic, step_source_exact, strang_step,
                             with_ghosts)
 
-from conftest import random_fluid_states, random_heat_states
+from conftest import (fluid_pulse_scenario, random_fluid_states,
+                      random_heat_states)
 
 
 def _heat_sine_field(n, amplitude=0.1):
@@ -956,7 +957,7 @@ class TestFluidWaveSpeed:
     def test_run_matches_fd_speed_oracle(self):
         """A stiff fns-sine run takes the same steps with the closed-form
         speed as with the FD Jacobian + eigvals, to the same states."""
-        sc = diagnostics.fluid_pulse_scenario(
+        sc = fluid_pulse_scenario(
             FluidParams(alpha0=1e-3, alpha1=1e-3), n_cells=64, t_end=0.02)
         fast, calls = _counting_flux(sc.model)
         oracle = dataclasses.replace(sc.model, max_wave_speed=None)
@@ -990,7 +991,7 @@ class TestOneSpeedEvaluationPerStep:
     the speeds of its start-of-step field."""
 
     def test_fluid_1d(self):
-        sc = diagnostics.fluid_pulse_scenario(
+        sc = fluid_pulse_scenario(
             FluidParams(alpha0=1e-3, alpha1=1e-3), n_cells=32, t_end=0.01)
         model, calls = _speed_wrapped(sc.model)
         traj = solver.run(dataclasses.replace(sc, model=model))
