@@ -38,6 +38,7 @@ sigma evaluation is also the admissibility check of the relaxed states.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -439,8 +440,14 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
         if not pending.any():
             return v1
         J = core.fd_jacobian(resid, v1)
-        dv = np.linalg.solve(J, -r[..., None])[..., 0]
-        # a non-finite step leaves its cell where it is, still pending
+        try:
+            dv = np.linalg.solve(J, -r[..., None])[..., 0]
+        except np.linalg.LinAlgError:   # some cell's Jacobian is singular
+            dv = np.full_like(r, np.nan)
+            for c in np.ndindex(r.shape[:-1]):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    dv[c] = np.linalg.solve(J[c], -r[c])
+        # a non-finite or singular step leaves its cell where it is, pending
         dv = np.where(np.isfinite(dv), dv, 0.0)
         lam = 1.0
         while pending.any() and lam >= 2.0 ** -20:
@@ -583,7 +590,7 @@ def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
     # included, so their speeds bound dt as in the CFL recheck
     speed = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)[2]
     rates = _decay_rates(model, field_arr)
-    next_out = scenario.output_every
+    every = next_out = scenario.output_every
     try:
         record_diag(t, speed)
         record_snapshot(t)
@@ -607,8 +614,11 @@ def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
             record_diag(t, speed)
             if t >= next_out - 1e-12 or t >= scenario.t_end - 1e-14:
                 record_snapshot(t)
-                while next_out <= t + 1e-12:
-                    next_out += scenario.output_every
+                if next_out <= t + 1e-12:
+                    next_out += every
+                if next_out <= t + 1e-12:   # several output times crossed
+                    skip = min((t + 1e-12 - next_out) // every, 2.0 ** 53)
+                    next_out += every * (1.0 + skip)
         else:
             raise StepLimitError(
                 f"step limit {_MAX_STEPS} reached at t={t:.6g}")

@@ -14,14 +14,17 @@ Mock 1980): the Jacobian of eta_U . F_jU is F_jU^T eta_UU plus a symmetric
 term, so psi_j exists exactly where eta_UU . F_jU is symmetric, and both
 checks read `AuditSamples.symmetry_defects`, each under its tolerance.
 
-Three conditions are eigenvalue questions, and each is decided in one
-shape: a certificate first, then LAPACK only on the samples it leaves
-(`_lapack_measure`), which also fails every sample whose matrix is not
-finite.  Certified samples hold no violation, so the verdict, worst value
-and witness are those of LAPACK on every sample.
+Every check reduces to per-direction arrays of per-sample violations, which
+one routine, `_verdict`, turns into its result.  Three conditions are
+eigenvalue questions, decided in one shape: a certificate first, then
+LAPACK only on the samples it leaves (`_lapack_measure`), which also fails
+every sample whose matrix is not finite.  Certified samples hold no
+violation, so the verdict, worst value and witness are those of LAPACK on
+every sample.
 
-Definiteness (concavity: -eta_UU; dissipation: the symmetric part of M) is
-certified by one batched Cholesky test, `_definite`: a factorisation of
+Concavity (A = -eta_UU) and dissipation (A = the symmetric part of M) share
+one definiteness rule, `_definiteness`: lambda_min(A) >= tol, certified by
+one batched Cholesky test, `_definite`: a factorisation of
 A - (shift + allowance) I that completes with positive pivots proves
 lambda_min(A) > shift, the allowance covering the factorisation's own
 rounding.  The shift is the tolerance plus the rounding of `eigvalsh`, so a
@@ -277,18 +280,18 @@ def _definite(A: np.ndarray, shift) -> np.ndarray:
     return ok
 
 
-def _result(name, worst, tol, states, idx) -> CheckResult:
-    passed = bool(worst <= 0.0)
-    witness = None if passed else np.array(states[idx], dtype=float)
-    return CheckResult(name, passed, float(max(worst, 0.0)), witness, tol)
-
-
-def _worst_direction(rels) -> tuple:
-    """Largest entry over the per-direction violation arrays and its sample
-    index; on a tie the first direction wins, and a NaN counts as largest."""
+def _verdict(name, rels, tol, samples, offset=0.0) -> CheckResult:
+    """Pass when the largest entry of the per-direction violation arrays,
+    plus `offset` (added after the maximum), is <= 0.  On a tie the first
+    direction wins, a NaN counts as largest, and the witness is the first
+    sample holding the worst entry."""
     jworst = [np.max(rel) for rel in rels]
     j = int(np.argmax(jworst))
-    return jworst[j], int(np.argmax(rels[j]))
+    worst = jworst[j] + offset
+    passed = bool(worst <= 0.0)
+    idx = int(np.argmax(rels[j]))
+    witness = None if passed else np.array(samples.states[idx], dtype=float)
+    return CheckResult(name, passed, float(max(worst, 0.0)), witness, tol)
 
 
 def _lapack_measure(A: np.ndarray, certified: np.ndarray, eig,
@@ -310,23 +313,22 @@ def _lapack_measure(A: np.ndarray, certified: np.ndarray, eig,
     return out
 
 
+def _definiteness(name, A, size, tol, samples) -> CheckResult:
+    """lambda_min(A) >= tol for the symmetric stack A: certified where the
+    Cholesky test proves it > tol + n^2 eps size (size = max|A|, covering
+    the rounding of `eigvalsh`), decided by `eigvalsh` elsewhere."""
+    certified = _definite(A, tol + A.shape[-1] ** 2 * _EPS * size)
+    neg_lam_min = _lapack_measure(A, certified, np.linalg.eigvalsh,
+                                  lambda ev: -ev[..., 0])
+    return _verdict(name, [neg_lam_min], tol, samples, offset=tol)
+
+
 def check_concavity(samples: AuditSamples,
                     tol: float = DEFAULT_TOLERANCES["concavity"]
                     ) -> CheckResult:
-    """Entropy must be strictly concave: max Hessian eigenvalue <= -tol.
-    A sample passes when the Cholesky test proves
-    lambda_min(-H) > tol + n^2 eps max|H|, the last term covering the
-    rounding of `eigvalsh`; `eigvalsh` decides the others, and a sample
-    with a non-finite Hessian fails.  tol is added to the largest
-    eigenvalue after the maximum over samples, which rounding, being
-    monotone, leaves the same as a maximum of lambda_max + tol."""
-    H = samples.hessian
-    certified = _definite(-H, tol + H.shape[-1] ** 2 * _EPS
-                          * samples.hessian_abs_max)
-    lam_max = _lapack_measure(H, certified, np.linalg.eigvalsh,
-                              lambda ev: ev[..., -1])
-    worst, idx = _worst_direction([lam_max])
-    return _result("concavity", worst + tol, tol, samples.states, idx)
+    """Entropy must be strictly concave: -eta_UU has eigenvalues >= tol."""
+    return _definiteness("concavity", -samples.hessian,
+                         samples.hessian_abs_max, tol, samples)
 
 
 def _symmetry_violations(samples: AuditSamples, tol: float) -> list:
@@ -339,26 +341,17 @@ def check_symmetrizability(samples: AuditSamples,
                            tol: float = DEFAULT_TOLERANCES["symmetrizability"]
                            ) -> CheckResult:
     """eta_UU . F_jU must be symmetric for every direction j."""
-    worst, idx = _worst_direction(_symmetry_violations(samples, tol))
-    return _result("symmetrizability", worst, tol, samples.states, idx)
+    return _verdict("symmetrizability", _symmetry_violations(samples, tol),
+                    tol, samples)
 
 
 def check_dissipation_matrix(samples: AuditSamples,
                              tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
                              ) -> CheckResult:
-    """Symmetric part of M must have eigenvalues >= tol everywhere.
-    A sample passes when the Cholesky test proves
-    lambda_min(sym M) > tol + m^2 eps max|sym M|; `eigvalsh` decides the
-    others, and a sample with a non-finite M fails.  As in concavity, tol
-    is applied after the maximum of -lambda_min."""
+    """Symmetric part of M must have eigenvalues >= tol everywhere."""
     M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
-    certified = _definite(Ms, tol + Ms.shape[-1] ** 2 * _EPS * abs_max(Ms))
-    neg_lam_min = _lapack_measure(Ms, certified, np.linalg.eigvalsh,
-                                  lambda ev: -ev[..., 0])
-    worst, idx = _worst_direction([neg_lam_min])
-    return _result("dissipation_matrix", worst + tol, tol, samples.states,
-                   idx)
+    return _definiteness("dissipation_matrix", Ms, abs_max(Ms), tol, samples)
 
 
 def check_entropy_flux_exists(samples: AuditSamples,
@@ -378,10 +371,8 @@ def check_entropy_flux_exists(samples: AuditSamples,
             G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
             dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
                                     states, scale=samples.scale)
-            gap = abs_max(dpsi - G, 1)
-            rels.append(gap - tol * (1.0 + abs_max(G, 1)))
-    worst, idx = _worst_direction(rels)
-    return _result("entropy_flux", worst, tol, states, idx)
+            rels.append(abs_max(dpsi - G, 1) - tol * (1.0 + abs_max(G, 1)))
+    return _verdict("entropy_flux", rels, tol, samples)
 
 
 def check_source_consistency(samples: AuditSamples,
@@ -399,9 +390,7 @@ def check_source_consistency(samples: AuditSamples,
     if model.source_decay_rates is not None:
         decay = -np.asarray(model.source_decay_rates(states)) * states[..., n:]
         gap = np.maximum(gap, abs_max(decay - expected, 1) / norm)
-    worst = np.max(gap - tol)
-    return _result("source_consistency", worst, tol, states,
-                   int(np.argmax(gap)))
+    return _verdict("source_consistency", [gap], tol, samples, offset=-tol)
 
 
 def _real_spectrum_2x2(J: np.ndarray) -> np.ndarray:
@@ -475,8 +464,7 @@ def check_hyperbolicity(samples: AuditSamples,
                      else _certified(samples, j, tol))
         rels.append(_lapack_measure(JF, certified, np.linalg.eigvals,
                                     violation))
-    worst, idx = _worst_direction(rels)
-    return _result("hyperbolicity", worst, tol, samples.states, idx)
+    return _verdict("hyperbolicity", rels, tol, samples)
 
 
 _CHECKS = {

@@ -130,6 +130,17 @@ class TestRunCommand:
         assert np.allclose(dt[:-1], limit[:-1], rtol=1e-12, atol=0)
         assert dt[-1] <= limit[-1]
 
+    def test_tiny_output_every_writes_one_snapshot_per_step(self, tmp_path):
+        # each step crosses about 1e298 output times, in O(1) work
+        payload = _run_config(tmp_path, scenario={
+            "n_cells": 16, "t_end": 0.01, "output_every": 1e-300})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", _cfg(tmp_path, payload),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert (len(list(out.glob("snapshot_*.csv")))
+                == summary["steps"] + 1)
+
     def test_repeat_runs_bit_identical(self, tmp_path):
         cfg = _cfg(tmp_path, _run_config(tmp_path))
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -6,7 +6,7 @@ import pytest
 
 from cdf_lab import core, diagnostics, solver, verify
 from cdf_lab.fluid import FluidParams, conserved_from_primitive, fluid_model
-from cdf_lab.heat import HeatParams, heat_model
+from cdf_lab.heat import HeatParams, heat_model, sign_flipped_heat_model
 from cdf_lab.solver import (CflError, Grid1D, Grid2D, InadmissibleStateError,
                             ModelAuditError, Scenario, rusanov_flux,
                             step_hyperbolic, step_source_exact, strang_step,
@@ -645,6 +645,14 @@ class TestExactRelaxation:
         with pytest.raises(core.ConvergenceError, match="at cell 2"):
             step_source_exact(m, U, 1.0)
 
+    @pytest.mark.parametrize("U, cell", [
+        ([[1.0, 0.3], [1.0, 0.1]], 0), ([[2.0, 0.3], [1.0, 0.1]], 1)])
+    def test_fallback_singular_jacobian_is_not_converged(self, U, cell):
+        # at u = 1, dt c/2 = 1: the cell's midpoint Jacobian 1 - dt c/2 is 0
+        m = sign_flipped_heat_model(HeatParams(alpha0=0.5))
+        with pytest.raises(core.ConvergenceError, match=f"at cell {cell}:"):
+            step_source_exact(m, np.array(U), 1.0)
+
     def test_fallback_nan_residual_is_not_converged(self, heat):
         m = _with_source_v(heat, lambda U: np.where(
             U[..., :1] > 1.5, np.nan, -U[..., 1:]))
@@ -852,6 +860,16 @@ class TestRunDriver:
         assert len(traj.times) >= 5  # t=0 plus four output slots
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("output_every", [1e-300, 5e-324])
+    def test_tiny_output_every_snapshots_every_step(self, heat_params,
+                                                    output_every):
+        # 5e-324 puts t / output_every past the largest float
+        sc = dataclasses.replace(diagnostics.heat_sine_scenario(
+            heat_params, Grid1D(16), 0.2), output_every=output_every)
+        traj = solver.run(sc)
+        assert len(traj.step_times) > 5
+        assert traj.times == traj.step_times
 
     def test_stiff_relaxation_stable(self):
         """alpha0 = 1e-4 is strongly stiff; the split exact source keeps the

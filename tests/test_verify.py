@@ -387,8 +387,7 @@ def _nested_fd_entropy_flux(samples, tol=verify.DEFAULT_TOLERANCES[
         JG = core.fd_jacobian(G, states, scale=scale)
         asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-2, -1))
         rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-2, -1))))
-    worst, idx = verify._worst_direction(rels)
-    return verify._result("entropy_flux", worst, tol, states, idx)
+    return verify._verdict("entropy_flux", rels, tol, samples)
 
 
 class TestEntropyFluxPaths:
@@ -878,6 +877,60 @@ class TestDefinitenessChecks:
         sample to eigvalsh."""
         verify.run_full_audit(make(), verify.SamplingPlan())
         assert sum(eigvalsh_rows) == rows
+
+
+class TestVerdict:
+    """The rules by which `_verdict` turns per-direction violation arrays
+    into a check's result."""
+
+    STATES = np.array([[1.0, 0.0], [1.1, 0.1], [1.2, 0.2]])
+
+    def _verdict(self, rels, offset=0.0):
+        holder = verify.AuditSamples(heat_model(HeatParams()), self.STATES)
+        return verify._verdict("x", [np.array(r) for r in rels], 1e-6,
+                               holder, offset)
+
+    def test_tie_takes_the_first_direction(self):
+        res = self._verdict([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0]])
+        assert not res.passed and res.worst_violation == 1.0
+        assert np.array_equal(res.witness_state, self.STATES[1])
+
+    def test_nan_fails_with_its_sample_as_witness(self):
+        res = self._verdict([[2.0, 1.0, 0.0], [0.0, 0.0, np.nan]])
+        assert not res.passed
+        assert res.to_dict()["worst_violation"] is None
+        assert np.array_equal(res.witness_state, self.STATES[2])
+
+    def test_offset_is_added_to_the_maximum(self):
+        assert self._verdict([[-3.0, -1.0, -2.0]], offset=1.0).passed
+        res = self._verdict([[-3.0, -1.0, -2.0]], offset=1.5)
+        assert res.worst_violation == 0.5
+        assert np.array_equal(res.witness_state, self.STATES[1])
+
+    @staticmethod
+    def _definiteness(name, lam):
+        """The check over three samples whose A (-eta_UU or sym M) is
+        lam_i I."""
+        samples = _samples(heat_model(HeatParams()), count=3)
+        lam = np.asarray(lam)[:, None, None]
+        if name == "concavity":
+            samples.hessian = -lam * np.eye(2)
+        else:
+            samples.dissipation_matrix = lam * np.eye(1)
+        tol = verify.DEFAULT_TOLERANCES[name]
+        return samples, verify._CHECKS[name](samples, tol)
+
+    @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
+    def test_definiteness_exactly_at_tolerance(self, name):
+        """lambda_min(A) = tol passes with a zero worst value; one ulp below
+        fails, with that sample as witness."""
+        tol = verify.DEFAULT_TOLERANCES[name]
+        _, res = self._definiteness(name, [1.0, tol, tol])
+        assert res.passed and res.worst_violation == 0.0
+        below = np.nextafter(tol, 0.0)
+        samples, res = self._definiteness(name, [1.0, below, tol])
+        assert not res.passed and res.worst_violation == tol - below
+        assert np.array_equal(res.witness_state, samples.states[1])
 
 
 def _special_values_stack(rng, shape):
