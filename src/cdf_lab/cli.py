@@ -310,6 +310,7 @@ _WORK_FAILURES = {
     solver.CflError: (EXIT_SCIENTIFIC, "time stepping failed"),
     solver.StepLimitError: (EXIT_SCIENTIFIC, "time stepping failed"),
     OverflowError: (EXIT_CONFIG, "overflow"),
+    MemoryError: (EXIT_CONFIG, "out of memory"),
 }
 
 

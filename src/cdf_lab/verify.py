@@ -43,10 +43,18 @@ proves both eigenvalues real.  `np.linalg.eigvals` decides the samples the
 certificate leaves, and is the oracle both certificates are tested
 against.
 
-An audit draws its states once (seeded, deterministic) into one
-`AuditSamples` holder, and every `check_*` takes that holder: eta_U,
-eta_UU, M and each F_jU are evaluated once per audit, by whichever check
-needs them first.
+An audit draws its states once (seeded, deterministic) and then works
+through them one block of rows at a time, each block in its own
+`AuditSamples` holder: eta_U, eta_UU, M and each F_jU are evaluated once
+per sample, by whichever check needs them first, and every check reduces
+the block to its violation arrays while those derivatives are still hot.
+A block holds at most `_AUDIT_BLOCK_VALUES` values per n x n stack, so
+memory grows with count . n (the states and the per-sample violations),
+not with count . n^2.  The finite-difference step scale is computed over
+the whole plan, and every per-sample value depends only on its own row,
+so the verdict does not depend on the block size.  `_verdict` judges each
+condition once, on the concatenated arrays, with the witness taken from
+the full states.  A public `check_*` is that verdict over one holder.
 """
 
 from __future__ import annotations
@@ -72,6 +80,10 @@ DEFAULT_TOLERANCES = {
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+# float64 values per n x n stack of one audit block (1 MiB): 2**17 // n^2
+# rows, 5242 for the 5-component fluid
+_AUDIT_BLOCK_VALUES = 2 ** 17
 
 
 class SamplingError(ValueError):
@@ -177,20 +189,28 @@ class AuditReport:
         }
 
 
-class AuditSamples:
-    """The states of one audit and the quantities its checks share, each
-    evaluated once, on first use: the model's eta_U, its central-difference
-    Jacobian eta_UU and that Hessian's largest entry in magnitude (which
-    scales the rounding allowances of the concavity test and of the
-    hyperbolicity certificate), M(U), each direction's flux Jacobian F_jU
-    and the symmetry defect of eta_UU . F_jU.  Finite differences take one
-    plan-wide per-component step scale, max(1, max |U_i|) over the
-    samples, on which the committed audit bytes depend."""
+def _fd_scale(states: np.ndarray) -> np.ndarray:
+    """The per-component finite-difference step scale, max(1, max |U_i|)
+    over `states`."""
+    return np.maximum(1.0, np.max(np.abs(states), axis=0))
 
-    def __init__(self, model: CdfModel, states: np.ndarray):
+
+class AuditSamples:
+    """One block of an audit's states and the quantities its checks share,
+    each evaluated once per sample, on first use: the model's eta_U, its
+    central-difference Jacobian eta_UU and that Hessian's largest entry in
+    magnitude (which scales the rounding allowances of the concavity test
+    and of the hyperbolicity certificate), M(U), each direction's flux
+    Jacobian F_jU and the symmetry defect of eta_UU . F_jU.  Finite
+    differences take one per-component step `scale`, computed over the
+    whole plan (`run_full_audit` passes it to every block; by default it
+    is that of `states`); the committed audit bytes depend on it."""
+
+    def __init__(self, model: CdfModel, states: np.ndarray,
+                 scale: Optional[np.ndarray] = None):
         self.model = model
         self.states = states
-        self.scale = np.maximum(1.0, np.max(np.abs(states), axis=0))
+        self.scale = _fd_scale(states) if scale is None else scale
 
     @cached_property
     def entropy_grad(self) -> np.ndarray:
@@ -280,17 +300,17 @@ def _definite(A: np.ndarray, shift) -> np.ndarray:
     return ok
 
 
-def _verdict(name, rels, tol, samples, offset=0.0) -> CheckResult:
+def _verdict(name, rels, tol, states, offset=0.0) -> CheckResult:
     """Pass when the largest entry of the per-direction violation arrays,
     plus `offset` (added after the maximum), is <= 0.  On a tie the first
     direction wins, a NaN counts as largest, and the witness is the first
-    sample holding the worst entry."""
+    of `states` (one per entry) holding the worst entry."""
     jworst = [np.max(rel) for rel in rels]
     j = int(np.argmax(jworst))
     worst = jworst[j] + offset
     passed = bool(worst <= 0.0)
     idx = int(np.argmax(rels[j]))
-    witness = None if passed else np.array(samples.states[idx], dtype=float)
+    witness = None if passed else np.array(states[idx], dtype=float)
     return CheckResult(name, passed, float(max(worst, 0.0)), witness, tol)
 
 
@@ -313,74 +333,54 @@ def _lapack_measure(A: np.ndarray, certified: np.ndarray, eig,
     return out
 
 
-def _definiteness(name, A, size, tol, samples) -> CheckResult:
+def _definiteness(A, size, tol):
     """lambda_min(A) >= tol for the symmetric stack A: certified where the
     Cholesky test proves it > tol + n^2 eps size (size = max|A|, covering
     the rounding of `eigvalsh`), decided by `eigvalsh` elsewhere."""
     certified = _definite(A, tol + A.shape[-1] ** 2 * _EPS * size)
     neg_lam_min = _lapack_measure(A, certified, np.linalg.eigvalsh,
                                   lambda ev: -ev[..., 0])
-    return _verdict(name, [neg_lam_min], tol, samples, offset=tol)
+    return [neg_lam_min], tol
 
 
-def check_concavity(samples: AuditSamples,
-                    tol: float = DEFAULT_TOLERANCES["concavity"]
-                    ) -> CheckResult:
-    """Entropy must be strictly concave: -eta_UU has eigenvalues >= tol."""
-    return _definiteness("concavity", -samples.hessian,
-                         samples.hessian_abs_max, tol, samples)
+# Each condition below reduces one block to the per-direction violation
+# arrays and the offset that `_verdict` judges.
+
+def _concavity(samples: AuditSamples, tol: float):
+    return _definiteness(-samples.hessian, samples.hessian_abs_max, tol)
 
 
-def _symmetry_violations(samples: AuditSamples, tol: float) -> list:
+def _symmetrizability(samples: AuditSamples, tol: float):
     """max |P - P^T| - tol (1 + max |P|), P = eta_UU . F_jU, per j."""
     return [asym - tol * (1.0 + size)
-            for asym, size, _ in samples.symmetry_defects]
+            for asym, size, _ in samples.symmetry_defects], 0.0
 
 
-def check_symmetrizability(samples: AuditSamples,
-                           tol: float = DEFAULT_TOLERANCES["symmetrizability"]
-                           ) -> CheckResult:
-    """eta_UU . F_jU must be symmetric for every direction j."""
-    return _verdict("symmetrizability", _symmetry_violations(samples, tol),
-                    tol, samples)
-
-
-def check_dissipation_matrix(samples: AuditSamples,
-                             tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
-                             ) -> CheckResult:
-    """Symmetric part of M must have eigenvalues >= tol everywhere."""
+def _dissipation_matrix(samples: AuditSamples, tol: float):
     M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
-    return _definiteness("dissipation_matrix", Ms, abs_max(Ms), tol, samples)
+    return _definiteness(Ms, abs_max(Ms), tol)
 
 
-def check_entropy_flux_exists(samples: AuditSamples,
-                              tol: float = DEFAULT_TOLERANCES["entropy_flux"]
-                              ) -> CheckResult:
-    """eta_U . F_jU must be the gradient of an entropy flux psi_j.
-
-    With the model's closed-form `entropy_flux`, the central-difference
-    psi_jU must equal eta_U . F_jU.  Without one, eta_UU . F_jU must be
-    symmetric (Godunov-Mock, see the module docstring)."""
+def _entropy_flux(samples: AuditSamples, tol: float):
+    """With the model's closed-form `entropy_flux`, the central-difference
+    psi_jU against eta_U . F_jU; without one, the symmetry defect of
+    eta_UU . F_jU (Godunov-Mock, see the module docstring)."""
     model, states = samples.model, samples.states
     if model.entropy_flux is None:
-        rels = _symmetry_violations(samples, tol)
-    else:
-        rels = []
-        for j, JF in enumerate(samples.flux_jacobians):
-            G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
-            dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
-                                    states, scale=samples.scale)
-            rels.append(abs_max(dpsi - G, 1) - tol * (1.0 + abs_max(G, 1)))
-    return _verdict("entropy_flux", rels, tol, samples)
+        return _symmetrizability(samples, tol)
+    rels = []
+    for j, JF in enumerate(samples.flux_jacobians):
+        G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
+        dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
+                                states, scale=samples.scale)
+        rels.append(abs_max(dpsi - G, 1) - tol * (1.0 + abs_max(G, 1)))
+    return rels, 0.0
 
 
-def check_source_consistency(samples: AuditSamples,
-                             tol: float = DEFAULT_TOLERANCES["source_consistency"]
-                             ) -> CheckResult:
-    """The solver's relaxation -rates * v (`source_decay_rates`) must equal
-    the source's v-block M . eta_v, relative to 1 + max |M . eta_v|; without
-    rates, only a sample whose M . eta_v is not finite fails."""
+def _source_consistency(samples: AuditSamples, tol: float):
+    """|decay - M . eta_v| / (1 + max |M . eta_v|), NaN where M . eta_v is
+    not finite."""
     model, states = samples.model, samples.states
     n = model.n_conserved
     expected = np.einsum("...ij,...j->...i", samples.dissipation_matrix,
@@ -390,7 +390,7 @@ def check_source_consistency(samples: AuditSamples,
     if model.source_decay_rates is not None:
         decay = -np.asarray(model.source_decay_rates(states)) * states[..., n:]
         gap = np.maximum(gap, abs_max(decay - expected, 1) / norm)
-    return _verdict("source_consistency", [gap], tol, samples, offset=-tol)
+    return [gap], -tol
 
 
 def _real_spectrum_2x2(J: np.ndarray) -> np.ndarray:
@@ -445,6 +445,77 @@ def _certified(samples: AuditSamples, j: int, tol: float) -> np.ndarray:
     return _definite(-samples.hessian, shift)
 
 
+def _hyperbolicity(samples: AuditSamples, tol: float):
+    """max |Im lambda| - tol (1 + spectral radius) per direction: -inf
+    where a certificate decides the sample, `np.linalg.eigvals` elsewhere."""
+    def violation(ev):
+        return abs_max(ev.imag, 1) - tol * (1.0 + abs_max(ev, 1))
+
+    rels = []
+    for j, JF in enumerate(samples.flux_jacobians):
+        certified = (_real_spectrum_2x2(JF) if JF.shape[-1] == 2
+                     else _certified(samples, j, tol))
+        rels.append(_lapack_measure(JF, certified, np.linalg.eigvals,
+                                    violation))
+    return rels, 0.0
+
+
+_CHECKS = {
+    "concavity": _concavity,
+    "symmetrizability": _symmetrizability,
+    "dissipation_matrix": _dissipation_matrix,
+    "entropy_flux": _entropy_flux,
+    "source_consistency": _source_consistency,
+    "hyperbolicity": _hyperbolicity,
+}
+
+
+def _check(name: str, samples: AuditSamples, tol: float) -> CheckResult:
+    rels, offset = _CHECKS[name](samples, tol)
+    return _verdict(name, rels, tol, samples.states, offset)
+
+
+def check_concavity(samples: AuditSamples,
+                    tol: float = DEFAULT_TOLERANCES["concavity"]
+                    ) -> CheckResult:
+    """Entropy must be strictly concave: -eta_UU has eigenvalues >= tol."""
+    return _check("concavity", samples, tol)
+
+
+def check_symmetrizability(samples: AuditSamples,
+                           tol: float = DEFAULT_TOLERANCES["symmetrizability"]
+                           ) -> CheckResult:
+    """eta_UU . F_jU must be symmetric for every direction j."""
+    return _check("symmetrizability", samples, tol)
+
+
+def check_dissipation_matrix(samples: AuditSamples,
+                             tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
+                             ) -> CheckResult:
+    """Symmetric part of M must have eigenvalues >= tol everywhere."""
+    return _check("dissipation_matrix", samples, tol)
+
+
+def check_entropy_flux_exists(samples: AuditSamples,
+                              tol: float = DEFAULT_TOLERANCES["entropy_flux"]
+                              ) -> CheckResult:
+    """eta_U . F_jU must be the gradient of an entropy flux psi_j.
+
+    With the model's closed-form `entropy_flux`, the central-difference
+    psi_jU must equal eta_U . F_jU.  Without one, eta_UU . F_jU must be
+    symmetric (Godunov-Mock, see the module docstring)."""
+    return _check("entropy_flux", samples, tol)
+
+
+def check_source_consistency(samples: AuditSamples,
+                             tol: float = DEFAULT_TOLERANCES["source_consistency"]
+                             ) -> CheckResult:
+    """The solver's relaxation -rates * v (`source_decay_rates`) must equal
+    the source's v-block M . eta_v, relative to 1 + max |M . eta_v|; without
+    rates, only a sample whose M . eta_v is not finite fails."""
+    return _check("source_consistency", samples, tol)
+
+
 def check_hyperbolicity(samples: AuditSamples,
                         tol: float = DEFAULT_TOLERANCES["hyperbolicity"]
                         ) -> CheckResult:
@@ -455,32 +526,14 @@ def check_hyperbolicity(samples: AuditSamples,
     module docstring certifies |Im lambda| <= tol/2 (`_certified`);
     `np.linalg.eigvals` decides the others, and a sample with a non-finite
     Jacobian fails."""
-    def violation(ev):
-        return abs_max(ev.imag, 1) - tol * (1.0 + abs_max(ev, 1))
-
-    rels = []
-    for j, JF in enumerate(samples.flux_jacobians):
-        certified = (_real_spectrum_2x2(JF) if JF.shape[-1] == 2
-                     else _certified(samples, j, tol))
-        rels.append(_lapack_measure(JF, certified, np.linalg.eigvals,
-                                    violation))
-    return _verdict("hyperbolicity", rels, tol, samples)
-
-
-_CHECKS = {
-    "concavity": check_concavity,
-    "symmetrizability": check_symmetrizability,
-    "dissipation_matrix": check_dissipation_matrix,
-    "entropy_flux": check_entropy_flux_exists,
-    "source_consistency": check_source_consistency,
-    "hyperbolicity": check_hyperbolicity,
-}
+    return _check("hyperbolicity", samples, tol)
 
 
 def run_full_audit(model: CdfModel, plan: SamplingPlan,
                    tolerances: Optional[dict] = None) -> AuditReport:
-    """Run every structural check on one draw of the plan's states and
-    aggregate; deterministic in plan.seed."""
+    """Run every structural check on one draw of the plan's states, one
+    block of rows at a time, and judge each condition once over all of
+    them; deterministic in plan.seed and independent of the block size."""
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)
@@ -489,7 +542,18 @@ def run_full_audit(model: CdfModel, plan: SamplingPlan,
         tols.update(tolerances)
     report = AuditReport(model_name=model.name, samples_used=plan.count,
                          seed=plan.seed, box=sampling_box(model, plan))
-    samples = AuditSamples(model, sample_states(model, plan))
-    for name, fn in _CHECKS.items():
-        report.condition_results.append(fn(samples, tols[name]))
+    states = sample_states(model, plan)
+    scale = _fd_scale(states)
+    rows = max(1, _AUDIT_BLOCK_VALUES // model.n_comp ** 2)
+    parts = {name: [] for name in _CHECKS}
+    offsets = {}
+    for start in range(0, len(states), rows):
+        block = AuditSamples(model, states[start:start + rows], scale)
+        for name, fn in _CHECKS.items():
+            rels, offsets[name] = fn(block, tols[name])
+            parts[name].append(rels)
+    for name, blocks in parts.items():
+        rels = [np.concatenate(r) for r in zip(*blocks)]
+        report.condition_results.append(
+            _verdict(name, rels, tols[name], states, offsets[name]))
     return report

@@ -566,6 +566,26 @@ class TestVerifyCommand:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_memory_is_one_config_line(self, tmp_path, monkeypatch,
+                                              capsys):
+        """A draw too large to allocate (numpy refuses the 14.6 TiB of a
+        count of 10^12 heat states at once) ends in exit 2 with one stderr
+        line and no output directory, not in a traceback and the exit
+        status of a failed criterion."""
+        def refuse(model, plan):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array "
+                              f"with shape ({plan.count}, 2)")
+
+        monkeypatch.setattr(cli.verify, "sample_states", refuse)
+        cfg = _cfg(tmp_path, self._payload("heat", HEAT_PARAMS,
+                                           count=10 ** 12))
+        rc = cli.main(["verify", "--config", cfg, "--out",
+                       str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("out of memory: ")
+        assert not (tmp_path / "out").exists()
+
     def test_custom_tolerance_can_fail_a_good_model(self, tmp_path):
         # demanding Hessian eigenvalues <= -10 must flip the verdict
         cfg = _cfg(tmp_path, self._payload(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -387,7 +388,7 @@ def _nested_fd_entropy_flux(samples, tol=verify.DEFAULT_TOLERANCES[
         JG = core.fd_jacobian(G, states, scale=scale)
         asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-2, -1))
         rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-2, -1))))
-    return verify._verdict("entropy_flux", rels, tol, samples)
+    return verify._verdict("entropy_flux", rels, tol, samples.states)
 
 
 class TestEntropyFluxPaths:
@@ -819,7 +820,7 @@ class TestDefinitenessChecks:
     def test_same_result_as_oracle(self, model, tol, name):
         samples = _samples(DEFINITENESS_MODELS[model](), count=2000)
         tol = verify.DEFAULT_TOLERANCES[name] if tol is None else tol
-        res = verify._CHECKS[name](samples, tol)
+        res = verify._check(name, samples, tol)
         assert res.to_dict() == _eigvalsh_oracle(samples, name,
                                                  tol).to_dict()
 
@@ -830,7 +831,7 @@ class TestDefinitenessChecks:
         oracle's witness."""
         samples = _samples(heat_model(HeatParams()), count=2000)
         oracle = _eigvalsh_oracle(samples, name, 0.5)
-        res = verify._CHECKS[name](samples, 0.5)
+        res = verify._check(name, samples, 0.5)
         assert not res.passed and res.witness_state is not None
         assert res.to_dict() == oracle.to_dict()
         if name == "concavity":
@@ -886,9 +887,8 @@ class TestVerdict:
     STATES = np.array([[1.0, 0.0], [1.1, 0.1], [1.2, 0.2]])
 
     def _verdict(self, rels, offset=0.0):
-        holder = verify.AuditSamples(heat_model(HeatParams()), self.STATES)
         return verify._verdict("x", [np.array(r) for r in rels], 1e-6,
-                               holder, offset)
+                               self.STATES, offset)
 
     def test_tie_takes_the_first_direction(self):
         res = self._verdict([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0]])
@@ -918,7 +918,7 @@ class TestVerdict:
         else:
             samples.dissipation_matrix = lam * np.eye(1)
         tol = verify.DEFAULT_TOLERANCES[name]
-        return samples, verify._CHECKS[name](samples, tol)
+        return samples, verify._check(name, samples, tol)
 
     @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
     def test_definiteness_exactly_at_tolerance(self, name):
@@ -931,6 +931,126 @@ class TestVerdict:
         samples, res = self._definiteness(name, [1.0, below, tol])
         assert not res.passed and res.worst_violation == tol - below
         assert np.array_equal(res.witness_state, samples.states[1])
+
+
+# 700 values per n x n stack: blocks of 175 heat rows and 28 fluid rows
+TINY_BLOCK = 700
+
+
+def _signed_M(values):
+    """Heat whose 1x1 dissipation matrix is `values[i]` at a state whose
+    second component w is i / 1000 (so each state picks its own M)."""
+    heat = heat_model(HeatParams())
+    values = np.asarray(values, dtype=float)
+
+    def M(U):
+        return values[np.rint(U[..., 1] * 1000).astype(int)][..., None, None]
+
+    return dataclasses.replace(heat, dissipation_matrix=M,
+                               name="heat-signed-M")
+
+
+class TestAuditBlocks:
+    """`run_full_audit` works through its states one block of
+    `_AUDIT_BLOCK_VALUES // n^2` rows at a time and judges each condition
+    once over all of them, so its report does not depend on the block
+    size.  Here the blocks are tiny, the last one partial."""
+
+    STATES = np.column_stack([np.linspace(1.0, 1.5, 1000),
+                              np.arange(1000) / 1000])
+
+    def _audit(self, monkeypatch, model, values=TINY_BLOCK,
+               tolerances=None, **plan):
+        monkeypatch.setattr(verify, "_AUDIT_BLOCK_VALUES", values)
+        return verify.run_full_audit(model, verify.SamplingPlan(**plan),
+                                     tolerances)
+
+    @pytest.mark.parametrize("make, rows", [
+        (lambda: heat_model(HeatParams()), [175] * 5 + [125]),
+        (lambda: heat_model(HeatParams(space_dim=2)), [77] * 12 + [76]),
+        (lambda: fluid_model(FluidParams()), [28] * 35 + [20]),
+    ], ids=["heat", "heat-2d", "fluid"])
+    def test_one_derivative_pass_per_block(self, make, rows, monkeypatch):
+        """Each block's Hessian is evaluated once, on its own rows."""
+        seen = []
+        real = core.entropy_hessian
+
+        def hessian(model, U, *args, **kwargs):
+            seen.append(len(U))
+            return real(model, U, *args, **kwargs)
+
+        monkeypatch.setattr(core, "entropy_hessian", hessian)
+        self._audit(monkeypatch, make(), count=1000)
+        assert seen == rows
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat_model(HeatParams()),
+        lambda: heat_model(HeatParams(space_dim=2)),
+        lambda: fluid_model(FluidParams()),
+        lambda: sign_flipped_heat_model(HeatParams()),
+        lambda: _nan_flux(heat_model(HeatParams())),
+        _nan_fluid_M,
+        _nan_heat_entropy_grad,
+        lambda: _constant_M(-2.0),
+    ], ids=["heat", "heat-2d", "fluid", "heat-signflip", "heat-nan-flux",
+            "fluid-nan-M", "heat-nan-hessian", "heat-indefinite-M"])
+    def test_same_report_as_one_block(self, make, monkeypatch):
+        """Also at tolerances of 0.5, which fail part of heat's box."""
+        raised = {"concavity": 0.5, "dissipation_matrix": 0.5}
+        for tols in (None, raised):
+            one = self._audit(monkeypatch, make(), 2 ** 30, tols,
+                              count=1000, seed=5)
+            tiny = self._audit(monkeypatch, make(), tolerances=tols,
+                               count=1000, seed=5)
+            assert tiny.to_dict() == one.to_dict()
+
+    def _dissipation(self, monkeypatch, values):
+        monkeypatch.setattr(verify, "sample_states",
+                            lambda model, plan: self.STATES)
+        report = self._audit(monkeypatch, _signed_M(values), count=1000)
+        return next(r for r in report.condition_results
+                    if r.name == "dissipation_matrix")
+
+    def test_tie_between_blocks_goes_to_the_earlier_block(self,
+                                                          monkeypatch):
+        """Rows 300 (block 1), 500 (block 2) and 900 (block 5) share the
+        worst M = -2: the witness is row 300."""
+        values = np.ones(1000)
+        values[[300, 500, 900]] = -2.0
+        res = self._dissipation(monkeypatch, values)
+        assert not res.passed
+        assert res.worst_violation == 2.0 + res.tolerance
+        assert np.array_equal(res.witness_state, self.STATES[300])
+
+    @pytest.mark.parametrize("worst", [-3.0, np.nan], ids=["worst", "nan"])
+    def test_later_block_holds_the_witness(self, worst, monkeypatch):
+        """A failing row in block 0 loses to a worse one, or to a NaN, in
+        block 3: the witness is that row, by its index in the full
+        states."""
+        values = np.ones(1000)
+        values[[10, 800]] = -1.0
+        values[600] = worst
+        res = self._dissipation(monkeypatch, values)
+        assert not res.passed
+        assert np.array_equal(res.witness_state, self.STATES[600])
+        assert res.to_dict()["worst_violation"] == (
+            None if np.isnan(worst) else 3.0 + res.tolerance)
+
+    def test_memory_is_bounded_by_the_block(self):
+        """The traced peak of a fluid audit grows with count . n (states
+        and per-sample violations), not with the n x n derivatives of every
+        sample: four times the samples stay within 1.6 times the peak."""
+        fluid = fluid_model(FluidParams())
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                verify.run_full_audit(fluid, verify.SamplingPlan(count=count))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40000) <= 1.6 * peak(10000)
 
 
 def _special_values_stack(rng, shape):
