@@ -46,7 +46,10 @@ class CdfModel:
     `source_decay_rates(U)` gives per dissipative component the rate r of
     the source -r v, and must depend on the conserved block of U only: the
     solver relaxes v exactly by exp(-r dt) with r held fixed, and reuses one
-    evaluation for the two half steps that relax a field.
+    evaluation for the two half steps that relax a field.  Without them, a
+    source linear in v is relaxed by its exact linear operator, built and
+    reused in the same way, and checked at every state it relaxes from or
+    to.
     """
 
     name: str

@@ -41,7 +41,8 @@ def heat_model(params: HeatParams,
     with a user-supplied state-dependent matrix (the generalized,
     anisotropic variant).  The model then has no closed-form decay rates;
     the solver relaxes w exactly through the matrix exponential of
-    -M/alpha0 when M is symmetric and depends on u only, and by an
+    -M/alpha0 when M is symmetric and depends on u only, building that
+    operator once for the two half steps that relax a field, and by an
     implicit-midpoint update otherwise.
     """
     c_v, lam, a0 = params.c_v, params.lambda_, params.alpha0

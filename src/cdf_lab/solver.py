@@ -12,13 +12,16 @@ transport alone pads it with one ghost cell at each end of every spatial
 axis (`with_ghosts`), sums the face-flux differences axis by axis, and
 rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
 
-Closed-form decay rates are evaluated once per relaxed field, for both
-half steps that relax it: they depend on the conserved block only, which
+A field's relaxation (`_relaxation`) is built once, for both half steps
+that relax it: the closed-form decay rates, or else the exact operator of
+a source linear in v, depend on the conserved block only, which
 relaxation leaves untouched, so the closing half step of one step and the
-opening half step of the next read the same rates.  `run` evaluates them
-for the initial field, and then `strang_step` for each step's output: a
-run makes steps + 1 evaluations, as a retried step starts from the same
-cells and reuses their rates.
+opening half step of the next apply the same one.  `run` builds it for
+the initial field, and then `strang_step` for each step's transport
+output: a run makes steps + 1 builds, as a retried step starts from the
+same cells and reuses theirs.  A linear operator is still checked at
+every state a half step starts or ends at, except a start state that is
+the end state it last checked.
 
 Wave speeds are evaluated once per step, by transport.  The time loop
 takes each dt from the CFL speed the previous step's transport measured
@@ -327,36 +330,81 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
     return new, f_ends[0], f_ends[1], smax
 
 
-def _decay_rates(model: CdfModel, field_arr: np.ndarray):
-    """The model's closed-form decay rates at the cells, or None when it
-    declares none."""
-    if model.source_decay_rates is None:
+@dataclass(eq=False)
+class _LinearRelaxation:
+    """The exact relaxation operator of a source M eta_v with eta_v = -A v
+    at each cell (rows): with A = L L^T and L^T M L = Q diag(lam) Q^T,
+    v(t) = from_modes exp(-t lam) to_modes v(0).  `verified` is the state
+    (rows) it was built at or, once it has relaxed cells, the end state it
+    checked then; None when that check failed."""
+
+    A: np.ndarray            # symmetric positive definite
+    M: np.ndarray            # symmetric
+    to_modes: np.ndarray     # Q^T L^T
+    from_modes: np.ndarray   # L^-T Q
+    lam: np.ndarray
+    verified: Optional[np.ndarray]
+
+
+# `step_source_exact`'s relaxation of cells where `_relaxation` found no
+# linear operator: the implicit midpoint, without a second build
+_MIDPOINT = "midpoint"
+
+
+def _relaxation(model: CdfModel, cells: np.ndarray):
+    """How `step_source_exact` relaxes the cells: the model's closed-form
+    decay rates there; else, when the source is linear in v there, its
+    exact operator (`_LinearRelaxation`), built and checked at the cells;
+    else None, the implicit-midpoint fallback."""
+    if model.source_decay_rates is not None:
+        return np.asarray(model.source_decay_rates(cells), dtype=float)
+    n = model.n_conserved
+    # not core.entropy_gradient: its admissibility check would raise on a
+    # shifted-v state instead of falling back to the implicit midpoint
+    flat = cells.reshape(-1, cells.shape[-1])
+    g, A = _eta_v_and_A(model.entropy_grad, flat, n)
+    M = np.asarray(model.dissipation_matrix(flat), dtype=float)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:   # A is not positive definite
         return None
-    return np.asarray(model.source_decay_rates(field_arr), dtype=float)
+    if not (_close(A.transpose(0, 2, 1), A)
+            and _close(M.transpose(0, 2, 1), M)
+            and _close(g, -_matvec(A, flat[:, n:]))):
+        return None
+    Lt = L.transpose(0, 2, 1)
+    lam, Q = np.linalg.eigh(Lt @ M @ L)
+    return _LinearRelaxation(A, M, Q.transpose(0, 2, 1) @ Lt,
+                             np.linalg.solve(Lt, Q), lam, flat.copy())
 
 
 def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
-                      rates=None) -> np.ndarray:
+                      relaxation=None) -> np.ndarray:
     """Relax v over dt under v' = M(U) eta_v; conserved block untouched.
 
-    Uses the model's closed-form per-component rates when declared:
-    `rates` when the caller has them for these cells (`_decay_rates`),
-    else evaluated here.
-    Otherwise, when eta_v = -A(u) v with A symmetric positive definite and
-    M(u) symmetric (both independent of v), the source is the linear ODE
-    v' = -M A v, solved exactly for all cells at once: with A = L L^T and
-    L^T M L = Q diag(lam) Q^T,  v <- L^-T Q exp(-dt lam) Q^T L^T v.
-    Any other source falls back to a batched implicit-midpoint Newton solve.
+    `relaxation` is what `_relaxation` built for these cells or, for a
+    linear operator, for cells with the same conserved block (an earlier
+    half step's); None builds it here, and `_MIDPOINT` takes the fallback
+    below without a build.  Closed-form rates r relax v by exp(-r dt).  A
+    linear operator, for eta_v = -A(u) v with A symmetric positive
+    definite and M(u) symmetric (both independent of v), solves the linear
+    ODE v' = -M A v exactly for all cells at once,
+    v <- L^-T Q exp(-dt lam) Q^T L^T v, by two batched matrix products.
+    It is checked at the start state, unless that is the end state it last
+    checked, and at the end state: A and M unchanged and eta_v = -A v
+    there.  A start state that fails is relaxed by the operator built
+    there instead; an end state that fails, and any other source, falls
+    back to a batched implicit-midpoint Newton solve from the start state.
     """
     n = model.n_conserved
     new = field_arr.copy()
     if model.source_decay_rates is not None:
-        if rates is None:
-            rates = _decay_rates(model, field_arr)
-        decay = rates * -dt
+        if relaxation is None:
+            relaxation = _relaxation(model, field_arr)
+        decay = relaxation * -dt
         new[..., n:] *= np.exp(decay, out=decay)
         return new
-    v = _relax_linear(model, new, dt)
+    v = _relax_linear(model, new, dt, relaxation)
     new[..., n:] = _relax_midpoint(model, new, dt) if v is None else v
     return new
 
@@ -369,8 +417,13 @@ def _close(a: np.ndarray, b: np.ndarray) -> bool:
     """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (axis 0);
     false wherever either is not finite."""
     axes = b.ndim - 1
-    return bool(np.all(abs_max(a - b, axes)
-                       <= _LINEAR_TOL * abs_max(b, axes)))
+    ok = abs_max(a - b, axes) <= _LINEAR_TOL * abs_max(b, axes)
+    return np.count_nonzero(ok) == ok.size
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for each row of the matrices A and vectors v."""
+    return (A @ v[..., None])[..., 0]
 
 
 def _eta_v_and_A(grad, U: np.ndarray, n: int):
@@ -387,37 +440,40 @@ def _eta_v_and_A(grad, U: np.ndarray, n: int):
     return G[0], A.transpose(1, 2, 0)
 
 
-def _relax_linear(model: CdfModel, U: np.ndarray, dt: float):
-    """Exact relaxed v-block of every cell of U, or None unless the source
-    M eta_v has eta_v = -A v, A symmetric positive definite, M symmetric,
-    and both unchanged along the step (checked on the call's own states)."""
+def _holds(model: CdfModel, op: _LinearRelaxation, flat: np.ndarray) -> bool:
+    """Whether `op` is the source at the states `flat` (rows): A and M as
+    in `op` and eta_v = -A v there; one entropy_grad and one
+    dissipation_matrix call."""
     n = model.n_conserved
-    # not core.entropy_gradient: its admissibility check would raise on a
-    # shifted-v state instead of falling back to the implicit midpoint
-    flat = U.reshape(-1, U.shape[-1])
-    v0 = flat[:, n:]
-    g0, A = _eta_v_and_A(model.entropy_grad, flat, n)
+    g, A = _eta_v_and_A(model.entropy_grad, flat, n)
     M = np.asarray(model.dissipation_matrix(flat), dtype=float)
-    try:
-        L = np.linalg.cholesky(A)
-        Lt = L.transpose(0, 2, 1)
-        lam, Q = np.linalg.eigh(Lt @ M @ L)
-        y = Q.transpose(0, 2, 1) @ (Lt @ v0[..., None])
-        v1 = np.linalg.solve(Lt, Q @ (np.exp(-dt * lam)[..., None] * y))
-    except np.linalg.LinAlgError:   # A is not positive definite
+    return (_close(A, op.A) and _close(M, op.M)
+            and _close(g, -_matvec(op.A, flat[:, n:])))
+
+
+def _relax_linear(model: CdfModel, U: np.ndarray, dt: float, op=None):
+    """Exact relaxed v-block of every cell of U by `op`, built at U when
+    there is none or U fails its check, or None when there is no operator
+    at U or the result fails its check (see `step_source_exact`)."""
+    if op is _MIDPOINT:
         return None
-    U1 = flat.copy()
-    U1[:, n:] = v1[..., 0]
-    g1, A1 = _eta_v_and_A(model.entropy_grad, U1, n)
-    M1 = np.asarray(model.dissipation_matrix(U1), dtype=float)
-    V = np.stack([v0, U1[:, n:]], axis=1)
-    if not (_close(np.stack([A.transpose(0, 2, 1), A1], axis=1), A[:, None])
-            and _close(np.stack([M.transpose(0, 2, 1), M1], axis=1),
-                       M[:, None])
-            and _close(np.stack([g0, g1], axis=1),
-                       -np.einsum("cij,ckj->cki", A, V))):
+    n = model.n_conserved
+    flat = U.reshape(-1, U.shape[-1])
+    # array_equal is False while `verified` is None
+    if op is None or not (np.array_equal(flat, op.verified)
+                          or _holds(model, op, flat)):
+        op = _relaxation(model, U)
+        if op is None:
+            return None
+    modes = op.to_modes @ flat[:, n:, None]
+    modes *= np.exp(-dt * op.lam)[..., None]
+    end = flat.copy()
+    end[:, n:] = (op.from_modes @ modes)[..., 0]
+    if not _holds(model, op, end):
+        op.verified = None
         return None
-    return U1[:, n:].reshape(U.shape[:-1] + (-1,))
+    op.verified = end
+    return end[:, n:].reshape(U.shape[:-1] + (-1,))
 
 
 def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
@@ -473,20 +529,25 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
 def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
                 grid: Grid1D | Grid2D, boundary: str = "periodic",
                 left_state=None, right_state=None, cfl: float = 1.0,
-                rates=None):
+                relaxation=None):
     """S(dt/2) o H(dt) o S(dt/2) on the cells (no ghosts); conserves the
-    conserved block exactly.  `rates` are the cells' `_decay_rates`, when
-    the caller has them.  Returns what `step_hyperbolic` does, with the
-    cells relaxed by the closing half step, and then the decay rates of
-    the returned cells (None without closed-form rates): the next step's
-    opening half step reads them."""
-    half = step_source_exact(model, cells, 0.5 * dt, rates)
+    conserved block exactly.  `relaxation` is the cells' `_relaxation`, or
+    the one handed on by the step that returned the cells, when the caller
+    has it.  Returns what `step_hyperbolic` does, with the cells relaxed by
+    the closing half step, and then the `_relaxation` built for the
+    transport output, which that half step applied and the next step's
+    opening half step applies again: closed-form rates, a linear operator
+    (checked again by that half step unless it last checked the returned
+    cells), or None, and that half step builds its own."""
+    half = step_source_exact(model, cells, 0.5 * dt, relaxation)
     out, f_left, f_right, speed = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl)
-    # relaxation keeps the conserved block, on which alone the rates depend
-    rates = _decay_rates(model, out)
-    return (step_source_exact(model, out, 0.5 * dt, rates), f_left, f_right,
-            speed, rates)
+    # relaxation keeps the conserved block, on which alone the rates and
+    # the linear operator depend
+    relaxation = _relaxation(model, out)
+    closing = _MIDPOINT if relaxation is None else relaxation
+    return (step_source_exact(model, out, 0.5 * dt, closing), f_left,
+            f_right, speed, relaxation)
 
 
 def _audit_or_raise(model: CdfModel) -> None:
@@ -589,7 +650,7 @@ def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
     # the ghosts hold what the end faces read, fixed boundary states
     # included, so their speeds bound dt as in the CFL recheck
     speed = _axis_speeds(model, with_ghosts(field_arr, *bc), spacing)[2]
-    rates = _decay_rates(model, field_arr)
+    relaxation = _relaxation(model, field_arr)
     every = next_out = scenario.output_every
     try:
         record_diag(t, speed)
@@ -600,15 +661,15 @@ def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
             dt = time_step(speed)
             try:
                 step = strang_step(model, field_arr, dt, grid, *bc,
-                                   scenario.cfl, rates)
+                                   scenario.cfl, relaxation)
             except CflError as err:
                 if not math.isfinite(err.speed):
                     raise
                 traj.cfl_retries += 1
                 dt = time_step(err.speed)
                 step = strang_step(model, field_arr, dt, grid, *bc,
-                                   scenario.cfl, rates)
-            field_arr, f_left, f_right, speed, rates = step
+                                   scenario.cfl, relaxation)
+            field_arr, f_left, f_right, speed, relaxation = step
             traj.boundary_inflow += (f_left - f_right) * dt
             t += dt
             record_diag(t, speed)
