@@ -12,16 +12,18 @@ transport alone pads it with one ghost cell at each end of every spatial
 axis (`with_ghosts`), sums the face-flux differences axis by axis, and
 rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
 
-A field's relaxation (`_relaxation`) is built once, for both half steps
-that relax it: the closed-form decay rates, or else the exact operator of
-a source linear in v, depend on the conserved block only, which
-relaxation leaves untouched, so the closing half step of one step and the
-opening half step of the next apply the same one.  `run` builds it for
-the initial field, and then `strang_step` for each step's transport
-output: a run makes steps + 1 builds, as a retried step starts from the
-same cells and reuses theirs.  A linear operator is still checked at
-every state a half step starts or ends at, except a start state that is
-the end state it last checked.
+A field's relaxation (`_relaxation`) is one callable, built once for both
+half steps that relax it: the closed-form decay rates, else the exact
+operator of a source linear in v, else the implicit midpoint.  The rates
+and the operator depend on the conserved block only, which relaxation
+leaves untouched, so the closing half step of one step and the opening
+half step of the next apply the same one.  `run` builds it for the
+initial field, and then `strang_step` for each step's transport output:
+a run makes steps + 1 builds, whatever the source, as a retried step
+starts from the same cells and reuses theirs.  A linear operator is still
+checked at every state a half step starts or ends at, except a start
+state that is the end state it last checked, and builds one more
+relaxation at a start state that fails.
 
 Wave speeds are evaluated once per step, by transport.  The time loop
 takes each dt from the CFL speed the previous step's transport measured
@@ -42,6 +44,7 @@ sigma evaluation is also the admissibility check of the relaxed states.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -330,35 +333,37 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
     return new, f_ends[0], f_ends[1], smax
 
 
-@dataclass(eq=False)
-class _LinearRelaxation:
-    """The exact relaxation operator of a source M eta_v with eta_v = -A v
-    at each cell (rows): with A = L L^T and L^T M L = Q diag(lam) Q^T,
-    v(t) = from_modes exp(-t lam) to_modes v(0).  `verified` is the state
-    (rows) it was built at or, once it has relaxed cells, the end state it
-    checked then; None when that check failed."""
+def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
+                      relaxation=None) -> np.ndarray:
+    """Relax v over dt under v' = M(U) eta_v; conserved block untouched.
 
-    A: np.ndarray            # symmetric positive definite
-    M: np.ndarray            # symmetric
-    to_modes: np.ndarray     # Q^T L^T
-    from_modes: np.ndarray   # L^-T Q
-    lam: np.ndarray
-    verified: Optional[np.ndarray]
-
-
-# `step_source_exact`'s relaxation of cells where `_relaxation` found no
-# linear operator: the implicit midpoint, without a second build
-_MIDPOINT = "midpoint"
+    Returns a copy of the field relaxed in place by `relaxation`, the one
+    callable `_relaxation` built for these cells or for cells with the same
+    conserved block (an earlier half step's, so that a run builds steps + 1
+    for every source); None builds it here.
+    """
+    new = field_arr.copy()
+    if relaxation is None:
+        relaxation = _relaxation(model, field_arr)
+    relaxation(new, dt)
+    return new
 
 
 def _relaxation(model: CdfModel, cells: np.ndarray):
-    """How `step_source_exact` relaxes the cells: the model's closed-form
-    decay rates there; else, when the source is linear in v there, its
+    """The relaxation of the cells, and of any with their conserved block:
+    a callable relax(U, dt) that relaxes the v-block of the cells U over dt
+    in place.  By the model's closed-form decay rates r at the cells,
+    v <- exp(-r dt) v; else, when the source is linear in v there, by its
     exact operator (`_LinearRelaxation`), built and checked at the cells;
-    else None, the implicit-midpoint fallback."""
-    if model.source_decay_rates is not None:
-        return np.asarray(model.source_decay_rates(cells), dtype=float)
+    else by the batched implicit midpoint (`_midpoint`)."""
     n = model.n_conserved
+    if model.source_decay_rates is not None:
+        rates = np.asarray(model.source_decay_rates(cells), dtype=float)
+
+        def relax(U, dt):
+            decay = rates * -dt
+            U[..., n:] *= np.exp(decay, out=decay)
+        return relax
     # not core.entropy_gradient: its admissibility check would raise on a
     # shifted-v state instead of falling back to the implicit midpoint
     flat = cells.reshape(-1, cells.shape[-1])
@@ -367,46 +372,70 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:   # A is not positive definite
-        return None
+        return functools.partial(_midpoint, model)
     if not (_close(A.transpose(0, 2, 1), A)
             and _close(M.transpose(0, 2, 1), M)
             and _close(g, -_matvec(A, flat[:, n:]))):
-        return None
+        return functools.partial(_midpoint, model)
     Lt = L.transpose(0, 2, 1)
     lam, Q = np.linalg.eigh(Lt @ M @ L)
-    return _LinearRelaxation(A, M, Q.transpose(0, 2, 1) @ Lt,
+    return _LinearRelaxation(model, A, M, Q.transpose(0, 2, 1) @ Lt,
                              np.linalg.solve(Lt, Q), lam, flat.copy())
 
 
-def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
-                      relaxation=None) -> np.ndarray:
-    """Relax v over dt under v' = M(U) eta_v; conserved block untouched.
+def _midpoint(model: CdfModel, U: np.ndarray, dt: float) -> None:
+    """Relax the cells U over dt in place by `_relax_midpoint`."""
+    U[..., model.n_conserved:] = _relax_midpoint(model, U, dt)
 
-    `relaxation` is what `_relaxation` built for these cells or, for a
-    linear operator, for cells with the same conserved block (an earlier
-    half step's); None builds it here, and `_MIDPOINT` takes the fallback
-    below without a build.  Closed-form rates r relax v by exp(-r dt).  A
-    linear operator, for eta_v = -A(u) v with A symmetric positive
-    definite and M(u) symmetric (both independent of v), solves the linear
-    ODE v' = -M A v exactly for all cells at once,
-    v <- L^-T Q exp(-dt lam) Q^T L^T v, by two batched matrix products.
-    It is checked at the start state, unless that is the end state it last
-    checked, and at the end state: A and M unchanged and eta_v = -A v
-    there.  A start state that fails is relaxed by the operator built
-    there instead; an end state that fails, and any other source, falls
-    back to a batched implicit-midpoint Newton solve from the start state.
-    """
-    n = model.n_conserved
-    new = field_arr.copy()
-    if model.source_decay_rates is not None:
-        if relaxation is None:
-            relaxation = _relaxation(model, field_arr)
-        decay = relaxation * -dt
-        new[..., n:] *= np.exp(decay, out=decay)
-        return new
-    v = _relax_linear(model, new, dt, relaxation)
-    new[..., n:] = _relax_midpoint(model, new, dt) if v is None else v
-    return new
+
+@dataclass(eq=False)
+class _LinearRelaxation:
+    """The exact relaxation of a source M eta_v with eta_v = -A v, A
+    symmetric positive definite and M symmetric (both independent of v),
+    at each cell (rows): with A = L L^T and L^T M L = Q diag(lam) Q^T, the
+    linear ODE v' = -M A v has v(t) = from_modes exp(-t lam) to_modes v(0),
+    for all cells at once by two batched matrix products.  `verified` is
+    the state (rows) it was built at or, once it has relaxed cells, the end
+    state it checked then; None when that check failed."""
+
+    model: CdfModel
+    A: np.ndarray
+    M: np.ndarray
+    to_modes: np.ndarray     # Q^T L^T
+    from_modes: np.ndarray   # L^-T Q
+    lam: np.ndarray
+    verified: Optional[np.ndarray]
+
+    def holds(self, flat: np.ndarray) -> bool:
+        """Whether this is the source at the states `flat` (rows): A and M
+        as here and eta_v = -A v there; one entropy_grad and one
+        dissipation_matrix call."""
+        n = self.model.n_conserved
+        g, A = _eta_v_and_A(self.model.entropy_grad, flat, n)
+        M = np.asarray(self.model.dissipation_matrix(flat), dtype=float)
+        return (_close(A, self.A) and _close(M, self.M)
+                and _close(g, -_matvec(self.A, flat[:, n:])))
+
+    def __call__(self, U: np.ndarray, dt: float) -> None:
+        """Relax the cells U over dt in place.  Checked at the start state,
+        unless it is `verified`, and at the end state; a start state that
+        fails is relaxed by the relaxation built there instead, and an end
+        state that fails by the implicit midpoint from the start state."""
+        n = self.model.n_conserved
+        flat = U.reshape(-1, U.shape[-1])
+        # array_equal is False while `verified` is None
+        if not (np.array_equal(flat, self.verified) or self.holds(flat)):
+            return _relaxation(self.model, U)(U, dt)
+        modes = self.to_modes @ flat[:, n:, None]
+        modes *= np.exp(-dt * self.lam)[..., None]
+        end = flat.copy()
+        end[:, n:] = (self.from_modes @ modes)[..., 0]
+        if self.holds(end):
+            self.verified = end
+            U[...] = end.reshape(U.shape)
+        else:
+            self.verified = None
+            _midpoint(self.model, U, dt)
 
 
 # Relative tolerance of the checks that the source is linear in v.
@@ -438,42 +467,6 @@ def _eta_v_and_A(grad, U: np.ndarray, n: int):
     G = np.asarray(grad(X), dtype=float)[..., n:]
     A = (G[0] - G[1:]) / h.T[..., None]      # A[j, cell, i]
     return G[0], A.transpose(1, 2, 0)
-
-
-def _holds(model: CdfModel, op: _LinearRelaxation, flat: np.ndarray) -> bool:
-    """Whether `op` is the source at the states `flat` (rows): A and M as
-    in `op` and eta_v = -A v there; one entropy_grad and one
-    dissipation_matrix call."""
-    n = model.n_conserved
-    g, A = _eta_v_and_A(model.entropy_grad, flat, n)
-    M = np.asarray(model.dissipation_matrix(flat), dtype=float)
-    return (_close(A, op.A) and _close(M, op.M)
-            and _close(g, -_matvec(op.A, flat[:, n:])))
-
-
-def _relax_linear(model: CdfModel, U: np.ndarray, dt: float, op=None):
-    """Exact relaxed v-block of every cell of U by `op`, built at U when
-    there is none or U fails its check, or None when there is no operator
-    at U or the result fails its check (see `step_source_exact`)."""
-    if op is _MIDPOINT:
-        return None
-    n = model.n_conserved
-    flat = U.reshape(-1, U.shape[-1])
-    # array_equal is False while `verified` is None
-    if op is None or not (np.array_equal(flat, op.verified)
-                          or _holds(model, op, flat)):
-        op = _relaxation(model, U)
-        if op is None:
-            return None
-    modes = op.to_modes @ flat[:, n:, None]
-    modes *= np.exp(-dt * op.lam)[..., None]
-    end = flat.copy()
-    end[:, n:] = (op.from_modes @ modes)[..., 0]
-    if not _holds(model, op, end):
-        op.verified = None
-        return None
-    op.verified = end
-    return end[:, n:].reshape(U.shape[:-1] + (-1,))
 
 
 def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
@@ -533,20 +526,18 @@ def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
     """S(dt/2) o H(dt) o S(dt/2) on the cells (no ghosts); conserves the
     conserved block exactly.  `relaxation` is the cells' `_relaxation`, or
     the one handed on by the step that returned the cells, when the caller
-    has it.  Returns what `step_hyperbolic` does, with the cells relaxed by
-    the closing half step, and then the `_relaxation` built for the
-    transport output, which that half step applied and the next step's
-    opening half step applies again: closed-form rates, a linear operator
-    (checked again by that half step unless it last checked the returned
-    cells), or None, and that half step builds its own."""
+    has it; None builds it.  Returns what `step_hyperbolic` does, with the
+    cells relaxed by the closing half step, and then the `_relaxation`
+    built for the transport output, which that half step applied and the
+    next step's opening half step applies again (a linear operator checks
+    that start state again unless it last checked the returned cells)."""
     half = step_source_exact(model, cells, 0.5 * dt, relaxation)
     out, f_left, f_right, speed = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl)
     # relaxation keeps the conserved block, on which alone the rates and
     # the linear operator depend
     relaxation = _relaxation(model, out)
-    closing = _MIDPOINT if relaxation is None else relaxation
-    return (step_source_exact(model, out, 0.5 * dt, closing), f_left,
+    return (step_source_exact(model, out, 0.5 * dt, relaxation), f_left,
             f_right, speed, relaxation)
 
 

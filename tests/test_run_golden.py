@@ -16,7 +16,16 @@ in the directory `<name>/` beside it:
   0.0025 on 128 cells, which is monotone with slope 0.933 and passes (on
   64 cells the scheme's own error holds the slope at 0.762, outside the
   band);
+- heat-signflip: heat with the sign of its dissipative entropy flipped,
+  run with `--override-audit` past the audit it fails, alpha0 = 0.1, 32
+  cells to t_end 0.05, 13 steps: no linear relaxation operator exists,
+  so every half step takes the implicit midpoint;
 - powerlaw: the default shear-rate sweep for mu0 = 1, alpha = 0.5.
+
+`heat-aniso.pin.json` in `tests/data/solver` pins, as `float.hex`, the
+final field and the per-step diagnostics of `solver.run` on heat with the
+state-dependent M(u) = (1 + u)/u^2, which the CLI cannot express and which
+the exact linear relaxation operator relaxes.
 
 The files were written by `cdf-lab <command> --config <name>.config.json
 --out DIR` with numpy 2.4.6.  They hold floating-point values to the last
@@ -27,18 +36,22 @@ change to how a run computes them shows here.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cdf_lab import cli
+from cdf_lab import cli, solver
+from cdf_lab.heat import HeatParams, heat_model
 
 DATA = Path(__file__).parent / "data" / "run"
 CASES = sorted(p.name[:-len(".config.json")]
                for p in DATA.glob("*.config.json"))
+# command-line flags a case runs with besides its config
+FLAGS = {"heat-signflip": ["--override-audit"]}
 
 
 def test_every_case_present():
     assert CASES == ["converge", "fluid-stiff", "heat", "heat-shock",
-                     "powerlaw"]
+                     "heat-signflip", "powerlaw"]
 
 
 def _first_difference(name: str, got: bytes, expected: bytes) -> str:
@@ -55,10 +68,34 @@ def test_output_bytes(name, tmp_path):
     config = DATA / f"{name}.config.json"
     command = json.loads(config.read_text())["command"]
     assert cli.main([command, "--config", str(config),
-                     "--out", str(tmp_path)]) == 0
+                     "--out", str(tmp_path)] + FLAGS.get(name, [])) == 0
     expected = sorted((DATA / name).iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == [p.name for p in expected]
     for path in expected:
         got, want = (tmp_path / path.name).read_bytes(), path.read_bytes()
         assert got == want, _first_difference(path.name, got, want)
+
+
+def test_linear_operator_run_bits():
+    def dissipation(U):
+        u = U[..., 0]
+        return ((1.0 + u) / u ** 2)[..., None, None]
+
+    sc = solver.Scenario(
+        model=heat_model(HeatParams(alpha0=0.1), dissipation=dissipation),
+        grid=solver.Grid1D(64),
+        initial_condition=lambda x: np.array(
+            [1.0 + 0.1 * np.sin(2.0 * np.pi * x), 0.0]),
+        t_end=0.03, output_every=0.03)
+    traj = solver.run(sc)
+    pin = json.loads((DATA.parent / "solver" / "heat-aniso.pin.json")
+                     .read_text())
+
+    def hexes(values):
+        return [[float(x).hex() for x in np.ravel(row)] for row in values]
+
+    assert hexes(traj.snapshots[-1]) == pin["final_field"]
+    assert hexes(traj.totals) == pin["totals"]
+    for key in ("total_entropy", "min_sigma", "max_sigma"):
+        assert [float(x).hex() for x in getattr(traj, key)] == pin[key], key

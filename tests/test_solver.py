@@ -367,12 +367,13 @@ class TestStepSourceExact:
     def test_rates_path_equals_the_formula_bitwise(self, fluid):
         U = random_fluid_states(fluid, 200)
         rates = fluid.source_decay_rates(U)
-        for given in (None, rates):
+        # a handed-on relaxation, twice: it reads its rates, and does not
+        # overwrite them
+        relax = solver._relaxation(fluid, U)
+        for given in (None, relax, relax):
             out = step_source_exact(fluid, U, 0.3, given)
             assert np.array_equal(out[:, :3], U[:, :3])
             assert np.array_equal(out[:, 3:], U[:, 3:] * np.exp(-rates * 0.3))
-        # the caller's rates are read, not overwritten
-        assert np.array_equal(rates, fluid.source_decay_rates(U))
 
     def test_long_time_equilibrium(self, fluid):
         f = conserved_from_primitive(1.0, 0.5, 1.5, 0.2, -0.2)[None, :]
@@ -494,6 +495,21 @@ def _with_source_v(model, q_v):
                                source_decay_rates=None)
 
 
+def _takes_midpoint(model, U, dt, monkeypatch):
+    """Whether the relaxation `_relaxation` builds at the cells U relaxes
+    them over dt by the implicit midpoint (recorded, not solved)."""
+    taken = []
+
+    def recording(model, U, dt):
+        taken.append(dt)
+        return U[..., model.n_conserved:]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_relax_midpoint", recording)
+        solver._relaxation(model, U)(np.array(U, dtype=float), dt)
+    return taken == [dt]
+
+
 class TestExactRelaxation:
     """The rates-free exact step against its oracles: per-cell expm, the
     closed-form rates and the batched implicit-midpoint fallback."""
@@ -602,7 +618,7 @@ class TestExactRelaxation:
                                       "M-depends-on-w", "cubic-eta_w",
                                       "offset-eta_w"])
     def test_midpoint_fallback_where_exact_step_does_not_apply(
-            self, heat_params, broken_heat, case):
+            self, heat_params, broken_heat, case, monkeypatch):
         heat2 = heat_model(dataclasses.replace(heat_params, space_dim=2))
         if case == "signflip":      # A is negative definite
             m = broken_heat
@@ -627,18 +643,19 @@ class TestExactRelaxation:
         if m.n_dissipative == 2:
             U = np.column_stack([U, U[::-1, 1]])
         dt = 1e-2
-        assert solver._relax_linear(m, U, dt) is None
+        assert _takes_midpoint(m, U, dt, monkeypatch)
         out = step_source_exact(m, U, dt)
         assert np.array_equal(out[:, 1:], solver._relax_midpoint(m, U, dt))
 
-    def test_stiff_nonlinear_source_takes_midpoint_fallback(self, heat):
+    def test_stiff_nonlinear_source_takes_midpoint_fallback(self, heat,
+                                                            monkeypatch):
         # a stiff nonlinear source: full Newton steps overshoot, so cells
         # need different numbers of iterations and damped steps
         m = _with_source_v(heat, lambda U: -50.0 * np.arctan(U[..., 1:]))
         U = random_heat_states(16, seed=9, w_range=(-3.0, 3.0))
         dt = 0.5
         out = step_source_exact(m, U, dt)
-        assert solver._relax_linear(m, U, dt) is None
+        assert _takes_midpoint(m, U, dt, monkeypatch)
         w0, w1 = U[:, 1], out[:, 1]
         assert np.allclose(w1 - w0, -dt * 50.0 * np.arctan(0.5 * (w0 + w1)),
                            rtol=0, atol=1e-10)
@@ -647,12 +664,12 @@ class TestExactRelaxation:
                       for i in range(len(U))]
         assert np.allclose(out[:, 1:], one_by_one, rtol=1e-14, atol=0)
 
-    def test_fallback_failure_names_the_worst_cell(self, heat):
+    def test_fallback_failure_names_the_worst_cell(self, heat, monkeypatch):
         # a source with no real midpoint solution in cell 2: w1 = w0 + w_m^2
         m = _with_source_v(heat, lambda U: np.where(
             U[..., :1] > 1.5, 10.0 + U[..., 1:] ** 2, -U[..., 1:]))
         U = np.array([[1.0, 0.1], [1.2, 0.2], [1.8, 0.3], [1.1, 0.0]])
-        assert solver._relax_linear(m, U, 1.0) is None
+        assert _takes_midpoint(m, U, 1.0, monkeypatch)
         with pytest.raises(core.ConvergenceError, match="at cell 2"):
             step_source_exact(m, U, 1.0)
 
@@ -664,19 +681,21 @@ class TestExactRelaxation:
         with pytest.raises(core.ConvergenceError, match=f"at cell {cell}:"):
             step_source_exact(m, np.array(U), 1.0)
 
-    def test_fallback_nan_residual_is_not_converged(self, heat):
+    def test_fallback_nan_residual_is_not_converged(self, heat,
+                                                    monkeypatch):
         m = _with_source_v(heat, lambda U: np.where(
             U[..., :1] > 1.5, np.nan, -U[..., 1:]))
         U = np.array([[1.0, 0.3], [2.0, 0.3]])
-        assert solver._relax_linear(m, U, 0.1) is None
+        assert _takes_midpoint(m, U, 0.1, monkeypatch)
         with pytest.raises(core.ConvergenceError,
                            match="at cell 1: .* residual nan"):
             step_source_exact(m, U, 0.1)
 
-    def test_fallback_failure_state_prints_on_one_line(self, fluid):
+    def test_fallback_failure_state_prints_on_one_line(self, fluid,
+                                                       monkeypatch):
         m = _with_source_v(fluid, lambda U: np.full_like(U[..., 3:], np.nan))
         U = np.array([[1.0, -6968.20574, 2.5e7 + 0.123, -6392.00018, 0.0]])
-        assert solver._relax_linear(m, U, 0.1) is None
+        assert _takes_midpoint(m, U, 0.1, monkeypatch)
         with pytest.raises(core.ConvergenceError,
                            match="at cell 0: state .* residual nan") as err:
             step_source_exact(m, U, 0.1)
@@ -1335,23 +1354,33 @@ class TestDecayRateSeam:
         field = conserved_from_primitive(
             1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0,
             1.0 + 0.05 * np.cos(2 * np.pi * x), 0.05, -0.02)
-        out, _, _, _, rates = strang_step(fluid, field, 1e-3, Grid1D(32))
-        assert np.array_equal(rates, fluid.source_decay_rates(out))
+        def relaxed(relax, cells):
+            cells = cells.copy()
+            relax(cells, 0.5)
+            return cells
+
+        out, _, _, _, relax = strang_step(fluid, field, 1e-3, Grid1D(32))
+        assert np.array_equal(relaxed(relax, out),
+                              step_source_exact(fluid, out, 0.5))
         # without closed-form rates the fluid hands on its linear operator,
-        # last checked at the returned cells; heat-signflip has none
+        # last checked at the returned cells; heat-signflip, which has
+        # none, the implicit midpoint
         m = dataclasses.replace(fluid, source_decay_rates=None)
         out, _, _, _, op = strang_step(m, field, 1e-3, Grid1D(32))
         assert isinstance(op, solver._LinearRelaxation)
         assert np.array_equal(op.verified, out.reshape(-1, 5))
         flip = sign_flipped_heat_model(HeatParams(alpha0=0.5))
-        assert strang_step(flip, _heat_sine_field(32), 1e-3,
-                           Grid1D(32))[4] is None
+        out, _, _, _, relax = strang_step(flip, _heat_sine_field(32), 1e-3,
+                                          Grid1D(32))
+        assert np.array_equal(relaxed(relax, out)[:, 1:],
+                              solver._relax_midpoint(flip, out, 0.5))
 
 
 class TestLinearOperatorSeam:
-    """`run` builds a field's exact linear relaxation operator once, for
-    both half steps that relax it; the oracle builds one at every half
-    step (`step_source_exact` with no operator).  An operator built at the
+    """`run` builds a field's exact linear relaxation operator, or where
+    there is none its implicit midpoint, once, for both half steps that
+    relax it; the oracle builds one at every half step
+    (`step_source_exact` with no relaxation).  An operator built at the
     transport output and applied again from the relaxed cells differs from
     one built at those cells only by the rounding of A's one-sided
     differences, taken at the v of each.  So a half step keeps the conserved
@@ -1365,8 +1394,8 @@ class TestLinearOperatorSeam:
     U_TOL = 1e-14
 
     @staticmethod
-    def _run(sc, monkeypatch):
-        """solver.run(sc), the number of operators built, the (dt, cells)
+    def _run(sc, monkeypatch, override_audit=False):
+        """solver.run(sc), the number of relaxations built, the (dt, cells)
         of every accepted step and the (dt, cells in, cells out) of every
         half step (a retried step's opening one included)."""
         builds, steps, halves = [], [], []
@@ -1390,7 +1419,7 @@ class TestLinearOperatorSeam:
             patch.setattr(solver, "_relaxation", counting)
             patch.setattr(solver, "strang_step", recording_step)
             patch.setattr(solver, "step_source_exact", recording_half)
-            traj = solver.run(sc)
+            traj = solver.run(sc, override_audit)
         return traj, len(builds), steps, halves
 
     @classmethod
@@ -1474,18 +1503,19 @@ class TestLinearOperatorSeam:
                           [1.0 + 0.01 * np.sin(2 * np.pi * x), 0.4]),
                       t_end=0.15, output_every=0.05)
         midpoints, checked = [], []
-        midpoint, holds = solver._relax_midpoint, solver._holds
+        midpoint = solver._relax_midpoint
+        holds = solver._LinearRelaxation.holds
 
         def counting(model, U, dt):
             midpoints.append(U.copy())     # the caller overwrites U
             return midpoint(model, U, dt)
 
-        def recording(model, op, flat):
+        def recording(op, flat):
             checked.append(flat.copy())
-            return holds(model, op, flat)
+            return holds(op, flat)
 
         monkeypatch.setattr(solver, "_relax_midpoint", counting)
-        monkeypatch.setattr(solver, "_holds", recording)
+        monkeypatch.setattr(solver._LinearRelaxation, "holds", recording)
         traj, builds, steps, halves = self._run(sc, monkeypatch)
         n_mid, n_checked = len(midpoints), len(checked)
         assert traj.cfl_retries == 0
@@ -1501,6 +1531,30 @@ class TestLinearOperatorSeam:
         assert fallbacks > 0
         assert builds == len(steps) + 1 + fallbacks
         self._assert_matches_oracle(sc, traj, steps, halves)
+
+    def test_midpoint_source_builds_once_per_field(self, monkeypatch):
+        # heat-signflip's A is negative definite, so there is no operator:
+        # both half steps that relax a field take the implicit midpoint
+        # that the build at the transport output chose
+        params = HeatParams(alpha0=0.1)
+        sc = dataclasses.replace(
+            diagnostics.heat_sine_scenario(params, Grid1D(64), 0.05),
+            model=sign_flipped_heat_model(params))
+        midpoints, real = [], solver._relax_midpoint
+
+        def counting(model, U, dt):
+            midpoints.append(dt)
+            return real(model, U, dt)
+
+        monkeypatch.setattr(solver, "_relax_midpoint", counting)
+        traj, builds, steps, halves = self._run(sc, monkeypatch,
+                                                override_audit=True)
+        assert len(steps) == 25
+        assert builds == len(steps) + 1
+        assert len(midpoints) == len(halves) == 2 * len(steps)
+        # the oracle builds at every half step and takes the midpoint too
+        for dt, cells, out in halves:
+            assert np.array_equal(out, step_source_exact(sc.model, cells, dt))
 
 
 class TestRun2D:
