@@ -17,13 +17,12 @@ half steps that relax it: the closed-form decay rates, else the exact
 operator of a source linear in v, else the implicit midpoint.  The rates
 and the operator depend on the conserved block only, which relaxation
 leaves untouched, so the closing half step of one step and the opening
-half step of the next apply the same one.  `run` builds it for the
-initial field, and then `strang_step` for each step's transport output:
-a run makes steps + 1 builds, whatever the source, as a retried step
-starts from the same cells and reuses theirs.  A linear operator is still
-checked at every state a half step starts or ends at, except a start
-state that is the end state it last checked, and builds one more
-relaxation at a start state that fails.
+half step of the next apply the same one, an operator with the bits of
+one built afresh.  `run` builds it for the initial field, and then
+`strang_step` for each step's transport output: a run makes steps + 1
+builds, whatever the source, as a retried step starts from the same cells
+and reuses theirs.  The operator is checked where it is built and at
+each end state it relaxes to; in `run` it relaxes from no other state.
 
 Wave speeds are evaluated once per step, by transport.  The time loop
 takes each dt from the CFL speed the previous step's transport measured
@@ -353,9 +352,18 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     """The relaxation of the cells, and of any with their conserved block:
     a callable relax(U, dt) that relaxes the v-block of the cells U over dt
     in place.  By the model's closed-form decay rates r at the cells,
-    v <- exp(-r dt) v; else, when the source is linear in v there, by its
-    exact operator (`_LinearRelaxation`), built and checked at the cells;
-    else by the batched implicit midpoint (`_midpoint`)."""
+    v <- exp(-r dt) v; else, when the source is linear in v, by its exact
+    operator; else by the batched implicit midpoint (`_midpoint`).
+
+    The operator solves v' = -M A v with eta_v = -A v, A symmetric positive
+    definite and M symmetric: with A = L L^T and L^T M L = Q diag(lam) Q^T,
+    v(t) = L^-T Q exp(-t lam) Q^T L^T v(0), for all cells at once.  A and M
+    come from one probe of the cells, (u, v = 0) and (u, v = e_j) for each
+    j, so they depend on u alone: A = eta_v(u, 0) - eta_v(u, e_j) and M =
+    M(u, 0).  It is built only if M is the same on every probe state and
+    eta_v = -A v at the cells, and it checks the same of each end state
+    it relaxes to; the first end state that fails is relaxed, as every
+    later one, by the implicit midpoint from its start state instead."""
     n = model.n_conserved
     if model.source_decay_rates is not None:
         rates = np.asarray(model.source_decay_rates(cells), dtype=float)
@@ -364,23 +372,52 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
             decay = rates * -dt
             U[..., n:] *= np.exp(decay, out=decay)
         return relax
-    # not core.entropy_gradient: its admissibility check would raise on a
-    # shifted-v state instead of falling back to the implicit midpoint
+    midpoint = functools.partial(_midpoint, model)
     flat = cells.reshape(-1, cells.shape[-1])
-    g, A = _eta_v_and_A(model.entropy_grad, flat, n)
-    M = np.asarray(model.dissipation_matrix(flat), dtype=float)
+    m = flat.shape[-1] - n
+    # the cells, (u, v = 0), then (u, v = e_j) for each j
+    probe = np.repeat(flat[None], m + 2, axis=0)
+    probe[1:, :, n:] = np.eye(m + 1, m, -1)[:, None]
+    # not core.entropy_gradient: its admissibility check would raise on a
+    # probe state instead of falling back to the implicit midpoint
+    G = np.asarray(model.entropy_grad(probe), dtype=float)[..., n:]
+    Ms = np.asarray(model.dissipation_matrix(probe), dtype=float)
+    A, M = (G[1] - G[2:]).transpose(1, 2, 0), Ms[1]
+
+    def fits(g, M_at, V):
+        """Whether eta_v = g and M = M_at at states with v-block V are this
+        source's: M as built, and g = -A V."""
+        return _close(M_at, M) and _close(g, -_matvec(A, V))
+
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:   # A is not positive definite
-        return functools.partial(_midpoint, model)
+        return midpoint
     if not (_close(A.transpose(0, 2, 1), A)
             and _close(M.transpose(0, 2, 1), M)
-            and _close(g, -_matvec(A, flat[:, n:]))):
-        return functools.partial(_midpoint, model)
+            and fits(G[0], Ms, flat[:, n:])):
+        return midpoint
     Lt = L.transpose(0, 2, 1)
     lam, Q = np.linalg.eigh(Lt @ M @ L)
-    return _LinearRelaxation(model, A, M, Q.transpose(0, 2, 1) @ Lt,
-                             np.linalg.solve(Lt, Q), lam, flat.copy())
+    to_modes, from_modes = Q.transpose(0, 2, 1) @ Lt, np.linalg.solve(Lt, Q)
+    exact = True
+
+    def relax(U, dt):
+        nonlocal exact
+        if exact:
+            start = U.reshape(-1, U.shape[-1])
+            modes = to_modes @ start[:, n:, None]
+            modes *= np.exp(-dt * lam)[..., None]
+            end = start.copy()
+            end[:, n:] = (from_modes @ modes)[..., 0]
+            g = np.asarray(model.entropy_grad(end), dtype=float)[:, n:]
+            exact = fits(g, np.asarray(model.dissipation_matrix(end),
+                                       dtype=float), end[:, n:])
+            if exact:
+                U[...] = end.reshape(U.shape)
+                return
+        midpoint(U, dt)
+    return relax
 
 
 def _midpoint(model: CdfModel, U: np.ndarray, dt: float) -> None:
@@ -388,62 +425,13 @@ def _midpoint(model: CdfModel, U: np.ndarray, dt: float) -> None:
     U[..., model.n_conserved:] = _relax_midpoint(model, U, dt)
 
 
-@dataclass(eq=False)
-class _LinearRelaxation:
-    """The exact relaxation of a source M eta_v with eta_v = -A v, A
-    symmetric positive definite and M symmetric (both independent of v),
-    at each cell (rows): with A = L L^T and L^T M L = Q diag(lam) Q^T, the
-    linear ODE v' = -M A v has v(t) = from_modes exp(-t lam) to_modes v(0),
-    for all cells at once by two batched matrix products.  `verified` is
-    the state (rows) it was built at or, once it has relaxed cells, the end
-    state it checked then; None when that check failed."""
-
-    model: CdfModel
-    A: np.ndarray
-    M: np.ndarray
-    to_modes: np.ndarray     # Q^T L^T
-    from_modes: np.ndarray   # L^-T Q
-    lam: np.ndarray
-    verified: Optional[np.ndarray]
-
-    def holds(self, flat: np.ndarray) -> bool:
-        """Whether this is the source at the states `flat` (rows): A and M
-        as here and eta_v = -A v there; one entropy_grad and one
-        dissipation_matrix call."""
-        n = self.model.n_conserved
-        g, A = _eta_v_and_A(self.model.entropy_grad, flat, n)
-        M = np.asarray(self.model.dissipation_matrix(flat), dtype=float)
-        return (_close(A, self.A) and _close(M, self.M)
-                and _close(g, -_matvec(self.A, flat[:, n:])))
-
-    def __call__(self, U: np.ndarray, dt: float) -> None:
-        """Relax the cells U over dt in place.  Checked at the start state,
-        unless it is `verified`, and at the end state; a start state that
-        fails is relaxed by the relaxation built there instead, and an end
-        state that fails by the implicit midpoint from the start state."""
-        n = self.model.n_conserved
-        flat = U.reshape(-1, U.shape[-1])
-        # array_equal is False while `verified` is None
-        if not (np.array_equal(flat, self.verified) or self.holds(flat)):
-            return _relaxation(self.model, U)(U, dt)
-        modes = self.to_modes @ flat[:, n:, None]
-        modes *= np.exp(-dt * self.lam)[..., None]
-        end = flat.copy()
-        end[:, n:] = (self.from_modes @ modes)[..., 0]
-        if self.holds(end):
-            self.verified = end
-            U[...] = end.reshape(U.shape)
-        else:
-            self.verified = None
-            _midpoint(self.model, U, dt)
-
-
 # Relative tolerance of the checks that the source is linear in v.
 _LINEAR_TOL = 1e-8
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (axis 0);
+    """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (b's
+    axis 0; a may stack several such arrays on one more leading axis);
     false wherever either is not finite."""
     axes = b.ndim - 1
     ok = abs_max(a - b, axes) <= _LINEAR_TOL * abs_max(b, axes)
@@ -453,20 +441,6 @@ def _close(a: np.ndarray, b: np.ndarray) -> bool:
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v for each row of the matrices A and vectors v."""
     return (A @ v[..., None])[..., 0]
-
-
-def _eta_v_and_A(grad, U: np.ndarray, n: int):
-    """eta_v at the cells U (rows) and A = -d eta_v / d v, by one-sided
-    differences over v in one `grad` call (exact up to rounding when
-    eta_v is affine in v)."""
-    m = U.shape[-1] - n
-    h = np.maximum(np.abs(U[:, n:]), 1.0)
-    X = np.repeat(U[None], m + 1, axis=0)
-    for j in range(m):
-        X[j + 1, :, n + j] += h[:, j]
-    G = np.asarray(grad(X), dtype=float)[..., n:]
-    A = (G[0] - G[1:]) / h.T[..., None]      # A[j, cell, i]
-    return G[0], A.transpose(1, 2, 0)
 
 
 def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
@@ -529,8 +503,8 @@ def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
     has it; None builds it.  Returns what `step_hyperbolic` does, with the
     cells relaxed by the closing half step, and then the `_relaxation`
     built for the transport output, which that half step applied and the
-    next step's opening half step applies again (a linear operator checks
-    that start state again unless it last checked the returned cells)."""
+    next step's opening half step applies again, from the end state it
+    checked there (an operator whose check failed takes the midpoint)."""
     half = step_source_exact(model, cells, 0.5 * dt, relaxation)
     out, f_left, f_right, speed = step_hyperbolic(
         model, half, dt, grid, boundary, left_state, right_state, cfl)

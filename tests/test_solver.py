@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -1363,12 +1364,13 @@ class TestDecayRateSeam:
         assert np.array_equal(relaxed(relax, out),
                               step_source_exact(fluid, out, 0.5))
         # without closed-form rates the fluid hands on its linear operator,
-        # last checked at the returned cells; heat-signflip, which has
-        # none, the implicit midpoint
+        # which depends on the conserved block alone: applied again from
+        # the returned cells it gives the bits of one built there;
+        # heat-signflip, which has none, hands on the implicit midpoint
         m = dataclasses.replace(fluid, source_decay_rates=None)
         out, _, _, _, op = strang_step(m, field, 1e-3, Grid1D(32))
-        assert isinstance(op, solver._LinearRelaxation)
-        assert np.array_equal(op.verified, out.reshape(-1, 5))
+        assert np.array_equal(relaxed(op, out),
+                              step_source_exact(m, out, 0.5))
         flip = sign_flipped_heat_model(HeatParams(alpha0=0.5))
         out, _, _, _, relax = strang_step(flip, _heat_sine_field(32), 1e-3,
                                           Grid1D(32))
@@ -1376,34 +1378,45 @@ class TestDecayRateSeam:
                               solver._relax_midpoint(flip, out, 0.5))
 
 
+# one half step of `run`: checks counts the model's entropy_grad calls
+# outside midpoint solves, one per end state an operator checks
+_Half = collections.namedtuple(
+    "_Half", "dt cells out relaxation checks solves")
+
+
 class TestLinearOperatorSeam:
     """`run` builds a field's exact linear relaxation operator, or where
     there is none its implicit midpoint, once, for both half steps that
     relax it; the oracle builds one at every half step
-    (`step_source_exact` with no relaxation).  An operator built at the
-    transport output and applied again from the relaxed cells differs from
-    one built at those cells only by the rounding of A's one-sided
-    differences, taken at the v of each.  So a half step keeps the conserved
-    block bit for bit and agrees with the oracle's v to rounding; transport
-    carries that difference into the conserved block of the run.  Bounds
-    relative to the largest |u| and |v| of the oracle's cells; the largest
-    gaps measured over this class are 6.0e-16 in v for one half step, and
-    4.5e-14 in v and 4.4e-16 in u for the run."""
-
-    V_TOL = 1e-12
-    U_TOL = 1e-14
+    (`step_source_exact` with no relaxation).  The operator's A and M are
+    probed at v = 0 and the unit v, so they depend on the conserved block
+    alone, which relaxation leaves untouched: every half step, and so the
+    run, equals the oracle bit for bit."""
 
     @staticmethod
     def _run(sc, monkeypatch, override_audit=False):
-        """solver.run(sc), the number of relaxations built, the (dt, cells)
-        of every accepted step and the (dt, cells in, cells out) of every
-        half step (a retried step's opening one included)."""
+        """solver.run(sc), the (cells, relaxation) of every relaxation
+        built, the (dt, cells) of every accepted step and every half step
+        as a `_Half` (a retried step's opening one included)."""
         builds, steps, halves = [], [], []
+        calls = {"checks": 0, "solves": 0, "solving": False}
         build, real_step = solver._relaxation, solver.strang_step
+        real_midpoint, grad = solver._relax_midpoint, sc.model.entropy_grad
 
-        def counting(model, cells):
-            builds.append(cells.shape)
-            return build(model, cells)
+        def counting_build(model, cells):
+            builds.append((cells, build(model, cells)))
+            return builds[-1][1]
+
+        def counting_grad(U):
+            calls["checks"] += not calls["solving"]
+            return grad(U)
+
+        def counting_midpoint(model, U, dt):
+            calls["solves"] += 1
+            calls["solving"] = True
+            out = real_midpoint(model, U, dt)
+            calls["solving"] = False
+            return out
 
         def recording_step(model, cells, dt, *args):
             out = real_step(model, cells, dt, *args)
@@ -1411,36 +1424,31 @@ class TestLinearOperatorSeam:
             return out
 
         def recording_half(model, field_arr, dt, relaxation=None):
+            checks, solves = calls["checks"], calls["solves"]
             out = step_source_exact(model, field_arr, dt, relaxation)
-            halves.append((dt, field_arr, out))
+            halves.append(_Half(dt, field_arr, out, relaxation,
+                                calls["checks"] - checks,
+                                calls["solves"] - solves))
             return out
 
+        counted = dataclasses.replace(sc.model, entropy_grad=counting_grad)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_relaxation", counting)
+            patch.setattr(solver, "_relaxation", counting_build)
             patch.setattr(solver, "strang_step", recording_step)
             patch.setattr(solver, "step_source_exact", recording_half)
-            traj = solver.run(sc, override_audit)
-        return traj, len(builds), steps, halves
+            patch.setattr(solver, "_relax_midpoint", counting_midpoint)
+            traj = solver.run(dataclasses.replace(sc, model=counted),
+                              override_audit)
+        return traj, builds, steps, halves
 
-    @classmethod
-    def _assert_matches_oracle(cls, sc, traj, steps, halves):
+    @staticmethod
+    def _assert_matches_oracle(sc, traj, steps, halves):
         """Every half step against the oracle from the same cells, and the
         run against S(dt/2) H(dt) S(dt/2) by hand with the oracle, over
-        the run's own dt sequence."""
-        n = sc.model.n_conserved
-
-        def assert_close(got, want):
-            assert got.shape == want.shape
-            gap = np.abs(got - want)
-            assert np.max(gap[..., :n]) <= (
-                cls.U_TOL * np.max(np.abs(want[..., :n])))
-            assert np.max(gap[..., n:]) <= (
-                cls.V_TOL * np.max(np.abs(want[..., n:])))
-
-        for dt, cells, out in halves:
-            want = step_source_exact(sc.model, cells, dt)
-            assert np.array_equal(out[..., :n], want[..., :n])
-            assert_close(out, want)
+        the run's own dt sequence, bit for bit."""
+        for h in halves:
+            assert np.array_equal(h.out, step_source_exact(sc.model, h.cells,
+                                                           h.dt))
         bc = (sc.boundary, sc.left_state, sc.right_state)
         cells = traj.snapshots[0]
         assert len(steps) == len(traj.step_times) - 1
@@ -1448,7 +1456,7 @@ class TestLinearOperatorSeam:
             half = step_source_exact(sc.model, cells, 0.5 * dt)
             out = step_hyperbolic(sc.model, half, dt, sc.grid, *bc, sc.cfl)[0]
             cells = step_source_exact(sc.model, out, 0.5 * dt)
-            assert_close(got, cells)
+            assert np.array_equal(got, cells)
 
     @pytest.mark.parametrize("boundary", solver.BOUNDARY_KINDS)
     @pytest.mark.parametrize("model_name", ["heat-aniso", "fluid"])
@@ -1464,13 +1472,15 @@ class TestLinearOperatorSeam:
                                  t_end=0.3, output_every=0.05)
         traj, builds, steps, halves = self._run(sc, monkeypatch)
         assert len(steps) > 10
-        assert builds == len(steps) + 1
+        assert len(builds) == len(steps) + 1
         # the fluid's early speed rise retries two steps: their opening
-        # half steps check the cells they start from again, and build
+        # half steps relax the cells they start from again, and build
         # nothing
         retries = 2 if model_name == "fluid" else 0
         assert traj.cfl_retries == retries
         assert len(halves) == 2 * len(steps) + retries
+        # each half step checks its end state only, and solves nothing
+        assert all((h.checks, h.solves) == (1, 0) for h in halves)
         self._assert_matches_oracle(sc, traj, steps, halves)
 
     def test_periodic_2d_coupled(self, monkeypatch):
@@ -1482,79 +1492,83 @@ class TestLinearOperatorSeam:
                            0.05 * np.cos(2 * np.pi * y), 0.02]),
                       t_end=0.05, output_every=0.01)
         traj, builds, steps, halves = self._run(sc, monkeypatch)
-        assert builds == len(steps) + 1
+        assert len(builds) == len(steps) + 1
+        assert all((h.checks, h.solves) == (1, 0) for h in halves)
         self._assert_matches_oracle(sc, traj, steps, halves)
 
-    def test_midpoint_fallback_rechecks_the_next_start_state(
-            self, monkeypatch):
-        # M grows with |w| above 0.2: the source is linear in w below it
-        # and not above, where an operator built at the transport output
-        # fails its end-state check and the closing half step falls back
-        # to the midpoint; the next opening half step then starts from
-        # cells the operator has not checked
-        def dissipation(U):
-            excess = np.maximum(np.abs(U[..., 1:]) - 0.2, 0.0)
-            return (1.0 + 10.0 * excess ** 2)[..., None]
+    @pytest.mark.parametrize("case", ["bump", "fluid-retry"])
+    def test_operator_relaxes_only_checked_states(self, fluid, monkeypatch,
+                                                  case):
+        if case == "bump":
+            # M rises in a bump over 0.1 < |w| < 0.3 and is 1 elsewhere, at
+            # the probe states w = 0 and w = 1 too: an operator built above
+            # the bump fails the check of the first end state inside it,
+            # from w = 0.34 a closing half step's, so that the next opening
+            # half step takes the midpoint unchecked
+            def dissipation(U):
+                bump = np.maximum(0.1 - np.abs(np.abs(U[..., 1:]) - 0.2), 0)
+                return (1.0 + 100.0 * bump ** 2)[..., None]
 
-        sc = Scenario(model=heat_model(HeatParams(alpha0=0.1),
-                                       dissipation=dissipation),
-                      grid=Grid1D(32),
-                      initial_condition=lambda x: np.array(
-                          [1.0 + 0.01 * np.sin(2 * np.pi * x), 0.4]),
-                      t_end=0.15, output_every=0.05)
-        midpoints, checked = [], []
-        midpoint = solver._relax_midpoint
-        holds = solver._LinearRelaxation.holds
-
-        def counting(model, U, dt):
-            midpoints.append(U.copy())     # the caller overwrites U
-            return midpoint(model, U, dt)
-
-        def recording(op, flat):
-            checked.append(flat.copy())
-            return holds(op, flat)
-
-        monkeypatch.setattr(solver, "_relax_midpoint", counting)
-        monkeypatch.setattr(solver._LinearRelaxation, "holds", recording)
+            sc = Scenario(model=heat_model(HeatParams(alpha0=0.1),
+                                           dissipation=dissipation),
+                          grid=Grid1D(32),
+                          initial_condition=lambda x: np.array(
+                              [1.0 + 0.01 * np.sin(2 * np.pi * x), 0.34]),
+                          t_end=0.1, output_every=0.05)
+        else:
+            # linear everywhere; the early speed rise retries two steps
+            model = dataclasses.replace(fluid, source_decay_rates=None)
+            sc = dataclasses.replace(_riemann(model, *_FLUID_RIEMANN),
+                                     t_end=0.3, output_every=0.05)
         traj, builds, steps, halves = self._run(sc, monkeypatch)
-        n_mid, n_checked = len(midpoints), len(checked)
-        assert traj.cfl_retries == 0
-        assert 0 < n_mid < len(halves)
-        # each opening half step after a closing one that fell back checks
-        # its start state, fails it and builds the operator there
-        fallbacks = 0
-        for (_, cells, _), (_, after, _) in zip(halves[1::2], halves[2::2]):
-            if any(np.array_equal(U, cells) for U in midpoints[:n_mid]):
-                fallbacks += 1
-                assert any(np.array_equal(flat, after.reshape(-1, 2))
-                           for flat in checked[:n_checked])
-        assert fallbacks > 0
-        assert builds == len(steps) + 1 + fallbacks
+        assert traj.cfl_retries == (0 if case == "bump" else 2)
+        # the states each relaxation may relax from by its operator: the
+        # one it was built at, then the end states it accepted
+        checked = {id(relax): [cells] for cells, relax in builds}
+        failed, after_failure = set(), 0
+        for h in halves:
+            key = id(h.relaxation)
+            if key in failed:
+                # after its first failed check, the midpoint alone
+                assert (h.checks, h.solves) == (0, 1)
+                after_failure += 1
+            elif h.checks:
+                assert h.checks == 1
+                assert any(np.array_equal(h.cells, U) for U in checked[key])
+                if h.solves:
+                    failed.add(key)
+                else:
+                    checked[key].append(h.out)
+            else:   # a source with no operator
+                assert h.solves == 1
+        if case == "bump":
+            assert failed and after_failure
+            assert 0 < sum(h.solves for h in halves) < len(halves)
+        else:
+            assert not failed
         self._assert_matches_oracle(sc, traj, steps, halves)
 
-    def test_midpoint_source_builds_once_per_field(self, monkeypatch):
-        # heat-signflip's A is negative definite, so there is no operator:
-        # both half steps that relax a field take the implicit midpoint
-        # that the build at the transport output chose
+    @pytest.mark.parametrize("case", ["signflip", "M-depends-on-w"])
+    def test_midpoint_source_builds_once_per_field(self, monkeypatch, case):
+        # heat-signflip's A is negative definite, and M = 1 + w^2 differs
+        # between the probe states w = 0 and w = 1: there is no operator,
+        # and both half steps that relax a field take the implicit
+        # midpoint that the build at the transport output chose
         params = HeatParams(alpha0=0.1)
+        model = (sign_flipped_heat_model(params) if case == "signflip"
+                 else heat_model(params, dissipation=lambda U: (
+                     1.0 + U[..., 1:] ** 2)[..., None]))
         sc = dataclasses.replace(
             diagnostics.heat_sine_scenario(params, Grid1D(64), 0.05),
-            model=sign_flipped_heat_model(params))
-        midpoints, real = [], solver._relax_midpoint
-
-        def counting(model, U, dt):
-            midpoints.append(dt)
-            return real(model, U, dt)
-
-        monkeypatch.setattr(solver, "_relax_midpoint", counting)
-        traj, builds, steps, halves = self._run(sc, monkeypatch,
-                                                override_audit=True)
+            model=model)
+        traj, builds, steps, halves = self._run(
+            sc, monkeypatch, override_audit=case == "signflip")
         assert len(steps) == 25
-        assert builds == len(steps) + 1
-        assert len(midpoints) == len(halves) == 2 * len(steps)
+        assert len(builds) == len(steps) + 1
+        assert len(halves) == 2 * len(steps)
+        assert all((h.checks, h.solves) == (0, 1) for h in halves)
         # the oracle builds at every half step and takes the midpoint too
-        for dt, cells, out in halves:
-            assert np.array_equal(out, step_source_exact(sc.model, cells, dt))
+        self._assert_matches_oracle(sc, traj, steps, halves)
 
 
 class TestRun2D:
