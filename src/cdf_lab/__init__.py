@@ -15,10 +15,7 @@ from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
 from .solver import (Grid1D, Grid2D, Scenario, Trajectory, run, rusanov_flux,
                      step_hyperbolic, step_source_exact, strang_step)
-from .verify import (AuditReport, AuditSamples, SamplingPlan,
-                     check_concavity, check_dissipation_matrix,
-                     check_entropy_flux_exists, check_hyperbolicity,
-                     check_source_consistency, check_symmetrizability,
+from .verify import (AuditReport, AuditSamples, SamplingPlan, check,
                      run_full_audit, sample_states)
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import core
+from . import core, verify
 from .core import CdfModel, abs_max
 
 BOUNDARY_KINDS = ("periodic", "fixed-state", "zero-gradient")
@@ -176,6 +176,11 @@ class Scenario:
             # the solver does not check fixed boundary states again
             if not np.all(self.model.admissible(np.asarray(state, float))):
                 raise ValueError(f"boundary state {state} is inadmissible")
+        if isinstance(self.grid, Grid2D):
+            if self.boundary != "periodic":
+                raise ValueError("2D runs support periodic boundaries only")
+            if self.model.space_dim != 2:
+                raise ValueError("2D runs need a model with space_dim == 2")
 
 
 @dataclass
@@ -516,16 +521,14 @@ def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
 
 
 def _audit_or_raise(model: CdfModel) -> None:
-    from . import verify
     samples = verify.AuditSamples(model, verify.sample_states(
         model, verify.SamplingPlan(seed=0, count=_AUDIT_SAMPLES)))
-    failed = [r.name for r in (verify.check_concavity(samples),
-                               verify.check_dissipation_matrix(samples))
-              if not r.passed]
+    failed = [name for name in ("concavity", "dissipation_matrix")
+              if not verify.check(name, samples).passed]
     if failed:
         raise ModelAuditError(
             f"model '{model.name}' fails structural checks {failed}; "
-            "pass override_audit=True to run anyway"
+            "pass override_audit=True (CLI: --override-audit) to run anyway"
         )
 
 
@@ -542,11 +545,6 @@ def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
     model, grid = scenario.model, scenario.grid
     if not override_audit:
         _audit_or_raise(model)
-    if isinstance(grid, Grid2D):
-        if scenario.boundary != "periodic":
-            raise ValueError("2D runs support periodic boundaries only")
-        if model.space_dim != 2:
-            raise ValueError("2D runs need a model with space_dim == 2")
 
     spacing = _spacing(grid)
     centers = grid.centers() if len(spacing) > 1 else (grid.centers(),)

@@ -54,7 +54,7 @@ not with count . n^2.  The finite-difference step scale is computed over
 the whole plan, and every per-sample value depends only on its own row,
 so the verdict does not depend on the block size.  `_verdict` judges each
 condition once, on the concatenated arrays, with the witness taken from
-the full states.  A public `check_*` is that verdict over one holder.
+the full states.  `check` is that verdict over one holder.
 """
 
 from __future__ import annotations
@@ -347,24 +347,28 @@ def _definiteness(A, size, tol):
 # arrays and the offset that `_verdict` judges.
 
 def _concavity(samples: AuditSamples, tol: float):
+    """Strict concavity of the entropy: -eta_UU has eigenvalues >= tol."""
     return _definiteness(-samples.hessian, samples.hessian_abs_max, tol)
 
 
 def _symmetrizability(samples: AuditSamples, tol: float):
-    """max |P - P^T| - tol (1 + max |P|), P = eta_UU . F_jU, per j."""
+    """eta_UU . F_jU symmetric for every direction j:
+    max |P - P^T| - tol (1 + max |P|), P = eta_UU . F_jU, per j."""
     return [asym - tol * (1.0 + size)
             for asym, size, _ in samples.symmetry_defects], 0.0
 
 
 def _dissipation_matrix(samples: AuditSamples, tol: float):
+    """The symmetric part of M has eigenvalues >= tol."""
     M = samples.dissipation_matrix
     Ms = 0.5 * (M + np.swapaxes(M, -1, -2))
     return _definiteness(Ms, abs_max(Ms), tol)
 
 
 def _entropy_flux(samples: AuditSamples, tol: float):
-    """With the model's closed-form `entropy_flux`, the central-difference
-    psi_jU against eta_U . F_jU; without one, the symmetry defect of
+    """eta_U . F_jU is the gradient of an entropy flux psi_j.  With the
+    model's closed-form `entropy_flux`, the central-difference psi_jU
+    against eta_U . F_jU; without one, the symmetry defect of
     eta_UU . F_jU (Godunov-Mock, see the module docstring)."""
     model, states = samples.model, samples.states
     if model.entropy_flux is None:
@@ -379,8 +383,9 @@ def _entropy_flux(samples: AuditSamples, tol: float):
 
 
 def _source_consistency(samples: AuditSamples, tol: float):
-    """|decay - M . eta_v| / (1 + max |M . eta_v|), NaN where M . eta_v is
-    not finite."""
+    """The solver's relaxation -rates * v equals the source's v-block:
+    |decay - M . eta_v| / (1 + max |M . eta_v|), NaN where M . eta_v is
+    not finite, so without rates only such a sample fails."""
     model, states = samples.model, samples.states
     n = model.n_conserved
     expected = np.einsum("...ij,...j->...i", samples.dissipation_matrix,
@@ -446,8 +451,10 @@ def _certified(samples: AuditSamples, j: int, tol: float) -> np.ndarray:
 
 
 def _hyperbolicity(samples: AuditSamples, tol: float):
-    """max |Im lambda| - tol (1 + spectral radius) per direction: -inf
-    where a certificate decides the sample, `np.linalg.eigvals` elsewhere."""
+    """Flux Jacobian eigenvalues real to FD noise, per direction
+    max |Im lambda| - tol (1 + spectral radius): -inf where a certificate
+    (`_real_spectrum_2x2`, `_certified`) decides the sample,
+    `np.linalg.eigvals` elsewhere, NaN where the Jacobian is not finite."""
     def violation(ev):
         return abs_max(ev.imag, 1) - tol * (1.0 + abs_max(ev, 1))
 
@@ -470,63 +477,16 @@ _CHECKS = {
 }
 
 
-def _check(name: str, samples: AuditSamples, tol: float) -> CheckResult:
+def check(name: str, samples: AuditSamples,
+          tol: Optional[float] = None) -> CheckResult:
+    """The verdict of condition `name` (a key of `_CHECKS`) on one holder,
+    under `tol` or its `DEFAULT_TOLERANCES` entry."""
+    if name not in _CHECKS:
+        raise ValueError(f"unknown condition {name!r}; "
+                         f"expected one of {list(_CHECKS)}")
+    tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     rels, offset = _CHECKS[name](samples, tol)
     return _verdict(name, rels, tol, samples.states, offset)
-
-
-def check_concavity(samples: AuditSamples,
-                    tol: float = DEFAULT_TOLERANCES["concavity"]
-                    ) -> CheckResult:
-    """Entropy must be strictly concave: -eta_UU has eigenvalues >= tol."""
-    return _check("concavity", samples, tol)
-
-
-def check_symmetrizability(samples: AuditSamples,
-                           tol: float = DEFAULT_TOLERANCES["symmetrizability"]
-                           ) -> CheckResult:
-    """eta_UU . F_jU must be symmetric for every direction j."""
-    return _check("symmetrizability", samples, tol)
-
-
-def check_dissipation_matrix(samples: AuditSamples,
-                             tol: float = DEFAULT_TOLERANCES["dissipation_matrix"]
-                             ) -> CheckResult:
-    """Symmetric part of M must have eigenvalues >= tol everywhere."""
-    return _check("dissipation_matrix", samples, tol)
-
-
-def check_entropy_flux_exists(samples: AuditSamples,
-                              tol: float = DEFAULT_TOLERANCES["entropy_flux"]
-                              ) -> CheckResult:
-    """eta_U . F_jU must be the gradient of an entropy flux psi_j.
-
-    With the model's closed-form `entropy_flux`, the central-difference
-    psi_jU must equal eta_U . F_jU.  Without one, eta_UU . F_jU must be
-    symmetric (Godunov-Mock, see the module docstring)."""
-    return _check("entropy_flux", samples, tol)
-
-
-def check_source_consistency(samples: AuditSamples,
-                             tol: float = DEFAULT_TOLERANCES["source_consistency"]
-                             ) -> CheckResult:
-    """The solver's relaxation -rates * v (`source_decay_rates`) must equal
-    the source's v-block M . eta_v, relative to 1 + max |M . eta_v|; without
-    rates, only a sample whose M . eta_v is not finite fails."""
-    return _check("source_consistency", samples, tol)
-
-
-def check_hyperbolicity(samples: AuditSamples,
-                        tol: float = DEFAULT_TOLERANCES["hyperbolicity"]
-                        ) -> CheckResult:
-    """Flux Jacobian eigenvalues must be real to FD noise:
-    max |Im lambda| <= tol * (1 + spectral radius).  A 2x2 Jacobian passes
-    when its discriminant proves its eigenvalues real
-    (`_real_spectrum_2x2`), a larger one when the symmetrizer bound of the
-    module docstring certifies |Im lambda| <= tol/2 (`_certified`);
-    `np.linalg.eigvals` decides the others, and a sample with a non-finite
-    Jacobian fails."""
-    return _check("hyperbolicity", samples, tol)
 
 
 def run_full_audit(model: CdfModel, plan: SamplingPlan,

@@ -53,7 +53,8 @@ def test_criterion_1_structural_audit(verdict):
     heat_report = verify.run_full_audit(heat_model(HeatParams()), plan)
     fluid_report = verify.run_full_audit(fluid_model(FluidParams()), plan)
     flipped = sign_flipped_heat_model(HeatParams())
-    broken = verify.check_concavity(
+    broken = verify.check(
+        "concavity",
         verify.AuditSamples(flipped, verify.sample_states(flipped, plan)))
     ok = (heat_report.passed and fluid_report.passed
           and not broken.passed and broken.witness_state is not None)

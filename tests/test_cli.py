@@ -218,6 +218,15 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("audit gate: ")
         assert not (tmp_path / "out").exists()
 
+    def test_audit_gate_names_the_command_line_flag(self, tmp_path, capsys):
+        """The gate's one stderr line gives the remedy a command-line user
+        can type."""
+        cfg = _cfg(tmp_path, _run_config(tmp_path, model="heat-signflip"))
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--override-audit" in err[0]
+
     def test_inadmissible_initial_data_rejected(self, tmp_path):
         """Rejected mid-work, the scenario leaves none of the directories
         the command made."""

@@ -145,7 +145,7 @@ def test_full_audit_passes_2d():
 class TestSignFlippedFixture:
     def test_concavity_fails_with_witness(self, broken_heat):
         plan = verify.SamplingPlan(seed=0, count=500)
-        res = verify.check_concavity(verify.AuditSamples(
+        res = verify.check("concavity", verify.AuditSamples(
             broken_heat, verify.sample_states(broken_heat, plan)))
         assert not res.passed
         assert res.witness_state is not None
@@ -154,18 +154,18 @@ class TestSignFlippedFixture:
 
     def test_violation_scales_with_alpha0(self):
         m = sign_flipped_heat_model(HeatParams(alpha0=2.0))
-        res = verify.check_concavity(verify.AuditSamples(
+        res = verify.check("concavity", verify.AuditSamples(
             m, verify.sample_states(m, verify.SamplingPlan(count=200))))
         assert res.worst_violation == pytest.approx(0.5, rel=1e-6)
 
     def test_symmetrizability_also_fails(self, broken_heat):
-        res = verify.check_symmetrizability(verify.AuditSamples(
+        res = verify.check("symmetrizability", verify.AuditSamples(
             broken_heat,
             verify.sample_states(broken_heat, verify.SamplingPlan(count=500))))
         assert not res.passed
 
     def test_dissipation_matrix_still_fine(self, broken_heat):
-        res = verify.check_dissipation_matrix(verify.AuditSamples(
+        res = verify.check("dissipation_matrix", verify.AuditSamples(
             broken_heat,
             verify.sample_states(broken_heat, verify.SamplingPlan(count=500))))
         assert res.passed
@@ -181,6 +181,7 @@ def test_flux_tamper_breaks_symmetrizability(heat):
     tampered = dataclasses.replace(heat, flux=bad_flux, max_wave_speed=None,
                                    name="heat-fluxtamper")
     states = verify.sample_states(tampered, verify.SamplingPlan(count=500))
-    res = verify.check_symmetrizability(verify.AuditSamples(tampered, states))
+    res = verify.check("symmetrizability",
+                       verify.AuditSamples(tampered, states))
     assert not res.passed
     assert res.witness_state is not None

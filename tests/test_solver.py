@@ -1609,15 +1609,22 @@ class TestRun2D:
 
     def test_rejects_non_periodic(self):
         p = HeatParams(space_dim=2)
-        sc = Scenario(model=heat_model(p), grid=Grid2D(8, 8),
-                      initial_condition=lambda x, y: np.array([1.0, 0, 0]),
-                      boundary="zero-gradient", t_end=0.01)
-        with pytest.raises(ValueError):
-            solver.run(sc)
+        with pytest.raises(ValueError, match="periodic boundaries only"):
+            Scenario(model=heat_model(p), grid=Grid2D(8, 8),
+                     initial_condition=lambda x, y: np.array([1.0, 0, 0]),
+                     boundary="zero-gradient", t_end=0.01)
 
     def test_rejects_a_1d_model(self, heat):
-        sc = Scenario(model=heat, grid=Grid2D(8, 8),
-                      initial_condition=lambda x, y: np.array([1.0, 0.0]),
-                      t_end=0.01)
         with pytest.raises(ValueError, match="space_dim == 2"):
-            solver.run(sc, override_audit=True)
+            Scenario(model=heat, grid=Grid2D(8, 8),
+                     initial_condition=lambda x, y: np.array([1.0, 0.0]),
+                     t_end=0.01)
+
+    def test_configuration_error_comes_before_the_audit(self):
+        """A 2D scenario the solver cannot run is refused when it is built,
+        with the configuration error, not the audit verdict of its model."""
+        flipped = sign_flipped_heat_model(HeatParams(space_dim=2))
+        with pytest.raises(ValueError, match="periodic boundaries only"):
+            Scenario(model=flipped, grid=Grid2D(8, 8),
+                     initial_condition=lambda x, y: np.array([1.0, 0, 0]),
+                     boundary="zero-gradient", t_end=0.01)

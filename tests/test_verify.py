@@ -55,11 +55,37 @@ def _samples(model, **plan):
         model, verify.sample_states(model, verify.SamplingPlan(**plan)))
 
 
+CONDITIONS = ("concavity", "symmetrizability", "dissipation_matrix",
+              "entropy_flux", "source_consistency", "hyperbolicity")
+
+
 def test_default_tolerances_complete():
-    names = {"concavity", "symmetrizability", "dissipation_matrix",
-             "entropy_flux", "source_consistency", "hyperbolicity"}
-    assert set(verify.DEFAULT_TOLERANCES) == names
-    assert set(verify._CHECKS) == names
+    assert set(verify.DEFAULT_TOLERANCES) == set(CONDITIONS)
+    assert set(verify._CHECKS) == set(CONDITIONS)
+
+
+class TestCheck:
+    def test_unknown_condition_names_the_six(self, heat):
+        with pytest.raises(ValueError, match="concavty") as exc:
+            verify.check("concavty", _samples(heat, count=10))
+        assert all(name in str(exc.value) for name in CONDITIONS)
+
+    @pytest.mark.parametrize("name", CONDITIONS)
+    @pytest.mark.parametrize("make", [
+        lambda: heat_model(HeatParams()),
+        lambda: fluid_model(FluidParams()),
+        lambda: sign_flipped_heat_model(HeatParams())],
+        ids=["heat", "fluid", "heat-signflip"])
+    def test_same_verdict_as_the_full_audit(self, make, name):
+        """On a plan of one block, with the audit's default tolerance and
+        finite-difference scale, one holder's verdict is the audit's."""
+        model = make()
+        plan = verify.SamplingPlan(seed=3, count=300)
+        states = verify.sample_states(model, plan)
+        samples = verify.AuditSamples(model, states, verify._fd_scale(states))
+        report = verify.run_full_audit(model, plan)
+        expected = {r.name: r.to_dict() for r in report.condition_results}
+        assert verify.check(name, samples).to_dict() == expected[name]
 
 
 class TestSamplingPlan:
@@ -243,9 +269,9 @@ class TestFullAudit:
         verify.run_full_audit(model, verify.SamplingPlan(count=50))
         assert calls.count("flux") == 2 * broken_heat.n_comp == 4
         samples = _samples(model, count=50)
-        verify.check_symmetrizability(samples)
+        verify.check("symmetrizability", samples)
         del calls[:]
-        assert not verify.check_entropy_flux_exists(samples).passed
+        assert not verify.check("entropy_flux", samples).passed
         assert calls == []
 
 
@@ -258,7 +284,7 @@ class TestEngineeredFailures:
 
         flat = dataclasses.replace(heat, dissipation_matrix=zero_M,
                                    name="heat-flatM")
-        res = verify.check_dissipation_matrix(_samples(flat, count=100))
+        res = verify.check("dissipation_matrix", _samples(flat, count=100))
         assert not res.passed
         assert res.worst_violation == pytest.approx(res.tolerance)
 
@@ -269,7 +295,7 @@ class TestEngineeredFailures:
             return M
 
         neg = dataclasses.replace(heat, dissipation_matrix=neg_M)
-        res = verify.check_dissipation_matrix(_samples(neg, count=100))
+        res = verify.check("dissipation_matrix", _samples(neg, count=100))
         assert not res.passed
         assert res.worst_violation == pytest.approx(2.0, rel=1e-9)
 
@@ -282,12 +308,13 @@ class TestEngineeredFailures:
 
         monkeypatch.setattr(verify.core, "source", fail)
         states = verify.sample_states(heat, verify.SamplingPlan(count=100))
-        assert verify.check_source_consistency(
-            verify.AuditSamples(heat, states)).passed
+        assert verify.check(
+            "source_consistency", verify.AuditSamples(heat, states)).passed
         rates = heat.source_decay_rates
         bad_rates = dataclasses.replace(
             heat, source_decay_rates=lambda U: 2.0 * rates(U))
-        assert not verify.check_source_consistency(
+        assert not verify.check(
+            "source_consistency",
             verify.AuditSamples(bad_rates, states)).passed
 
     def test_non_finite_expected_source_fails(self, heat):
@@ -300,29 +327,27 @@ class TestEngineeredFailures:
 
         model = dataclasses.replace(heat, dissipation_matrix=nan_M,
                                     source_decay_rates=None)
-        res = verify.check_source_consistency(_samples(model, count=200))
+        res = verify.check("source_consistency", _samples(model, count=200))
         assert not res.passed
         assert res.witness_state[0] > 1.9
 
     def test_non_integrable_entropy_flux(self):
         """Tampered flux whose eta_U . F_U has a curl: no entropy flux."""
-        res = verify.check_entropy_flux_exists(
-            _samples(_bad_flux_heat(), count=200))
+        res = verify.check(
+            "entropy_flux", _samples(_bad_flux_heat(), count=200))
         assert not res.passed
 
     def test_hyperbolicity_fails_for_elliptic_flux(self):
         m = _elliptic_heat()
-        res = verify.check_hyperbolicity(_samples(m, count=100))
+        res = verify.check("hyperbolicity", _samples(m, count=100))
         assert not res.passed
 
     def test_nan_flux_fails_directional_checks(self, heat):
         """A flux that is NaN on part of the box is a violation with a
         witness in that part, not a pass."""
         samples = _samples(_nan_flux(heat), seed=1, count=200)
-        for check in (verify.check_symmetrizability,
-                      verify.check_entropy_flux_exists,
-                      verify.check_hyperbolicity):
-            res = check(samples)
+        for name in ("symmetrizability", "entropy_flux", "hyperbolicity"):
+            res = verify.check(name, samples)
             assert not res.passed
             assert res.witness_state[0] > 1.9
 
@@ -347,10 +372,10 @@ class TestEngineeredFailures:
         wrong = dataclasses.replace(
             model, source_decay_rates=lambda U: 2.0 * model.source_decay_rates(U))
         states = verify.sample_states(wrong, verify.SamplingPlan(count=200))
-        assert verify.check_source_consistency(
-            verify.AuditSamples(model, states)).passed
-        res = verify.check_source_consistency(
-            verify.AuditSamples(wrong, states))
+        assert verify.check(
+            "source_consistency", verify.AuditSamples(model, states)).passed
+        res = verify.check(
+            "source_consistency", verify.AuditSamples(wrong, states))
         assert not res.passed
         assert res.witness_state is not None
 
@@ -416,8 +441,8 @@ class TestEntropyFluxPaths:
         states = verify.sample_states(model,
                                       verify.SamplingPlan(seed=2, count=500))
         oracle = _nested_fd_entropy_flux(verify.AuditSamples(no_psi, states))
-        defect = verify.check_entropy_flux_exists(
-            verify.AuditSamples(no_psi, states))
+        defect = verify.check(
+            "entropy_flux", verify.AuditSamples(no_psi, states))
         assert defect.passed == oracle.passed
         if oracle.witness_state is None:
             assert defect.witness_state is None
@@ -428,8 +453,8 @@ class TestEntropyFluxPaths:
         assert defect.worst_violation == pytest.approx(
             oracle.worst_violation, rel=1e-5, nan_ok=True)
         if model.entropy_flux is not None:
-            fast = verify.check_entropy_flux_exists(
-                verify.AuditSamples(model, states))
+            fast = verify.check(
+                "entropy_flux", verify.AuditSamples(model, states))
             assert fast.passed == oracle.passed
             assert (fast.witness_state is None) \
                 == (oracle.witness_state is None)
@@ -441,11 +466,10 @@ class TestEntropyFluxPaths:
         model = make()
         states = verify.sample_states(model,
                                       verify.SamplingPlan(seed=2, count=500))
-        res = verify.check_entropy_flux_exists(
-            verify.AuditSamples(model, states))
+        res = verify.check("entropy_flux", verify.AuditSamples(model, states))
         assert not res.passed
         assert res.witness_state is not None
-        assert verify.check_entropy_flux_exists(verify.AuditSamples(
+        assert verify.check("entropy_flux", verify.AuditSamples(
             dataclasses.replace(model, entropy_flux=None), states)).passed
 
 
@@ -523,7 +547,7 @@ class TestHyperbolicityCertificate:
     def _assert_matches_oracle(self, model, states):
         d = verify.AuditSamples(model, states)
         oracle, imags = _eigvals_oracle(d)
-        fast = verify.check_hyperbolicity(d)
+        fast = verify.check("hyperbolicity", d)
         assert fast.to_dict() == oracle.to_dict()
         certified = [verify._certified(d, j, TOL_HYP)
                      for j in range(model.space_dim)]
@@ -590,7 +614,7 @@ class TestHyperbolicityCertificate:
         J = rng.normal(size=H.shape)
         d = self._random_holder(fluid, H, J)
         assert not np.any(verify._certified(d, 0, TOL_HYP))
-        res = verify.check_hyperbolicity(d)
+        res = verify.check("hyperbolicity", d)
         assert eigvals_rows == [500]
         assert res.to_dict() == _eigvals_oracle(d)[0].to_dict()
         assert not res.passed
@@ -606,7 +630,7 @@ class TestHyperbolicityCertificate:
         d = self._random_holder(fluid, H, np.linalg.solve(
             H, S + np.swapaxes(S, -1, -2)))
         assert not np.any(verify._certified(d, 0, TOL_HYP))
-        res = verify.check_hyperbolicity(d)
+        res = verify.check("hyperbolicity", d)
         assert res.to_dict() == _eigvals_oracle(d)[0].to_dict()
         assert not res.passed
 
@@ -625,7 +649,7 @@ class TestHyperbolicityCertificate:
         assert np.all(imag[cert] <= TOL_HYP / 2)
         if skew == 0.0:
             assert np.all(cert)
-        assert verify.check_hyperbolicity(d).to_dict() == oracle.to_dict()
+        assert verify.check("hyperbolicity", d).to_dict() == oracle.to_dict()
 
     @pytest.mark.parametrize("make, rows", [
         (lambda: heat_model(HeatParams()), 0),
@@ -743,7 +767,7 @@ class TestDefinite:
 
 
 def _eigvalsh_oracle(samples, name, tol):
-    """check_concavity or check_dissipation_matrix as `eigvalsh` over every
+    """The concavity or dissipation_matrix check as `eigvalsh` over every
     sample; a sample whose matrix is not finite fails with a NaN."""
     if name == "concavity":
         A = samples.hessian
@@ -810,7 +834,7 @@ DEFINITENESS_MODELS = {
 
 
 class TestDefinitenessChecks:
-    """check_concavity and check_dissipation_matrix against eigvalsh on
+    """The concavity and dissipation_matrix checks against eigvalsh on
     every sample."""
 
     @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
@@ -820,7 +844,7 @@ class TestDefinitenessChecks:
     def test_same_result_as_oracle(self, model, tol, name):
         samples = _samples(DEFINITENESS_MODELS[model](), count=2000)
         tol = verify.DEFAULT_TOLERANCES[name] if tol is None else tol
-        res = verify._check(name, samples, tol)
+        res = verify.check(name, samples, tol)
         assert res.to_dict() == _eigvalsh_oracle(samples, name,
                                                  tol).to_dict()
 
@@ -831,7 +855,7 @@ class TestDefinitenessChecks:
         oracle's witness."""
         samples = _samples(heat_model(HeatParams()), count=2000)
         oracle = _eigvalsh_oracle(samples, name, 0.5)
-        res = verify._check(name, samples, 0.5)
+        res = verify.check(name, samples, 0.5)
         assert not res.passed and res.witness_state is not None
         assert res.to_dict() == oracle.to_dict()
         if name == "concavity":
@@ -850,7 +874,7 @@ class TestDefinitenessChecks:
     def test_non_finite_hessian_fails_concavity(self):
         samples = _samples(_nan_heat_entropy_grad(), count=2000)
         bad = ~np.all(np.isfinite(samples.hessian), axis=(-1, -2))
-        res = verify.check_concavity(samples)
+        res = verify.check("concavity", samples)
         assert res.to_dict()["worst_violation"] is None
         assert not res.passed
         assert np.array_equal(res.witness_state,
@@ -860,7 +884,7 @@ class TestDefinitenessChecks:
         """Without the rule LAPACK gives [[nan, 0], [0, 1]] the eigenvalues
         [0, -0], and the check reported the tolerance as its worst value."""
         samples = _samples(_nan_fluid_M(), count=2000)
-        res = verify.check_dissipation_matrix(samples)
+        res = verify.check("dissipation_matrix", samples)
         assert res.to_dict()["worst_violation"] is None
         assert not res.passed
         first = np.argmax(samples.states[:, 0] > 1.99)
@@ -918,7 +942,7 @@ class TestVerdict:
         else:
             samples.dissipation_matrix = lam * np.eye(1)
         tol = verify.DEFAULT_TOLERANCES[name]
-        return samples, verify._check(name, samples, tol)
+        return samples, verify.check(name, samples, tol)
 
     @pytest.mark.parametrize("name", ["concavity", "dissipation_matrix"])
     def test_definiteness_exactly_at_tolerance(self, name):
@@ -1198,7 +1222,7 @@ class TestRealSpectrum2x2:
 
     @pytest.mark.parametrize("tol", [TOL_HYP, 1e-300])
     def test_check_matches_oracle(self, heat, tol):
-        """check_hyperbolicity on a heat holder carrying every kind of
+        """The hyperbolicity check on a heat holder carrying every kind of
         2x2 Jacobian, non-finite rows included."""
         rng = np.random.default_rng(5)
         J = np.concatenate([_random_2x2(rng, 500, kind)
@@ -1208,7 +1232,7 @@ class TestRealSpectrum2x2:
         J[1::89, 0, 1] = np.inf
         d = _samples(heat, count=len(J))
         d.flux_jacobians = [J]
-        res = verify.check_hyperbolicity(d, tol)
+        res = verify.check("hyperbolicity", d, tol)
         assert res.to_dict() == _eigvals_oracle(d, tol)[0].to_dict()
         assert not res.passed
 
@@ -1222,5 +1246,5 @@ class TestRealSpectrum2x2:
         d = _samples(heat, count=len(J))
         d.flux_jacobians = [J]
         oracle = _eigvals_oracle(d, tol)[0]
-        assert verify.check_hyperbolicity(d, tol).to_dict() \
+        assert verify.check("hyperbolicity", d, tol).to_dict() \
             == oracle.to_dict()
