@@ -48,8 +48,9 @@ class CdfModel:
     solver relaxes v exactly by exp(-r dt) with r held fixed, and reuses one
     evaluation for the two half steps that relax a field.  Without them, a
     source linear in v is relaxed by its exact linear operator, built and
-    reused in the same way from A and M probed at v = 0 and the unit v; it
-    is checked where it is built and at every state it relaxes to.
+    reused in the same way from A and M probed at v = 0 and the unit v: by
+    the rates M_jj A_jj where both are diagonal, else in the eigenbasis of
+    M A; it is checked where it is built and at every state it relaxes to.
     """
 
     name: str

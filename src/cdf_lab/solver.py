@@ -3,8 +3,9 @@
 Hyperbolic transport uses a first-order Rusanov (local Lax-Friedrichs)
 flux; the stiff relaxation source is integrated exactly, for all cells at
 once (the built-in models have sources -M(u) A(u) v that are linear in the
-dissipative block v, so one batched matrix exponential solves them); the
-two are composed with Strang splitting.
+dissipative block v, with A and M diagonal, so each component decays at
+its own rate; a coupled A or M takes one batched matrix exponential in
+the eigenbasis of M A); the two are composed with Strang splitting.
 
 One time loop serves 1D grids (any model, any boundary kind) and periodic
 2D grids (models with space_dim == 2).  The field holds the cells only;
@@ -14,7 +15,8 @@ rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
 
 A field's relaxation (`_relaxation`) is one callable, built once for both
 half steps that relax it: the closed-form decay rates, else the exact
-operator of a source linear in v, else the implicit midpoint.  The rates
+operator of a source linear in v (per-component rates where A and M are
+diagonal, else the eigenbasis), else the implicit midpoint.  The rates
 and the operator depend on the conserved block only, which relaxation
 leaves untouched, so the closing half step of one step and the opening
 half step of the next apply the same one, an operator with the bits of
@@ -361,21 +363,25 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     operator; else by the batched implicit midpoint (`_midpoint`).
 
     The operator solves v' = -M A v with eta_v = -A v, A symmetric positive
-    definite and M symmetric: with A = L L^T and L^T M L = Q diag(lam) Q^T,
-    v(t) = L^-T Q exp(-t lam) Q^T L^T v(0), for all cells at once.  A and M
-    come from one probe of the cells, (u, v = 0) and (u, v = e_j) for each
-    j, so they depend on u alone: A = eta_v(u, 0) - eta_v(u, e_j) and M =
-    M(u, 0).  It is built only if M is the same on every probe state and
-    eta_v = -A v at the cells, and it checks the same of each end state
-    it relaxes to; the first end state that fails is relaxed, as every
-    later one, by the implicit midpoint from its start state instead."""
+    definite and M symmetric.  A and M come from one probe of the cells,
+    (u, v = 0) and (u, v = e_j) for each j, so they depend on u alone: A =
+    eta_v(u, 0) - eta_v(u, e_j) and M = M(u, 0).  The probe picks one of
+    two propagators.  Where every off-diagonal entry of A and M is exactly
+    zero (always so for one component), each component decays at its own
+    rate r = M_jj A_jj, v <- exp(-r dt) v, as by closed-form rates; A is
+    positive definite exactly when its diagonal is.  Else, with A = L L^T
+    and L^T M L = Q diag(lam) Q^T, v(t) = L^-T Q exp(-t lam) Q^T L^T v(0),
+    for all cells at once.  Either is built only if M is the same on every
+    probe state and eta_v = -A v at the cells, and it checks the same of
+    each end state it relaxes to; the first end state that fails is
+    relaxed, as every later one, by the implicit midpoint from its start
+    state instead."""
     n = model.n_conserved
     if model.source_decay_rates is not None:
         rates = np.asarray(model.source_decay_rates(cells), dtype=float)
 
         def relax(U, dt):
-            decay = rates * -dt
-            U[..., n:] *= np.exp(decay, out=decay)
+            U[..., n:] *= _decay(rates, dt)
         return relax
     midpoint = functools.partial(_midpoint, model)
     flat = cells.reshape(-1, cells.shape[-1])
@@ -394,27 +400,43 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
         source's: M as built, and g = -A V."""
         return _close(M_at, M) and _close(g, -_matvec(A, V))
 
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:   # A is not positive definite
-        return midpoint
-    if not (_close(A.transpose(0, 2, 1), A)
-            and _close(M.transpose(0, 2, 1), M)
-            and fits(G[0], Ms, flat[:, n:])):
-        return midpoint
-    Lt = L.transpose(0, 2, 1)
-    lam, Q = np.linalg.eigh(Lt @ M @ L)
-    to_modes, from_modes = Q.transpose(0, 2, 1) @ Lt, np.linalg.solve(Lt, Q)
+    off = ~np.eye(m, dtype=bool)
+    if not (np.count_nonzero(A[:, off]) or np.count_nonzero(M[:, off])):
+        a = np.diagonal(A, axis1=1, axis2=2)
+        # positive definite exactly when its diagonal is; NaN is not
+        if not (np.count_nonzero(a > 0) == a.size
+                and fits(G[0], Ms, flat[:, n:])):
+            return midpoint
+        rates = np.diagonal(M, axis1=1, axis2=2) * a
+
+        def propagate(V, dt):
+            return V * _decay(rates, dt)
+    else:
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:   # A is not positive definite
+            return midpoint
+        if not (_close(A.transpose(0, 2, 1), A)
+                and _close(M.transpose(0, 2, 1), M)
+                and fits(G[0], Ms, flat[:, n:])):
+            return midpoint
+        Lt = L.transpose(0, 2, 1)
+        lam, Q = np.linalg.eigh(Lt @ M @ L)
+        to_modes, from_modes = (Q.transpose(0, 2, 1) @ Lt,
+                                np.linalg.solve(Lt, Q))
+
+        def propagate(V, dt):
+            modes = to_modes @ V[..., None]
+            modes *= _decay(lam, dt)[..., None]
+            return (from_modes @ modes)[..., 0]
     exact = True
 
     def relax(U, dt):
         nonlocal exact
         if exact:
             start = U.reshape(-1, U.shape[-1])
-            modes = to_modes @ start[:, n:, None]
-            modes *= np.exp(-dt * lam)[..., None]
             end = start.copy()
-            end[:, n:] = (from_modes @ modes)[..., 0]
+            end[:, n:] = propagate(start[:, n:], dt)
             g = np.asarray(model.entropy_grad(end), dtype=float)[:, n:]
             exact = fits(g, np.asarray(model.dissipation_matrix(end),
                                        dtype=float), end[:, n:])
@@ -423,6 +445,12 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
                 return
         midpoint(U, dt)
     return relax
+
+
+def _decay(rates: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-rates dt), the factor by which decay at the rates scales v."""
+    decay = rates * -dt
+    return np.exp(decay, out=decay)
 
 
 def _midpoint(model: CdfModel, U: np.ndarray, dt: float) -> None:

@@ -422,6 +422,20 @@ def _aniso_M(U):
     return ((1.0 + u) / u ** 2)[..., None, None]
 
 
+def _isotropic_M(U):
+    """The benchmark's M = (1 + u)/u^2 on each of two components."""
+    return _aniso_M(U) * np.eye(2)
+
+
+def _diagonal_M(U):
+    """Diagonal M with a different state-dependent entry per component."""
+    u = U[..., 0]
+    M = np.zeros(U.shape[:-1] + (2, 2))
+    M[..., 0, 0] = 1.0 + u
+    M[..., 1, 1] = 2.0 / u
+    return M
+
+
 def _coupled_M(U):
     """Symmetric positive definite 2x2 M with off-diagonal coupling."""
     u = U[..., 0]
@@ -511,6 +525,26 @@ def _takes_midpoint(model, U, dt, monkeypatch):
     return taken == [dt]
 
 
+def _lapack_calls(model, U, monkeypatch):
+    """The np.linalg cholesky, eigh and solve calls, by name, made in
+    building the relaxation of the cells U."""
+    calls = collections.Counter()
+    with monkeypatch.context() as patch:
+        for name in ("cholesky", "eigh", "solve"):
+            def counting(*args, name=name, real=getattr(np.linalg, name)):
+                calls[name] += 1
+                return real(*args)
+            patch.setattr(np.linalg, name, counting)
+        solver._relaxation(model, U)
+    return calls
+
+
+def _heat_2d_states(rng, shape, m=2):
+    """Random 2D-heat states: u in [0.5, 2], each w_j in [-1, 1]."""
+    return np.concatenate([rng.uniform(0.5, 2.0, shape + (1,)),
+                           rng.uniform(-1.0, 1.0, shape + (m,))], -1)
+
+
 class TestExactRelaxation:
     """The rates-free exact step against its oracles: per-cell expm, the
     closed-form rates and the batched implicit-midpoint fallback."""
@@ -545,6 +579,68 @@ class TestExactRelaxation:
             out = step_source_exact(m, U, dt)
             ref = _expm_oracle(m, U, A, dt)
             assert np.max(np.abs(out[..., 1:] - ref)) <= 1e-10, m.name
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("dissipation", [_isotropic_M, _diagonal_M])
+    def test_matches_expm_2d_diagonal(self, dt, dissipation):
+        # 2D heat with a diagonal M: A and M are diagonal, so each
+        # component relaxes at its own rate M_jj A_jj
+        m = heat_model(HeatParams(alpha0=0.3, space_dim=2),
+                       dissipation=dissipation)
+        U = _heat_2d_states(np.random.default_rng(10), (6, 5))
+        out = step_source_exact(m, U, dt)
+        ref = _expm_oracle(m, U, np.broadcast_to(np.eye(2) / 0.3,
+                                                 (6, 5, 2, 2)), dt)
+        assert np.max(np.abs(out[..., 1:] - ref)) <= 1e-10
+        assert np.array_equal(out[..., 0], U[..., 0])
+
+    @pytest.mark.parametrize("case", ["heat-aniso", "fluid", "heat-2d",
+                                      "coupled-M", "quadratic-eta"])
+    def test_diagonal_source_uses_no_lapack(self, fluid, case, monkeypatch):
+        # a diagonal A and M relax by per-component rates, built with no
+        # Cholesky, eigh or solve; a coupled one keeps the eigenbasis, one
+        # of each; neither takes the midpoint
+        rng = np.random.default_rng(11)
+        if case == "heat-aniso":
+            m, U = self._aniso(), random_heat_states(64, seed=11)
+        elif case == "fluid":
+            m = dataclasses.replace(fluid, source_decay_rates=None)
+            U = random_fluid_states(fluid, 50, seed=11)
+        elif case == "heat-2d":
+            m = heat_model(HeatParams(alpha0=0.3, space_dim=2),
+                           dissipation=_isotropic_M)
+            U = _heat_2d_states(rng, (50,))
+        elif case == "coupled-M":
+            m = heat_model(HeatParams(alpha0=0.3, space_dim=2),
+                           dissipation=_coupled_M)
+            U = _heat_2d_states(rng, (50,))
+        else:
+            m = _quadratic_entropy_model(3)[0]
+            U = _heat_2d_states(rng, (50,), m=3)
+        assert not _takes_midpoint(m, U, 1e-2, monkeypatch)
+        calls = _lapack_calls(m, U, monkeypatch)
+        if case in ("coupled-M", "quadratic-eta"):
+            assert calls == {"cholesky": 1, "eigh": 1, "solve": 1}
+        else:
+            assert not calls
+
+    def test_nan_off_diagonal_M_takes_midpoint(self, heat_params,
+                                               monkeypatch):
+        # NaN is not zero: the source is not diagonal, and the eigenbasis
+        # path's symmetry check refuses M after the Cholesky of A; the
+        # midpoint solve then reports the NaN source
+        def nan_coupling(U):
+            M = _coupled_M(U)
+            M[..., 0, 1] = M[..., 1, 0] = np.nan
+            return M
+
+        m = heat_model(dataclasses.replace(heat_params, space_dim=2),
+                       dissipation=nan_coupling)
+        U = _heat_2d_states(np.random.default_rng(12), (16,))
+        assert _takes_midpoint(m, U, 1e-2, monkeypatch)
+        assert _lapack_calls(m, U, monkeypatch)["cholesky"] == 1
+        with pytest.raises(core.ConvergenceError, match="residual nan"):
+            step_source_exact(m, U, 1e-2)
 
     @pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0])
     def test_matches_rates_path(self, dt):
@@ -617,7 +713,8 @@ class TestExactRelaxation:
 
     @pytest.mark.parametrize("case", ["signflip", "asymmetric-M",
                                       "M-depends-on-w", "cubic-eta_w",
-                                      "offset-eta_w"])
+                                      "offset-eta_w", "diagonal-A-zero",
+                                      "diagonal-A-nan"])
     def test_midpoint_fallback_where_exact_step_does_not_apply(
             self, heat_params, broken_heat, case, monkeypatch):
         heat2 = heat_model(dataclasses.replace(heat_params, space_dim=2))
@@ -633,6 +730,17 @@ class TestExactRelaxation:
         elif case == "M-depends-on-w":
             m = heat_model(heat_params, dissipation=lambda U: (
                 1.0 + U[..., 1:] ** 2)[..., None])
+        elif case.startswith("diagonal-A"):
+            # A = diag(1/alpha0, 0), linear and diagonal but not positive
+            # definite; or diag(1/alpha0, NaN), from a NaN eta_w2 at the
+            # unit probe state w2 = 1 alone
+            def grad(U, nan=case == "diagonal-A-nan"):
+                g = heat2.entropy_grad(U)
+                g[..., 2] = (np.where(U[..., 2] == 1.0, np.nan, g[..., 2])
+                             if nan else 0.0)
+                return g
+            m = dataclasses.replace(heat2, entropy_grad=grad,
+                                    source_decay_rates=None)
         else:
             def grad(U, cubic=case == "cubic-eta_w"):
                 g = heat2.entropy_grad(U)
