@@ -271,7 +271,8 @@ def build_scenario(cfg: dict) -> Scenario:
 
 def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
     """The hash line, the header and one line of comma-separated float
-    reprs per row, written at once."""
+    reprs per row, written at once: a snapshot's rows are its cells, so
+    its memory grows with the grid, not with the run."""
     line = ",".join(["%r"] * rows.shape[1]) + "\n"
     path.write_text(f"# config_sha256={cfg_hash}\n{header}\n"
                     + "".join([line % tuple(row) for row in rows.tolist()]))
@@ -280,23 +281,30 @@ def _write_csv(path: Path, header: str, rows: np.ndarray, cfg_hash: str):
 # the keys of each diagnostics.jsonl record, in order; "totals" is a list
 _DIAGNOSTICS = ("time", "totals", "total_entropy", "min_sigma", "max_sigma",
                 "speed")
+# records that `_write_diagnostics` formats and writes at a time, so that
+# its memory is bounded by a chunk, not by the run's step count
+_DIAGNOSTICS_CHUNK = 64
 
 
 def _write_diagnostics(path: Path, traj) -> None:
     """diagnostics.jsonl: per recorded step, the line `json.dumps` writes
-    for its record, all written at once."""
-    totals = np.asarray(traj.totals, dtype=float)
-    n = totals.shape[1]
-    # one column per value of a record, in the order of its keys, each
-    # value spelled once by json.dumps: a finite float as its repr, NaN and
-    # the infinities as NaN, Infinity and -Infinity
-    columns = [json.dumps(column)[1:-1].split(", ") for column in (
-        traj.step_times, *totals.T.tolist(), traj.total_entropy,
-        traj.min_sigma, traj.max_sigma, traj.speeds)]
-    slots = {"totals": "[" + ", ".join(["%s"] * n) + "]"}
+    for its record, formatted and written `_DIAGNOSTICS_CHUNK` records at
+    a time."""
+    slots = {"totals": "[" + ", ".join(["%s"] * len(traj.totals[0])) + "]"}
     line = "{" + ", ".join(f'"{key}": {slots.get(key, "%s")}'
                            for key in _DIAGNOSTICS) + "}\n"
-    path.write_text("".join([line % r for r in zip(*columns)]))
+    with path.open("w") as out:
+        for start in range(0, len(traj.step_times), _DIAGNOSTICS_CHUNK):
+            chunk = slice(start, start + _DIAGNOSTICS_CHUNK)
+            totals = np.asarray(traj.totals[chunk], dtype=float)
+            # one column per value of a record, in the order of its keys,
+            # each value spelled once by json.dumps: a finite float as its
+            # repr, NaN and the infinities as NaN, Infinity and -Infinity
+            columns = [json.dumps(column)[1:-1].split(", ") for column in (
+                traj.step_times[chunk], *totals.T.tolist(),
+                traj.total_entropy[chunk], traj.min_sigma[chunk],
+                traj.max_sigma[chunk], traj.speeds[chunk])]
+            out.write("".join([line % r for r in zip(*columns)]))
 
 
 # A failure found during a command's work -> its exit status and the

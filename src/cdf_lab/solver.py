@@ -35,9 +35,11 @@ speed that check measured.  A second violation ends the run.
 
 The per-step diagnostics (conserved totals, total entropy, min and max of
 sigma) are evaluated a block of steps at a time: `run` copies each
-recorded field into a preallocated block of about `_DIAG_BLOCK_VALUES`
-state values and evaluates the block when it fills and when the time loop
-ends, for any reason.  Each step's values are the same reductions over the
+recorded field into a preallocated block of at most `_DIAG_BLOCK_VALUES`
+state values (a larger field takes a block of one step), small enough
+that the evaluation's arrays stay off the allocator's mmap path, and
+evaluates the block when it fills and when the time loop ends, for any
+reason.  Each step's values are the same reductions over the
 same cells as one step at a time, so they are bit-identical; the block's
 sigma evaluation is also the admissibility check of the relaxed states.
 """
@@ -65,10 +67,15 @@ _MAX_STEPS = 2_000_000   # steps after which `run` gives up before t_end
 _MIDPOINT_TOL = 1e-12
 _MIDPOINT_MAX_ITER = 50
 # state values (float64) per block of recorded fields whose diagnostics
-# `run` evaluates at once: 256 KiB, whatever the number of components, as
-# the evaluation's temporaries take about three times the block; a larger
-# field gets a block of one step
-_DIAG_BLOCK_VALUES = 2 ** 15
+# `run` evaluates at once, whatever the number of components; a larger
+# field gets a block of one step.  64 KiB keeps the block and each array
+# of its evaluation, the largest being 2D heat's M stack at 4/3 of the
+# block, strictly below glibc's default 128 KiB mmap threshold.  Measured
+# on the second 384-cell heat run in a fresh process: 2**15 took 1600-5200
+# minor page faults, as each block's arrays were mapped or trimmed afresh,
+# and 2**14 (126 KiB) 2-929, by heap layout; 2**13 takes 3 and runs 3.7%
+# faster than 2**15, while 2**12 runs 3.5% slower.
+_DIAG_BLOCK_VALUES = 2 ** 13
 
 
 class CflError(RuntimeError):

@@ -3,6 +3,7 @@ codes, determinism."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -780,23 +781,24 @@ def _records(traj):
 
 
 class TestWriters:
-    """The output files are written in one pass; every line is what the
-    one-record-at-a-time writers wrote."""
+    """Every line of the output files is what the one-record-at-a-time
+    writers wrote."""
 
     @staticmethod
-    def _trajectory(n_conserved, special=None):
-        """Seven recorded steps of awkward values; `special`, when given,
-        replaces one value of every field in turn."""
+    def _trajectory(n_conserved, special=None, steps=7):
+        """`steps` recorded steps of awkward values; `special`, when given,
+        replaces one value of every field in turn, the time in the last
+        record of the first `_write_diagnostics` chunk and the first total
+        in the record after it (modulo `steps`)."""
         rng = np.random.default_rng(7)
         traj = solver.Trajectory(boundary="periodic",
                                  boundary_inflow=np.zeros(n_conserved))
-        steps = 7
 
         def column(k):
             vals = [_AWKWARD[(k + i) % len(_AWKWARD)] * rng.uniform(0.5, 1)
                     for i in range(steps)]
             if special is not None:
-                vals[k % steps] = special
+                vals[(cli._DIAGNOSTICS_CHUNK - 1 + k) % steps] = special
             return vals
 
         traj.step_times = column(0)
@@ -812,16 +814,33 @@ class TestWriters:
     @pytest.mark.parametrize("n_conserved", [1, 3])
     def test_diagnostics_lines_are_json_dumps(self, tmp_path, n_conserved,
                                               special):
-        traj = self._trajectory(n_conserved, special)
-        path = tmp_path / "diagnostics.jsonl"
-        cli._write_diagnostics(path, traj)
-        lines = path.read_text().split("\n")
-        assert lines.pop() == ""
-        want = [json.dumps(r) for r in _records(traj)]
-        assert lines == want
-        if special is not None:
-            assert any(("NaN" if np.isnan(special) else "Infinity") in line
-                       for line in lines)
+        """In one writer chunk and across several."""
+        edge = cli._DIAGNOSTICS_CHUNK
+        for steps in (7, 3 * edge + 1):
+            traj = self._trajectory(n_conserved, special, steps)
+            path = tmp_path / "diagnostics.jsonl"
+            cli._write_diagnostics(path, traj)
+            lines = path.read_text().split("\n")
+            assert lines.pop() == ""
+            want = [json.dumps(r) for r in _records(traj)]
+            assert lines == want
+            if special is not None:
+                word = "NaN" if np.isnan(special) else "Infinity"
+                assert all(word in line for line in
+                           (lines[(edge - 1) % steps], lines[edge % steps]))
+
+    def test_diagnostics_memory_is_bounded(self, tmp_path):
+        """The writer's peak allocation from its call on does not grow
+        with the step count: 20000 records (about 0.9 KB each when every
+        line was built before the write) stay within 256 KiB."""
+        traj = self._trajectory(3, steps=20000)
+        tracemalloc.start()
+        try:
+            cli._write_diagnostics(tmp_path / "diagnostics.jsonl", traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
     def test_run_diagnostics_lines_are_json_dumps(self, tmp_path,
                                                   monkeypatch):

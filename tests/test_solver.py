@@ -1,6 +1,11 @@
 import collections
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -1344,6 +1349,34 @@ class TestBlockDiagnostics:
                       t_end=1e-5)
         traj = solver.run(sc)
         assert len(traj.min_sigma) == len(traj.step_times) == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts pages glibc's allocator maps afresh")
+    def test_blocks_take_no_fresh_pages(self):
+        """A second heat run of 384 cells in a fresh process, whose
+        allocator still has its default 128 KiB mmap threshold, takes few
+        minor page faults: a block and its evaluation's temporaries stay
+        below the threshold, so each block reuses heap pages (with 256 KiB
+        blocks it took 1600-5200).  A long test process may have raised
+        the threshold already, hence the subprocess."""
+        code = textwrap.dedent("""\
+            import resource
+            from cdf_lab import diagnostics, solver
+            from cdf_lab.heat import HeatParams
+            sc = diagnostics.heat_sine_scenario(HeatParams(alpha0=0.1),
+                                                solver.Grid1D(384), 0.5)
+            solver.run(sc)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            solver.run(sc)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """)
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert int(out.stdout) < 1000, out.stdout
 
 
 class TestInadmissibleRelaxedState:
