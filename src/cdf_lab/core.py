@@ -36,6 +36,8 @@ class CdfModel:
     The source is Q = (0, M(U) . eta_v) (`source`); no field replaces it.
     Optional fields supply analytic shortcuts (entropy flux, wave speed,
     linear source rates); when absent, generic numerical paths are used.
+    `admissible(U)` must be False wherever a component of U is not finite:
+    the solver checks states by it alone (`require_admissible` too).
     `max_wave_speed` must be the exact spectral radius of the flux Jacobian,
     the same in every direction (it takes no direction argument).
     `entropy_flux(U, j)` is the entropy flux psi_j paired with `entropy`

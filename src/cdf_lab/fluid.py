@@ -144,10 +144,12 @@ def fluid_model(params: FluidParams) -> CdfModel:
         # z_k = (xi_1 + xi_{k+1})^2 >= 0.  With z = t - 2p/3 it is the
         # depressed cubic t^3 - 3 m^2 t + Q, solved by the cosine formula
         # (m > 0 since r > 0); clipping absorbs roundoff.
-        m2 = p ** 2 / 9.0 + 4.0 * r / 3.0
+        p2 = p ** 2
+        m2 = p2 / 9.0 + 4.0 * r / 3.0
         m = np.sqrt(m2)
-        Q = p * (8.0 * r / 3.0 - 2.0 * p ** 2 / 27.0) - q ** 2
-        phi = np.arccos(np.clip(-Q / (2.0 * m2 * m), -1.0, 1.0)) / 3.0
+        Q = p * (8.0 * r / 3.0 - 2.0 * p2 / 27.0) - q ** 2
+        phi = np.arccos(np.minimum(np.maximum(-Q / (2.0 * m2 * m), -1.0),
+                                   1.0)) / 3.0
         z = 2.0 * m * np.cos(np.subtract.outer(_THIRDS, phi)) - 2.0 * p / 3.0
         a, b, c = np.sqrt(np.maximum(z, 0.0))
         # The roots are (sigma/2)(+-a +-b +-c) with an even number of minus
@@ -155,11 +157,14 @@ def fluid_model(params: FluidParams) -> CdfModel:
         # -q.  The cosine formula makes c the smallest, so the largest and
         # the smallest root are
         half = 0.5 * (a + b + c)
-        xi = np.stack([half - c * (q > 0), c * (q <= 0) - half])
+        xi = np.empty((2,) + np.shape(half))
+        np.subtract(half, c * (q > 0), out=xi[0, ...])
+        np.subtract(c * (q <= 0), half, out=xi[1, ...])
         # One Newton step on the quartic: a root with a small z (q ~ 0)
         # otherwise carries the sqrt(eps) error of that z.
-        f = ((xi ** 2 + p) * xi + q) * xi + r
-        df = (4.0 * xi ** 2 + 2.0 * p) * xi + q
+        xi2 = xi ** 2
+        f = ((xi2 + p) * xi + q) * xi + r
+        df = (4.0 * xi2 + 2.0 * p) * xi + q
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / df
         xi = np.where(np.isfinite(step), xi - step, xi)

@@ -10,8 +10,9 @@ the eigenbasis of M A); the two are composed with Strang splitting.
 One time loop serves 1D grids (any model, any boundary kind) and periodic
 2D grids (models with space_dim == 2).  The field holds the cells only;
 transport alone pads it with one ghost cell at each end of every spatial
-axis (`with_ghosts`), sums the face-flux differences axis by axis, and
-rechecks dt * sum_d s_d / dx_d <= cfl on the ghost-filled field.
+axis (`with_ghosts`), rechecks dt * sum_d s_d / dx_d <= cfl, subtracts
+the face-flux differences axis by axis, on lines with that axis first,
+and checks its output by `model.admissible` alone.
 
 A field's relaxation (`_relaxation`) is one callable, built once for both
 half steps that relax it: the closed-form decay rates, else the exact
@@ -258,10 +259,11 @@ def _axis_speeds(model: CdfModel, U: np.ndarray, spacing):
     the CFL speed s_0 + s_1 dx/dy + ... in units of the axis-0 width (1D:
     exactly s_0), and its maximum.  Raises CflError, carrying the maximum,
     when a CFL speed is not finite, naming the first (see `_locate`)."""
-    speeds = [core.spectral_radius(model, U, d) for d in range(len(spacing))]
+    speeds = [core.spectral_radius(model, U, 0)]
     rate = speeds[0]
-    for s, h in zip(speeds[1:], spacing[1:]):
-        rate = rate + s * (spacing[0] / h)
+    for d in range(1, len(spacing)):
+        speeds.append(core.spectral_radius(model, U, d))
+        rate = rate + speeds[d] * (spacing[0] / spacing[d])
     smax = float(rate.max())
     if not math.isfinite(smax):
         raise CflError("non-finite CFL speed %s at %s"
@@ -292,10 +294,8 @@ def _cell(flat_index, shape):
 
 def _raise_inadmissible(model: CdfModel, cells: np.ndarray, what: str,
                         error=InadmissibleStateError):
-    """Raise `error` at the first bad cell of `cells`."""
-    finite = np.isfinite(cells)
-    ok = finite.all(axis=-1) & model.admissible(np.where(finite, cells, 1))
-    bad = _cell(np.argmin(ok), ok.shape)
+    """Raise `error` at the first inadmissible cell of `cells`."""
+    bad = _cell(np.argmin(model.admissible(cells)), cells.shape[:-1])
     # one line, however long the state
     raise error(f"{what} at cell {bad}: "
                 f"{np.array2string(cells[bad], max_line_width=sys.maxsize)}")
@@ -305,13 +305,13 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
                     grid: Grid1D | Grid2D, boundary: str = "periodic",
                     left_state=None, right_state=None, cfl: float = 1.0):
     """First-order FV update of the cells (no ghosts: the end faces read the
-    ghosts `with_ghosts` adds per the boundary rule).  Returns the new cells,
-    the conserved-block fluxes through the low and high ends integrated
-    over their faces, and the largest CFL speed of the ghost-filled input
-    (see `_axis_speeds`).  Raises CflError, carrying that speed, when it
-    is not finite (`_axis_speeds`) or dt exceeds cfl dx / speed, and
-    InadmissibleStateError at the first non-finite or inadmissible new
-    cell: the one check of the transport output."""
+    ghosts `with_ghosts` adds per the boundary rule), axis d on views with
+    d first, whose faces are the [:-1] and [1:] slices.  Returns the new
+    cells, the conserved-block fluxes through the low and high ends
+    integrated over their faces, and the largest CFL speed of the
+    ghost-filled input (`_axis_speeds`).  Raises CflError, carrying it, when
+    it is not finite or dt exceeds cfl dx / speed, and InadmissibleStateError
+    at the first cell `model.admissible` rejects (so any non-finite one)."""
     spacing = _spacing(grid)
     work = with_ghosts(cells, boundary, left_state, right_state)
     # ghost speeds count too: the Rusanov faces at the domain ends use them
@@ -320,28 +320,21 @@ def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
         raise CflError(
             f"dt={dt:.3e} exceeds cfl*dx/speed with speed {smax:.3e} at "
             f"{_locate(rate, rate == smax)[1]}", smax)
-    n = model.n_conserved
-    f_ends = np.zeros((2, n))
-    new = cells.copy()
-    no_ghost = (slice(1, -1),) * len(spacing)
+    # axis d's lines, d first: its cells and ghosts, other axes' interior
+    lines = (slice(None),) + (slice(1, -1),) * (len(spacing) - 1)
+    other = tuple(range(1, len(spacing)))
+    new = cells
     for d, h in enumerate(spacing):
-        # the cells of a line along axis d plus its two ghosts: their flux
-        # is evaluated once and sliced into the low and high side of every
-        # face
-        line = no_ghost[:d] + (slice(None),) + no_ghost[d + 1:]
-        a = (slice(None),) * d
-        lo, hi = a + (slice(None, -1),), a + (slice(1, None),)
-        U, s = work[line], speeds[d][line]
-        Fc = model.flux(U, d)
-        F = rusanov_flux(Fc[lo], Fc[hi], U[lo], U[hi], (s[lo], s[hi]))
-        new -= (dt / h) * (F[hi] - F[lo])
-        other = tuple(i for i in range(len(spacing)) if i != d)
-        ends = a + (slice(None, None, F.shape[d] - 1),)     # first, last face
-        face = F[ends][..., :n]
+        U, s = work.swapaxes(0, d)[lines], speeds[d].swapaxes(0, d)[lines]
+        # once per cell, in the field's layout, as U and s are in memory
+        Fc = model.flux(U.swapaxes(0, d), d).swapaxes(0, d)
+        F = rusanov_flux(Fc[:-1], Fc[1:], U[:-1], U[1:], (s[:-1], s[1:]))
+        new = new - (dt / h) * (F[1:] - F[:-1]).swapaxes(0, d)
+        face = F[::len(F) - 1, ..., :model.n_conserved]  # first, last
         if other:
             face = face.sum(axis=other) * (math.prod(spacing) / h)
-        f_ends += face
-    if not np.isfinite(new).all() or not model.admissible(new).all():
+        f_ends = f_ends + face if d else face
+    if not model.admissible(new).all():
         _raise_inadmissible(model, new, "inadmissible state after transport")
     return new, f_ends[0], f_ends[1], smax
 

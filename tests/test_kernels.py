@@ -11,6 +11,7 @@ import pytest
 
 from cdf_lab import (FluidParams, HeatParams, conserved_from_primitive,
                      fluid_model, heat_model)
+from cdf_lab.fluid import primitive_from_conserved
 from cdf_lab.heat import sign_flipped_heat_model
 
 from conftest import random_fluid_states, random_heat_states
@@ -60,8 +61,8 @@ def _heat_oracles(p: HeatParams) -> dict:
 
 def _fluid_oracles(p: FluidParams) -> dict:
     """The temperature-reading kernels with theta by the operations of
-    `primitive_from_conserved`, spelled out, and `from_sample` column by
-    column."""
+    `primitive_from_conserved`, spelled out, `from_sample` column by
+    column, and the wave speed in its former spelling."""
     def theta(U):
         rho = U[..., 0]
         v = U[..., 1] / rho
@@ -83,9 +84,35 @@ def _fluid_oracles(p: FluidParams) -> dict:
         return conserved_from_primitive(S[..., 0], S[..., 1], S[..., 2],
                                         S[..., 3], S[..., 4])
 
+    def max_wave_speed(U):
+        """The closed form with `np.clip`, `np.stack` and the repeated
+        powers p ** 2 and xi ** 2."""
+        R, c_v, a0, a1 = p.R, p.c_v, p.alpha0, p.alpha1
+        rho, v, u, w, C = primitive_from_conserved(U)
+        K = R + rho * (w ** 2 / (2.0 * a0) + C ** 2 / (2.0 * a1)) - C / a1
+        P = (-(u / c_v) * (K ** 2 / c_v + 2.0 * K - R + 1.0 / (a1 * rho))
+             - c_v / (a0 * rho * u ** 2))
+        q = 2.0 * w * K / (a0 * c_v)
+        r = ((1.0 - rho * C) ** 2 + R * a1 * rho) / (a0 * a1 * rho ** 2 * u)
+        m2 = P ** 2 / 9.0 + 4.0 * r / 3.0
+        m = np.sqrt(m2)
+        Q = P * (8.0 * r / 3.0 - 2.0 * P ** 2 / 27.0) - q ** 2
+        phi = np.arccos(np.clip(-Q / (2.0 * m2 * m), -1.0, 1.0)) / 3.0
+        thirds = 2.0 * np.pi / 3.0 * np.arange(3)
+        z = 2.0 * m * np.cos(np.subtract.outer(thirds, phi)) - 2.0 * P / 3.0
+        a, b, c = np.sqrt(np.maximum(z, 0.0))
+        half = 0.5 * (a + b + c)
+        xi = np.stack([half - c * (q > 0), c * (q <= 0) - half])
+        f = ((xi ** 2 + P) * xi + q) * xi + r
+        df = (4.0 * xi ** 2 + 2.0 * P) * xi + q
+        step = f / df
+        xi = np.where(np.isfinite(step), xi - step, xi)
+        return np.maximum(v + xi[0], -(v + xi[1]))
+
     return {"dissipation_matrix": dissipation_matrix,
             "source_decay_rates": source_decay_rates,
-            "from_sample": from_sample}
+            "from_sample": from_sample,
+            "max_wave_speed": max_wave_speed}
 
 
 def test_fluid_kernels_match_spelled_out_oracles():
@@ -164,3 +191,33 @@ def test_fluid_admissible_matches_reducing_oracle():
     states[1::4, 2] = 0.0     # internal energy <= 0
     for U in _inputs(states):
         _assert_bit_equal(model.admissible(U), _fluid_admissible_oracle(U))
+
+
+def _admissibility_cases() -> dict:
+    """Models, each with admissible states to plant non-finite values in."""
+    heat_2d = HeatParams(alpha0=0.1, space_dim=2)
+    fluid = fluid_model(FluidParams())
+    heat_states = random_heat_states(60, seed=7)
+    states_2d = np.column_stack([heat_states, heat_states[::-1, 1]])
+    return {
+        "heat": (heat_model(HeatParams()), heat_states),
+        "heat-2d": (heat_model(heat_2d), states_2d),
+        "heat-signflip": (sign_flipped_heat_model(HeatParams()),
+                          heat_states),
+        "fluid": (fluid, random_fluid_states(fluid, 60, seed=8)),
+        "heat-dissipation": (heat_model(
+            HeatParams(), dissipation=lambda U: np.ones(U.shape + (1,))),
+            heat_states),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_admissibility_cases()))
+def test_admissible_is_false_where_not_finite(name):
+    # `step_hyperbolic` checks its output by `admissible` alone
+    model, states = _admissibility_cases()[name]
+    assert model.admissible(states).all()
+    batch = _planted(states)
+    planted = ~np.isfinite(batch).all(axis=-1)
+    assert planted.sum() == 3 * states.shape[-1] * len(states[::3])
+    with np.errstate(all="ignore"):
+        assert not model.admissible(batch)[planted].any()

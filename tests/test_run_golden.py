@@ -25,7 +25,12 @@ in the directory `<name>/` beside it:
 `heat-aniso.pin.json` in `tests/data/solver` pins, as `float.hex`, the
 final field and the per-step diagnostics of `solver.run` on heat with the
 state-dependent M(u) = (1 + u)/u^2, which the CLI cannot express and which
-the exact linear relaxation operator relaxes.
+the exact linear relaxation operator relaxes.  `transport.pin.json` pins
+the final field, `boundary_inflow` and per-step CFL speeds of three runs
+whose transport no run golden covers: heat with fixed boundary states,
+the fluid with zero-gradient ends, and periodic 2D heat on a 12 x 8 grid
+with unequal spacings; and the end-face fluxes `step_hyperbolic` returns
+for each final field, which a periodic run's inflow cancels.
 
 The files were written by `cdf-lab <command> --config <name>.config.json
 --out DIR` with numpy 2.4.6.  They hold floating-point values to the last
@@ -40,6 +45,7 @@ import numpy as np
 import pytest
 
 from cdf_lab import cli, solver
+from cdf_lab.fluid import FluidParams, conserved_from_primitive, fluid_model
 from cdf_lab.heat import HeatParams, heat_model
 
 DATA = Path(__file__).parent / "data" / "run"
@@ -99,3 +105,54 @@ def test_linear_operator_run_bits():
     assert hexes(traj.totals) == pin["totals"]
     for key in ("total_entropy", "min_sigma", "max_sigma"):
         assert [float(x).hex() for x in getattr(traj, key)] == pin[key], key
+
+
+def _transport_scenarios() -> dict:
+    """The runs `transport.pin.json` pins, by name."""
+    heat = heat_model(HeatParams(alpha0=0.1))
+    heat_2d = heat_model(HeatParams(alpha0=0.1, space_dim=2))
+
+    def fluid_ic(x):
+        return conserved_from_primitive(
+            1.0 + 0.1 * np.sin(2.0 * np.pi * x), 0.2, 1.0, 0.0, 0.0)
+
+    return {
+        "heat-fixed-state": solver.Scenario(
+            model=heat, grid=solver.Grid1D(32),
+            initial_condition=lambda x: np.array(
+                [1.0 + 0.1 * np.sin(2.0 * np.pi * x), 0.0]),
+            boundary="fixed-state", left_state=np.array([1.2, 0.0]),
+            right_state=np.array([0.9, 0.0]), t_end=0.05, output_every=0.05),
+        "fluid-zero-gradient": solver.Scenario(
+            model=fluid_model(FluidParams()), grid=solver.Grid1D(32),
+            initial_condition=fluid_ic, boundary="zero-gradient",
+            t_end=0.05, output_every=0.05),
+        "heat-2d-periodic": solver.Scenario(
+            model=heat_2d, grid=solver.Grid2D(12, 8, y_max=0.75),
+            initial_condition=lambda x, y: np.array(
+                [1.0 + 0.1 * np.sin(2.0 * np.pi * (x + y / 0.75))
+                 + 0.05 * np.sin(2.0 * np.pi * x), 0.0, 0.0]),
+            t_end=0.05, output_every=0.05),
+    }
+
+
+def _transport_bits(sc: solver.Scenario) -> dict:
+    def hexes(values):
+        return [float(x).hex() for x in np.ravel(values)]
+
+    traj = solver.run(sc)
+    final = traj.snapshots[-1]
+    _, f_left, f_right, _ = solver.step_hyperbolic(
+        sc.model, final, 0.0, sc.grid, sc.boundary, sc.left_state,
+        sc.right_state)
+    return {"final_field": hexes(final),
+            "boundary_inflow": hexes(traj.boundary_inflow),
+            "speeds": hexes(traj.speeds),
+            "end_fluxes": hexes([f_left, f_right])}
+
+
+@pytest.mark.parametrize("name", sorted(_transport_scenarios()))
+def test_transport_run_bits(name):
+    pin = json.loads((DATA.parent / "solver" / "transport.pin.json")
+                     .read_text())
+    assert _transport_bits(_transport_scenarios()[name]) == pin[name]
