@@ -13,7 +13,7 @@ from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
                     fluid_model, fns_limit_fluxes, powerlaw_stress,
                     powerlaw_stress_fixed_point, primitive_from_conserved)
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
-from .solver import (Grid1D, Grid2D, Scenario, Trajectory, run, rusanov_flux,
+from .solver import (Grid1D, Scenario, Trajectory, run, rusanov_flux,
                      step_hyperbolic, step_source_exact, strang_step)
 from .verify import (AuditReport, AuditSamples, SamplingPlan, check,
                      run_full_audit, sample_states)

@@ -100,9 +100,10 @@ class RunReport:
         return self.conservation.passed and self.entropy.passed
 
     def to_dict(self) -> dict:
+        drift = self.conservation.max_drift   # strict JSON: NaN is null
         return {
             "conservation_ok": self.conservation.passed,
-            "max_relative_drift": self.conservation.max_drift,
+            "max_relative_drift": drift if np.isfinite(drift) else None,
             "entropy_ok": self.entropy.passed,
             "steps": len(self.traj.step_times) - 1,
             "cfl_retries": self.traj.cfl_retries,

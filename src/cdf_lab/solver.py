@@ -7,8 +7,9 @@ dissipative block v, with A and M diagonal, so each component decays at
 its own rate; a coupled A or M takes one batched matrix exponential in
 the eigenbasis of M A); the two are composed with Strang splitting.
 
-One time loop serves 1D grids (any model, any boundary kind) and periodic
-2D grids (models with space_dim == 2).  The field holds the cells only;
+One time loop serves a `Grid1D` (any model, any boundary kind) or a pair
+of axes, a tuple of two `Grid1D`s with x first (periodic boundaries,
+models with space_dim == 2).  The field holds the cells only;
 transport alone pads it with one ghost cell at each end of every spatial
 axis (`with_ghosts`), rechecks dt * sum_d s_d / dx_d <= cfl, subtracts
 the face-flux differences axis by axis, on lines with that axis first,
@@ -50,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -106,15 +108,18 @@ class StepLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid1D:
+    """A 1D grid of n_cells equal cells, or one axis of a 2D grid."""
     n_cells: int
     x_min: float = 0.0
     x_max: float = 1.0
 
     def __post_init__(self):
-        if self.n_cells < 4:
-            raise ValueError("n_cells must be >= 4")
+        if not isinstance(self.n_cells, numbers.Integral) or self.n_cells < 4:
+            raise ValueError("n_cells must be an integer >= 4")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError(f"cell width {self.dx} must be finite and > 0")
 
     @property
     def dx(self) -> float:
@@ -124,40 +129,11 @@ class Grid1D:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    nx: int
-    ny: int
-    x_min: float = 0.0
-    x_max: float = 1.0
-    y_min: float = 0.0
-    y_max: float = 1.0
-
-    def __post_init__(self):
-        if self.nx < 4 or self.ny < 4:
-            raise ValueError("nx and ny must be >= 4")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("domain bounds out of order")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.nx
-
-    @property
-    def dy(self) -> float:
-        return (self.y_max - self.y_min) / self.ny
-
-    def centers(self):
-        x = self.x_min + (np.arange(self.nx) + 0.5) * self.dx
-        y = self.y_min + (np.arange(self.ny) + 0.5) * self.dy
-        return x, y
-
-
 @dataclass
 class Scenario:
     model: CdfModel
-    grid: Grid1D | Grid2D
-    initial_condition: Callable   # f(x) on Grid1D, f(x, y) on Grid2D
+    grid: Grid1D | tuple          # a Grid1D, or a pair of axes (x, y)
+    initial_condition: Callable   # f(x), or f(x, y) on a pair of axes
     boundary: str = "periodic"
     cfl: float = 0.45
     t_end: float = 1.0
@@ -186,7 +162,10 @@ class Scenario:
             # the solver does not check fixed boundary states again
             if not np.all(self.model.admissible(np.asarray(state, float))):
                 raise ValueError(f"boundary state {state} is inadmissible")
-        if isinstance(self.grid, Grid2D):
+        if isinstance(self.grid, tuple):
+            if len(self.grid) != 2 or not all(
+                    isinstance(a, Grid1D) for a in self.grid):
+                raise ValueError("a 2D grid is a pair of Grid1D axes (x, y)")
             if self.boundary != "periodic":
                 raise ValueError("2D runs support periodic boundaries only")
             if self.model.space_dim != 2:
@@ -251,7 +230,7 @@ def rusanov_flux(F_left: np.ndarray, F_right: np.ndarray,
 
 def _spacing(grid) -> tuple:
     """Cell width along each spatial axis."""
-    return (grid.dx, grid.dy) if isinstance(grid, Grid2D) else (grid.dx,)
+    return tuple(a.dx for a in grid) if isinstance(grid, tuple) else (grid.dx,)
 
 
 def _axis_speeds(model: CdfModel, U: np.ndarray, spacing):
@@ -302,7 +281,7 @@ def _raise_inadmissible(model: CdfModel, cells: np.ndarray, what: str,
 
 
 def step_hyperbolic(model: CdfModel, cells: np.ndarray, dt: float,
-                    grid: Grid1D | Grid2D, boundary: str = "periodic",
+                    grid: Grid1D | tuple, boundary: str = "periodic",
                     left_state=None, right_state=None, cfl: float = 1.0):
     """First-order FV update of the cells (no ghosts: the end faces read the
     ghosts `with_ghosts` adds per the boundary rule), axis d on views with
@@ -527,7 +506,7 @@ def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:
 
 
 def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
-                grid: Grid1D | Grid2D, boundary: str = "periodic",
+                grid: Grid1D | tuple, boundary: str = "periodic",
                 left_state=None, right_state=None, cfl: float = 1.0,
                 relaxation=None):
     """S(dt/2) o H(dt) o S(dt/2) on the cells (no ghosts); conserves the
@@ -575,7 +554,8 @@ def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
         _audit_or_raise(model)
 
     spacing = _spacing(grid)
-    centers = grid.centers() if len(spacing) > 1 else (grid.centers(),)
+    axes = grid if isinstance(grid, tuple) else (grid,)
+    centers = [a.centers() for a in axes]
     vol = math.prod(spacing)
     bc = (scenario.boundary, scenario.left_state, scenario.right_state)
     field_arr = np.empty(tuple(c.size for c in centers) + (model.n_comp,))

@@ -457,6 +457,32 @@ class TestRunCommand:
         assert summary["entropy_ok"] is False
         assert summary["conservation_ok"] is True
 
+    def test_overflowing_totals_write_a_strict_json_summary(self, tmp_path,
+                                                            capfd):
+        """u = 1e308 everywhere: the conserved totals overflow and the drift
+        is NaN, written as null; the verdict fails as before."""
+        rc, err, out = self._small_heat_run(tmp_path, capfd, initial={
+            "preset": "riemann", "left": 1e308, "right": 1e308})
+        assert rc == 1
+        assert err == []
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        summary = json.loads((out / "run_summary.json").read_text(),
+                             parse_constant=reject)
+        assert summary["conservation_ok"] is False
+        assert summary["max_relative_drift"] is None
+
+    def test_overflowing_cell_width_is_a_config_error(self, tmp_path,
+                                                      capfd):
+        """Finite bounds in order whose cell width overflows to inf."""
+        rc, err, out = self._small_heat_run(tmp_path, capfd,
+                                            x_min=-1e308, x_max=1e308)
+        assert rc == 2
+        assert err == ["config error: cell width inf must be finite and > 0"]
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.json")])
         assert rc == 2

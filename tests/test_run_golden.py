@@ -128,7 +128,8 @@ def _transport_scenarios() -> dict:
             initial_condition=fluid_ic, boundary="zero-gradient",
             t_end=0.05, output_every=0.05),
         "heat-2d-periodic": solver.Scenario(
-            model=heat_2d, grid=solver.Grid2D(12, 8, y_max=0.75),
+            model=heat_2d, grid=(solver.Grid1D(12),
+                                  solver.Grid1D(8, 0.0, 0.75)),
             initial_condition=lambda x, y: np.array(
                 [1.0 + 0.1 * np.sin(2.0 * np.pi * (x + y / 0.75))
                  + 0.05 * np.sin(2.0 * np.pi * x), 0.0, 0.0]),

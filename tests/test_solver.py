@@ -13,7 +13,7 @@ import pytest
 from cdf_lab import core, diagnostics, solver, verify
 from cdf_lab.fluid import FluidParams, conserved_from_primitive, fluid_model
 from cdf_lab.heat import HeatParams, heat_model, sign_flipped_heat_model
-from cdf_lab.solver import (CflError, Grid1D, Grid2D, InadmissibleStateError,
+from cdf_lab.solver import (CflError, Grid1D, InadmissibleStateError,
                             ModelAuditError, Scenario, rusanov_flux,
                             step_hyperbolic, step_source_exact, strang_step,
                             with_ghosts)
@@ -45,16 +45,21 @@ class TestGrids:
         with pytest.raises(ValueError):
             Grid1D(8, 1.0, 0.0)
 
-    def test_grid2d(self):
-        g = Grid2D(4, 8)
-        assert g.dy == pytest.approx(0.125)
-        with pytest.raises(ValueError):
-            Grid2D(2, 8)
+    @pytest.mark.parametrize("n_cells", [4.5, 8.0, "8", None])
+    def test_grid1d_needs_an_integer_cell_count(self, n_cells):
+        # 4.5 cells of width 1/4.5 would make 5 that cover 1.11 of the axis
+        with pytest.raises(ValueError, match="an integer >= 4"):
+            Grid1D(n_cells)
 
-    @pytest.mark.parametrize("bounds", [dict(x_max=-1.0), dict(y_min=1.0)])
-    def test_grid2d_bounds_out_of_order(self, bounds):
-        with pytest.raises(ValueError, match="out of order"):
-            Grid2D(4, 8, **bounds)
+    def test_grid1d_takes_a_numpy_integer(self):
+        assert Grid1D(np.int64(8)).centers().shape == (8,)
+
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (0.0, 5e-324)])
+    def test_grid1d_needs_a_finite_positive_width(self, bounds):
+        # both bounds are finite and in order; the width overflows to inf
+        # or underflows to 0
+        with pytest.raises(ValueError, match="cell width"):
+            Grid1D(4, *bounds)
 
 
 class TestScenarioValidation:
@@ -216,10 +221,12 @@ class TestStepHyperbolic:
         model = heat_model(HeatParams(space_dim=2))
         f = np.zeros((8, 32, 3))
         f[..., 0] = 1.0
-        dt = 0.3 * Grid2D(8, 32).dx / float(model.max_wave_speed(f[0, 0]))
+        grid = (Grid1D(8), Grid1D(32))
+        dt = 0.3 * grid[0].dx / float(model.max_wave_speed(f[0, 0]))
         with pytest.raises(CflError):
-            step_hyperbolic(model, f, dt, Grid2D(8, 32), cfl=0.45)
-        step_hyperbolic(model, f, dt, Grid2D(8, 32, y_max=32.0), cfl=0.45)
+            step_hyperbolic(model, f, dt, grid, cfl=0.45)
+        step_hyperbolic(model, f, dt, (Grid1D(8), Grid1D(32, 0.0, 32.0)),
+                        cfl=0.45)
 
     def test_non_finite_speed_raises(self, heat):
         """An infinite or NaN speed is a CflError naming the speed and the
@@ -282,7 +289,7 @@ class TestStepHyperbolic:
         f[5, 3, 0] = u
         with pytest.raises(CflError, match=rf"{speed}cell \(5, 3\)$"), \
                 np.errstate(over="ignore"):
-            step_hyperbolic(model, f, 1.0, Grid2D(6, 4))
+            step_hyperbolic(model, f, 1.0, (Grid1D(6), Grid1D(4)))
 
     def test_reports_its_cfl_speed(self, heat):
         """The speed returned, and the one a failed recheck carries, is the
@@ -297,17 +304,17 @@ class TestStepHyperbolic:
         model = heat_model(HeatParams(space_dim=2))
         f = np.zeros((8, 32, 3))
         f[..., 0] = 1.0
-        grid = Grid2D(8, 32)
+        x, y = Grid1D(8), Grid1D(32)
         s = float(model.max_wave_speed(f[0, 0]))
-        assert step_hyperbolic(model, f, 1e-4, grid)[3] == pytest.approx(
-            s * (1.0 + grid.dx / grid.dy), rel=1e-14)
+        assert step_hyperbolic(model, f, 1e-4, (x, y))[3] == pytest.approx(
+            s * (1.0 + x.dx / y.dx), rel=1e-14)
 
     @staticmethod
     def _flux_calls(grid):
         """(direction, cell-array shape) of each `model.flux` call made by
         one `step_hyperbolic` on a heat field over `grid`."""
-        shape = (grid.nx, grid.ny) if isinstance(grid, Grid2D) \
-            else (grid.n_cells,)
+        shape = tuple(a.n_cells for a in
+                      (grid if isinstance(grid, tuple) else (grid,)))
         base = heat_model(HeatParams(space_dim=len(shape)))
         calls = []
 
@@ -327,7 +334,8 @@ class TestStepHyperbolic:
         assert self._flux_calls(Grid1D(8)) == [(0, (10,))]
 
     def test_one_flux_evaluation_per_axis_2d(self):
-        assert self._flux_calls(Grid2D(8, 6)) == [(0, (10, 6)), (1, (8, 8))]
+        assert self._flux_calls((Grid1D(8), Grid1D(6))) == [(0, (10, 6)),
+                                                            (1, (8, 8))]
 
     def test_nonfinite_transport_output_raises(self, heat):
         def flux(U, j):
@@ -1163,7 +1171,7 @@ class TestOneSpeedEvaluationPerStep:
 
     def test_heat_2d_one_call_per_axis(self):
         model, calls = _speed_wrapped(heat_model(HeatParams(space_dim=2)))
-        sc = Scenario(model=model, grid=Grid2D(16, 8),
+        sc = Scenario(model=model, grid=(Grid1D(16), Grid1D(8)),
                       initial_condition=lambda x, y: np.array(
                           [1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0, 0.0]),
                       t_end=0.02)
@@ -1241,8 +1249,8 @@ def _per_step_diagnostics(model, fields, vol):
 def _set_block_steps(monkeypatch, sc, steps):
     """Make `run` evaluate the diagnostics of `steps` recorded fields of
     the scenario `sc` at a time."""
-    cells = (sc.grid.n_cells if isinstance(sc.grid, Grid1D)
-             else sc.grid.nx * sc.grid.ny)
+    cells = math.prod(a.n_cells for a in (
+        sc.grid if isinstance(sc.grid, tuple) else (sc.grid,)))
     monkeypatch.setattr(solver, "_DIAG_BLOCK_VALUES",
                         steps * cells * sc.model.n_comp)
 
@@ -1313,7 +1321,7 @@ class TestBlockDiagnostics:
 
     def test_periodic_2d(self, monkeypatch):
         sc = Scenario(model=heat_model(HeatParams(space_dim=2)),
-                      grid=Grid2D(16, 8),
+                      grid=(Grid1D(16), Grid1D(8)),
                       initial_condition=lambda x, y: np.array(
                           [1.0 + 0.1 * np.sin(2 * np.pi * x),
                            0.01 * np.cos(2 * np.pi * y), 0.0]),
@@ -1482,7 +1490,7 @@ class TestDecayRateSeam:
 
     def test_periodic_2d(self, monkeypatch):
         sc = Scenario(model=heat_model(HeatParams(space_dim=2)),
-                      grid=Grid2D(16, 8),
+                      grid=(Grid1D(16), Grid1D(8)),
                       initial_condition=lambda x, y: np.array(
                           [1.0 + 0.1 * np.sin(2 * np.pi * x),
                            0.01 * np.cos(2 * np.pi * y), 0.0]),
@@ -1627,7 +1635,7 @@ class TestLinearOperatorSeam:
     def test_periodic_2d_coupled(self, monkeypatch):
         sc = Scenario(model=heat_model(HeatParams(alpha0=0.3, space_dim=2),
                                        dissipation=_coupled_M),
-                      grid=Grid2D(16, 8),
+                      grid=(Grid1D(16), Grid1D(8)),
                       initial_condition=lambda x, y: np.array(
                           [1.0 + 0.1 * np.sin(2 * np.pi * x),
                            0.05 * np.cos(2 * np.pi * y), 0.02]),
@@ -1720,7 +1728,7 @@ class TestRun2D:
         def ic(x, y):
             return np.array([1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0, 0.0])
 
-        sc = Scenario(model=model, grid=Grid2D(24, 24),
+        sc = Scenario(model=model, grid=(Grid1D(24), Grid1D(24)),
                       initial_condition=ic, t_end=0.05, output_every=0.05)
         traj = solver.run(sc)
         totals = np.asarray(traj.totals)
@@ -1740,7 +1748,7 @@ class TestRun2D:
             return np.array([1.0 + 0.1 * np.sin(2 * np.pi * x), 0.0, 0.0])
 
         t_end = 0.05
-        sc2 = Scenario(model=heat_model(p2), grid=Grid2D(n, 8),
+        sc2 = Scenario(model=heat_model(p2), grid=(Grid1D(n), Grid1D(8)),
                        initial_condition=ic2, t_end=t_end,
                        output_every=t_end)
         u2 = solver.run(sc2).snapshots[-1][:, 0, 0]
@@ -1751,13 +1759,25 @@ class TestRun2D:
     def test_rejects_non_periodic(self):
         p = HeatParams(space_dim=2)
         with pytest.raises(ValueError, match="periodic boundaries only"):
-            Scenario(model=heat_model(p), grid=Grid2D(8, 8),
+            Scenario(model=heat_model(p), grid=(Grid1D(8), Grid1D(8)),
                      initial_condition=lambda x, y: np.array([1.0, 0, 0]),
                      boundary="zero-gradient", t_end=0.01)
 
+    @pytest.mark.parametrize("grid", [(Grid1D(8),), (Grid1D(8),) * 3,
+                                      (Grid1D(8), 8)],
+                             ids=["one-axis", "three-axes", "not-an-axis"])
+    def test_rejects_a_tuple_grid_that_is_not_two_axes(self, grid):
+        """A tuple grid is a pair of Grid1D axes: anything else is refused
+        when the scenario is built, not by a TypeError from the initial
+        condition or the spacing at run time."""
+        with pytest.raises(ValueError, match="pair of Grid1D axes"):
+            Scenario(model=heat_model(HeatParams(space_dim=2)), grid=grid,
+                     initial_condition=lambda x, y: np.array([1.0, 0, 0]),
+                     t_end=0.01)
+
     def test_rejects_a_1d_model(self, heat):
         with pytest.raises(ValueError, match="space_dim == 2"):
-            Scenario(model=heat, grid=Grid2D(8, 8),
+            Scenario(model=heat, grid=(Grid1D(8), Grid1D(8)),
                      initial_condition=lambda x, y: np.array([1.0, 0.0]),
                      t_end=0.01)
 
@@ -1766,6 +1786,6 @@ class TestRun2D:
         with the configuration error, not the audit verdict of its model."""
         flipped = sign_flipped_heat_model(HeatParams(space_dim=2))
         with pytest.raises(ValueError, match="periodic boundaries only"):
-            Scenario(model=flipped, grid=Grid2D(8, 8),
+            Scenario(model=flipped, grid=(Grid1D(8), Grid1D(8)),
                      initial_condition=lambda x, y: np.array([1.0, 0, 0]),
                      boundary="zero-gradient", t_end=0.01)
