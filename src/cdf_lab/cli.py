@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, solver, verify
-from .core import CdfModel, ConvergenceError
+from .core import CdfModel, ConvergenceError, entropy_production
 from .fluid import (FluidParams, PowerLawParams, conserved_from_primitive,
                     fluid_model, fns_sine_initial_condition)
 from .heat import HeatParams, heat_model, sign_flipped_heat_model
@@ -351,11 +351,11 @@ def cmd_run(cfg: dict, out_dir: Path,
     for k, snap in enumerate(traj.snapshots):
         if scenario.model.derived is not None:
             d = scenario.model.derived(snap)
-            extra = np.column_stack([d["theta"], d["q"], d["tau"],
-                                     d["sigma"]])
+            extra = [d["theta"], d["q"], d["tau"]]
         else:
-            extra = np.zeros((len(x), 4))
-        rows = np.column_stack([x, snap, extra])
+            extra = [np.zeros(len(x))] * 3
+        rows = np.column_stack(
+            [x, snap, *extra, entropy_production(scenario.model, snap)])
         _write_csv(out_dir / f"snapshot_{k:04d}.csv", header, rows, h)
 
     _write_diagnostics(out_dir / "diagnostics.jsonl", traj)

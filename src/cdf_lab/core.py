@@ -53,7 +53,8 @@ class CdfModel:
     reused in the same way from A and M probed at v = 0 and the unit v: by
     the rates M_jj A_jj where both are diagonal, else in the eigenbasis of
     M A; it is checked where it is built and at every state it relaxes to.
-    """
+    `derived(U)` maps "theta", "q" and "tau" to snapshot columns; the sigma
+    column is `entropy_production`, the sigma of the run's diagnostics."""
 
     name: str
     n_conserved: int

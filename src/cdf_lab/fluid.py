@@ -194,9 +194,8 @@ def fluid_model(params: FluidParams) -> CdfModel:
         return rates
 
     def derived(U):
-        _, theta, pi, q, tau = _closures(params, U)
-        sigma = q ** 2 / (lam * theta ** 2) + tau ** 2 / (theta * kap)
-        return {"theta": theta, "q": q, "tau": tau, "sigma": sigma}
+        _, theta, _, q, tau = _closures(params, U)
+        return {"theta": theta, "q": q, "tau": tau}
 
     def from_sample(sample):
         return conserved_from_primitive(

@@ -90,14 +90,10 @@ def heat_model(params: HeatParams,
         return rates
 
     def derived(U):
-        u = U[..., 0]
         q = -U[..., 1:] / a0
-        theta = u / c_v
-        sigma = square_sum(q, 1) / (lam * theta ** 2)
-        return {"theta": theta,
+        return {"theta": U[..., 0] / c_v,
                 "q": q[..., 0] if m == 1 else q,
-                "tau": np.zeros_like(u),
-                "sigma": sigma}
+                "tau": np.zeros_like(U[..., 0])}
 
     box = np.array([(0.5, 2.0)] + [(-1.0, 1.0)] * m)
     return CdfModel(

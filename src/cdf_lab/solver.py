@@ -49,7 +49,6 @@ sigma evaluation is also the admissibility check of the relaxed states.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import numbers
 import sys
@@ -339,7 +338,7 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     a callable relax(U, dt) that relaxes the v-block of the cells U over dt
     in place.  By the model's closed-form decay rates r at the cells,
     v <- exp(-r dt) v; else, when the source is linear in v, by its exact
-    operator; else by the batched implicit midpoint (`_midpoint`).
+    operator; else by the batched implicit midpoint (`_relax_midpoint`).
 
     The operator solves v' = -M A v with eta_v = -A v, A symmetric positive
     definite and M symmetric.  A and M come from one probe of the cells,
@@ -362,7 +361,9 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
         def relax(U, dt):
             U[..., n:] *= _decay(rates, dt)
         return relax
-    midpoint = functools.partial(_midpoint, model)
+
+    def midpoint(U, dt):
+        U[..., n:] = _relax_midpoint(model, U, dt)
     flat = cells.reshape(-1, cells.shape[-1])
     m = flat.shape[-1] - n
     # the cells, (u, v = 0), then (u, v = e_j) for each j
@@ -430,11 +431,6 @@ def _decay(rates: np.ndarray, dt: float) -> np.ndarray:
     """exp(-rates dt), the factor by which decay at the rates scales v."""
     decay = rates * -dt
     return np.exp(decay, out=decay)
-
-
-def _midpoint(model: CdfModel, U: np.ndarray, dt: float) -> None:
-    """Relax the cells U over dt in place by `_relax_midpoint`."""
-    U[..., model.n_conserved:] = _relax_midpoint(model, U, dt)
 
 
 # Relative tolerance of the checks that the source is linear in v.

@@ -182,8 +182,10 @@ class TestRunCommand:
         """--override-audit runs the fixture.  It has no decay rates and its
         A = -d eta_w / dw = -1/alpha0 is not positive definite, so both half
         steps of every step take the implicit midpoint; it has no closures,
-        so the closure columns are zeros.  Its entropy verdict is judged
-        with the flipped entropy and means nothing, so it is not checked."""
+        so the closure columns are zeros, and its sigma column is
+        `core.entropy_production` of the written state, as for every model.
+        Its entropy verdict is judged with the flipped entropy and means
+        nothing, so it is not checked."""
         calls, real = [], solver._relax_midpoint
 
         def counting(*args):
@@ -192,9 +194,10 @@ class TestRunCommand:
 
         monkeypatch.setattr(solver, "_relax_midpoint", counting)
         out = tmp_path / "out"
-        cli.main(["run", "--config", _cfg(tmp_path, _run_config(
-            tmp_path, model="heat-signflip")), "--out", str(out),
-            "--override-audit"])
+        payload = _run_config(tmp_path, model="heat-signflip")
+        cli.main(["run", "--config", _cfg(tmp_path, payload), "--out",
+                  str(out), "--override-audit"])
+        model = cli.build_model(cli.parse_config(json.dumps(payload)))
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["conservation_ok"] is True
         assert summary["steps"] == 8 and summary["cfl_retries"] == 0
@@ -204,8 +207,11 @@ class TestRunCommand:
         for snap in sorted(out.glob("snapshot_*.csv")):
             lines = snap.read_text().splitlines()
             assert lines[1] == "x,u,w,theta,q,tau,sigma"
-            assert all(line.endswith(",0.0,0.0,0.0,0.0")
-                       for line in lines[2:])
+            rows = np.loadtxt(snap, delimiter=",", skiprows=2)
+            assert np.all(rows[:, 3:6] == 0.0)
+            sigma = core.entropy_production(model, rows[:, 1:3])
+            assert rows[:, 6].tolist() == sigma.tolist()
+        assert np.any(sigma != 0.0)     # w starts at 0, but not at the end
 
     def test_audit_gate_blocks_signflip(self, tmp_path, capsys):
         """Stopped before its first write, the run leaves none of the

@@ -110,12 +110,6 @@ class TestSourcesAndDissipation:
             assert core.entropy_production(fluid, U0) == pytest.approx(
                 core.entropy_production(fluid, U1), rel=1e-10)
 
-    def test_sigma_matches_derived(self, fluid):
-        states = random_fluid_states(fluid, 200, seed=24)
-        assert np.allclose(fluid.derived(states)["sigma"],
-                           core.entropy_production(fluid, states),
-                           rtol=1e-10, atol=1e-14)
-
 
 def _quartic(params, U):
     """v and (p, q, r) of the moving-frame quartic xi^4 + p xi^2 + q xi + r

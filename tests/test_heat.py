@@ -113,8 +113,7 @@ def test_derived_fields(heat):
     assert np.allclose(d["theta"], states[:, 0])
     assert np.allclose(d["q"], -states[:, 1])
     assert np.allclose(d["tau"], 0.0)
-    assert np.allclose(d["sigma"], core.entropy_production(heat, states),
-                       rtol=1e-12, atol=1e-14)
+    assert set(d) == {"theta", "q", "tau"}
 
 
 def test_custom_dissipation_disables_exact_rates(heat_params):

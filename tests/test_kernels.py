@@ -36,11 +36,6 @@ def _heat_oracles(p: HeatParams) -> dict:
         rate = 1.0 / (a0 * lam * theta ** 2)
         return np.broadcast_to(rate[..., None], U.shape[:-1] + (m,)).copy()
 
-    def sigma(U):
-        q = -U[..., 1:] / a0
-        theta = U[..., 0] / c_v
-        return np.sum(q ** 2, axis=-1) / (lam * theta ** 2)
-
     def signflip_entropy_grad(U):
         g = np.empty_like(U)
         g[..., 0] = c_v / U[..., 0]
@@ -52,7 +47,6 @@ def _heat_oracles(p: HeatParams) -> dict:
         "entropy": lambda U: c_v * np.log(U[..., 0]) - w2(U) / (2.0 * a0),
         "dissipation_matrix": dissipation_matrix,
         "source_decay_rates": source_decay_rates,
-        "sigma": sigma,
         "signflip_entropy":
             lambda U: c_v * np.log(U[..., 0]) + w2(U) / (2.0 * a0),
         "signflip_entropy_grad": signflip_entropy_grad,
@@ -174,7 +168,6 @@ def test_heat_kernels_match_reducing_oracles(space_dim):
         "entropy": model.entropy,
         "dissipation_matrix": model.dissipation_matrix,
         "source_decay_rates": model.source_decay_rates,
-        "sigma": lambda U: model.derived(U)["sigma"],
         "signflip_entropy": broken.entropy,
         "signflip_entropy_grad": broken.entropy_grad,
     }

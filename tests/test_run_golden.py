@@ -34,8 +34,13 @@ for each final field, which a periodic run's inflow cancels.
 
 The files were written by `cdf-lab <command> --config <name>.config.json
 --out DIR` with numpy 2.4.6.  They hold floating-point values to the last
-bit, so they depend on the numpy build, as the audit goldens do, and a
-change to how a run computes them shows here.
+bit, so they depend on the numpy build, as the audit goldens do, and on
+which SIMD loops numpy dispatches to on the host's CPU: its AVX-512 `exp`,
+`log` and `power` round differently from the baseline loops (ROADMAP item
+17).  A change to how a run computes them shows here.  The `sigma` column
+of the four `run` goldens' snapshots was regenerated once, when it came to
+be written from `core.entropy_production`, the sigma of diagnostics.jsonl,
+instead of a second formula in each model; no other value moved.
 """
 
 import json
@@ -81,6 +86,26 @@ def test_output_bytes(name, tmp_path):
     for path in expected:
         got, want = (tmp_path / path.name).read_bytes(), path.read_bytes()
         assert got == want, _first_difference(path.name, got, want)
+
+
+@pytest.mark.parametrize("name", [
+    name for name in CASES if json.loads(
+        (DATA / f"{name}.config.json").read_text())["command"] == "run"])
+def test_snapshot_sigma_agrees_with_diagnostics(name, tmp_path):
+    """The sigma column of the first and last snapshot has the extremes
+    that diagnostics.jsonl records for that step, bit for bit (NaN as
+    NaN): both files take sigma from `core.entropy_production`."""
+    config = DATA / f"{name}.config.json"
+    assert cli.main(["run", "--config", str(config),
+                     "--out", str(tmp_path)] + FLAGS.get(name, [])) == 0
+    snaps = sorted(tmp_path.glob("snapshot_*.csv"))
+    records = (tmp_path / "diagnostics.jsonl").read_text().splitlines()
+    for snap, line in ((snaps[0], records[0]), (snaps[-1], records[-1])):
+        sigma = np.loadtxt(snap, delimiter=",", skiprows=2)[:, -1]
+        record = json.loads(line)
+        assert [float(sigma.min()).hex(), float(sigma.max()).hex()] == [
+            float(record[key]).hex() for key in ("min_sigma", "max_sigma")
+        ], snap.name
 
 
 def test_linear_operator_run_bits():
