@@ -122,26 +122,22 @@ def require_admissible(model: CdfModel, U) -> np.ndarray:
     return x
 
 
-def fd_gradient(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                scale: Optional[np.ndarray] = None) -> np.ndarray:
+def fd_gradient(f: Callable[[np.ndarray], np.ndarray],
+                x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of the last axis
     (the one-row Jacobian of `fd_jacobian`, with its default steps)."""
-    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x,
-                       scale=scale)[..., 0, :]
+    return fd_jacobian(lambda y: np.asarray(f(y))[..., None], x)[..., 0, :]
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: float = FD_STEP,
-                scale: Optional[np.ndarray] = None) -> np.ndarray:
-    """Central-difference Jacobian d f_k / d x_i, shape (..., k, i); the
-    step is `step * scale[i]`, by default relative, step * max(|x_i|, 1)."""
+                step: float = FD_STEP) -> np.ndarray:
+    """Central-difference Jacobian d f_k / d x_i, shape (..., k, i).  Each
+    entry steps relative to itself, by step * max(|x_i|, 1), so a row's
+    derivatives depend on that row alone."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.shape[-1]):
-        if scale is None:
-            h = step * np.maximum(np.abs(x[..., i]), 1.0)
-        else:
-            h = step * scale[i] * np.ones_like(x[..., i])
+        h = step * np.maximum(np.abs(x[..., i]), 1.0)
         xp = x.copy()
         xp[..., i] += h
         xm = x.copy()
@@ -156,12 +152,11 @@ def entropy_gradient(model: CdfModel, U) -> np.ndarray:
     return np.asarray(model.entropy_grad(x), dtype=float)
 
 
-def entropy_hessian(model: CdfModel, U,
-                    scale: Optional[np.ndarray] = None) -> np.ndarray:
+def entropy_hessian(model: CdfModel, U) -> np.ndarray:
     """Symmetrized entropy Hessian: the central-difference Jacobian of the
-    model's eta_U, with per-component steps `scale` (see `fd_jacobian`)."""
+    model's eta_U, each entry stepped relative to itself (`fd_jacobian`)."""
     x = require_admissible(model, U)
-    H = fd_jacobian(model.entropy_grad, x, scale=scale)
+    H = fd_jacobian(model.entropy_grad, x)
     return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
@@ -186,11 +181,10 @@ def entropy_production(model: CdfModel, U) -> np.ndarray:
     return np.einsum("...i,...ij,...j->...", gv, M, gv)
 
 
-def flux_jacobian(model: CdfModel, U, direction: int = 0,
-                  scale: Optional[np.ndarray] = None) -> np.ndarray:
+def flux_jacobian(model: CdfModel, U, direction: int = 0) -> np.ndarray:
     """Central-difference Jacobian of F_direction, shape (..., n+m, n+m)."""
     x = np.asarray(U, dtype=float)
-    return fd_jacobian(lambda y: model.flux(y, direction), x, scale=scale)
+    return fd_jacobian(lambda y: model.flux(y, direction), x)
 
 
 def spectral_radius(model: CdfModel, U, direction: int = 0) -> np.ndarray:

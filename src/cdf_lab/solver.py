@@ -149,8 +149,8 @@ class Scenario:
         if self.boundary == "fixed-state" and (
                 self.left_state is None or self.right_state is None):
             raise ValueError("fixed-state boundary needs left/right states")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be > 0")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be finite and > 0")
         if not self.output_every > 0:
             raise ValueError("output_every must be > 0")
         for state in (self.left_state, self.right_state):

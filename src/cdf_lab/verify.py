@@ -50,11 +50,11 @@ per sample, by whichever check needs them first, and every check reduces
 the block to its violation arrays while those derivatives are still hot.
 A block holds at most `_AUDIT_BLOCK_VALUES` values per n x n stack, so
 memory grows with count . n (the states and the per-sample violations),
-not with count . n^2.  The finite-difference step scale is computed over
-the whole plan, and every per-sample value depends only on its own row,
-so the verdict does not depend on the block size.  `_verdict` judges each
-condition once, on the concatenated arrays, with the witness taken from
-the full states.  `check` is that verdict over one holder.
+not with count . n^2.  Every central difference steps each entry relative
+to itself (`core.fd_jacobian`), so every per-sample value depends only on
+its own row and the verdict does not depend on the block size.  `_verdict`
+judges each condition once, on the concatenated arrays, with the witness
+taken from the full states.  `check` is that verdict over one holder.
 """
 
 from __future__ import annotations
@@ -189,12 +189,6 @@ class AuditReport:
         }
 
 
-def _fd_scale(states: np.ndarray) -> np.ndarray:
-    """The per-component finite-difference step scale, max(1, max |U_i|)
-    over `states`."""
-    return np.maximum(1.0, np.max(np.abs(states), axis=0))
-
-
 class AuditSamples:
     """One block of an audit's states and the quantities its checks share,
     each evaluated once per sample, on first use: the model's eta_U, its
@@ -202,15 +196,12 @@ class AuditSamples:
     magnitude (which scales the rounding allowances of the concavity test
     and of the hyperbolicity certificate), M(U), each direction's flux
     Jacobian F_jU and the symmetry defect of eta_UU . F_jU.  Finite
-    differences take one per-component step `scale`, computed over the
-    whole plan (`run_full_audit` passes it to every block; by default it
-    is that of `states`); the committed audit bytes depend on it."""
+    differences step each entry relative to itself (`core.fd_jacobian`),
+    so a sample's derivatives depend on its own row only."""
 
-    def __init__(self, model: CdfModel, states: np.ndarray,
-                 scale: Optional[np.ndarray] = None):
+    def __init__(self, model: CdfModel, states: np.ndarray):
         self.model = model
         self.states = states
-        self.scale = _fd_scale(states) if scale is None else scale
 
     @cached_property
     def entropy_grad(self) -> np.ndarray:
@@ -218,7 +209,7 @@ class AuditSamples:
 
     @cached_property
     def hessian(self) -> np.ndarray:
-        return core.entropy_hessian(self.model, self.states, scale=self.scale)
+        return core.entropy_hessian(self.model, self.states)
 
     @cached_property
     def hessian_abs_max(self) -> np.ndarray:
@@ -233,8 +224,7 @@ class AuditSamples:
     @cached_property
     def flux_jacobians(self) -> list:
         """F_jU for every direction j."""
-        return [core.flux_jacobian(self.model, self.states, j,
-                                   scale=self.scale)
+        return [core.flux_jacobian(self.model, self.states, j)
                 for j in range(self.model.space_dim)]
 
     @cached_property
@@ -300,14 +290,14 @@ def _definite(A: np.ndarray, shift) -> np.ndarray:
     return ok
 
 
-def _verdict(name, rels, tol, states, offset=0.0) -> CheckResult:
-    """Pass when the largest entry of the per-direction violation arrays,
-    plus `offset` (added after the maximum), is <= 0.  On a tie the first
-    direction wins, a NaN counts as largest, and the witness is the first
-    of `states` (one per entry) holding the worst entry."""
+def _verdict(name, rels, tol, states) -> CheckResult:
+    """Pass when the largest entry of the per-direction violation arrays is
+    <= 0.  On a tie the first direction wins, a NaN counts as largest, and
+    the witness is the first of `states` (one per entry) holding the worst
+    entry."""
     jworst = [np.max(rel) for rel in rels]
     j = int(np.argmax(jworst))
-    worst = jworst[j] + offset
+    worst = jworst[j]
     passed = bool(worst <= 0.0)
     idx = int(np.argmax(rels[j]))
     witness = None if passed else np.array(states[idx], dtype=float)
@@ -334,17 +324,17 @@ def _lapack_measure(A: np.ndarray, certified: np.ndarray, eig,
 
 
 def _definiteness(A, size, tol):
-    """lambda_min(A) >= tol for the symmetric stack A: certified where the
-    Cholesky test proves it > tol + n^2 eps size (size = max|A|, covering
-    the rounding of `eigvalsh`), decided by `eigvalsh` elsewhere."""
+    """lambda_min(A) >= tol for the symmetric stack A, as tol - lambda_min:
+    certified where the Cholesky test proves lambda_min > tol + n^2 eps size
+    (size = max|A|, covering the rounding of `eigvalsh`), decided by
+    `eigvalsh` elsewhere."""
     certified = _definite(A, tol + A.shape[-1] ** 2 * _EPS * size)
-    neg_lam_min = _lapack_measure(A, certified, np.linalg.eigvalsh,
-                                  lambda ev: -ev[..., 0])
-    return [neg_lam_min], tol
+    return [_lapack_measure(A, certified, np.linalg.eigvalsh,
+                            lambda ev: tol - ev[..., 0])]
 
 
 # Each condition below reduces one block to the per-direction violation
-# arrays and the offset that `_verdict` judges.
+# arrays that `_verdict` judges.
 
 def _concavity(samples: AuditSamples, tol: float):
     """Strict concavity of the entropy: -eta_UU has eigenvalues >= tol."""
@@ -355,7 +345,7 @@ def _symmetrizability(samples: AuditSamples, tol: float):
     """eta_UU . F_jU symmetric for every direction j:
     max |P - P^T| - tol (1 + max |P|), P = eta_UU . F_jU, per j."""
     return [asym - tol * (1.0 + size)
-            for asym, size, _ in samples.symmetry_defects], 0.0
+            for asym, size, _ in samples.symmetry_defects]
 
 
 def _dissipation_matrix(samples: AuditSamples, tol: float):
@@ -377,15 +367,15 @@ def _entropy_flux(samples: AuditSamples, tol: float):
     for j, JF in enumerate(samples.flux_jacobians):
         G = np.einsum("...i,...ik->...k", samples.entropy_grad, JF)
         dpsi = core.fd_gradient(lambda y, j=j: model.entropy_flux(y, j),
-                                states, scale=samples.scale)
+                                states)
         rels.append(abs_max(dpsi - G, 1) - tol * (1.0 + abs_max(G, 1)))
-    return rels, 0.0
+    return rels
 
 
 def _source_consistency(samples: AuditSamples, tol: float):
     """The solver's relaxation -rates * v equals the source's v-block:
-    |decay - M . eta_v| / (1 + max |M . eta_v|), NaN where M . eta_v is
-    not finite, so without rates only such a sample fails."""
+    |decay - M . eta_v| / (1 + max |M . eta_v|) - tol, NaN where M . eta_v
+    is not finite, so without rates only such a sample fails."""
     model, states = samples.model, samples.states
     n = model.n_conserved
     expected = np.einsum("...ij,...j->...i", samples.dissipation_matrix,
@@ -395,7 +385,7 @@ def _source_consistency(samples: AuditSamples, tol: float):
     if model.source_decay_rates is not None:
         decay = -np.asarray(model.source_decay_rates(states)) * states[..., n:]
         gap = np.maximum(gap, abs_max(decay - expected, 1) / norm)
-    return [gap], -tol
+    return [gap - tol]
 
 
 def _real_spectrum_2x2(J: np.ndarray) -> np.ndarray:
@@ -464,7 +454,7 @@ def _hyperbolicity(samples: AuditSamples, tol: float):
                      else _certified(samples, j, tol))
         rels.append(_lapack_measure(JF, certified, np.linalg.eigvals,
                                     violation))
-    return rels, 0.0
+    return rels
 
 
 _CHECKS = {
@@ -485,8 +475,7 @@ def check(name: str, samples: AuditSamples,
         raise ValueError(f"unknown condition {name!r}; "
                          f"expected one of {list(_CHECKS)}")
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    rels, offset = _CHECKS[name](samples, tol)
-    return _verdict(name, rels, tol, samples.states, offset)
+    return _verdict(name, _CHECKS[name](samples, tol), tol, samples.states)
 
 
 def run_full_audit(model: CdfModel, plan: SamplingPlan,
@@ -503,17 +492,14 @@ def run_full_audit(model: CdfModel, plan: SamplingPlan,
     report = AuditReport(model_name=model.name, samples_used=plan.count,
                          seed=plan.seed, box=sampling_box(model, plan))
     states = sample_states(model, plan)
-    scale = _fd_scale(states)
     rows = max(1, _AUDIT_BLOCK_VALUES // model.n_comp ** 2)
     parts = {name: [] for name in _CHECKS}
-    offsets = {}
     for start in range(0, len(states), rows):
-        block = AuditSamples(model, states[start:start + rows], scale)
+        block = AuditSamples(model, states[start:start + rows])
         for name, fn in _CHECKS.items():
-            rels, offsets[name] = fn(block, tols[name])
-            parts[name].append(rels)
+            parts[name].append(fn(block, tols[name]))
     for name, blocks in parts.items():
         rels = [np.concatenate(r) for r in zip(*blocks)]
         report.condition_results.append(
-            _verdict(name, rels, tols[name], states, offsets[name]))
+            _verdict(name, rels, tols[name], states))
     return report

@@ -8,6 +8,13 @@ its box.  The files were written by `cdf-lab verify --config
 values to the last bit, so they depend on the numpy build, and a change to
 how the audit computes them shows here.  The audit works in blocks of rows,
 and the same bytes must come out of blocks of 175 heat and 28 fluid rows.
+
+`heat-signflip.audit.json` was regenerated once, when the audit's central
+differences stopped stepping every sample by one per-component scale over
+the whole plan and began to step each entry relative to itself, as
+`core.fd_jacobian` does everywhere else.  Only its symmetrizability and
+entropy-flux `worst_violation` moved, by 4.3e-10 relative; every verdict
+and witness, and the other four files, kept their bytes.
 """
 
 import json

@@ -77,12 +77,12 @@ class TestCheck:
         lambda: sign_flipped_heat_model(HeatParams())],
         ids=["heat", "fluid", "heat-signflip"])
     def test_same_verdict_as_the_full_audit(self, make, name):
-        """On a plan of one block, with the audit's default tolerance and
-        finite-difference scale, one holder's verdict is the audit's."""
+        """On a plan of one block, with the audit's default tolerance, one
+        holder's verdict is the audit's."""
         model = make()
         plan = verify.SamplingPlan(seed=3, count=300)
         states = verify.sample_states(model, plan)
-        samples = verify.AuditSamples(model, states, verify._fd_scale(states))
+        samples = verify.AuditSamples(model, states)
         report = verify.run_full_audit(model, plan)
         expected = {r.name: r.to_dict() for r in report.condition_results}
         assert verify.check(name, samples).to_dict() == expected[name]
@@ -402,15 +402,15 @@ def _nested_fd_entropy_flux(samples, tol=verify.DEFAULT_TOLERANCES[
         "entropy_flux"]):
     """The entropy-flux condition as integrability of eta_U . F_jU: the
     antisymmetric part of its nested central-difference Jacobian J, against
-    tol (1 + max |J|), with the holder's plan-wide steps."""
-    model, states, scale = samples.model, samples.states, samples.scale
+    tol (1 + max |J|), with the default relative steps of `fd_jacobian`."""
+    model, states = samples.model, samples.states
     rels = []
     for j in range(model.space_dim):
         def G(y, j=j):
-            JF = core.fd_jacobian(lambda x: model.flux(x, j), y, scale=scale)
+            JF = core.fd_jacobian(lambda x: model.flux(x, j), y)
             return np.einsum("...i,...ik->...k", model.entropy_grad(y), JF)
 
-        JG = core.fd_jacobian(G, states, scale=scale)
+        JG = core.fd_jacobian(G, states)
         asym = np.max(np.abs(JG - np.swapaxes(JG, -1, -2)), axis=(-2, -1))
         rels.append(asym - tol * (1.0 + np.max(np.abs(JG), axis=(-2, -1))))
     return verify._verdict("entropy_flux", rels, tol, samples.states)
@@ -910,9 +910,9 @@ class TestVerdict:
 
     STATES = np.array([[1.0, 0.0], [1.1, 0.1], [1.2, 0.2]])
 
-    def _verdict(self, rels, offset=0.0):
+    def _verdict(self, rels):
         return verify._verdict("x", [np.array(r) for r in rels], 1e-6,
-                               self.STATES, offset)
+                               self.STATES)
 
     def test_tie_takes_the_first_direction(self):
         res = self._verdict([[0.0, 1.0, 0.5], [1.0, 0.0, 0.0]])
@@ -924,12 +924,6 @@ class TestVerdict:
         assert not res.passed
         assert res.to_dict()["worst_violation"] is None
         assert np.array_equal(res.witness_state, self.STATES[2])
-
-    def test_offset_is_added_to_the_maximum(self):
-        assert self._verdict([[-3.0, -1.0, -2.0]], offset=1.0).passed
-        res = self._verdict([[-3.0, -1.0, -2.0]], offset=1.5)
-        assert res.worst_violation == 0.5
-        assert np.array_equal(res.witness_state, self.STATES[1])
 
     @staticmethod
     def _definiteness(name, lam):
@@ -1006,6 +1000,24 @@ class TestAuditBlocks:
         monkeypatch.setattr(core, "entropy_hessian", hessian)
         self._audit(monkeypatch, make(), count=1000)
         assert seen == rows
+
+    @pytest.mark.parametrize("make", [
+        lambda: heat_model(HeatParams()),
+        lambda: fluid_model(FluidParams()),
+        lambda: sign_flipped_heat_model(HeatParams()),
+    ], ids=["heat", "fluid", "heat-signflip"])
+    def test_derivatives_depend_on_their_own_row_only(self, make):
+        """Every 7th sample's eta_UU and F_jU are the same bits in a holder
+        of all the states as in a holder of that row alone."""
+        model = make()
+        states = verify.sample_states(model,
+                                      verify.SamplingPlan(seed=3, count=300))
+        full = verify.AuditSamples(model, states)
+        for k in range(0, len(states), 7):
+            one = verify.AuditSamples(model, states[k:k + 1])
+            assert np.array_equal(full.hessian[k], one.hessian[0])
+            for JF, JF_one in zip(full.flux_jacobians, one.flux_jacobians):
+                assert np.array_equal(JF[k], JF_one[0])
 
     @pytest.mark.parametrize("make", [
         lambda: heat_model(HeatParams()),
