@@ -27,6 +27,9 @@ one built afresh.  `run` builds it for the initial field, and then
 builds, whatever the source, as a retried step starts from the same cells
 and reuses theirs.  The operator is checked where it is built and at
 each end state it relaxes to; in `run` it relaxes from no other state.
+It relaxes `step_source_exact`'s private copy in place, saving only the
+start v-block for the midpoint should a check fail; a diagonal one checks
+eta_v against -a v component by component.
 
 Wave speeds are evaluated once per step, by transport.  The time loop
 takes each dt from the CFL speed the previous step's transport measured
@@ -321,10 +324,10 @@ def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
                       relaxation=None) -> np.ndarray:
     """Relax v over dt under v' = M(U) eta_v; conserved block untouched.
 
-    Returns a copy of the field relaxed in place by `relaxation`, the one
-    callable `_relaxation` built for these cells or for cells with the same
-    conserved block (an earlier half step's, so that a run builds steps + 1
-    for every source); None builds it here.
+    Returns a private, C-contiguous copy of the field, relaxed in place by
+    `relaxation`: the one callable `_relaxation` built for these cells or
+    for cells with the same conserved block (an earlier half step's, so
+    that a run builds steps + 1 for every source); None builds it here.
     """
     new = field_arr.copy()
     if relaxation is None:
@@ -335,10 +338,11 @@ def step_source_exact(model: CdfModel, field_arr: np.ndarray, dt: float,
 
 def _relaxation(model: CdfModel, cells: np.ndarray):
     """The relaxation of the cells, and of any with their conserved block:
-    a callable relax(U, dt) that relaxes the v-block of the cells U over dt
-    in place.  By the model's closed-form decay rates r at the cells,
-    v <- exp(-r dt) v; else, when the source is linear in v, by its exact
-    operator; else by the batched implicit midpoint (`_relax_midpoint`).
+    a callable relax(U, dt) that relaxes the v-block of the C-contiguous
+    cells U (`step_source_exact`'s copy) over dt in place.  By the model's
+    closed-form decay rates r at the cells, v <- exp(-r dt) v; else, when
+    the source is linear in v, by its exact operator; else by the batched
+    implicit midpoint (`_relax_midpoint`).
 
     The operator solves v' = -M A v with eta_v = -A v, A symmetric positive
     definite and M symmetric.  A and M come from one probe of the cells,
@@ -346,14 +350,16 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     eta_v(u, 0) - eta_v(u, e_j) and M = M(u, 0).  The probe picks one of
     two propagators.  Where every off-diagonal entry of A and M is exactly
     zero (always so for one component), each component decays at its own
-    rate r = M_jj A_jj, v <- exp(-r dt) v, as by closed-form rates; A is
-    positive definite exactly when its diagonal is.  Else, with A = L L^T
-    and L^T M L = Q diag(lam) Q^T, v(t) = L^-T Q exp(-t lam) Q^T L^T v(0),
-    for all cells at once.  Either is built only if M is the same on every
-    probe state and eta_v = -A v at the cells, and it checks the same of
-    each end state it relaxes to; the first end state that fails is
-    relaxed, as every later one, by the implicit midpoint from its start
-    state instead."""
+    rate r = M_jj a_j, v <- exp(-r dt) v, as by closed-form rates, with a
+    the diagonal of A: A is positive definite exactly when a is positive,
+    and A v = a v component by component.  Else, with A = L L^T and L^T M
+    L = Q diag(lam) Q^T, v(t) = L^-T Q exp(-t lam) Q^T L^T v(0), for all
+    cells at once.  Either is built only if M is the same on every probe
+    state and eta_v = -A v at the cells, and it checks the same of each end
+    state it relaxes to (the diagonal one against max |M| per cell, taken
+    at the build).  It relaxes the v-block in place and keeps its start:
+    the first end state that fails gets the start back and is relaxed, as
+    every later one, by the implicit midpoint from there instead."""
     n = model.n_conserved
     if model.source_decay_rates is not None:
         rates = np.asarray(model.source_decay_rates(cells), dtype=float)
@@ -374,24 +380,31 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     G = np.asarray(model.entropy_grad(probe), dtype=float)[..., n:]
     Ms = np.asarray(model.dissipation_matrix(probe), dtype=float)
     A, M = (G[1] - G[2:]).transpose(1, 2, 0), Ms[1]
+    if _diagonal(A) and _diagonal(M):
+        a = A.diagonal(axis1=1, axis2=2)
+        # `_close`'s bound on M_at - M, the same at every check
+        M_bound = (_LINEAR_TOL * abs_max(M))[:, None, None]
 
-    def fits(g, M_at, V):
-        """Whether eta_v = g and M = M_at at states with v-block V are this
-        source's: M as built, and g = -A V."""
-        return _close(M_at, M) and _close(g, -_matvec(A, V))
+        def fits(g, M_at, V):
+            """`_close(M_at, M) and _close(g, -A V)`, with A V = a V: a
+            maximum is within a bound when each entry is."""
+            b = a * V
+            return (_all(np.abs(M_at - M) <= M_bound) and _all(
+                np.abs(g + b) <= _LINEAR_TOL * abs_max(b, 1)[:, None]))
 
-    off = ~np.eye(m, dtype=bool)
-    if not (np.count_nonzero(A[:, off]) or np.count_nonzero(M[:, off])):
-        a = np.diagonal(A, axis1=1, axis2=2)
         # positive definite exactly when its diagonal is; NaN is not
-        if not (np.count_nonzero(a > 0) == a.size
-                and fits(G[0], Ms, flat[:, n:])):
+        if not (_all(a > 0) and fits(G[0], Ms, flat[:, n:])):
             return midpoint
-        rates = np.diagonal(M, axis1=1, axis2=2) * a
+        rates = M.diagonal(axis1=1, axis2=2) * a
 
         def propagate(V, dt):
-            return V * _decay(rates, dt)
+            V *= _decay(rates, dt)
     else:
+        def fits(g, M_at, V):
+            """Whether eta_v = g and M = M_at at states with v-block V are
+            this source's: M as built, and g = -A V."""
+            return _close(M_at, M) and _close(g, -_matvec(A, V))
+
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:   # A is not positive definite
@@ -408,21 +421,22 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
         def propagate(V, dt):
             modes = to_modes @ V[..., None]
             modes *= _decay(lam, dt)[..., None]
-            return (from_modes @ modes)[..., 0]
+            V[...] = (from_modes @ modes)[..., 0]
     exact = True
 
     def relax(U, dt):
         nonlocal exact
         if exact:
-            start = U.reshape(-1, U.shape[-1])
-            end = start.copy()
-            end[:, n:] = propagate(start[:, n:], dt)
-            g = np.asarray(model.entropy_grad(end), dtype=float)[:, n:]
-            exact = fits(g, np.asarray(model.dissipation_matrix(end),
-                                       dtype=float), end[:, n:])
+            end = U.reshape(-1, U.shape[-1])    # a view of U
+            V = end[:, n:]
+            start = V.copy()
+            propagate(V, dt)
+            exact = fits(
+                np.asarray(model.entropy_grad(end), dtype=float)[:, n:],
+                np.asarray(model.dissipation_matrix(end), dtype=float), V)
             if exact:
-                U[...] = end.reshape(U.shape)
                 return
+            V[...] = start
         midpoint(U, dt)
     return relax
 
@@ -442,8 +456,19 @@ def _close(a: np.ndarray, b: np.ndarray) -> bool:
     axis 0; a may stack several such arrays on one more leading axis);
     false wherever either is not finite."""
     axes = b.ndim - 1
-    ok = abs_max(a - b, axes) <= _LINEAR_TOL * abs_max(b, axes)
+    return _all(abs_max(a - b, axes) <= _LINEAR_TOL * abs_max(b, axes))
+
+
+def _all(ok: np.ndarray) -> bool:
+    """Whether every entry of the boolean array ok is true."""
     return np.count_nonzero(ok) == ok.size
+
+
+def _diagonal(X: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of the stacked square matrices X
+    is exactly zero (NaN is not); always so for 1x1 ones."""
+    m = X.shape[-1]
+    return m == 1 or not np.count_nonzero(X[..., ~np.eye(m, dtype=bool)])
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:

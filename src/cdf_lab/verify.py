@@ -59,6 +59,7 @@ taken from the full states.  `check` is that verdict over one holder.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -103,14 +104,22 @@ class SamplingPlan:
     box: Optional[np.ndarray] = None  # (ncomp, 2) rows (low, high)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        for name, low in (("seed", 0), ("count", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}")
         if self.box is not None:
             box = np.asarray(self.box, dtype=float)
             if box.ndim != 2 or box.shape[1] != 2:
                 raise ValueError("box must have shape (ncomp, 2)")
+            if not np.all(np.isfinite(box)):
+                raise ValueError("box bounds must be finite")
             if not np.all(box[:, 0] < box[:, 1]):
                 raise ValueError("box rows must satisfy low < high")
+            with np.errstate(over="ignore"):
+                if not np.all(box[:, 1] - box[:, 0] < np.inf):
+                    raise ValueError("box row widths must be finite")
             object.__setattr__(self, "box", box)
 
 

@@ -826,6 +826,101 @@ class TestExactRelaxation:
         assert "\n" not in str(err.value)
 
 
+class TestDiagonalCheckOracle:
+    """A diagonal source's operator decides, at its build and at an end
+    state, as the coupled branch's batched-matmul check: M as built on
+    every probe row and at the end state by `_close`, and eta_v = -A v by
+    `_close` against `_matvec(A, v)`.  The oracle is evaluated here on the
+    states and hook outputs that the build and the end-state check saw.
+    Each case plants one defect in one component of one cell, so an
+    elementwise check that skips a component decides otherwise."""
+
+    CELL = 5
+
+    @staticmethod
+    def _planted(model, case, j, call, seen):
+        """The model with the defect `case` planted in component j of cell
+        CELL of its hooks' outputs at their `call`-th call (0: the build's
+        probe, 1: the end state's check), recording (hook, state, output)
+        of every call in `seen`."""
+        n, k = model.n_conserved, TestDiagonalCheckOracle.CELL
+
+        def wrap(name, hook):
+            def planted(U):
+                out = np.array(hook(U), dtype=float)
+                if sum(s[0] == name for s in seen) == call:
+                    if case == "eta_v-off" and name == "entropy_grad":
+                        # the probe's first row is the cells
+                        g = out[0, k] if call == 0 else out[k]
+                        g[n + j] += 2 * solver._LINEAR_TOL * np.max(
+                            np.abs(g[n:]))
+                    elif case == "M-changed" and name == "dissipation_matrix":
+                        # the probe's last row is (u, v = e_m)
+                        M = out[-1, k] if call == 0 else out[k]
+                        M[j, j] += 2 * solver._LINEAR_TOL * np.max(np.abs(M))
+                seen.append((name, np.array(U), out))
+                return out
+            return planted
+
+        return dataclasses.replace(
+            model, entropy_grad=wrap("entropy_grad", model.entropy_grad),
+            dissipation_matrix=wrap("dissipation_matrix",
+                                    model.dissipation_matrix))
+
+    @pytest.mark.parametrize("case", ["clean", "nan", "inf", "eta_v-off",
+                                      "M-changed"])
+    @pytest.mark.parametrize("call", [0, 1], ids=["build", "end-state"])
+    @pytest.mark.parametrize("source, j", [("heat-aniso", 0), ("fluid", 0),
+                                           ("fluid", 1)])
+    def test_decides_as_the_matmul_check(self, fluid, monkeypatch, source,
+                                         j, call, case):
+        if source == "heat-aniso":
+            model = heat_model(HeatParams(alpha0=0.1), dissipation=_aniso_M)
+            cells = random_heat_states(16, seed=21)
+        else:
+            model = dataclasses.replace(fluid, source_decay_rates=None)
+            cells = random_fluid_states(fluid, 16, seed=21)
+        n, dt = model.n_conserved, 1e-2
+        # a non-finite v is planted in the cells built at, or in the state
+        # relaxed from, whose end state keeps it
+        U = cells.copy()
+        if case in ("nan", "inf"):
+            U[self.CELL, n + j] = np.nan if case == "nan" else np.inf
+        built_at = U if call == 0 else cells
+        seen, taken = [], []
+        planted = self._planted(model, case, j, call, seen)
+
+        def recording(model, U, dt):
+            taken.append(dt)
+            return U[..., n:]
+
+        with monkeypatch.context() as patch, np.errstate(
+                invalid="ignore", over="ignore", divide="ignore"):
+            patch.setattr(solver, "_relax_midpoint", recording)
+            solver._relaxation(planted, built_at)(U.copy(), dt)
+            grads = [s for s in seen if s[0] == "entropy_grad"]
+            Ms = [s[2] for s in seen if s[0] == "dissipation_matrix"]
+            G = grads[0][2][..., n:]
+            A, M = (G[1] - G[2:]).transpose(1, 2, 0), Ms[0][1]
+            assert solver._diagonal(A) and solver._diagonal(M)
+            built = (np.all(np.diagonal(A, axis1=1, axis2=2) > 0)
+                     and solver._close(Ms[0], M)
+                     and solver._close(G[0], -solver._matvec(A,
+                                                             built_at[:, n:])))
+            if built:
+                end, g = grads[1][1], grads[1][2][:, n:]
+                ended = (solver._close(Ms[1], M)
+                         and solver._close(g, -solver._matvec(A, end[:, n:])))
+            else:   # no end state is checked
+                assert len(seen) == 2
+                ended = False
+        assert taken == ([] if built and ended else [dt])
+        # the oracle sees the defect where it was planted, and only there
+        assert (built, ended) == ((True, True) if case == "clean" else
+                                  (False, False) if call == 0 else
+                                  (True, False))
+
+
 class TestStrangStep:
     def test_conserved_block_exact(self, fluid):
         x = Grid1D(32).centers()

@@ -99,6 +99,27 @@ class TestSamplingPlan:
         with pytest.raises(ValueError):
             verify.SamplingPlan(box=[[0.0, 1.0, 2.0]])
 
+    @pytest.mark.parametrize("plan, field", [
+        (dict(count=2.5), "count"), (dict(count=True), "count"),
+        (dict(seed=1.5), "seed"), (dict(seed=-1), "seed"),
+        (dict(seed=False), "seed"),
+        (dict(box=[[0.5, np.inf], [-1.0, 1.0]]), "box bounds"),
+        (dict(box=[[np.nan, 2.0], [-1.0, 1.0]]), "box bounds"),
+        # finite bounds whose width overflows
+        (dict(box=[[0.5, 2.0], [-1e308, 1e308]]), "box row widths")])
+    def test_refuses_a_plan_numpy_cannot_draw(self, plan, field):
+        """Each of these plans failed inside numpy's sampling, with a
+        TypeError, an OverflowError or numpy's own ValueError; the plan
+        now refuses it, naming the field."""
+        with pytest.raises(ValueError, match=f"^{field}"):
+            verify.SamplingPlan(**plan)
+
+    def test_numpy_integers_are_integers(self, heat):
+        plan = verify.SamplingPlan(seed=np.int64(3), count=np.uint8(50))
+        assert np.array_equal(
+            verify.sample_states(heat, plan),
+            verify.sample_states(heat, verify.SamplingPlan(seed=3, count=50)))
+
     def test_sampling_deterministic(self, heat):
         a = verify.sample_states(heat, verify.SamplingPlan(seed=3, count=50))
         b = verify.sample_states(heat, verify.SamplingPlan(seed=3, count=50))
