@@ -231,7 +231,7 @@ class PowerLawParams:
     def __post_init__(self):
         if not self.mu0 > 0:
             raise ValueError("mu0 must be > 0")
-        if self.alpha >= 1.0:
+        if not self.alpha < 1.0:
             raise ValueError("alpha must be < 1 for a well-posed "
                              "stationary stress")
 

@@ -28,8 +28,8 @@ builds, whatever the source, as a retried step starts from the same cells
 and reuses theirs.  The operator is checked where it is built and at
 each end state it relaxes to; in `run` it relaxes from no other state.
 It relaxes `step_source_exact`'s private copy in place, saving only the
-start v-block for the midpoint should a check fail; a diagonal one checks
-eta_v against -a v component by component.
+start v-block for the midpoint should a check fail.  One check serves
+both operators, entry by entry; each supplies only its product A v.
 
 Wave speeds are evaluated once per step, by transport.  The time loop
 takes each dt from the CFL speed the previous step's transport measured
@@ -354,12 +354,17 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     the diagonal of A: A is positive definite exactly when a is positive,
     and A v = a v component by component.  Else, with A = L L^T and L^T M
     L = Q diag(lam) Q^T, v(t) = L^-T Q exp(-t lam) Q^T L^T v(0), for all
-    cells at once.  Either is built only if M is the same on every probe
-    state and eta_v = -A v at the cells, and it checks the same of each end
-    state it relaxes to (the diagonal one against max |M| per cell, taken
-    at the build).  It relaxes the v-block in place and keeps its start:
-    the first end state that fails gets the start back and is relaxed, as
-    every later one, by the implicit midpoint from there instead."""
+    cells at once.  Either is built only if A v is finite at the cells and
+    `fits` holds there, and checks `fits` at each end state it relaxes to;
+    the eigenbasis also needs A and M symmetric.  Each check is entry by
+    entry, within `_LINEAR_TOL` times the largest |.| of the entry's cell:
+    M on every probe and end state against M, eta_v against -A v (A v = a
+    v, else batched A @ v).  An infinite bound would pass an infinite
+    difference; `run` relaxes only the cells built at and the end states
+    checked, and a positive semidefinite M keeps their finite v finite.  It
+    relaxes the v-block in place and keeps its start: the first end state
+    that fails gets the start back and is relaxed, as every later one, by
+    the implicit midpoint from there instead."""
     n = model.n_conserved
     if model.source_decay_rates is not None:
         rates = np.asarray(model.source_decay_rates(cells), dtype=float)
@@ -380,39 +385,43 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
     G = np.asarray(model.entropy_grad(probe), dtype=float)[..., n:]
     Ms = np.asarray(model.dissipation_matrix(probe), dtype=float)
     A, M = (G[1] - G[2:]).transpose(1, 2, 0), Ms[1]
-    if _diagonal(A) and _diagonal(M):
+    M_bound = (_LINEAR_TOL * abs_max(M))[:, None, None]
+    diagonal = _diagonal(A) and _diagonal(M)
+    if diagonal:
         a = A.diagonal(axis1=1, axis2=2)
-        # `_close`'s bound on M_at - M, the same at every check
-        M_bound = (_LINEAR_TOL * abs_max(M))[:, None, None]
 
-        def fits(g, M_at, V):
-            """`_close(M_at, M) and _close(g, -A V)`, with A V = a V: a
-            maximum is within a bound when each entry is."""
-            b = a * V
-            return (_all(np.abs(M_at - M) <= M_bound) and _all(
-                np.abs(g + b) <= _LINEAR_TOL * abs_max(b, 1)[:, None]))
-
+        def times(V):
+            return a * V
         # positive definite exactly when its diagonal is; NaN is not
-        if not (_all(a > 0) and fits(G[0], Ms, flat[:, n:])):
+        if not _all(a > 0):
             return midpoint
+    else:
+        def times(V):
+            return (A @ V[..., None])[..., 0]
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:   # A is not positive definite
+            return midpoint
+        A_bound = (_LINEAR_TOL * abs_max(A))[:, None, None]
+        if not (_all(np.abs(A.transpose(0, 2, 1) - A) <= A_bound)
+                and _all(np.abs(M.transpose(0, 2, 1) - M) <= M_bound)):
+            return midpoint
+
+    def fits(g, M_at, b):
+        """Whether eta_v = g and M = M_at at states where A v = b are this
+        source's, entry by entry (NaN is not)."""
+        return (_all(np.abs(M_at - M) <= M_bound) and _all(
+            np.abs(g + b) <= _LINEAR_TOL * abs_max(b, 1)[:, None]))
+
+    b = times(flat[:, n:])
+    if not (_all(np.isfinite(b)) and fits(G[0], Ms, b)):
+        return midpoint
+    if diagonal:
         rates = M.diagonal(axis1=1, axis2=2) * a
 
         def propagate(V, dt):
             V *= _decay(rates, dt)
     else:
-        def fits(g, M_at, V):
-            """Whether eta_v = g and M = M_at at states with v-block V are
-            this source's: M as built, and g = -A V."""
-            return _close(M_at, M) and _close(g, -_matvec(A, V))
-
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:   # A is not positive definite
-            return midpoint
-        if not (_close(A.transpose(0, 2, 1), A)
-                and _close(M.transpose(0, 2, 1), M)
-                and fits(G[0], Ms, flat[:, n:])):
-            return midpoint
         Lt = L.transpose(0, 2, 1)
         lam, Q = np.linalg.eigh(Lt @ M @ L)
         to_modes, from_modes = (Q.transpose(0, 2, 1) @ Lt,
@@ -433,7 +442,8 @@ def _relaxation(model: CdfModel, cells: np.ndarray):
             propagate(V, dt)
             exact = fits(
                 np.asarray(model.entropy_grad(end), dtype=float)[:, n:],
-                np.asarray(model.dissipation_matrix(end), dtype=float), V)
+                np.asarray(model.dissipation_matrix(end), dtype=float),
+                times(V))
             if exact:
                 return
             V[...] = start
@@ -451,14 +461,6 @@ def _decay(rates: np.ndarray, dt: float) -> np.ndarray:
 _LINEAR_TOL = 1e-8
 
 
-def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (b's
-    axis 0; a may stack several such arrays on one more leading axis);
-    false wherever either is not finite."""
-    axes = b.ndim - 1
-    return _all(abs_max(a - b, axes) <= _LINEAR_TOL * abs_max(b, axes))
-
-
 def _all(ok: np.ndarray) -> bool:
     """Whether every entry of the boolean array ok is true."""
     return np.count_nonzero(ok) == ok.size
@@ -469,11 +471,6 @@ def _diagonal(X: np.ndarray) -> bool:
     is exactly zero (NaN is not); always so for 1x1 ones."""
     m = X.shape[-1]
     return m == 1 or not np.count_nonzero(X[..., ~np.eye(m, dtype=bool)])
-
-
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A v for each row of the matrices A and vectors v."""
-    return (A @ v[..., None])[..., 0]
 
 
 def _relax_midpoint(model: CdfModel, U: np.ndarray, dt: float) -> np.ndarray:

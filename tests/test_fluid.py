@@ -254,6 +254,11 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             PowerLawParams(mu0=1.0, alpha=1.5)
 
+    def test_nan_alpha_rejected(self):
+        # NaN >= 1 is False: the check must refuse what is not < 1
+        with pytest.raises(ValueError, match="alpha must be < 1"):
+            PowerLawParams(mu0=1.0, alpha=float("nan"))
+
     @pytest.mark.parametrize("mu0", [0.0, -1.0, float("nan")])
     def test_nonpositive_mu0_rejected(self, mu0):
         with pytest.raises(ValueError, match="mu0 must be > 0"):

@@ -826,23 +826,41 @@ class TestExactRelaxation:
         assert "\n" not in str(err.value)
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """a == b to `_LINEAR_TOL` relative to max |b|, cell by cell (b's
+    axis 0; a may stack several such arrays on one more leading axis);
+    false wherever a - b is NaN.  An infinite b makes its cell's bound
+    infinite, which any other difference is within."""
+    axes = b.ndim - 1
+    return bool(np.all(core.abs_max(a - b, axes)
+                       <= solver._LINEAR_TOL * core.abs_max(b, axes)))
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for each row of the matrices A and vectors v."""
+    return (A @ v[..., None])[..., 0]
+
+
 class TestDiagonalCheckOracle:
-    """A diagonal source's operator decides, at its build and at an end
-    state, as the coupled branch's batched-matmul check: M as built on
-    every probe row and at the end state by `_close`, and eta_v = -A v by
-    `_close` against `_matvec(A, v)`.  The oracle is evaluated here on the
-    states and hook outputs that the build and the end-state check saw.
-    Each case plants one defect in one component of one cell, so an
-    elementwise check that skips a component decides otherwise."""
+    """The exact operator's one linearity check decides, at its build and
+    at an end state, as the max-based oracle `_close`: M as built on every
+    probe row and at the end state, and eta_v = -A v against `_matvec(A,
+    v)`; a build also needs A v finite, A positive definite (a > 0 where A
+    and M are diagonal, else its Cholesky) and, in the eigenbasis, A and M
+    symmetric.  The oracle is evaluated here on the states and hook
+    outputs that the build and the end-state check saw, for diagonal
+    sources and for a coupled one (2D heat with `_coupled_M`).  Each case
+    plants one defect in one entry of one cell, so a check that skips an
+    entry decides otherwise."""
 
     CELL = 5
 
     @staticmethod
-    def _planted(model, case, j, call, seen):
+    def _planted(model, case, j, call, seen, m_entry):
         """The model with the defect `case` planted in component j of cell
-        CELL of its hooks' outputs at their `call`-th call (0: the build's
-        probe, 1: the end state's check), recording (hook, state, output)
-        of every call in `seen`."""
+        CELL of its hooks' outputs (in M at `m_entry`) at their `call`-th
+        call (0: the build's probe, 1: the end state's check), recording
+        (hook, state, output) of every call in `seen`."""
         n, k = model.n_conserved, TestDiagonalCheckOracle.CELL
 
         def wrap(name, hook):
@@ -857,7 +875,8 @@ class TestDiagonalCheckOracle:
                     elif case == "M-changed" and name == "dissipation_matrix":
                         # the probe's last row is (u, v = e_m)
                         M = out[-1, k] if call == 0 else out[k]
-                        M[j, j] += 2 * solver._LINEAR_TOL * np.max(np.abs(M))
+                        M[m_entry] += 2 * solver._LINEAR_TOL * np.max(
+                            np.abs(M))
                 seen.append((name, np.array(U), out))
                 return out
             return planted
@@ -871,15 +890,20 @@ class TestDiagonalCheckOracle:
                                       "M-changed"])
     @pytest.mark.parametrize("call", [0, 1], ids=["build", "end-state"])
     @pytest.mark.parametrize("source, j", [("heat-aniso", 0), ("fluid", 0),
-                                           ("fluid", 1)])
+                                           ("fluid", 1), ("coupled-M", 0),
+                                           ("coupled-M", 1)])
     def test_decides_as_the_matmul_check(self, fluid, monkeypatch, source,
                                          j, call, case):
         if source == "heat-aniso":
             model = heat_model(HeatParams(alpha0=0.1), dissipation=_aniso_M)
             cells = random_heat_states(16, seed=21)
-        else:
+        elif source == "fluid":
             model = dataclasses.replace(fluid, source_decay_rates=None)
             cells = random_fluid_states(fluid, 16, seed=21)
+        else:
+            model = heat_model(HeatParams(alpha0=0.3, space_dim=2),
+                               dissipation=_coupled_M)
+            cells = _heat_2d_states(np.random.default_rng(21), (16,))
         n, dt = model.n_conserved, 1e-2
         # a non-finite v is planted in the cells built at, or in the state
         # relaxed from, whose end state keeps it
@@ -888,7 +912,9 @@ class TestDiagonalCheckOracle:
             U[self.CELL, n + j] = np.nan if case == "nan" else np.inf
         built_at = U if call == 0 else cells
         seen, taken = [], []
-        planted = self._planted(model, case, j, call, seen)
+        # an off-diagonal entry of the coupled M
+        m_entry = (j, 1 - j) if source == "coupled-M" else (j, j)
+        planted = self._planted(model, case, j, call, seen, m_entry)
 
         def recording(model, U, dt):
             taken.append(dt)
@@ -902,15 +928,21 @@ class TestDiagonalCheckOracle:
             Ms = [s[2] for s in seen if s[0] == "dissipation_matrix"]
             G = grads[0][2][..., n:]
             A, M = (G[1] - G[2:]).transpose(1, 2, 0), Ms[0][1]
-            assert solver._diagonal(A) and solver._diagonal(M)
-            built = (np.all(np.diagonal(A, axis1=1, axis2=2) > 0)
-                     and solver._close(Ms[0], M)
-                     and solver._close(G[0], -solver._matvec(A,
-                                                             built_at[:, n:])))
+            diagonal = solver._diagonal(A) and solver._diagonal(M)
+            assert diagonal == (source != "coupled-M")
+            AV = _matvec(A, built_at[:, n:])
+            if diagonal:
+                definite = np.all(np.diagonal(A, axis1=1, axis2=2) > 0)
+            else:   # and symmetric
+                definite = (np.all(np.linalg.eigvalsh(A) > 0)
+                            and _close(A.transpose(0, 2, 1), A)
+                            and _close(M.transpose(0, 2, 1), M))
+            built = (definite and np.all(np.isfinite(AV))
+                     and _close(Ms[0], M) and _close(G[0], -AV))
             if built:
                 end, g = grads[1][1], grads[1][2][:, n:]
-                ended = (solver._close(Ms[1], M)
-                         and solver._close(g, -solver._matvec(A, end[:, n:])))
+                ended = (_close(Ms[1], M)
+                         and _close(g, -_matvec(A, end[:, n:])))
             else:   # no end state is checked
                 assert len(seen) == 2
                 ended = False
@@ -919,6 +951,28 @@ class TestDiagonalCheckOracle:
         assert (built, ended) == ((True, True) if case == "clean" else
                                   (False, False) if call == 0 else
                                   (True, False))
+
+    @pytest.mark.parametrize("coupled", [False, True],
+                             ids=["diagonal", "coupled"])
+    def test_non_finite_bound_takes_midpoint(self, coupled, monkeypatch):
+        # eta_v = -v/alpha0 where v is finite and -1 where it is not: an
+        # infinite v makes the bound on eta_v + A v infinite, which the
+        # infinite difference is within, so the build itself refuses it
+        heat = heat_model(HeatParams(alpha0=0.3, space_dim=1 + coupled),
+                          dissipation=_coupled_M if coupled else _aniso_M)
+
+        def grad(U):
+            g = heat.entropy_grad(U)
+            g[..., 1:] = np.where(np.isfinite(U[..., 1:]), g[..., 1:], -1.0)
+            return g
+
+        model = dataclasses.replace(heat, entropy_grad=grad)
+        U = (_heat_2d_states(np.random.default_rng(22), (16,)) if coupled
+             else random_heat_states(16, seed=22))
+        assert not _takes_midpoint(model, U, 1e-2, monkeypatch)
+        U[self.CELL, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert _takes_midpoint(model, U, 1e-2, monkeypatch)
 
 
 class TestStrangStep:
