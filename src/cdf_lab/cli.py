@@ -87,11 +87,11 @@ _INTERVAL = (lambda v: _NUMBERS[0](v) and len(v) == 2 and v[0] < v[1],
 _SCENARIO = {
     "n_cells": (_REQUIRED, *_integer(4)),
     "t_end": (_REQUIRED, *_POSITIVE),
-    "x_min": (0.0, *_NUMBER),
-    "x_max": (1.0, *_NUMBER),
-    "boundary": ("periodic", lambda v: v in solver.BOUNDARY_KINDS,
+    "x_min": (Grid1D.x_min, *_NUMBER),
+    "x_max": (Grid1D.x_max, *_NUMBER),
+    "boundary": (Scenario.boundary, lambda v: v in solver.BOUNDARY_KINDS,
                  f"one of {solver.BOUNDARY_KINDS}"),
-    "cfl": (0.45, lambda v: _is_number(v) and 0.0 < v < 1.0,
+    "cfl": (Scenario.cfl, lambda v: _is_number(v) and 0.0 < v < 1.0,
             "a number in (0, 1)"),
     "initial": ({"preset": "sine"}, *_OBJECT),
     "output_every": (_OPTIONAL, *_POSITIVE),
@@ -311,7 +311,6 @@ def _write_diagnostics(path: Path, traj) -> None:
 # prefix of its stderr line; the first matching class wins.
 _WORK_FAILURES = {
     verify.SamplingError: (EXIT_CONFIG, "sampling"),
-    solver.InitialConditionError: (EXIT_CONFIG, "scenario rejected"),
     ModelAuditError: (EXIT_SCIENTIFIC, "audit gate"),
     ConvergenceError: (EXIT_SCIENTIFIC, "source step failed"),
     solver.InadmissibleStateError: (EXIT_SCIENTIFIC, "time stepping failed"),

@@ -125,9 +125,9 @@ def error_norms(field_a, field_b, grid: Grid1D):
 @dataclass
 class ConvergenceStudy:
     parameter_values: np.ndarray
-    errors_l1: np.ndarray
-    errors_l2: np.ndarray
-    errors_linf: np.ndarray
+    errors_l1: np.ndarray    # absolute
+    errors_l2: np.ndarray    # relative to the reference's L2 norm
+    errors_linf: np.ndarray  # absolute
     slope: float            # log-log fit of the L2 error
     monotone: bool
     slope_band: Sequence[float]  # [low, high], ends included; NaN fails
@@ -175,8 +175,7 @@ def heat_sine_scenario(params: HeatParams, grid: Grid1D, t_end: float,
                          0.0])
 
     return Scenario(model=heat_model(params), grid=grid, initial_condition=ic,
-                    boundary="periodic", t_end=t_end, output_every=t_end,
-                    name="heat-sine")
+                    t_end=t_end, output_every=t_end, name="heat-sine")
 
 
 def relaxation_convergence(base: HeatParams, alpha0_values: Sequence[float],

@@ -40,10 +40,7 @@ def heat_model(params: HeatParams,
     `dissipation` optionally replaces the default M = I/(lambda theta^2)
     with a user-supplied state-dependent matrix (the generalized,
     anisotropic variant).  The model then has no closed-form decay rates;
-    the solver relaxes w exactly through the matrix exponential of
-    -M/alpha0 when M is symmetric and depends on u only, building that
-    operator once for the two half steps that relax a field, and by an
-    implicit-midpoint update otherwise.
+    `solver._relaxation` says how the solver then relaxes w.
     """
     c_v, lam, a0 = params.c_v, params.lambda_, params.alpha0
     m = params.space_dim

@@ -96,10 +96,6 @@ class InadmissibleStateError(RuntimeError):
     """The update produced a state outside the admissible domain."""
 
 
-class InitialConditionError(InadmissibleStateError):
-    """The initial condition has a state outside the admissible domain."""
-
-
 class ModelAuditError(RuntimeError):
     """The model failed its structural audit and no override was given."""
 
@@ -131,8 +127,10 @@ class Grid1D:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A run's inputs, each checked here, and the initial condition at the
+    cell centres, admissible and read-only: `initial_field`."""
     model: CdfModel
     grid: Grid1D | tuple          # a Grid1D, or a pair of axes (x, y)
     initial_condition: Callable   # f(x), or f(x, y) on a pair of axes
@@ -143,6 +141,7 @@ class Scenario:
     left_state: Optional[np.ndarray] = None
     right_state: Optional[np.ndarray] = None
     name: str = "scenario"
+    initial_field: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
@@ -172,6 +171,17 @@ class Scenario:
                 raise ValueError("2D runs support periodic boundaries only")
             if self.model.space_dim != 2:
                 raise ValueError("2D runs need a model with space_dim == 2")
+        axes = self.grid if isinstance(self.grid, tuple) else (self.grid,)
+        centers = [a.centers() for a in axes]
+        cells = np.empty(tuple(c.size for c in centers) + (self.model.n_comp,))
+        for idx in np.ndindex(cells.shape[:-1]):
+            cells[idx] = self.initial_condition(
+                *(c[i] for c, i in zip(centers, idx)))
+        if not np.all(self.model.admissible(cells)):
+            _raise_inadmissible(self.model, cells,
+                                "initial condition inadmissible", ValueError)
+        cells.flags.writeable = False
+        object.__setattr__(self, "initial_field", cells)
 
 
 @dataclass
@@ -546,43 +556,38 @@ def strang_step(model: CdfModel, cells: np.ndarray, dt: float,
 
 
 def _audit_or_raise(model: CdfModel) -> None:
-    samples = verify.AuditSamples(model, verify.sample_states(
-        model, verify.SamplingPlan(seed=0, count=_AUDIT_SAMPLES)))
+    bypass = "pass override_audit=True (CLI: --override-audit) to run anyway"
+    try:
+        samples = verify.AuditSamples(model, verify.sample_states(
+            model, verify.SamplingPlan(seed=0, count=_AUDIT_SAMPLES)))
+    except verify.SamplingError as exc:
+        raise verify.SamplingError(
+            f"the audit gate cannot sample: {exc}; {bypass}") from exc
     failed = [name for name in ("concavity", "dissipation_matrix")
               if not verify.check(name, samples).passed]
     if failed:
         raise ModelAuditError(
-            f"model '{model.name}' fails structural checks {failed}; "
-            "pass override_audit=True (CLI: --override-audit) to run anyway"
-        )
+            f"model '{model.name}' fails structural checks {failed}; {bypass}")
 
 
 def run(scenario: Scenario, override_audit: bool = False) -> Trajectory:
-    """Integrate to t_end with adaptive dt = 0.99 cfl dx / speed, the CFL
-    speed (summed over the axes in units of dx, see `_axis_speeds`) that
-    the previous step's transport measured, or for the first step the
-    speed of the initial field, which must be finite.  A step whose
-    transport raises CflError is retried once from the same cells, with dt
-    from the speed that check measured; a second CflError propagates, and
-    so does a first one whose speed is not finite.  A relaxed state outside
-    the admissible domain raises InadmissibleStateError naming its step,
-    time and cell when its block of diagnostics is evaluated."""
+    """Integrate from `scenario.initial_field`, the first snapshot, to t_end
+    with adaptive dt = 0.99 cfl dx / speed, the CFL speed (summed over the
+    axes in units of dx, see `_axis_speeds`) that the previous step's
+    transport measured, for the first step the initial field's, which must be
+    finite.  A step whose transport raises CflError is retried once from the
+    same cells, with dt from the speed that check measured; a second CflError
+    propagates, and so does a first one whose speed is not finite.  A relaxed
+    state outside the admissible domain raises InadmissibleStateError naming
+    its step, time and cell when its block of diagnostics is evaluated."""
     model, grid = scenario.model, scenario.grid
     if not override_audit:
         _audit_or_raise(model)
 
     spacing = _spacing(grid)
-    axes = grid if isinstance(grid, tuple) else (grid,)
-    centers = [a.centers() for a in axes]
     vol = math.prod(spacing)
     bc = (scenario.boundary, scenario.left_state, scenario.right_state)
-    field_arr = np.empty(tuple(c.size for c in centers) + (model.n_comp,))
-    for idx in np.ndindex(field_arr.shape[:-1]):
-        field_arr[idx] = scenario.initial_condition(
-            *(c[i] for c, i in zip(centers, idx)))
-    if not np.all(model.admissible(field_arr)):
-        _raise_inadmissible(model, field_arr, "initial condition inadmissible",
-                            InitialConditionError)
+    field_arr = scenario.initial_field
 
     traj = Trajectory(boundary=scenario.boundary,
                       boundary_inflow=np.zeros(model.n_conserved))

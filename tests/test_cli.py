@@ -969,9 +969,15 @@ MALFORMED = {
     "verify-fluid-3-rows": (_verify_box("fluid", FLUID_PARAMS),
                             "sampling: the box has 3 rows; model 'fluid' "
                             "has 5 components"),
+    # u < 0 in cells 0-7: refused with the scenario, before heat-signflip
+    # would fail the audit gate (exit 1)
+    "signflip-negative-left": (
+        {**_small_run(initial={"preset": "riemann", "left": -1.0}),
+         "model": "heat-signflip"},
+        "config error: initial condition inadmissible at cell 0: [-1.  0.]"),
     # well-formed, but u = 1 + 2 sin(2 pi x) < 0 in the study's first run
     "converge-amplitude-2": (_small_converge(amplitude=2.0),
-                             "scenario rejected: initial condition "
+                             "config error: initial condition "
                              "inadmissible at cell 9: [-0.11114047  0.    "
                              "    ]"),
 }

@@ -103,7 +103,7 @@ class TestScenarioValidation:
                              boundary="fixed-state", left_state=left,
                              right_state=right, t_end=1.0)
             Scenario(model=model, grid=Grid1D(8),
-                     initial_condition=lambda x: 0, boundary="fixed-state",
+                     initial_condition=lambda x: good, boundary="fixed-state",
                      left_state=good, right_state=np.asarray(good),
                      t_end=1.0)
 
@@ -116,6 +116,44 @@ class TestScenarioValidation:
                          initial_condition=lambda x: 0,
                          boundary="fixed-state", left_state=left,
                          right_state=right, t_end=1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_inadmissible_initial_condition_names_its_cell(self, dim):
+        """The initial condition is checked as the boundary states are: a
+        ValueError naming the first inadmissible cell and its state."""
+        model = heat_model(HeatParams(space_dim=dim))
+        if dim == 1:    # u = 0.4 - x < 0 from cell 3 (x = 0.4375) on
+            grid, cell = Grid1D(8), "3"
+
+            def ic(x):
+                return np.array([0.4 - x, 0.0])
+        else:           # u < 0 at x > 0.5, y < 0.25 only: cells (2, 0), (3, 0)
+            grid, cell = (Grid1D(4), Grid1D(4)), r"\(2, 0\)"
+
+            def ic(x, y):
+                return np.array([-1.0 if x > 0.5 and y < 0.25 else 1.0,
+                                 0.0, 0.0])
+        with pytest.raises(ValueError, match=rf"^initial condition "
+                           rf"inadmissible at cell {cell}: \[-"):
+            Scenario(model=model, grid=grid, initial_condition=ic,
+                     t_end=0.01)
+
+    def test_frozen_with_a_read_only_initial_field(self, heat):
+        sc = diagnostics.heat_sine_scenario(HeatParams(), Grid1D(8), 0.01)
+        assert sc.initial_field.shape == (8, 2)
+        assert np.array_equal(sc.initial_field, _heat_sine_field(8))
+        for name, value in (("cfl", 0.3), ("model", heat),
+                            ("initial_field", _heat_sine_field(8))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sc, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            sc.initial_field[0, 0] = 2.0
+        # `replace` builds and checks the field again
+        wider = dataclasses.replace(sc, grid=Grid1D(8, 0.0, 2.0))
+        assert not np.array_equal(wider.initial_field, sc.initial_field)
+        with pytest.raises(ValueError, match="initial condition"):
+            dataclasses.replace(sc, initial_condition=lambda x: np.array(
+                [np.nan, 0.0]))
 
 
 # 1D cells 0..7, and 2D cells 10 i + j on a 3 x 4 grid; one component
@@ -729,7 +767,7 @@ class TestExactRelaxation:
     @pytest.mark.parametrize("case", ["signflip", "asymmetric-M",
                                       "M-depends-on-w", "cubic-eta_w",
                                       "offset-eta_w", "diagonal-A-zero",
-                                      "diagonal-A-nan"])
+                                      "diagonal-A-nan", "indefinite-A"])
     def test_midpoint_fallback_where_exact_step_does_not_apply(
             self, heat_params, broken_heat, case, monkeypatch):
         heat2 = heat_model(dataclasses.replace(heat_params, space_dim=2))
@@ -756,6 +794,16 @@ class TestExactRelaxation:
                 return g
             m = dataclasses.replace(heat2, entropy_grad=grad,
                                     source_decay_rates=None)
+        elif case == "indefinite-A":
+            # eta_w = -A w with A = [[1, 2], [2, 1]]: linear, symmetric and
+            # coupled, but indefinite (eigenvalues 3 and -1), so its
+            # Cholesky fails
+            def grad(U):
+                g = heat2.entropy_grad(U)
+                g[..., 1:] = -U[..., 1:] @ np.array([[1.0, 2.0], [2.0, 1.0]])
+                return g
+            m = dataclasses.replace(heat2, entropy_grad=grad,
+                                    source_decay_rates=None)
         else:
             def grad(U, cubic=case == "cubic-eta_w"):
                 g = heat2.entropy_grad(U)
@@ -767,6 +815,11 @@ class TestExactRelaxation:
         if m.n_dissipative == 2:
             U = np.column_stack([U, U[::-1, 1]])
         dt = 1e-2
+        # the build itself returns the midpoint; for an indefinite A,
+        # after its failed Cholesky alone
+        assert solver._relaxation(m, U).__name__ == "midpoint"
+        if case == "indefinite-A":
+            assert _lapack_calls(m, U, monkeypatch) == {"cholesky": 1}
         assert _takes_midpoint(m, U, dt, monkeypatch)
         out = step_source_exact(m, U, dt)
         assert np.array_equal(out[:, 1:], solver._relax_midpoint(m, U, dt))
@@ -1060,12 +1113,43 @@ class TestRunDriver:
             solver.run(sc)
         solver.run(sc, override_audit=True)  # gate can be bypassed
 
-    def test_inadmissible_initial_condition(self, heat):
-        sc = Scenario(model=heat, grid=Grid1D(16),
-                      initial_condition=lambda x: np.array([-1.0, 0.0]),
-                      t_end=0.01)
-        with pytest.raises(InadmissibleStateError):
+    @pytest.mark.parametrize("space_dim", [1, 2])
+    def test_run_starts_from_the_checked_field(self, space_dim):
+        """The first snapshot is the scenario's initial field, bit for bit,
+        and the run leaves that field as it is."""
+        def ic(x, y=0.0):
+            return np.array([1.0 + 0.1 * np.sin(2 * np.pi * (x + y)),
+                             0.05] + [0.0] * (space_dim - 1))
+
+        grid = Grid1D(16) if space_dim == 1 else (Grid1D(8), Grid1D(8))
+        sc = Scenario(model=heat_model(HeatParams(space_dim=space_dim)),
+                      grid=grid, initial_condition=ic, t_end=0.2,
+                      output_every=0.05)
+        before = sc.initial_field.copy()
+        traj = solver.run(sc)
+        assert len(traj.snapshots) > 2
+        assert np.array_equal(sc.initial_field, before)
+        assert traj.snapshots[0].tobytes() == before.tobytes()
+        assert not np.array_equal(traj.snapshots[-1], before)
+
+    def test_audit_gate_without_a_sampling_box_names_the_bypass(
+            self, heat_params):
+        sc = diagnostics.heat_sine_scenario(heat_params, Grid1D(16), 0.01)
+        sc = dataclasses.replace(
+            sc, model=dataclasses.replace(sc.model, sample_box=None))
+        with pytest.raises(verify.SamplingError, match=(
+                r"^the audit gate cannot sample: model 'heat' has no "
+                r"sampling box; pass override_audit=True "
+                r"\(CLI: --override-audit\) to run anyway$")):
             solver.run(sc)
+        solver.run(sc, override_audit=True)  # gate can be bypassed
+
+    def test_inadmissible_initial_condition(self, heat):
+        # `Scenario` refuses it, so no run can start from it
+        with pytest.raises(ValueError, match="initial condition"):
+            Scenario(model=heat, grid=Grid1D(16),
+                     initial_condition=lambda x: np.array([-1.0, 0.0]),
+                     t_end=0.01)
 
     @pytest.mark.parametrize("boundary", ["periodic", "fixed-state"])
     def test_admissibility_checked_at_most_twice_per_step(
